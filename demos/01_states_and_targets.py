@@ -31,12 +31,12 @@ for spec in (gq.vacuum(), gq.coherent(N_S), gq.smsv(N_S), gq.tmss(N_S)):
     print(pair.rho0.cov)
     print()
 
-# The single-mode channel also has a closed form; the dilation route and the
-# closed form agree to machine precision.
-probe = gq.probe_state(gq.smsv(N_S))
-a = gq.target_present(probe, cfg)
-b = gq.attenuator_closed_form(probe, KAPPA, N_B)
-print("dilation vs closed form, max |diff| =", np.abs(a.cov - b.cov).max())
+# make_pair writes the channel in closed form; the beamsplitter dilation
+# (tensor a thermal mode, beamsplit, trace it out) agrees to machine precision.
+for spec in (gq.smsv(N_S), gq.tmss(N_S)):
+    a = gq.target_present(gq.probe_state(spec), cfg)
+    b = gq.make_pair(spec, cfg).rho1
+    print(f"{spec.kind}: dilation vs make_pair, max |diff| =", np.abs(a.cov - b.cov).max())
 
 # For the entangled probe the full three-mode (transmitter/memory/environment)
 # covariance is available before the trace:

@@ -33,10 +33,8 @@ from .symplectic import (
 from .target import (
     HypothesisPair,
     TargetConfig,
-    attenuator_closed_form,
     dilated_present,
     make_pair,
-    target_absent,
     target_present,
 )
 from .fock_oracle import (

@@ -154,9 +154,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_figure(args) -> int:
     rows, summary = reproduce_figure(args.name)
-    if args.grid_ns or args.grid_nb:
-        print("note: figure grids are pinned for reproducibility; "
-              "--grid-ns/--grid-nb are ignored here", file=sys.stderr)
     if args.out:
         emit(rows, args.out, args.format)
     for key, value in summary.items():
@@ -217,8 +214,6 @@ def build_parser() -> _Parser:
     p.add_argument("name", choices=FIGURES)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--grid-ns", default=None, help="accepted for interface parity")
-    p.add_argument("--grid-nb", default=None, help="accepted for interface parity")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("verify", help="run an expansion-residual check")

@@ -2,18 +2,19 @@
 
 At reflectivities below roughly 1e-7 the Bhattacharyya exponent
 -log Q_{1/2} drops to the 1e-16 scale, where double precision cannot
-separate Q from 1.  These helpers rebuild the hypothesis covariances and
-the overlap formula in mpmath so the limit-order study can evaluate exact
-exponent ratios instead of expansions.  At moderate parameters the results
-agree with the float64 path (tested), which is what certifies this route.
-
-The Williamson step assumes a non-degenerate symplectic spectrum, which
-holds for every pair built here (n_b != n_s in all uses).
+separate Q from 1.  These helpers evaluate the overlap formula in mpmath on
+the hypothesis-pair moments of `target.pair_moments`, fed mpf inputs, so
+the limit-order study can evaluate exact exponent ratios instead of
+expansions.  The Williamson step and the overlap formula are written here
+independently of `divergence`; at moderate parameters the results agree
+with the float64 path (tested), which is what certifies this route.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
+
+from .target import pair_moments
 
 
 def _mp_symplectic_form(n: int) -> mp.matrix:
@@ -39,23 +40,20 @@ def _williamson_pl(v: mp.matrix):
     root = _sym_root(v, mp.mpf(1) / 2)
     root_inv = _sym_root(v, mp.mpf(-1) / 2)
     anti = root_inv * _mp_symplectic_form(n) * root_inv
-    evals, evecs = mp.eig(anti)
+    # -i anti is Hermitian with eigenvalues +-1/nu_k.  Its eigenvectors are
+    # orthonormal even where nu_k coincide, so the real and imaginary parts
+    # of those with positive eigenvalue form orthogonal canonical pairs.
+    evals, evecs = mp.eighe(anti * mp.mpc(0, -1))
 
     cols = []
     nus = []
-    for i, ev in enumerate(evals):
-        lam = mp.im(ev)
+    for i, lam in enumerate(evals):
         if lam <= 0:
             continue
         w = evecs[:, i]
         u = mp.matrix([mp.re(w[j]) for j in range(2 * n)])
         x = mp.matrix([mp.im(w[j]) for j in range(2 * n)])
-        nu_u, nu_x = mp.norm(u), mp.norm(x)
-        # Real and imaginary parts of an eigenvector of a real antisymmetric
-        # matrix have equal norm unless eigenvalues collide.
-        if abs(nu_u - nu_x) > mp.mpf(10) ** (10 - mp.mp.dps) * nu_u:
-            raise ValueError("degenerate symplectic spectrum not supported here")
-        cols.append((u / nu_u, x / nu_x))
+        cols.append((u / mp.norm(u), x / mp.norm(x)))
         nus.append(1 / lam)
 
     o = mp.zeros(2 * n)
@@ -80,7 +78,8 @@ def _lam(p, x):
     return (hi + lo) / (hi - lo)
 
 
-def _log_q(v0, m0, v1, m1, s):
+def _log_q(mean0, cov0, mean1, cov1, s):
+    m0, v0, m1, v1 = (mp.matrix(x) for x in (mean0, cov0, mean1, cov1))
     n = v0.rows // 2
     nus0, t0 = _williamson_pl(v0)
     nus1, t1 = _williamson_pl(v1)
@@ -98,58 +97,16 @@ def _log_q(v0, m0, v1, m1, s):
     return n * mp.log(2) + log_g - mp.log(mp.det(sig)) / 2 - quad / 2
 
 
-def _pair_moments(kind: str, n_s, n_b, kappa, model: str):
-    """Hypothesis-pair moments (v0, m0, v1, m1) built natively in mpmath."""
-    n_s, n_b, kappa = mp.mpf(n_s), mp.mpf(n_b), mp.mpf(kappa)
-    half = mp.mpf(1) / 2
-    n_eff = n_b / (1 - kappa) if model == "legacy" else n_b
-    if kind in ("vacuum", "coherent"):
-        v0 = mp.diag([n_b + half] * 2)
-        m0 = mp.matrix([0, 0])
-        v1 = mp.diag([kappa * half + (1 - kappa) * (n_eff + half)] * 2)
-        amp = mp.sqrt(2 * kappa * n_s) if kind == "coherent" else mp.mpf(0)
-        m1 = mp.matrix([amp, 0])
-        return v0, m0, v1, m1
-    if kind == "smsv":
-        r = mp.asinh(mp.sqrt(n_s))
-        v0 = mp.diag([n_b + half] * 2)
-        v1 = mp.diag(
-            [
-                kappa * mp.e ** (-2 * r) / 2 + (1 - kappa) * (n_eff + half),
-                kappa * mp.e ** (2 * r) / 2 + (1 - kappa) * (n_eff + half),
-            ]
-        )
-        return v0, mp.matrix([0, 0]), v1, mp.matrix([0, 0])
-    if kind == "tmss":
-        v0 = mp.diag([n_b + half, n_b + half, n_s + half, n_s + half])
-        a = kappa * (n_s + half) + (1 - kappa) * (n_eff + half)
-        c = mp.sqrt(kappa * n_s * (n_s + 1))
-        b = n_s + half
-        v1 = mp.matrix(
-            [
-                [a, 0, c, 0],
-                [0, a, 0, -c],
-                [c, 0, b, 0],
-                [0, -c, 0, b],
-            ]
-        )
-        zero4 = mp.matrix([0, 0, 0, 0])
-        return v0, zero4, v1, zero4
-    raise ValueError(f"unsupported transmitter kind {kind!r}")
+def log_q_s(kind: str, n_s, n_b, kappa, s, model: str = "agnostic", dps: int = 60) -> mp.mpf:
+    """High-precision log Q_s for a transmitter/target configuration."""
+    with mp.workdps(dps):
+        moments = pair_moments(kind, mp.mpf(n_s), mp.mpf(n_b), mp.mpf(kappa), model)
+        return _log_q(*moments, mp.mpf(s))
 
 
 def log_q_half(kind: str, n_s, n_b, kappa, model: str = "agnostic", dps: int = 60) -> mp.mpf:
     """High-precision log Q_{1/2} for a transmitter/target configuration."""
-    with mp.workdps(dps):
-        v0, m0, v1, m1 = _pair_moments(kind, n_s, n_b, kappa, model)
-        return _log_q(v0, m0, v1, m1, mp.mpf(1) / 2)
-
-
-def log_q_s(kind: str, n_s, n_b, kappa, s, model: str = "agnostic", dps: int = 60) -> mp.mpf:
-    """High-precision log Q_s for a transmitter/target configuration."""
-    with mp.workdps(dps):
-        v0, m0, v1, m1 = _pair_moments(kind, n_s, n_b, kappa, model)
-        return _log_q(v0, m0, v1, m1, mp.mpf(s))
+    return log_q_s(kind, n_s, n_b, kappa, 0.5, model=model, dps=dps)
 
 
 def q_half_deficit(kind: str, n_s, n_b, kappa, model: str = "agnostic", dps: int = 60) -> float:

@@ -6,6 +6,12 @@ alone: the target is a beamsplitter of reflectivity kappa mixing the
 transmitted mode with a bare thermal mode.  The "legacy" model substitutes
 N_B -> N_B / (1 - kappa) so that the reflected noise is kappa-independent,
 which makes a vacuum transmitter unable to see the target at all.
+
+`pair_moments` writes the hypothesis-pair moments once, in closed form and
+plain arithmetic; `make_pair` (float64) and `highprec` (mpmath) both build
+on it.  `dilated_present` and `target_present` construct the same channel
+independently, through the beamsplitter dilation, as the reference route
+the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .symplectic import (
     partial_trace,
     tensor,
 )
-from .transmitters import TransmitterSpec, probe_state, thermal_state
+from .transmitters import TransmitterSpec, probe_moments, thermal_state
 
 MODELS = ("agnostic", "legacy")
 
@@ -89,34 +95,49 @@ def target_present(probe: GaussianState, cfg: TargetConfig) -> GaussianState:
     return partial_trace(out, keep=range(probe.n_modes))
 
 
-def attenuator_closed_form(probe: GaussianState, kappa: float, n_b: float) -> GaussianState:
-    """Single-mode thermal attenuator in closed form.
+def pair_moments(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
+    """Moments (mean0, cov0, mean1, cov1) of the hypothesis pair, as nested lists.
 
-    mean -> sqrt(kappa) mean, cov -> kappa cov + (1 - kappa)(n_b + 1/2) I.
-    Equivalent to the dilation route; kept as an independent expression for
-    cross-checking.
+    rho1 is the probe after the thermal loss channel on its transmitted mode
+    (Serafini, Quantum Continuous Variables, 2017): that mode's mean scales
+    by sqrt(kappa), its covariance block maps to
+    kappa cov + (1 - kappa)(N_eff + 1/2) I, its cross blocks with the memory
+    scale by sqrt(kappa), and the memory block is unchanged.  N_eff is n_b,
+    or n_b / (1 - kappa) in the legacy model.  rho0 replaces the transmitted
+    mode by the bare background (n_b + 1/2) I and keeps the memory's reduced
+    state; it is the same in both models.
+
+    Only + - * / and ** appear, so every entry that depends on the inputs
+    is a float for float inputs and an mpf (at the working precision) for
+    mpmath.mpf inputs; structural zeros are exact floats.
+
+    Raises:
+        ValueError: kappa outside (0, 1), or an unknown transmitter kind.
     """
-    if probe.n_modes != 1:
-        raise ValueError("closed form applies to single-mode probes only")
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    if n_b < 0:
-        raise ValueError(f"n_b must be non-negative, got {n_b}")
-    cov = kappa * probe.cov + (1.0 - kappa) * (n_b + 0.5) * np.eye(2)
-    return GaussianState(mean=np.sqrt(kappa) * probe.mean, cov=cov)
+    if not 0 < kappa < 1:
+        raise ValueError(f"target-present requires kappa in (0, 1), got {kappa}")
+    mean, cov = probe_moments(kind, n_s)
+    n_eff = n_b / (1 - kappa) if model == "legacy" else n_b
+    noise = (1 - kappa) * (n_eff + 0.5)
+    amp = kappa ** 0.5
 
+    # Indices 0 and 1 are the transmitted mode's quadratures.
+    def present(i, j):
+        if i < 2 and j < 2:
+            return kappa * cov[i][j] + (noise if i == j else 0.0)
+        return amp * cov[i][j] if i < 2 or j < 2 else cov[i][j]
 
-def target_absent(probe: GaussianState, cfg: TargetConfig) -> GaussianState:
-    """State received under the 'target absent' hypothesis.
+    def absent(i, j):
+        if i < 2 or j < 2:
+            return n_b + 0.5 if i == j else 0.0
+        return cov[i][j]
 
-    The transmitted mode is fully replaced by the thermal background; any
-    memory modes keep their reduced state.  Identical for both models.
-    """
-    background = thermal_state(cfg.n_b)
-    if probe.n_modes == 1:
-        return background
-    memory = partial_trace(probe, keep=range(1, probe.n_modes))
-    return tensor(background, memory)
+    idx = range(len(mean))
+    mean0 = [0.0, 0.0] + mean[2:]
+    mean1 = [amp * mean[0], amp * mean[1]] + mean[2:]
+    cov0 = [[absent(i, j) for j in idx] for i in idx]
+    cov1 = [[present(i, j) for j in idx] for i in idx]
+    return mean0, cov0, mean1, cov1
 
 
 def make_pair(spec: TransmitterSpec, cfg: TargetConfig) -> HypothesisPair:
@@ -125,10 +146,15 @@ def make_pair(spec: TransmitterSpec, cfg: TargetConfig) -> HypothesisPair:
     A legacy-model vacuum transmitter yields rho0 == rho1; the pair is
     returned flagged as degenerate rather than rejected, so downstream code
     can exhibit the ill-posedness instead of crashing.
+
+    Raises:
+        ValueError: kappa = 0, where the target-present state is undefined.
     """
-    probe = probe_state(spec)
-    rho0 = target_absent(probe, cfg)
-    rho1 = target_present(probe, cfg)
+    mean0, cov0, mean1, cov1 = pair_moments(
+        spec.kind, spec.n_signal, cfg.n_b, cfg.kappa, cfg.model
+    )
+    rho0 = GaussianState(mean=mean0, cov=cov0)
+    rho1 = GaussianState(mean=mean1, cov=cov1)
     return HypothesisPair(
         rho0=rho0,
         rho1=rho1,

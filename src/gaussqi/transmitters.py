@@ -65,36 +65,41 @@ def thermal_state(n_b: float) -> GaussianState:
     return GaussianState(mean=np.zeros(2), cov=(n_b + 0.5) * np.eye(2))
 
 
-def probe_state(spec: TransmitterSpec) -> GaussianState:
-    """Gaussian moments of the probe before it reaches the target.
+def probe_moments(kind: str, n_s):
+    """Mean vector and covariance matrix of the probe, as nested lists.
 
     vacuum: mean 0, cov I/2.
     coherent: mean (sqrt(2 N_S), 0) (zero phase), cov I/2.
-    smsv: mean 0, cov diag(e^{-2r}, e^{2r})/2 with r = arcsinh(sqrt(N_S));
-        the q quadrature carries the reduced noise.
+    smsv: mean 0, cov diag(e^{-2r}, e^{2r})/2 with sinh^2 r = N_S, so
+        e^{2r} = (sqrt(N_S) + sqrt(N_S + 1))^2; the q quadrature carries
+        the reduced noise.
     tmss: mean 0, diagonal blocks (N_S + 1/2) I2 and off-diagonal blocks
         sqrt(N_S (N_S + 1)) diag(1, -1), transmitted mode first.
+
+    Only + - * / and ** appear, so every entry that depends on n_s is a
+    float for a float n_s and an mpf (at the working precision) for an
+    mpmath.mpf n_s; structural zeros and 1/2 are exact floats.
     """
-    n_s = spec.n_signal
-    if spec.kind == "vacuum":
-        return GaussianState(mean=np.zeros(2), cov=0.5 * np.eye(2))
-    if spec.kind == "coherent":
-        return GaussianState(mean=np.array([np.sqrt(2.0 * n_s), 0.0]), cov=0.5 * np.eye(2))
-    if spec.kind == "smsv":
-        r = np.arcsinh(np.sqrt(n_s))
-        return GaussianState(
-            mean=np.zeros(2),
-            cov=0.5 * np.diag([np.exp(-2.0 * r), np.exp(2.0 * r)]),
-        )
-    # tmss
-    a = n_s + 0.5
-    c = np.sqrt(n_s * (n_s + 1.0))
-    cov = np.array(
-        [
+    if kind == "vacuum":
+        return [0.0, 0.0], [[0.5, 0.0], [0.0, 0.5]]
+    if kind == "coherent":
+        return [(2 * n_s) ** 0.5, 0.0], [[0.5, 0.0], [0.0, 0.5]]
+    if kind == "smsv":
+        e2r = (n_s ** 0.5 + (n_s + 1) ** 0.5) ** 2
+        return [0.0, 0.0], [[0.5 / e2r, 0.0], [0.0, 0.5 * e2r]]
+    if kind == "tmss":
+        a = n_s + 0.5
+        c = (n_s * (n_s + 1)) ** 0.5
+        cov = [
             [a, 0.0, c, 0.0],
             [0.0, a, 0.0, -c],
             [c, 0.0, a, 0.0],
             [0.0, -c, 0.0, a],
         ]
-    )
-    return GaussianState(mean=np.zeros(4), cov=cov)
+        return [0.0] * 4, cov
+    raise ValueError(f"unknown transmitter kind {kind!r}; expected one of {KINDS}")
+
+
+def probe_state(spec: TransmitterSpec) -> GaussianState:
+    """Gaussian moments of the probe before it reaches the target."""
+    return GaussianState(*probe_moments(spec.kind, spec.n_signal))

@@ -30,6 +30,9 @@ def test_chernoff_command(capsys):
 def test_chernoff_invalid_input(capsys):
     assert main(["chernoff", "--transmitter", "coherent", "--ns", "1",
                  "--nb", "-3", "--kappa", "0.1"]) == 1
+    # kappa = 0 leaves no target-present state: invalid input, not a row
+    assert main(["chernoff", "--transmitter", "coherent", "--ns", "1",
+                 "--nb", "1", "--kappa", "0"]) == 1
 
 
 def test_sweep_plan_file(tmp_path, capsys):
@@ -100,6 +103,12 @@ def test_figure_command_exit_codes(tmp_path, capsys, monkeypatch):
     )
     assert main(["figure", "fidelity-curves"]) == 2
     assert "passed = False" in capsys.readouterr().out
+
+
+def test_figure_rejects_grid_flags(capsys):
+    # figure grids are fixed; a grid flag is a usage error, not silently ignored
+    assert main(["figure", "smsv-ratio", "--grid-ns", "1"]) == 1
+    assert "--grid-ns" in capsys.readouterr().err
 
 
 def test_read_plan_defaults(tmp_path):

@@ -11,6 +11,9 @@ MODERATE = [
     ("vacuum", 0.0, 2.0, 0.2),
     ("smsv", 0.7, 3.0, 0.25),
     ("tmss", 0.8, 2.5, 0.15),
+    # N_S == N_B: degenerate symplectic spectrum of rho0 (and of rho1 as kappa -> 0)
+    ("tmss", 1e-3, 1e-3, 1e-2),
+    ("tmss", 1.0, 1.0, 0.1),
 ]
 
 

@@ -1,16 +1,27 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussqi.symplectic import GaussianState, symplectic_eigenvalues
 from gaussqi.target import (
     TargetConfig,
-    attenuator_closed_form,
     dilated_present,
     make_pair,
-    target_absent,
+    pair_moments,
     target_present,
 )
-from gaussqi.transmitters import coherent, probe_state, smsv, thermal_state, tmss, vacuum
+from gaussqi.transmitters import (
+    KINDS,
+    TransmitterSpec,
+    coherent,
+    probe_state,
+    smsv,
+    thermal_state,
+    tmss,
+    vacuum,
+)
 
 
 def test_config_validation():
@@ -51,17 +62,22 @@ def test_smsv_present_covariance():
     assert np.allclose(out.cov, expected, atol=1e-13)
 
 
-def test_closed_form_equals_dilation_route():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        kappa = rng.uniform(0.02, 0.95)
-        n_b = rng.uniform(0.0, 10.0)
-        spec = [vacuum(), coherent(rng.uniform(0, 3)), smsv(rng.uniform(0, 3))][rng.integers(3)]
-        probe = probe_state(spec)
-        a = target_present(probe, TargetConfig(kappa=kappa, n_b=n_b))
-        b = attenuator_closed_form(probe, kappa, n_b)
-        assert np.abs(a.cov - b.cov).max() < 1e-12 * max(1.0, n_b)
-        assert np.abs(a.mean - b.mean).max() < 1e-12
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(KINDS),
+    n_s=st.floats(0.0, 5.0),
+    n_b=st.floats(0.0, 20.0),
+    kappa=st.floats(1e-6, 0.99),
+    model=st.sampled_from(("agnostic", "legacy")),
+)
+def test_closed_form_equals_dilation_route(kind, n_s, n_b, kappa, model):
+    # make_pair's closed-form channel against the beamsplitter dilation, for
+    # every transmitter (two-mode tmss included) and both background models.
+    spec = TransmitterSpec(kind, 0.0 if kind == "vacuum" else n_s)
+    cfg = TargetConfig(kappa=kappa, n_b=n_b, model=model)
+    closed = make_pair(spec, cfg).rho1
+    dilated = target_present(probe_state(spec), cfg)
+    assert closed.isclose(dilated, atol=1e-13)
 
 
 def test_channel_preserves_physicality():
@@ -107,13 +123,15 @@ def test_dilated_three_mode_covariance():
 def test_target_absent():
     n_s, n_b = 0.01, 20.0
     cfg = TargetConfig(kappa=0.3, n_b=n_b)
-    out = target_absent(probe_state(coherent(1.0)), cfg)
+    out = make_pair(coherent(1.0), cfg).rho0
     assert out.isclose(thermal_state(n_b))
-    out = target_absent(probe_state(tmss(n_s)), cfg)
+    out = make_pair(tmss(n_s), cfg).rho0
     assert np.allclose(np.diag(out.cov), [20.5, 20.5, 0.51, 0.51])
     assert np.allclose(out.mean, 0.0)
+    # no correlation survives between the background and the memory
+    assert np.all(out.cov[:2, 2:] == 0.0)
     # model plays no role when the target is absent
-    legacy = target_absent(probe_state(tmss(n_s)), TargetConfig(kappa=0.3, n_b=n_b, model="legacy"))
+    legacy = make_pair(tmss(n_s), TargetConfig(kappa=0.3, n_b=n_b, model="legacy")).rho0
     assert out.isclose(legacy)
 
 
@@ -164,3 +182,25 @@ def test_tmss_eigenvalue_expansion_slope():
 def test_target_present_rejects_kappa_edge():
     with pytest.raises(ValueError):
         target_present(probe_state(vacuum()), TargetConfig(kappa=0.0, n_b=1.0))
+
+
+def test_make_pair_rejects_kappa_zero():
+    # kappa = 0 is a valid TargetConfig but has no target-present state
+    cfg = TargetConfig(kappa=0.0, n_b=1.0)
+    for spec in (vacuum(), coherent(1.0), tmss(1.0)):
+        with pytest.raises(ValueError):
+            make_pair(spec, cfg)
+
+
+def test_pair_moments_keep_the_number_type():
+    # the same builder gives mpf moments for mpf inputs, equal to the
+    # float64 moments to float precision
+    args = ("tmss", 0.7, 2.5, 0.15, "legacy")
+    with mp.workdps(40):
+        hp = pair_moments(*(mp.mpf(a) if isinstance(a, float) else a for a in args))
+        assert isinstance(hp[3][0][0], mp.mpf) and isinstance(hp[3][0][2], mp.mpf)
+        assert isinstance(hp[1][2][2], mp.mpf)
+        for f64, mpf in zip(pair_moments(*args), hp):
+            assert np.allclose(np.array(mpf, dtype=float), f64, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        pair_moments("laser", 1.0, 1.0, 0.1)
