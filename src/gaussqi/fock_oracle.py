@@ -6,6 +6,15 @@ tr rho^s sigma^{1-s} come from dense Hermitian eigendecompositions.  Nothing
 here touches the Gaussian covariance machinery; agreement between the two
 routes is the package's core acceptance check.
 
+Every amplitude, thermal weight and beamsplitter block built here is real,
+so the operators are real symmetric float64 matrices and LAPACK runs its
+real symmetric solver; a matrix given as complex is kept complex.  Each
+operator diagonalises itself at most once: FockOperator.spectrum, its
+clamped spectrum on the support, is cached, read-only, and shared by every
+overlap, fidelity and channel that uses the operator.  A pure probe from
+build_state carries its rank-1 spectrum from its amplitudes and is never
+diagonalised.
+
 Multi-mode operators use row-major mode ordering: the transmitted mode is
 the slowest index, matching numpy.kron(A_mode0, A_mode1).
 """
@@ -13,7 +22,7 @@ the slowest index, matching numpy.kron(A_mode0, A_mode1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as la
@@ -37,8 +46,10 @@ _MAX_JOINT_DIM = 70000
 class FockOperator:
     """Hermitian operator on a truncated n-mode Fock space.
 
-    trace_deficit records 1 - tr for density operators, the bookkeeping of
-    what the cutoff discarded.
+    The matrix is stored read-only, as float64 when the input is real and
+    as complex128 when it is complex.  `spectrum` is computed on first use
+    and cached.  trace_deficit records 1 - tr for density operators, the
+    bookkeeping of what the cutoff discarded.
     """
 
     matrix: np.ndarray
@@ -47,7 +58,8 @@ class FockOperator:
     trace_deficit: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        m = m.astype(complex if np.iscomplexobj(m) else float)
         dim = self.cutoff**self.n_modes
         if m.shape != (dim, dim):
             raise ValueError(
@@ -59,6 +71,32 @@ class FockOperator:
         m = 0.5 * (m + m.conj().T)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (eigenvalues, eigenvectors) on the support, computed once.
+
+        Truncation and rounding produce eigenvalues of size ~1e-16 around
+        the exact zeros of pure states; fractional powers would amplify that
+        noise (1e-16^0.3 ~ 1e-5), so anything below the eigensolver's
+        resolution is an exact zero and is dropped with its eigenvector.
+
+        Raises:
+            ValueError: an eigenvalue lies below -NEGATIVITY_TOL.
+        """
+        evals, evecs = np.linalg.eigh(self.matrix)
+        if evals.min() < -NEGATIVITY_TOL:
+            raise ValueError(
+                f"operator has eigenvalue {evals.min():.3e} below -{NEGATIVITY_TOL}"
+            )
+        keep = evals > max(evals.max(), 0.0) * 1e-14
+        return _read_only(evals[keep], evecs[:, keep])
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _geometric_weights(n_mean: float, cutoff: int) -> np.ndarray:
@@ -79,7 +117,7 @@ def thermal_fock(n_b: float, cutoff: int) -> FockOperator:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
     w = _geometric_weights(n_b, cutoff)
     return FockOperator(
-        matrix=np.diag(w).astype(complex),
+        matrix=np.diag(w),
         n_modes=1,
         cutoff=cutoff,
         trace_deficit=float(1.0 - w.sum()),
@@ -113,7 +151,9 @@ def build_state(
     """Probe density operator from exact truncated amplitudes.
 
     Amplitudes are not renormalized; the lost tail is reported through
-    trace_deficit and rejected when it exceeds the budget.
+    trace_deficit and rejected when it exceeds the budget.  The state is
+    pure, so its spectrum is recorded from the amplitude vector: the single
+    eigenvalue vec @ vec with eigenvector vec / |vec|.
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
@@ -129,17 +169,23 @@ def build_state(
         diag = np.sqrt(_geometric_weights(n_s, cutoff))
         vec = np.zeros(cutoff * cutoff)
         vec[np.arange(cutoff) * (cutoff + 1)] = diag
-    deficit = float(1.0 - vec @ vec)
+    norm2 = vec @ vec
+    deficit = float(1.0 - norm2)
     if deficit > budget:
         raise ValueError(
             f"cutoff {cutoff} too small: trace deficit {deficit:.3e} exceeds budget {budget:.3e}"
         )
-    return FockOperator(
-        matrix=np.outer(vec, vec).astype(complex),
+    state = FockOperator(
+        matrix=np.outer(vec, vec),
         n_modes=spec.n_modes,
         cutoff=cutoff,
         trace_deficit=deficit,
     )
+    # Fill the cached_property slot so the spectrum is never recomputed.
+    state.__dict__["spectrum"] = _read_only(
+        np.array([norm2]), vec[:, None] / np.sqrt(norm2)
+    )
+    return state
 
 
 @lru_cache(maxsize=6)
@@ -200,24 +246,20 @@ def apply_target_fock(state: FockOperator, cfg: TargetConfig, cutoff: int) -> Fo
     theta = float(np.arccos(np.sqrt(cfg.kappa)))
     u = _beamsplitter_unitary(theta, d, cutoff)
 
+    # Environment columns sqrt(p_m)|m> for the occupied thermal levels.
     env = _geometric_weights(cfg.n_b, cutoff)
-    evals, evecs = np.linalg.eigh(state.matrix)
-    keep = evals > max(1e-16, evals.max() * 1e-15)
+    live = np.flatnonzero(env)
+    inject = np.eye(cutoff)[:, live] * np.sqrt(env[live])
 
-    out = np.zeros((d * d_rest, d * d_rest), dtype=complex)
-    joint = np.zeros((d * cutoff, d_rest), dtype=complex)
-    for lam, col in zip(evals[keep], evecs[:, keep].T):
-        v = col.reshape(d, d_rest)
-        for m in range(cutoff):
-            if env[m] == 0.0:
-                continue
-            # Joint column vector of (probe eigvec) x |m>_env, transmitted
-            # mode interleaved with the environment.
-            joint[:] = 0.0
-            joint[m::cutoff, :] = v
-            w = (u @ joint).reshape(d, cutoff, d_rest)
-            mat = np.transpose(w, (0, 2, 1)).reshape(d * d_rest, cutoff)
-            out += (lam * env[m]) * (mat @ mat.conj().T)
+    evals, evecs = state.spectrum
+    out = np.zeros((d * d_rest, d * d_rest), dtype=state.matrix.dtype)
+    for lam, col in zip(evals, evecs.T):
+        # Columns (probe eigvec) x sqrt(p_m)|m>_env, one per live m, with
+        # the transmitted mode interleaved with the environment.
+        joint = np.kron(col.reshape(d, d_rest), inject)
+        w = (u @ joint).reshape(d, cutoff, d_rest, live.size)
+        mat = np.transpose(w, (0, 2, 1, 3)).reshape(d * d_rest, cutoff * live.size)
+        out += lam * (mat @ mat.conj().T)
     return FockOperator(
         matrix=out,
         n_modes=state.n_modes,
@@ -275,45 +317,32 @@ def hypothesis_pair_fock(
     return rho0, rho1
 
 
-def _clamped_spectrum(op: FockOperator, name: str):
-    """Eigendecomposition with sub-noise-floor eigenvalues zeroed.
-
-    Truncation and rounding produce eigenvalues of size ~1e-16 around the
-    exact zeros of pure states; fractional powers would amplify that noise
-    (1e-16^0.3 ~ 1e-5), so anything below the eigensolver's resolution is
-    treated as an exact zero.  Genuinely negative spectra are rejected.
-    """
-    evals, evecs = np.linalg.eigh(op.matrix)
-    if evals.min() < -NEGATIVITY_TOL:
-        raise ValueError(
-            f"{name}: operator has eigenvalue {evals.min():.3e} below -{NEGATIVITY_TOL}"
-        )
-    floor = max(evals.max(), 0.0) * 1e-14
-    evals = np.where(evals > floor, evals, 0.0)
-    return evals, evecs
-
-
 def q_s_fock(rho: FockOperator, sigma: FockOperator, s: float) -> float:
-    """tr rho^s sigma^{1-s} via eigendecomposition of both operators."""
+    """tr rho^s sigma^{1-s} from the cached spectra of both operators."""
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("operators must share dimensions")
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    w0, v0 = _clamped_spectrum(rho, "q_s_fock")
-    w1, v1 = _clamped_spectrum(sigma, "q_s_fock")
+    w0, v0 = rho.spectrum
+    w1, v1 = sigma.spectrum
     overlap = np.abs(v0.conj().T @ v1) ** 2
     return float(w0**s @ overlap @ w1 ** (1.0 - s))
 
 
 def fidelity_fock(rho: FockOperator, sigma: FockOperator) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) on the truncation."""
+    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) on the truncation.
+
+    Evaluated as the trace norm of sqrt(rho) sqrt(sigma), the sum of the
+    singular values of sqrt(w0) V0^dag V1 sqrt(w1) from the cached spectra.
+    Singular values carry rounding noise of order 1e-16, where square roots
+    of the eigenvalues of sqrt(rho) sigma sqrt(rho) would carry ~1e-11.
+    """
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("operators must share dimensions")
-    w0, v0 = _clamped_spectrum(rho, "fidelity_fock")
-    root = (v0 * np.sqrt(w0)) @ v0.conj().T
-    inner = root @ sigma.matrix @ root
-    evals = np.linalg.eigvalsh(inner)
-    return float(np.sum(np.sqrt(np.clip(evals, 0.0, None))))
+    w0, v0 = rho.spectrum
+    w1, v1 = sigma.spectrum
+    cross = np.sqrt(w0)[:, None] * (v0.conj().T @ v1) * np.sqrt(w1)
+    return float(np.linalg.svd(cross, compute_uv=False).sum())
 
 
 def mean_photon_number(op: FockOperator, mode: int) -> float:

@@ -35,6 +35,11 @@ MODELS = ("agnostic", "legacy")
 TRANSMITTED_MODE = 0
 
 
+def _check_model(model: str) -> None:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+
+
 @dataclass(frozen=True)
 class TargetConfig:
     """Reflectivity kappa, background occupation n_b, and model convention."""
@@ -48,8 +53,7 @@ class TargetConfig:
             raise ValueError(f"kappa must lie in [0, 1), got {self.kappa}")
         if not np.isfinite(self.n_b) or self.n_b < 0:
             raise ValueError(f"n_b must be a finite non-negative number, got {self.n_b}")
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        _check_model(self.model)
 
     @property
     def effective_n_b(self) -> float:
@@ -112,10 +116,12 @@ def pair_moments(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
     mpmath.mpf inputs; structural zeros are exact floats.
 
     Raises:
-        ValueError: kappa outside (0, 1), or an unknown transmitter kind.
+        ValueError: kappa outside (0, 1), an unknown model, or an unknown
+            transmitter kind.
     """
     if not 0 < kappa < 1:
         raise ValueError(f"target-present requires kappa in (0, 1), got {kappa}")
+    _check_model(model)
     mean, cov = probe_moments(kind, n_s)
     n_eff = n_b / (1 - kappa) if model == "legacy" else n_b
     noise = (1 - kappa) * (n_eff + 0.5)

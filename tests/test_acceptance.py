@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  The full module is designed to stay within a
-single-threaded desk-scale budget (the oracle grid of criterion 1 and the
-advantage map of criterion 7 dominate).
+single-threaded desk-scale budget.  The advantage map of criterion 7
+dominates; the oracle grid of criterion 1 diagonalises each hypothesis once
+for all three s values and takes a few seconds.
 """
 
 import numpy as np

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaussqi import fock_oracle
 from gaussqi.divergence import fidelity, q_s_general
 from gaussqi.fock_oracle import (
     FockOperator,
@@ -168,6 +171,10 @@ def test_choose_cutoff():
     assert 2 < d <= 128
     with pytest.raises(ValueError):
         choose_cutoff(tmss(0.5), TargetConfig(kappa=0.2, n_b=20.0), tol=1e-10)
+    # criterion 1's anchor: its grid runs at exactly these cutoffs
+    anchor = TargetConfig(kappa=0.3, n_b=0.5)
+    for spec, expected in ((vacuum(), 18), (coherent(0.5), 23), (smsv(0.5), 37)):
+        assert choose_cutoff(spec, anchor, tol=1e-8) == expected
 
 
 def test_fock_operator_validation():
@@ -175,3 +182,64 @@ def test_fock_operator_validation():
         FockOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, 2, 0.0)  # not Hermitian
     with pytest.raises(ValueError):
         FockOperator(np.eye(3), 1, 2, 0.0)  # wrong shape
+    # real input is stored real, complex input stays complex
+    assert FockOperator(np.eye(2, dtype=int), 1, 2, 0.0).matrix.dtype == np.float64
+    assert FockOperator(np.eye(2), 1, 2, 0.0).matrix.dtype == np.float64
+    assert FockOperator(np.eye(2, dtype=complex), 1, 2, 0.0).matrix.dtype == np.complex128
+
+
+def test_spectrum_computed_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(fock_oracle.np.linalg, "eigh", counting_eigh)
+    rho0, rho1 = hypothesis_pair_fock(tmss(0.3), TargetConfig(kappa=0.2, n_b=0.3), 12)
+    for s in (0.3, 0.5, 0.7):
+        q_s_fock(rho0, rho1, s)
+    # rho0 and rho1 once each; the pure probe is never diagonalised
+    assert calls == [(144, 144), (144, 144)]
+    assert rho0.matrix.dtype == rho1.matrix.dtype == np.float64
+    probe = build_state(tmss(0.3), 12)
+    for op in (rho0, rho1, probe):
+        for arr in op.spectrum:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    evals, evecs = probe.spectrum
+    assert evals.shape == (1,) and evecs.shape == (144, 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("coherent", "smsv")),
+    n_s=st.floats(0.05, 0.5),
+    n_b=st.floats(0.0, 0.5),
+    kappa=st.floats(0.05, 0.5),
+    phi=st.floats(-np.pi, np.pi),
+)
+def test_phase_rotated_pair_is_complex_and_equivalent(kind, n_s, n_b, kappa, phi):
+    # conjugating by exp(i n phi) changes no overlap and commutes with the
+    # loss channel; it exercises the complex storage no pipeline state reaches
+    d = 40
+    spec, cfg = TransmitterSpec(kind, n_s), TargetConfig(kappa=kappa, n_b=n_b)
+    rho0, rho1 = hypothesis_pair_fock(spec, cfg, d)
+    phase = np.exp(1j * phi * np.arange(d))
+    rotation = np.outer(phase, phase.conj())
+
+    def rotate(op):
+        return FockOperator(op.matrix * rotation, 1, d, op.trace_deficit)
+
+    rot0, rot1 = rotate(rho0), rotate(rho1)
+    assert rot0.matrix.dtype == rot1.matrix.dtype == np.complex128
+    # q_s raises eigenvalues to fractional powers: near N_B = 0 an eigenvalue
+    # of ~5e-8 carries the eigensolver's ~1e-15 error, which lambda^-0.7
+    # amplifies to ~1e-12 (complex and real storage alike), hence 1e-10
+    for s in (0.3, 0.5, 0.7):
+        assert abs(q_s_fock(rot0, rot1, s) - q_s_fock(rho0, rho1, s)) < 1e-10
+    assert abs(fidelity_fock(rot0, rot1) - fidelity_fock(rho0, rho1)) < 1e-12
+    out = apply_target_fock(rotate(build_state(spec, d)), cfg, d)
+    assert out.matrix.dtype == np.complex128
+    assert np.abs(out.matrix - rot1.matrix).max() < 1e-12

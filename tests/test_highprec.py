@@ -46,3 +46,10 @@ def test_exponent_ratio_limit_points():
     assert 3.8 <= agnostic < 4.0
     ns_first = highprec.exponent_ratio(1e-10, 1e4, 1e-3)
     assert abs(ns_first - 1.0) <= 0.02
+
+
+def test_rejects_unknown_model():
+    # a misspelt model used to fall through to the agnostic moments
+    message = r"unknown model 'legcy'; expected one of \('agnostic', 'legacy'\)"
+    with pytest.raises(ValueError, match=message):
+        highprec.log_q_half("coherent", 1, 1, 0.1, model="legcy")
