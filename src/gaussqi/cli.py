@@ -21,7 +21,7 @@ from .divergence import chernoff
 from .sweeps import (
     CHECKS,
     FIGURES,
-    QUANTITIES,
+    FORMATS,
     SweepPlan,
     SweepRow,
     emit,
@@ -30,7 +30,7 @@ from .sweeps import (
     run_sweep,
     verify_expansion,
 )
-from .target import TargetConfig, make_pair
+from .target import MODELS, TargetConfig, make_pair
 from .transmitters import KINDS, TransmitterSpec
 
 
@@ -68,12 +68,24 @@ def parse_grid(text: str) -> tuple:
         raise _CliError(f"cannot parse grid {text!r}: {exc}") from exc
 
 
+# Plan-file key -> the setting it gives; aliases name the same setting.
+_PLAN_KEYS = {
+    "transmitter": "transmitters", "transmitters": "transmitters",
+    "quantity": "quantities", "quantities": "quantities",
+    "ns": "ns", "grid_ns": "ns",
+    "nb": "nb", "grid_nb": "nb",
+    "kappa": "kappa", "grid_kappa": "kappa",
+    "model": "model", "out": "out", "format": "format",
+}
+
+
 def read_plan(path: str, out_override=None, format_override=None) -> SweepPlan:
     """Read a flat key = value plan file.
 
     Keys: transmitter(s), quantity/quantities, ns or grid_ns, nb or
-    grid_nb, kappa or grid_kappa, model, out, format.  Lines starting with
-    '#' are comments.
+    grid_nb, kappa or grid_kappa, model, out, format.  An unknown key, or
+    a setting given twice (under either of its names), is an error.  Lines
+    starting with '#' are comments.
     """
     fields: dict = {}
     with open(path) as fh:
@@ -84,41 +96,36 @@ def read_plan(path: str, out_override=None, format_override=None) -> SweepPlan:
             if "=" not in line:
                 raise _CliError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
-            fields[key.strip().lower()] = value.strip()
+            key = key.strip().lower()
+            if key not in _PLAN_KEYS:
+                raise _CliError(f"{path}:{lineno}: unknown key {key!r}; expected one of "
+                                f"{', '.join(_PLAN_KEYS)}")
+            if _PLAN_KEYS[key] in fields:
+                raise _CliError(f"{path}:{lineno}: {key!r} sets "
+                                f"{_PLAN_KEYS[key]!r} a second time")
+            fields[_PLAN_KEYS[key]] = value.strip()
 
-    def names(*keys, default=None):
-        for k in keys:
-            if k in fields:
-                return tuple(v.strip() for v in fields[k].split(",") if v.strip())
-        return default
+    def names(key, default):
+        if key not in fields:
+            return default
+        return tuple(v.strip() for v in fields[key].split(",") if v.strip())
 
-    def grid(single_key, grid_key, default):
-        if grid_key in fields:
-            return parse_grid(fields[grid_key])
-        if single_key in fields:
-            return parse_grid(fields[single_key])
-        return default
+    def grid(key, default):
+        return parse_grid(fields[key]) if key in fields else default
 
     try:
         return SweepPlan(
-            transmitters=names("transmitter", "transmitters", default=("coherent",)),
-            quantities=names("quantity", "quantities", default=("chernoff",)),
-            n_s_grid=grid("ns", "grid_ns", (1.0,)),
-            n_b_grid=grid("nb", "grid_nb", (1.0,)),
-            kappa_grid=grid("kappa", "grid_kappa", (1e-2,)),
+            transmitters=names("transmitters", ("coherent",)),
+            quantities=names("quantities", ("chernoff",)),
+            n_s_grid=grid("ns", (1.0,)),
+            n_b_grid=grid("nb", (1.0,)),
+            kappa_grid=grid("kappa", (1e-2,)),
             model=fields.get("model", "agnostic"),
             out_path=out_override or fields.get("out"),
             out_format=format_override or fields.get("format", "csv"),
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-
-
-def _write_or_print(rows: list[SweepRow], out, out_format: str) -> None:
-    if out:
-        emit(rows, out, out_format)
-    else:
-        emit(rows, sys.stdout, out_format)
 
 
 def _cmd_chernoff(args) -> int:
@@ -148,7 +155,7 @@ def _cmd_chernoff(args) -> int:
 def _cmd_sweep(args) -> int:
     plan = read_plan(args.plan, out_override=args.out, format_override=args.format)
     rows = run_sweep(plan)
-    _write_or_print(rows, plan.out_path, plan.out_format)
+    emit(rows, plan.out_path or sys.stdout, plan.out_format)
     return 0
 
 
@@ -180,7 +187,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_limits(args) -> int:
     rows = limit_order_study(args.model)
-    _write_or_print(rows, args.out, args.format)
+    emit(rows, args.out or sys.stdout, args.format)
     for row in rows:
         path = row.flags[0] if row.flags else ""
         print(f"{row.model} {path:12s} n_s={row.n_s:g} kappa={row.kappa:g} "
@@ -198,22 +205,22 @@ def build_parser() -> _Parser:
     p.add_argument("--ns", type=float, default=0.0, help="signal intensity N_S")
     p.add_argument("--nb", type=float, required=True, help="background occupation N_B")
     p.add_argument("--kappa", type=float, required=True, help="reflectivity")
-    p.add_argument("--model", choices=("agnostic", "legacy"), default="agnostic")
+    p.add_argument("--model", choices=MODELS, default="agnostic")
     p.add_argument("--tol", type=float, default=1e-7, help="absolute s tolerance")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(func=_cmd_chernoff)
 
     p = sub.add_parser("sweep", help="run a plan file")
     p.add_argument("plan", help="flat key = value plan file")
     p.add_argument("--out", default=None, help="override the plan's output path")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="reproduce a reference-figure data set")
     p.add_argument("name", choices=FIGURES)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("verify", help="run an expansion-residual check")
@@ -221,9 +228,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("limits", help="limit-order study for one model")
-    p.add_argument("model", choices=("agnostic", "legacy"))
+    p.add_argument("model", choices=MODELS)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(func=_cmd_limits)
     return parser
 

@@ -146,9 +146,6 @@ class WilliamsonDecomposition:
     nu: np.ndarray
     S: np.ndarray
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(np.repeat(self.nu, 2))
-
 
 def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
     """Williamson decomposition of a positive-definite covariance matrix.

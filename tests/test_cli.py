@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaussqi.cli import main, parse_grid, read_plan
-from gaussqi.sweeps import parse_csv
+from gaussqi.sweeps import CHECKS, parse_csv
 
 
 def test_parse_grid_forms():
@@ -75,10 +75,35 @@ def test_plan_parse_errors(tmp_path):
     assert main(["sweep", str(badgrid)]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ns = 0.5\nkapa = 0.3\n",
+         "unknown key 'kapa'; expected one of transmitter, transmitters, quantity, "
+         "quantities, ns, grid_ns, nb, grid_nb, kappa, grid_kappa, model, out, format"),
+        ("ns = 0.5\ngrid_ns = 1,2\n", ":2: 'grid_ns' sets 'ns' a second time"),
+        ("model = agnostic\nmodel = legacy\n", ":2: 'model' sets 'model' a second time"),
+    ],
+    ids=["misspelt", "alias-repeat", "repeat"],
+)
+def test_plan_rejects_unknown_and_repeated_keys(tmp_path, capsys, text, message):
+    # a plan setting that is not applied must not run at the default value
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text)
+    assert main(["sweep", str(plan)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_verify_command_exit_codes(capsys):
     assert main(["verify", "tmss-eigenvalues"]) == 0
     assert "[pass]" in capsys.readouterr().out
     assert main(["verify", "not-a-check"]) == 1
+
+
+def test_verify_all(capsys):
+    assert main(["verify", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"[pass] {name}" for name in CHECKS]
 
 
 def test_limits_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -147,6 +148,50 @@ def test_verify_expansion_names():
     assert check.passed
     assert check.fitted_order > 0.9
     assert len(check.residuals) == len(check.sequence)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        check.passed = False
+
+
+# Fitted residual orders as `gaussqi verify all` prints them; limit-order
+# judges value windows instead of an order.
+FITTED_ORDERS = {
+    "bright-lambda-sum": "0.995",
+    "bright-affinity": "2.448",
+    "dim-lambda-sum": "1.010",
+    "dim-affinity": "0.982",
+    "smsv-weak-signal": "2.588",
+    "smsv-strong-signal": "2.058",
+    "tmss-eigenvalues": "2.001",
+    "tmss-affinity": "3.005",
+    "limit-order": None,
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_every_expansion_check_passes(name):
+    check = verify_expansion(name)
+    assert check.name == name
+    assert check.passed
+    assert len(check.residuals) == len(check.sequence)
+    if FITTED_ORDERS[name] is not None:
+        assert f"{check.fitted_order:.3f}" == FITTED_ORDERS[name]
+        assert check.fitted_order > check.expected_order - 0.1
+        # the further conditions some checks fold into `passed`
+        details = check.details
+        assert details.get("worse_than_vacuum", True) and details.get("better_than_vacuum", True)
+        assert details.get("gamma2_fitted_order", 2.0) > 2.0 - 0.1
+        assert all(r["fitted"] > r["expected"] - 0.1 for r in details.get("per_s", {}).values())
+        return
+    assert check.fitted_order is None and check.expected_order is None
+    kappas, ratios_kf = zip(*check.details["kappa_first"])
+    n_ss, ratios_nf = zip(*check.details["ns_first"])
+    legacy = check.details["legacy_ratio"]
+    assert kappas == check.sequence == (1e-6, 1e-8, 1e-10, 1e-11)
+    assert n_ss == (1e-6, 1e-8, 1e-10)
+    assert 3.8 <= ratios_kf[2] <= 4.0
+    assert all(r < 4.0 for r in ratios_kf + ratios_nf + (legacy,))
+    assert abs(ratios_nf[-1] - 1.0) <= 0.02
+    assert 3.9 <= legacy <= 4.0
 
 
 def test_limit_order_study_rows():
