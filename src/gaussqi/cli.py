@@ -53,8 +53,12 @@ def parse_grid(text: str) -> tuple:
     """
     text = text.strip()
     if text.startswith("log:") or text.startswith("lin:"):
-        kind, lo, hi, num = text.split(":")
-        lo, hi, num = float(lo), float(hi), int(num)
+        kind, *ends = text.split(":")
+        try:
+            lo, hi, num = ends
+            lo, hi, num = float(lo), float(hi), int(num)
+        except ValueError:
+            raise _CliError(f"cannot parse grid {text!r}; expected {kind}:lo:hi:n") from None
         if num < 1:
             raise _CliError(f"grid {text!r} needs at least one point")
         if kind == "log":
@@ -88,6 +92,7 @@ def read_plan(path: str, out_override=None, format_override=None) -> SweepPlan:
     starting with '#' are comments.
     """
     fields: dict = {}
+    where: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -104,14 +109,23 @@ def read_plan(path: str, out_override=None, format_override=None) -> SweepPlan:
                 raise _CliError(f"{path}:{lineno}: {key!r} sets "
                                 f"{_PLAN_KEYS[key]!r} a second time")
             fields[_PLAN_KEYS[key]] = value.strip()
+            where[_PLAN_KEYS[key]] = f"{path}:{lineno}: {key!r}"
 
     def names(key, default):
         if key not in fields:
             return default
-        return tuple(v.strip() for v in fields[key].split(",") if v.strip())
+        values = tuple(v.strip() for v in fields[key].split(",") if v.strip())
+        if not values:
+            raise _CliError(f"{where[key]} lists no values")
+        return values
 
     def grid(key, default):
-        return parse_grid(fields[key]) if key in fields else default
+        if key not in fields:
+            return default
+        try:
+            return parse_grid(fields[key])
+        except _CliError as exc:
+            raise _CliError(f"{where[key]}: {exc}") from None
 
     try:
         return SweepPlan(

@@ -20,12 +20,23 @@ PHYSICALITY_TOL = 1e-10
 MIN_COV_EIGENVALUE = 1e-14
 
 
+# One read-only symplectic form per mode count, shared by every caller.
+_FORMS: dict[int, np.ndarray] = {}
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form, block diagonal [[0, 1], [-1, 0]]."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be positive, got {n_modes}")
-    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return la.block_diag(*([j2] * n_modes))
+    """Return the 2n x 2n symplectic form, block diagonal [[0, 1], [-1, 0]].
+
+    Built once per mode count; the returned array is shared and read-only.
+    """
+    delta = _FORMS.get(n_modes)
+    if delta is None:
+        if n_modes < 1:
+            raise ValueError(f"n_modes must be positive, got {n_modes}")
+        delta = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        delta.setflags(write=False)
+        _FORMS[n_modes] = delta
+    return delta
 
 
 def symplectic_inverse(s: np.ndarray) -> np.ndarray:

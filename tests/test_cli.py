@@ -94,6 +94,30 @@ def test_plan_rejects_unknown_and_repeated_keys(tmp_path, capsys, text, message)
     assert message in capsys.readouterr().err
 
 
+def test_plan_rejects_empty_name_list(tmp_path, capsys):
+    # an empty list used to run a sweep of nothing, exit 0
+    plan = tmp_path / "plan.txt"
+    plan.write_text("ns = 0.5\ntransmitter =\n")
+    assert main(["sweep", str(plan)]) == 1
+    assert "plan.txt:2: 'transmitter' lists no values" in capsys.readouterr().err
+
+
+def test_plan_rejects_malformed_range(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("nb = log:1:10\n")
+    assert main(["sweep", str(plan)]) == 1
+    err = capsys.readouterr().err
+    assert "plan.txt:1: 'nb': cannot parse grid 'log:1:10'; expected log:lo:hi:n" in err
+
+
+def test_chernoff_command_prints_edge_flag(capsys):
+    argv = ["chernoff", "--transmitter", "tmss", "--ns", "1", "--nb", "0", "--kappa", "0.1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "s_star   = 0.999999\n" in out
+    assert "flags    = edge\n" in out
+
+
 def test_verify_command_exit_codes(capsys):
     assert main(["verify", "tmss-eigenvalues"]) == 0
     assert "[pass]" in capsys.readouterr().out

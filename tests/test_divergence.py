@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gaussqi.divergence import (
+    _S_EDGE,
     bhattacharyya_error_bound,
     chernoff,
     fidelity,
@@ -177,6 +178,40 @@ def test_chernoff_dim_background_optimal_s():
     res = chernoff(pair)
     predicted = 0.5 + 1e-2 / 24.0
     assert abs(res.s_star - predicted) < 5e-4
+
+
+def test_chernoff_edge_minimum():
+    # with N_B = 0 the absent-target return mode is vacuum, and log Q_s
+    # keeps falling all the way to s = 1
+    res = chernoff(make_pair(tmss(1.0), TargetConfig(kappa=0.1, n_b=0.0)))
+    assert res.flags == ("edge",)
+    assert res.s_star == 1.0 - _S_EDGE
+    assert res.converged
+    assert res.xi >= -np.log(res.q_half)
+
+
+def test_chernoff_flat_pair():
+    # pure-state pair: Q_s = e^{-kappa N_S} for every s
+    res = chernoff(make_pair(coherent(1.0), TargetConfig(kappa=0.2, n_b=0.0)))
+    assert res.flags == ("flat",)
+    assert res.s_star == 0.5
+    assert res.xi == pytest.approx(0.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [coherent(1.0), tmss(1.0)], ids=["coherent", "tmss"])
+def test_chernoff_evaluation_count(spec):
+    res = chernoff(make_pair(spec, TargetConfig(kappa=1e-2, n_b=20.0)))
+    assert not res.flags
+    assert 2 <= res.n_evals <= 12
+
+
+def test_chernoff_iteration_budget_is_flagged():
+    pair = make_pair(tmss(1.0), TargetConfig(kappa=1e-2, n_b=20.0))
+    res = chernoff(pair, max_iter=1)
+    assert res.flags == ("maxiter",)
+    assert not res.converged
+    assert res.n_evals == 3
+    assert res.xi >= -np.log(res.q_half)
 
 
 def test_vacuum_detection_exponent_positive():

@@ -28,6 +28,18 @@ def test_symplectic_form_properties():
         assert np.allclose(delta @ delta, -np.eye(2 * n))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symplectic_form_is_shared_and_read_only(n):
+    import scipy.linalg as la
+
+    delta = symplectic_form(n)
+    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(delta, la.block_diag(*([j2] * n)))
+    assert symplectic_form(n) is delta
+    with pytest.raises(ValueError):
+        delta[0, 1] = 2.0
+
+
 def test_symplectic_inverse():
     rng = np.random.default_rng(0)
     s = random_symplectic(2, rng)
