@@ -16,7 +16,7 @@ import gaussqi as gq
 from gaussqi.highprec import exponent_ratio
 from gaussqi.sweeps import limit_order_study, reproduce_figure
 
-print("exponent-ratio map at kappa = 1e-2 (41 x 41 grid, a minute or so)...")
+print("exponent-ratio map at kappa = 1e-2 (41 x 41 grid)...")
 rows, summary = reproduce_figure("advantage-map")
 print(f"  max xi_tmss / xi_coherent = {summary['max_ratio']:.4f} "
       f"({summary['max_ratio_db']:.2f} dB) at N_S = {summary['argmax_n_s']:.3g}, "

@@ -5,6 +5,7 @@ from .divergence import (
     ChernoffResult,
     bhattacharyya_error_bound,
     chernoff,
+    chernoff_many,
     fidelity,
     g_factor,
     lambda_factor,
@@ -35,6 +36,7 @@ from .target import (
     TargetConfig,
     dilated_present,
     make_pair,
+    pair_stack,
     target_present,
 )
 from .fock_oracle import (

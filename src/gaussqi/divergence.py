@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import GaussianState, symplectic_inverse, williamson
+from .symplectic import PHYSICALITY_TOL, GaussianState, symplectic_inverse, williamson
 from .target import HypothesisPair
 
 # Minimizer defaults; chosen because log Q_s becomes exponentially flat in s
@@ -46,103 +46,151 @@ def _doubled(x) -> np.ndarray:
     return np.maximum(x, 1.0)
 
 
+class _Factors:
+    """The part of the factor helpers that depends on x alone, computed once.
+
+    x is clamped to x >= 1, and every factor is written through
+    L = ln((x+1)/(x-1)) = log1p(2/(x-1)), which does not cancel as p -> 0
+    or x -> inf.  At a pure mode (x = 1) L is inf: e^{-pL} = 0 and
+    tanh(pL/2) = 1 give G_p = Lambda_p = 1 exactly, and both slopes are
+    set to exactly 0.  p may be a scalar or an array matching x.
+    """
+
+    def __init__(self, x):
+        self.x = _doubled(x)
+        self.pure = self.x == 1.0
+        with np.errstate(divide="ignore"):
+            self.log_ratio = np.log1p(2.0 / (self.x - 1.0))
+        # L with a finite stand-in at pure modes, whose terms are masked.
+        self._finite_ratio = np.where(self.pure, 1.0, self.log_ratio)
+
+    def take(self, idx) -> "_Factors":
+        sub = object.__new__(_Factors)
+        sub.x, sub.pure = self.x[idx], self.pure[idx]
+        sub.log_ratio, sub._finite_ratio = self.log_ratio[idx], self._finite_ratio[idx]
+        return sub
+
+    def g(self, p):
+        return 2.0**p / ((self.x + 1.0) ** p * -np.expm1(-p * self.log_ratio))
+
+    def lam(self, p):
+        return 1.0 / np.tanh(0.5 * p * self.log_ratio)
+
+    def log_g_slope(self, p):
+        ratio = self._finite_ratio
+        tail = np.where(self.pure, 0.0, ratio / np.expm1(p * ratio))
+        return -np.log1p(0.5 * (self.x - 1.0)) - tail
+
+    def lam_slope(self, p):
+        ratio = self._finite_ratio
+        return np.where(self.pure, 0.0, -0.5 * ratio / np.sinh(0.5 * p * ratio) ** 2)
+
+
 def g_factor(p: float, x):
     """G_p(x) = 2^p / ((x+1)^p - (x-1)^p) for x >= 1, 0 < p < 1.
 
+    Evaluated as 2^p / ((x+1)^p (1 - e^{-pL})) with L = ln((x+1)/(x-1)).
     Like the other factor helpers, p may be an array matching x.
     """
-    x = _doubled(x)
-    return 2.0**p / ((x + 1.0) ** p - (x - 1.0) ** p)
+    return _Factors(x).g(p)
 
 
 def lambda_factor(p: float, x):
-    """Lambda_p(x) = ((x+1)^p + (x-1)^p) / ((x+1)^p - (x-1)^p) for x >= 1."""
-    x = _doubled(x)
-    hi = (x + 1.0) ** p
-    lo = (x - 1.0) ** p
-    return (hi + lo) / (hi - lo)
-
-
-def _powers(p: float, x):
-    """(x+1)^p, (x-1)^p, ln(x+1) and ln(x-1), the last set to 0 at x = 1.
-
-    At a pure mode (x = 1) every term carrying ln(x-1) also carries
-    (x-1)^p = 0, so the substitute logarithm makes those terms exactly 0.
-    """
-    x = _doubled(x)
-    ln_hi = np.log(x + 1.0)
-    ln_lo = np.log(np.where(x > 1.0, x - 1.0, 1.0))
-    return (x + 1.0) ** p, (x - 1.0) ** p, ln_hi, ln_lo
+    """Lambda_p(x) = ((x+1)^p + (x-1)^p) / ((x+1)^p - (x-1)^p) = coth(pL/2) for x >= 1."""
+    return _Factors(x).lam(p)
 
 
 def log_g_slope(p: float, x):
-    """d/dp log G_p(x) = log 2 - (h ln(x+1) - l ln(x-1)) / (h - l).
+    """d/dp log G_p(x) = log 2 - ln(x+1) - L / expm1(pL), with L as in g_factor.
 
-    Here h = (x+1)^p and l = (x-1)^p, as in g_factor.
+    log 2 - ln(x+1) is evaluated as -log1p((x-1)/2), which does not cancel
+    as x -> 1.
     """
-    hi, lo, ln_hi, ln_lo = _powers(p, x)
-    return np.log(2.0) - (hi * ln_hi - lo * ln_lo) / (hi - lo)
+    return _Factors(x).log_g_slope(p)
 
 
 def lambda_slope(p: float, x):
-    """d/dp Lambda_p(x) = -2 h l (ln(x+1) - ln(x-1)) / (h - l)^2.
-
-    Here h = (x+1)^p and l = (x-1)^p, as in lambda_factor.
-    """
-    hi, lo, ln_hi, ln_lo = _powers(p, x)
-    return -2.0 * hi * lo * (ln_hi - ln_lo) / (hi - lo) ** 2
+    """d/dp Lambda_p(x) = -L / (2 sinh^2(pL/2)), with L as in g_factor."""
+    return _Factors(x).lam_slope(p)
 
 
 class _PairGeometry:
-    """Williamson data of a state pair, reused across evaluations in s."""
+    """Williamson data of a stack of state pairs, reused across evaluations in s.
 
-    def __init__(self, rho0: GaussianState, rho1: GaussianState):
-        if rho0.n_modes != rho1.n_modes:
+    Pairs are stacked along the first axis: means (N, 2n) and covariances
+    (N, 2n, 2n).  log_q and log_q_and_slope take one s per pair.  Every
+    step is elementwise across the stack or a LAPACK/BLAS call per pair, and
+    no stacked array meets a shared 2-D operand in a product (that would
+    become one BLAS call over all rows), so a pair's numbers do not depend
+    on the other pairs in its stack.
+    """
+
+    def __init__(self, mean0, cov0, mean1, cov1):
+        if np.shape(cov0) != np.shape(cov1):
             raise ValueError(
-                f"mode mismatch: {rho0.n_modes} vs {rho1.n_modes}"
+                f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}"
             )
-        self.n = rho0.n_modes
-        w0 = williamson(rho0.cov)
-        w1 = williamson(rho1.cov)
-        self.x0 = _doubled(2.0 * w0.nu)
-        self.x1 = _doubled(2.0 * w1.nu)
-        # The overlap formula wants the symplectics mapping the diagonal form
-        # back to the covariance: cov = T diag(nu x I2) T^T.
-        self.t0 = symplectic_inverse(w0.S)
-        self.t1 = symplectic_inverse(w1.S)
-        self.delta = np.sqrt(2.0) * (rho1.mean - rho0.mean)
+        # One Williamson step for the states of both hypotheses.
+        size = len(cov0)
+        w = williamson(np.concatenate((cov0, cov1)))
+        # The pairs do not pass through GaussianState, so physicality is
+        # checked here, on the symplectic eigenvalues just computed.
+        if w.nu.min(initial=np.inf) < 0.5 - PHYSICALITY_TOL:
+            raise ValueError(
+                f"unphysical covariance: min symplectic eigenvalue {w.nu.min():.12g} < 1/2"
+            )
+        self.n = w.nu.shape[-1]
         # Both states side by side: eigenvalues (x0, x1) taken at orders
         # (s, 1-s), whose s-derivatives carry the signs (+1, -1).
-        self._x = np.concatenate((self.x0, self.x1))
+        self.factors = _Factors(2.0 * np.concatenate((w.nu[:size], w.nu[size:]), axis=-1))
         self._sign = np.repeat((1.0, -1.0), self.n)
-        self._rhs = np.column_stack((self.delta, self.t0, self.t1))
+        # The overlap formula wants the symplectics mapping the diagonal form
+        # back to the covariance: cov = T diag(nu x I2) T^T; t is [T0 T1].
+        t = symplectic_inverse(w.S)
+        self.t = np.concatenate((t[:size], t[size:]), axis=-1)
+        delta = np.sqrt(2.0) * (np.asarray(mean1, dtype=float) - np.asarray(mean0, dtype=float))
+        self._rhs = np.concatenate((delta[..., None], self.t), axis=-1)
 
-    def _orders(self, s: float) -> np.ndarray:
-        return np.repeat((s, 1.0 - s), self.n)
+    def take(self, idx) -> "_PairGeometry":
+        """The sub-stack of the pairs at the given indices."""
+        sub = object.__new__(_PairGeometry)
+        sub.n, sub._sign = self.n, self._sign
+        sub.factors, sub.t, sub._rhs = self.factors.take(idx), self.t[idx], self._rhs[idx]
+        return sub
 
-    def sigma(self, s: float) -> np.ndarray:
-        lam0 = np.repeat(lambda_factor(s, self.x0), 2)
-        lam1 = np.repeat(lambda_factor(1.0 - s, self.x1), 2)
-        return (self.t0 * lam0) @ self.t0.T + (self.t1 * lam1) @ self.t1.T
+    def _orders(self, s: np.ndarray) -> np.ndarray:
+        return np.where(self._sign > 0.0, s[:, None], 1.0 - s[:, None])
 
-    def _cholesky(self, s: float) -> np.ndarray:
+    def _cholesky(self, s: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Cholesky factors of Sigma(s) at the orders p = _orders(s)."""
+        lam = self.factors.lam(p).repeat(2, axis=-1)
+        sig = (self.t * lam[:, None, :]) @ np.swapaxes(self.t, -1, -2)
         try:
-            return np.linalg.cholesky(self.sigma(s))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"overlap matrix not positive definite at s={s}") from exc
+            return np.linalg.cholesky(sig)
+        except np.linalg.LinAlgError:
+            # Name the first pair whose matrix fails.
+            for s_k, sig_k in zip(s, sig):
+                try:
+                    np.linalg.cholesky(sig_k)
+                except np.linalg.LinAlgError as exc:
+                    raise ValueError(
+                        f"overlap matrix not positive definite at s={s_k}"
+                    ) from exc
+            raise
 
-    def _log_q(self, s: float, chol: np.ndarray, z: np.ndarray) -> float:
-        """log Q_s from the Cholesky factor L of Sigma(s) and z = L^-1 delta."""
-        log_g = np.sum(np.log(g_factor(self._orders(s), self._x)))
-        half_logdet = np.sum(np.log(np.diag(chol)))
-        return float(self.n * np.log(2.0) + log_g - half_logdet - 0.5 * (z @ z))
+    def _log_q(self, p: np.ndarray, chol: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """log Q_s from the Cholesky factors L of Sigma(s) and z = L^-1 delta."""
+        log_g = np.log(self.factors.g(p)).sum(axis=-1)
+        half_logdet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+        return self.n * np.log(2.0) + log_g - half_logdet - 0.5 * (z * z).sum(axis=-1)
 
-    def log_q(self, s: float) -> float:
-        chol = self._cholesky(s)
-        return self._log_q(s, chol, np.linalg.solve(chol, self.delta))
+    def log_q(self, s: np.ndarray) -> np.ndarray:
+        p = self._orders(s)
+        chol = self._cholesky(s, p)
+        return self._log_q(p, chol, np.linalg.solve(chol, self._rhs[..., :1])[..., 0])
 
-    def log_q_and_slope(self, s: float) -> tuple[float, float]:
-        """log Q_s and d/ds log Q_s from one Sigma(s) and one Cholesky factor.
+    def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log Q_s and d/ds log Q_s from one Sigma(s) and one Cholesky factor per pair.
 
         With y = Sigma^-1 delta and
         dSigma = T0 [⊕ dLambda_s(x0) I2] T0^T - T1 [⊕ dLambda_{1-s}(x1) I2] T1^T:
@@ -155,18 +203,23 @@ class _PairGeometry:
         frames, tr(Sigma^-1 T D T^T) is sum_jk A_jk^2 D_k, and T^T y is
         A^T z with z = L^-1 delta.
         """
-        chol = self._cholesky(s)
-        sol = np.linalg.solve(chol, self._rhs)
-        z, a = sol[:, 0], sol[:, 1:]
         p = self._orders(s)
-        d_sigma = np.repeat(self._sign * lambda_slope(p, self._x), 2)
-        w = z @ a
-        slope = self._sign @ log_g_slope(p, self._x)
-        slope -= 0.5 * (np.sum(a * a, axis=0) - w * w) @ d_sigma
-        return self._log_q(s, chol, z), float(slope)
+        chol = self._cholesky(s, p)
+        sol = np.linalg.solve(chol, self._rhs)
+        z, a = sol[..., 0], sol[..., 1:]
+        d_sigma = (self._sign * self.factors.lam_slope(p)).repeat(2, axis=-1)
+        w = (z[..., None] * a).sum(axis=-2)
+        slope = (self._sign * self.factors.log_g_slope(p)).sum(axis=-1)
+        slope -= 0.5 * (((a * a).sum(axis=-2) - w * w) * d_sigma).sum(axis=-1)
+        return self._log_q(p, chol, z), slope
 
-    def q(self, s: float) -> float:
-        return min(float(np.exp(self.log_q(s))), 1.0)
+    def q(self, s: np.ndarray) -> np.ndarray:
+        return np.minimum(np.exp(self.log_q(s)), 1.0)
+
+
+def _geometry(rho0: GaussianState, rho1: GaussianState) -> _PairGeometry:
+    """The geometry of one pair of states, as a stack of one."""
+    return _PairGeometry(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])
 
 
 def q_s_general(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
@@ -180,7 +233,7 @@ def q_s_general(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
         Q_s = 2^n prod_k G_s(2 nu0_k) G_{1-s}(2 nu1_k) / sqrt(det Sigma(s))
               * exp(-delta^T Sigma(s)^{-1} delta / 2)
     """
-    return _PairGeometry(rho0, rho1).q(_check_s(s))
+    return float(_geometry(rho0, rho1).q(np.array([_check_s(s)]))[0])
 
 
 def q_s_coherent_closed(s: float, kappa: float, n_b: float, n_s: float) -> float:
@@ -223,8 +276,9 @@ def q_s_alt(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
         raise ValueError("q_s_alt applies to single-mode states only")
     if np.abs(rho0.mean).max() > 1e-12 or np.abs(rho1.mean).max() > 1e-12:
         raise ValueError("q_s_alt applies to zero-mean states only")
-    geom = _PairGeometry(rho0, rho1)
-    x0, x1 = geom.x0[0], geom.x1[0]
+    geom = _geometry(rho0, rho1)
+    x0, x1 = geom.factors.x[0]
+    t0, t1 = geom.t[0, :, :2], geom.t[0, :, 2:]
 
     def f0(p, xa, xb):
         return ((xa + 1.0) ** p + (xa - 1.0) ** p) * (
@@ -233,7 +287,7 @@ def q_s_alt(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
 
     w0 = f0(s, x0, x1)
     w1 = f0(1.0 - s, x1, x0)
-    m = w0 * (geom.t0 @ geom.t0.T) + w1 * (geom.t1 @ geom.t1.T)
+    m = w0 * (t0 @ t0.T) + w1 * (t1 @ t1.T)
     sign, logdet = np.linalg.slogdet(m)
     if sign <= 0:
         raise ValueError("q_s_alt: weight matrix not positive definite")
@@ -257,9 +311,13 @@ class ChernoffResult:
     n_evals: int = 0
 
 
-def _slope_root(evaluate, lo: float, d_lo: float, hi: float, d_hi: float,
-                s_tol: float, max_iter: int):
+def _slope_root(evaluate, lo, d_lo, hi, d_hi, s_tol: float, max_iter: int):
     """Lowest log Q_s seen by a safeguarded secant search on the slope.
+
+    Runs for a stack of pairs at once: lo, d_lo, hi, d_hi are arrays with
+    one entry per pair, and evaluate(s, idx) returns log Q_s and its slope
+    at s for the pairs idx.  Every pair steps on its own and drops out once
+    its bracket is closed.
 
     Requires slopes d_lo < 0 < d_hi at the bracket ends lo < hi.  Each step
     is regula falsi on the end weights w_lo, w_hi.  When the same end is
@@ -269,43 +327,48 @@ def _slope_root(evaluate, lo: float, d_lo: float, hi: float, d_hi: float,
     end.  Once the bracket has failed to halve in three steps, the next
     point is the midpoint.  A trial point is kept s_tol/2 inside the bracket,
     so the bracket closes as soon as the root estimate is that close.
-    Returns (s, log Q_s, converged); converged means the bracket is
-    narrower than s_tol.
+    Returns arrays (s, log Q_s, converged); converged means the bracket is
+    narrower than s_tol, or the slope was exactly 0.
     """
-    best_s, best_v = 0.5 * (lo + hi), np.inf
-    w_lo, w_hi = d_lo, d_hi
-    kept = None
-    ref_width, stalled = hi - lo, 0
+    lo, hi, w_lo, w_hi = (np.array(v, dtype=float) for v in (lo, hi, d_lo, d_hi))
+    out_s, out_v = 0.5 * (lo + hi), np.full(lo.shape, np.inf)
+    converged = hi - lo <= s_tol
+    # The pairs still searching, compacted; `at` holds their stack indices.
+    at = np.flatnonzero(~converged)
+    lo, hi, w_lo, w_hi, best_s, best_v = (a[at] for a in (lo, hi, w_lo, w_hi, out_s, out_v))
+    # The sign of the last slope: +1 kept lo (replaced hi), -1 kept hi, 0 before any step.
+    kept = np.zeros(at.size)
+    ref_width, stalled = hi - lo, np.zeros(at.size, dtype=int)
     for _ in range(max_iter):
-        if hi - lo <= s_tol:
-            return best_s, best_v, True
-        if stalled >= 3:
-            s = 0.5 * (lo + hi)
-        else:
-            s = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
-        s = min(max(s, lo + 0.5 * s_tol), hi - 0.5 * s_tol)
-        v, d = evaluate(s)
-        if v < best_v:
-            best_s, best_v = s, v
-        if d == 0.0:
-            return best_s, best_v, True
-        # The end replaced now was the previous trial point whenever the
-        # other end is kept twice, so its weight is still its raw slope.
-        if d > 0.0:
-            if kept == "lo":
-                m = 1.0 - d / w_hi
-                w_lo *= m if m > 0.0 else 0.5
-            hi, w_hi, kept = s, d, "lo"
-        else:
-            if kept == "hi":
-                m = 1.0 - d / w_lo
-                w_hi *= m if m > 0.0 else 0.5
-            lo, w_lo, kept = s, d, "hi"
-        if hi - lo <= 0.5 * ref_width:
-            ref_width, stalled = hi - lo, 0
-        else:
-            stalled += 1
-    return best_s, best_v, hi - lo <= s_tol
+        if at.size == 0:
+            break
+        s = np.where(stalled >= 3, 0.5 * (lo + hi), (lo * w_hi - hi * w_lo) / (w_hi - w_lo))
+        s = np.minimum(np.maximum(s, lo + 0.5 * s_tol), hi - 0.5 * s_tol)
+        v, d = evaluate(s, at)
+        better = v < best_v
+        best_s, best_v = np.where(better, s, best_s), np.where(better, v, best_v)
+        side = np.sign(d)
+        up = side > 0.0
+        # The weight of an end kept twice in a row is scaled; the end replaced
+        # now was the previous trial point, so its weight is still its raw slope.
+        scale = 1.0 - d / np.where(up, w_hi, w_lo)
+        scale = np.where(kept == side, np.where(scale > 0.0, scale, 0.5), 1.0)
+        w_lo, w_hi = np.where(up, w_lo * scale, d), np.where(up, d, w_hi * scale)
+        lo, hi = np.where(up, lo, s), np.where(up, s, hi)
+        kept = side
+        width = hi - lo
+        halved = width <= 0.5 * ref_width
+        ref_width, stalled = np.where(halved, width, ref_width), np.where(halved, 0, stalled + 1)
+        done = (side == 0.0) | (width <= s_tol)
+        if done.any():
+            out_s[at[done]], out_v[at[done]] = best_s[done], best_v[done]
+            converged[at[done]] = True
+            left = ~done
+            at, lo, hi, w_lo, w_hi, kept, ref_width, stalled, best_s, best_v = (
+                a[left] for a in (at, lo, hi, w_lo, w_hi, kept, ref_width, stalled, best_s, best_v)
+            )
+    out_s[at], out_v[at] = best_s, best_v
+    return out_s, out_v, converged
 
 
 def chernoff(pair: HypothesisPair, s_tol: float = S_TOL, max_iter: int = MAX_ITER) -> ChernoffResult:
@@ -321,62 +384,105 @@ def chernoff(pair: HypothesisPair, s_tol: float = S_TOL, max_iter: int = MAX_ITE
     FLAT_SPAN over [0.05, 0.95] the minimizer would chase noise, so s* = 1/2
     is reported with a "flat" flag.  Failure to converge within max_iter
     search steps is flagged "maxiter", never silent.
+
+    This is `chernoff_many` on a stack of one pair.
     """
-    if pair.degenerate:
-        return ChernoffResult(0.5, 1.0, 0.0, 1.0, True, s_tol, ("degenerate",))
-    geom = _PairGeometry(pair.rho0, pair.rho1)
-    n_evals = 0
+    rho0, rho1 = pair.rho0, pair.rho1
+    return chernoff_many(
+        rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None],
+        [pair.degenerate], s_tol, max_iter,
+    )[0]
 
-    def evaluate(s):
-        nonlocal n_evals
-        n_evals += 1
-        return geom.log_q_and_slope(s)
 
-    log_q_half, d_half = evaluate(0.5)
-    q_half = min(float(np.exp(log_q_half)), 1.0)
-    s_star, log_q_star, converged, edge = 0.5, log_q_half, True, None
-    if d_half != 0.0:
-        end = _S_EDGE if d_half > 0.0 else 1.0 - _S_EDGE
-        log_q_end, d_end = evaluate(end)
-        if d_end * d_half >= 0.0:
-            # No sign change between the end and 1/2: by convexity log Q_s
-            # falls all the way to the end.
-            s_star, log_q_star, edge = end, log_q_end, end
-        else:
-            (lo, d_lo), (hi, d_hi) = sorted(((end, d_end), (0.5, d_half)))
-            s_star, log_q_star, converged = _slope_root(
-                evaluate, lo, d_lo, hi, d_hi, s_tol, max_iter
+def chernoff_many(mean0, cov0, mean1, cov1, degenerate, s_tol: float = S_TOL,
+                  max_iter: int = MAX_ITER) -> list[ChernoffResult]:
+    """`chernoff` for every pair of a stack, one numpy pass per search step.
+
+    Pairs are stacked along the first axis: means (N, 2n), covariances
+    (N, 2n, 2n), as `target.pair_stack` gives them, and `degenerate` holds
+    one flag per pair.  Every pair takes the steps `chernoff` describes on
+    its own, so its result does not depend on the rest of the stack.
+
+    Returns:
+        One ChernoffResult per pair, in stack order.
+
+    Raises:
+        ValueError: an unphysical covariance, a failed Williamson step, or
+            an overlap matrix that is not positive definite.
+    """
+    degenerate = np.asarray(degenerate, dtype=bool).reshape(-1)
+    results = [ChernoffResult(0.5, 1.0, 0.0, 1.0, True, s_tol, ("degenerate",))] * degenerate.size
+    live = np.flatnonzero(~degenerate)
+    if live.size == 0:
+        return results
+    geom = _PairGeometry(mean0[live], cov0[live], mean1[live], cov1[live])
+    m = live.size
+    n_evals = np.zeros(m, dtype=int)
+
+    def evaluate(s, idx):
+        n_evals[idx] += 1
+        return (geom if idx.size == m else geom.take(idx)).log_q_and_slope(s)
+
+    log_q_half, d_half = evaluate(np.full(m, 0.5), np.arange(m))
+    q_half = np.minimum(np.exp(log_q_half), 1.0)
+    s_star, log_q_star = np.full(m, 0.5), log_q_half.copy()
+    converged = np.ones(m, dtype=bool)
+    edge = np.full(m, np.nan)  # the bracket end s* fell to; NaN where none
+    moving = np.flatnonzero(d_half != 0.0)
+    if moving.size:
+        end = np.where(d_half[moving] > 0.0, _S_EDGE, 1.0 - _S_EDGE)
+        log_q_end, d_end = evaluate(end, moving)
+        # No sign change between the end and 1/2: by convexity log Q_s falls
+        # all the way to the end.
+        at_end = d_end * d_half[moving] >= 0.0
+        i = moving[at_end]
+        s_star[i] = edge[i] = end[at_end]
+        log_q_star[i] = log_q_end[at_end]
+        inner = ~at_end
+        i = moving[inner]
+        if i.size:
+            end, d_end, d_mid = end[inner], d_end[inner], d_half[i]
+            low_end = end < 0.5
+            s_star[i], log_q_star[i], converged[i] = _slope_root(
+                lambda s, idx: evaluate(s, i[idx]),
+                np.where(low_end, end, 0.5), np.where(low_end, d_end, d_mid),
+                np.where(low_end, 0.5, end), np.where(low_end, d_mid, d_end),
+                s_tol, max_iter,
             )
-        if log_q_half < log_q_star:
-            # Noise-level non-minimum; fall back to the Bhattacharyya point.
-            s_star, log_q_star = 0.5, log_q_half
-    flags = ("edge",) if s_star == edge else ()
-    if not converged:
-        flags += ("maxiter",)
+        # Noise-level non-minimum; fall back to the Bhattacharyya point.
+        i = moving[log_q_half[moving] < log_q_star[moving]]
+        s_star[i], log_q_star[i] = 0.5, log_q_half[i]
 
     # By convexity the span over [0.05, 0.95] is at least 0.9 (log Q_{1/2} -
     # log Q_{s*}), so only a pair this close to flat needs its two ends.
-    if log_q_half - log_q_star < 2.0 * FLAT_SPAN:
-        ends = (geom.log_q(0.05), geom.log_q(0.95))
-        n_evals += 2
-        inside = 0.05 <= s_star <= 0.95
-        low = log_q_star if inside else min(*ends, log_q_half)
-        if max(ends) - low < FLAT_SPAN:
-            return ChernoffResult(
-                0.5, q_half, -log_q_half, q_half, True, s_tol, ("flat",), n_evals
-            )
+    flat = np.zeros(m, dtype=bool)
+    near = np.flatnonzero(log_q_half - log_q_star < 2.0 * FLAT_SPAN)
+    if near.size:
+        sub = geom.take(near)
+        ends = np.stack((sub.log_q(np.full(near.size, 0.05)), sub.log_q(np.full(near.size, 0.95))))
+        n_evals[near] += 2
+        inside = (0.05 <= s_star[near]) & (s_star[near] <= 0.95)
+        low = np.where(inside, log_q_star[near], np.minimum(ends.min(axis=0), log_q_half[near]))
+        flat[near] = ends.max(axis=0) - low < FLAT_SPAN
 
-    q_star = min(float(np.exp(log_q_star)), 1.0)
-    return ChernoffResult(
-        s_star=s_star,
-        q_star=q_star,
-        xi=max(-log_q_star, 0.0),
-        q_half=q_half,
-        converged=converged,
-        s_tol=s_tol,
-        flags=flags,
-        n_evals=n_evals,
+    flags = [
+        ("flat",) if is_flat else ("edge",) * at_edge + ("maxiter",) * (not conv)
+        for is_flat, at_edge, conv in zip(flat.tolist(), (s_star == edge).tolist(), converged.tolist())
+    ]
+    # A flat pair reports the Bhattacharyya point.
+    columns = (
+        live.tolist(),
+        np.where(flat, 0.5, s_star).tolist(),
+        np.where(flat, q_half, np.minimum(np.exp(log_q_star), 1.0)).tolist(),
+        np.where(flat, -log_q_half, np.maximum(-log_q_star, 0.0)).tolist(),
+        q_half.tolist(),
+        (converged | flat).tolist(),
+        flags,
+        n_evals.tolist(),
     )
+    for j, s, q, xi, q_mid, conv, fl, count in zip(*columns):
+        results[j] = ChernoffResult(s, q, xi, q_mid, conv, s_tol, fl, count)
+    return results
 
 
 def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
@@ -385,8 +491,8 @@ def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
         raise ValueError(f"n_copies must be a non-negative integer, got {n_copies}")
     if pair.degenerate:
         return 0.5
-    geom = _PairGeometry(pair.rho0, pair.rho1)
-    return float(0.5 * np.exp(n_copies * min(geom.log_q(0.5), 0.0)))
+    log_q_half = _geometry(pair.rho0, pair.rho1).log_q(np.array([0.5]))[0]
+    return float(0.5 * np.exp(n_copies * min(log_q_half, 0.0)))
 
 
 def fidelity(rho0: GaussianState, rho1: GaussianState) -> float:

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse as sp
 
 from .target import TargetConfig
 from .transmitters import TransmitterSpec
@@ -189,13 +187,17 @@ def build_state(
 
 
 @lru_cache(maxsize=6)
-def _beamsplitter_unitary(theta: float, d_t: int, d_e: int) -> sp.csr_matrix:
+def _beamsplitter_unitary(theta: float, d_t: int, d_e: int):
     """exp(-theta (a b^dag - a^dag b)) on the truncated two-mode space.
 
     The generator conserves total photon number, so the exponential is taken
     block by block; the result is exactly unitary on the truncated space and
-    block-sparse, hence stored as CSR.
+    block-sparse, hence stored as a scipy.sparse CSR matrix.  scipy is
+    imported here, on first use, so importing the package does not load it.
     """
+    import scipy.linalg as la
+    import scipy.sparse as sp
+
     dim = d_t * d_e
     if dim > _MAX_JOINT_DIM:
         raise ValueError(

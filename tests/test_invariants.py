@@ -1,4 +1,4 @@
-"""Property-based invariants of the Chernoff minimiser.
+"""Property-based invariants of the overlap formula and the Chernoff minimiser.
 
 Points are drawn from the moderate box kappa in [1e-3, 0.1], N_S in
 [1e-3, 10], N_B in [1e-3, 100] (log-uniform), for every transmitter and
@@ -12,8 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaussqi.divergence import _S_EDGE, _PairGeometry, chernoff, q_s_general
-from gaussqi.target import MODELS, HypothesisPair, TargetConfig, make_pair
+from gaussqi.divergence import _S_EDGE, _geometry, _PairGeometry, chernoff, chernoff_many, q_s_general
+from gaussqi.sweeps import SweepPlan, run_sweep
+from gaussqi.symplectic import random_symplectic
+from gaussqi.target import MODELS, HypothesisPair, TargetConfig, make_pair, pair_stack
 from gaussqi.transmitters import KINDS, TransmitterSpec
 
 BOX = dict(
@@ -42,11 +44,15 @@ def _floor(pair) -> float:
 @given(s=st.floats(0.05, 0.95), **BOX)
 def test_slope_matches_central_difference(s, kind, model, log_kappa, log_n_s, log_n_b):
     pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
-    geom = _PairGeometry(pair.rho0, pair.rho1)
-    value, slope = geom.log_q_and_slope(s)
-    assert value == pytest.approx(geom.log_q(s), rel=1e-12, abs=1e-15)
+    geom = _geometry(pair.rho0, pair.rho1)
+    (value,), (slope,) = geom.log_q_and_slope(np.array([s]))
+
+    def log_q(t):
+        return geom.log_q(np.array([t]))[0]
+
+    assert value == pytest.approx(log_q(s), rel=1e-12, abs=1e-15)
     h = 1e-5
-    central = (geom.log_q(s + h) - geom.log_q(s - h)) / (2.0 * h)
+    central = (log_q(s + h) - log_q(s - h)) / (2.0 * h)
     # The difference quotient itself carries the noise floor / h.
     assert slope == pytest.approx(central, rel=1e-6, abs=1e-9 + _floor(pair) / h)
 
@@ -87,3 +93,90 @@ def test_s_star_interior_unless_flagged(kind, model, log_kappa, log_n_s, log_n_b
         assert res.s_star == 0.5
     else:
         assert _S_EDGE < res.s_star < 1.0 - _S_EDGE
+
+
+# A stack of box points of one transmitter kind and model, as log10 values.
+STACK = dict(
+    kind=st.sampled_from(KINDS),
+    model=st.sampled_from(MODELS),
+    logs=st.lists(st.tuples(st.floats(-3.0, -1.0), st.floats(-3.0, 1.0), st.floats(-3.0, 2.0)),
+                  min_size=1, max_size=8),
+)
+STACK_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
+
+
+def _stack(kind, model, logs):
+    kappa, n_s, n_b = (10.0 ** np.array(v) for v in zip(*logs))
+    if kind == "vacuum":
+        n_s = np.zeros_like(n_s)
+    return kappa, n_s, n_b, pair_stack(kind, n_s, n_b, kappa, model)
+
+
+@STACK_SETTINGS
+@given(**STACK)
+def test_chernoff_many_equals_each_pair_alone(kind, model, logs):
+    kappa, n_s, n_b, stack = _stack(kind, model, logs)
+    results = chernoff_many(*stack)
+    for k, res in enumerate(results):
+        pair = make_pair(TransmitterSpec(kind, n_s[k]), TargetConfig(kappa[k], n_b[k], model))
+        assert res == chernoff(pair)
+
+
+def test_run_sweep_rows_equal_single_point_chernoff():
+    plan = SweepPlan(
+        transmitters=KINDS,
+        quantities=("chernoff", "q_half", "s_star", "ratio_vs_coherent", "ratio_vs_vacuum"),
+        n_s_grid=(1e-2, 0.7),
+        n_b_grid=(1e-3, 3.0, 80.0),
+        kappa_grid=(1e-3, 0.05),
+        model="legacy",
+    )
+
+    def alone(kind, n_s, n_b, kappa):
+        return chernoff(make_pair(TransmitterSpec(kind, n_s), TargetConfig(kappa, n_b, "legacy")))
+
+    rows = run_sweep(plan)
+    assert len(rows) == (3 * 2 + 1) * 3 * 2 * 5
+    for row in rows:
+        res = alone(row.transmitter, row.n_s, row.n_b, row.kappa)
+        assert row.s_star == res.s_star
+        assert row.flags[: len(res.flags)] == res.flags
+        if row.quantity == "ratio_vs_coherent":
+            ref = alone("coherent", row.n_s, row.n_b, row.kappa)
+            expected = res.xi / ref.xi if res.xi and ref.xi else None
+        elif row.quantity == "ratio_vs_vacuum":
+            ref = alone("vacuum", 0.0, row.n_b, row.kappa)
+            expected = None if "degenerate" in ref.flags else float(np.exp(ref.xi - res.xi))
+        else:
+            expected = {"chernoff": res.xi, "q_half": res.q_half, "s_star": res.s_star}[row.quantity]
+        if expected is None:
+            assert np.isnan(row.value) and row.flags[-1] == "degenerate"
+        else:
+            assert row.value == expected
+
+
+@STACK_SETTINGS
+@given(s=st.floats(0.02, 0.98), seed=st.integers(0, 2**32 - 1), **STACK)
+def test_stacked_overlap_invariants(s, seed, kind, model, logs):
+    _, _, n_b, (mean0, cov0, mean1, cov1, _) = _stack(kind, model, logs)
+    # log Q_s sums 4n + 1 terms, each carrying the floor of the module
+    # docstring, so the absolute tolerance is ten times that floor.
+    floor = 1e-14 * (1.0 + n_b)
+    s = np.full(n_b.size, s)
+
+    def log_q(m0, c0, m1, c1, at=s):
+        return _PairGeometry(m0, c0, m1, c1).log_q(at)
+
+    value = log_q(mean0, cov0, mean1, cov1)
+    # 0 < Q_s <= 1
+    assert np.all(np.isfinite(value)) and np.all(value <= floor)
+    # Q_s(rho, rho) = 1
+    assert np.all(np.abs(log_q(mean0, cov0, mean0, cov0)) <= floor)
+    assert np.all(np.abs(log_q(mean1, cov1, mean1, cov1)) <= floor)
+    # Q_s(a, b) = Q_{1-s}(b, a)
+    swapped = log_q(mean1, cov1, mean0, cov0, at=1.0 - s)
+    assert np.all(np.abs(swapped - value) <= 1e-9 * np.abs(value) + floor)
+    # The same symplectic transformation of both states leaves Q_s alone.
+    sym = random_symplectic(mean0.shape[-1] // 2, np.random.default_rng(seed), scale=0.3)
+    moved = log_q(mean0 @ sym.T, sym @ cov0 @ sym.T, mean1 @ sym.T, sym @ cov1 @ sym.T)
+    assert np.all(np.abs(moved - value) <= 1e-9 * np.abs(value) + floor)

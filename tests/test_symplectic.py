@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussqi.symplectic import (
     GaussianState,
@@ -18,6 +20,7 @@ from gaussqi.symplectic import (
     tensor,
     williamson,
 )
+from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import probe_state, thermal_state, tmss
 
 
@@ -78,6 +81,38 @@ def test_williamson_round_trip(n_modes):
         assert np.linalg.norm(w.S @ delta @ w.S.T - delta) < 1e-10
         assert np.all(np.diff(w.nu) >= 0)
         assert np.all(w.nu >= 0.5 - 1e-10)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n_modes=st.integers(1, 3), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_williamson_stack_matches_each_matrix(n_modes, size, seed):
+    rng = np.random.default_rng(seed)
+    covs = [random_physical_cov(n_modes, rng) for _ in range(size)]
+    if n_modes == 2:
+        # Degenerate spectra: every nu equal.
+        n = rng.uniform(0.01, 5.0)
+        absent = make_pair(tmss(n), TargetConfig(kappa=0.1, n_b=n)).rho0.cov
+        covs += [0.8 * np.eye(4), absent]
+    stack = np.array(covs)
+    w = williamson(stack)
+    assert w.nu.shape == (len(covs), n_modes)
+    assert w.S.shape == stack.shape
+    delta = symplectic_form(n_modes)
+    for k, cov in enumerate(covs):
+        alone = williamson(cov)
+        assert np.array_equal(alone.nu, w.nu[k])
+        assert np.array_equal(alone.S, w.S[k])
+        diag = np.diag(np.repeat(w.nu[k], 2))
+        assert np.linalg.norm(w.S[k] @ cov @ w.S[k].T - diag) / np.linalg.norm(cov) <= 1e-10
+        assert np.linalg.norm(w.S[k] @ delta @ w.S[k].T - delta) <= 1e-10
+
+
+def test_williamson_stack_checks_every_matrix():
+    good = 0.5 * np.eye(2)
+    with pytest.raises(ValueError, match="not symmetric"):
+        williamson(np.array([good, [[1.0, 0.5], [0.0, 1.0]]]))
+    with pytest.raises(ValueError, match="not positive definite"):
+        williamson(np.array([good, np.diag([1.0, 1e-16])]))
 
 
 def test_symplectic_eigenvalues_invariant_under_conjugation():
