@@ -1,9 +1,9 @@
 """Brute-force ground truth in a truncated number basis.
 
 States are assembled from their exact amplitudes, the target is applied as
-the matrix exponential of the truncated beamsplitter generator, and overlaps
-tr rho^s sigma^{1-s} come from dense Hermitian eigendecompositions.  Nothing
-here touches the Gaussian covariance machinery; agreement between the two
+the exponential of the truncated beamsplitter generator, and overlaps
+tr rho^s sigma^{1-s} come from Hermitian eigendecompositions.  Nothing here
+touches the Gaussian covariance machinery; agreement between the two
 routes is the package's core acceptance check.
 
 Every amplitude, thermal weight and beamsplitter block built here is real,
@@ -11,9 +11,19 @@ so the operators are real symmetric float64 matrices and LAPACK runs its
 real symmetric solver; a matrix given as complex is kept complex.  Each
 operator diagonalises itself at most once: FockOperator.spectrum, its
 clamped spectrum on the support, is cached, read-only, and shared by every
-overlap, fidelity and channel that uses the operator.  A pure probe from
-build_state carries its rank-1 spectrum from its amplitudes and is never
-diagonalised.
+overlap, fidelity and channel that uses the operator.  The spectrum is
+taken block by block over the connected components of the matrix's
+non-zero pattern, an exact permutation similarity: rho0 is diagonal, and
+the tmss rho1 splits into one block per photon-number difference.  A pure
+probe from build_state carries its rank-1 spectrum from its amplitudes and
+is never diagonalised.
+
+The beamsplitter generator is theta times a theta-independent matrix in
+each total-photon-number block; the eigenmodes of those blocks are cached
+per pair of dimensions, so a new theta costs one batched product.  The
+s-independent overlap V0^dag V1 of a pair is computed once, kept on the
+first operator for as long as the second one lives, and shared by q_s_fock
+and fidelity_fock.
 
 Multi-mode operators use row-major mode ordering: the transmitted mode is
 the slowest index, matching numpy.kron(A_mode0, A_mode1).
@@ -21,6 +31,7 @@ the slowest index, matching numpy.kron(A_mode0, A_mode1).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -33,7 +44,7 @@ HERMITICITY_TOL = 1e-12
 NEGATIVITY_TOL = 1e-10
 DEFAULT_TRACE_BUDGET = 1e-6
 
-# Desk-scale ceilings: dense eigendecompositions cap the per-mode dimension,
+# Desk-scale ceilings: eigendecompositions cap the per-mode dimension,
 # much lower for the three-mode dilation of the entangled probe.
 MAX_CUTOFF_SINGLE = 128
 MAX_CUTOFF_THREE_MODE = 24
@@ -77,18 +88,71 @@ class FockOperator:
         Truncation and rounding produce eigenvalues of size ~1e-16 around
         the exact zeros of pure states; fractional powers would amplify that
         noise (1e-16^0.3 ~ 1e-5), so anything below the eigensolver's
-        resolution is an exact zero and is dropped with its eigenvector.
+        resolution, relative to the largest eigenvalue of the whole
+        operator, is an exact zero and is dropped with its eigenvector.
 
         Raises:
             ValueError: an eigenvalue lies below -NEGATIVITY_TOL.
         """
-        evals, evecs = np.linalg.eigh(self.matrix)
-        if evals.min() < -NEGATIVITY_TOL:
+        blocks = _block_eigh(self.matrix)
+        lowest = min(w.min() for _, w, _ in blocks)
+        if lowest < -NEGATIVITY_TOL:
             raise ValueError(
-                f"operator has eigenvalue {evals.min():.3e} below -{NEGATIVITY_TOL}"
+                f"operator has eigenvalue {lowest:.3e} below -{NEGATIVITY_TOL}"
             )
-        keep = evals > max(evals.max(), 0.0) * 1e-14
-        return _read_only(evals[keep], evecs[:, keep])
+        cut = max(max(w.max() for _, w, _ in blocks), 0.0) * 1e-14
+        kept = [np.nonzero(w > cut) for _, w, _ in blocks]
+        evals = np.concatenate([w[k] for (_, w, _), k in zip(blocks, kept)])
+        evecs = np.zeros((self.matrix.shape[0], evals.size), dtype=self.matrix.dtype)
+        col = 0
+        for (idx, _, v), (b, j) in zip(blocks, kept):
+            # column col + i holds eigenvector j[i] of block b[i] on its rows
+            cols = col + np.arange(b.size)
+            evecs[idx[b], cols[:, None]] = v[b, :, j]
+            col += b.size
+        return _read_only(evals, evecs)
+
+    @cached_property
+    def _overlaps(self) -> weakref.WeakKeyDictionary:
+        # V0^dag V1 against each partner operator, dropped with the partner
+        return weakref.WeakKeyDictionary()
+
+
+def _components(nonzero: np.ndarray) -> np.ndarray:
+    """Connected-component label of each index of a symmetric pattern.
+
+    Min-label propagation along the non-zero entries with pointer jumping;
+    each label is the smallest index of its component.
+    """
+    rows, cols = np.nonzero(nonzero)
+    label = np.arange(nonzero.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _block_eigh(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Eigendecomposition of Hermitian m over its connected blocks.
+
+    Returns (idx, w, v) per distinct block size: idx[b] are the indices of
+    block b, and w[b], v[b] its eigenpairs from one batched eigh per size.
+    Only exact zeros separate blocks, so this is m's spectrum up to the
+    rounding of each block's own solve.
+    """
+    label = _components(m != 0)
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = np.diff(starts, append=label.size)
+    blocks = []
+    for size in np.unique(sizes):
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        w, v = np.linalg.eigh(m[idx[:, :, None], idx[:, None, :]])
+        blocks.append((idx, w, v))
+    return blocks
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -186,45 +250,65 @@ def build_state(
     return state
 
 
-@lru_cache(maxsize=6)
-def _beamsplitter_unitary(theta: float, d_t: int, d_e: int):
-    """exp(-theta (a b^dag - a^dag b)) on the truncated two-mode space.
+@lru_cache(maxsize=4)
+def _beamsplitter_modes(d_t: int, d_e: int):
+    """theta-independent eigenmodes of the truncated beamsplitter generator.
 
-    The generator conserves total photon number, so the exponential is taken
-    block by block; the result is exactly unitary on the truncated space and
-    block-sparse, hence stored as a scipy.sparse CSR matrix.  scipy is
-    imported here, on first use, so importing the package does not load it.
+    The generator a b^dag - a^dag b conserves total photon number; its block
+    for total n is a real antisymmetric tridiagonal A, with D^-1 A D = i J
+    for D = diag(i^k) and J real symmetric tridiagonal, so
+    exp(-theta A) = P exp(-i theta mu) P^dag with J = Q diag(mu) Q^T and
+    P = D Q.  Returns (P, mu) for each distinct block size, from one
+    batched eigh per size, and the CSR layout of the unitary: the position
+    of each stored entry in the concatenated blocks, its column, and the
+    row pointer.
     """
-    import scipy.linalg as la
-    import scipy.sparse as sp
-
     dim = d_t * d_e
     if dim > _MAX_JOINT_DIM:
         raise ValueError(
             f"joint beamsplitter dimension {dim} exceeds the desk-scale cap {_MAX_JOINT_DIM}"
         )
-    rows, cols, vals = [], [], []
-    for n_tot in range(d_t + d_e - 1):
-        lo = max(0, n_tot - (d_e - 1))
-        hi = min(d_t - 1, n_tot)
-        n_a = np.arange(lo, hi + 1)
-        size = n_a.size
-        gen = np.zeros((size, size))
+    n_tot = np.arange(d_t + d_e - 1)
+    lo = np.maximum(0, n_tot - (d_e - 1))
+    sizes = np.minimum(d_t - 1, n_tot) - lo + 1
+    modes, rows, cols = [], [], []
+    for size in np.unique(sizes):
+        n = n_tot[sizes == size][:, None]
+        n_a = lo[sizes == size][:, None] + np.arange(size)
         # a b^dag lowers n_a by one: amplitude sqrt(n_a (n_b + 1)).
-        amp = theta * np.sqrt(n_a[1:] * (n_tot - n_a[1:] + 1.0))
-        gen[np.arange(size - 1), np.arange(1, size)] = amp
-        gen[np.arange(1, size), np.arange(size - 1)] = -amp
-        block = la.expm(-gen)
-        idx = n_a * d_e + (n_tot - n_a)
-        rr, cc = np.meshgrid(idx, idx, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(block.ravel())
-    u = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return u.tocsr()
+        amp = np.sqrt(n_a[:, 1:] * (n - n_a[:, 1:] + 1.0))
+        k = np.arange(size - 1)
+        j = np.zeros((n.size, size, size))
+        j[:, k, k + 1] = amp
+        j[:, k + 1, k] = amp
+        mu, q = np.linalg.eigh(j)
+        modes.append((1j ** np.arange(size)[:, None] * q, mu))
+        index = n_a * d_e + (n - n_a)
+        rows.append(np.broadcast_to(index[:, :, None], j.shape).ravel())
+        cols.append(np.broadcast_to(index[:, None, :], j.shape).ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows)).astype(np.int32)
+    indptr = np.searchsorted(rows[order], np.arange(dim + 1)).astype(np.int32)
+    return modes, order, cols[order].astype(np.int32), indptr
+
+
+def _beamsplitter_unitary(theta: float, d_t: int, d_e: int):
+    """exp(-theta (a b^dag - a^dag b)) on the truncated two-mode space.
+
+    Block by block P exp(-i theta mu) P^dag from the cached modes of
+    _beamsplitter_modes; the result is exactly unitary on the truncated
+    space and block-sparse, hence returned as a scipy.sparse CSR matrix.
+    scipy.sparse is imported here, on first use, so importing the package
+    does not load it.
+    """
+    import scipy.sparse as sp
+
+    modes, order, cols, indptr = _beamsplitter_modes(d_t, d_e)
+    data = np.concatenate([
+        ((p * np.exp(-1j * theta * mu)[:, None, :]) @ p.conj().transpose(0, 2, 1)).real.ravel()
+        for p, mu in modes
+    ])
+    return sp.csr_matrix((data[order], cols, indptr), shape=(d_t * d_e,) * 2)
 
 
 def apply_target_fock(state: FockOperator, cfg: TargetConfig, cutoff: int) -> FockOperator:
@@ -319,16 +403,24 @@ def hypothesis_pair_fock(
     return rho0, rho1
 
 
-def q_s_fock(rho: FockOperator, sigma: FockOperator, s: float) -> float:
-    """tr rho^s sigma^{1-s} from the cached spectra of both operators."""
+def _cross(rho: FockOperator, sigma: FockOperator) -> np.ndarray:
+    """V0^dag V1 from the cached spectra, computed once per operator pair."""
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("operators must share dimensions")
+    cross = rho._overlaps.get(sigma)
+    if cross is None:
+        cross = rho.spectrum[1].conj().T @ sigma.spectrum[1]
+        cross.setflags(write=False)
+        rho._overlaps[sigma] = cross
+    return cross
+
+
+def q_s_fock(rho: FockOperator, sigma: FockOperator, s: float) -> float:
+    """tr rho^s sigma^{1-s} from the cached spectra of both operators."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    w0, v0 = rho.spectrum
-    w1, v1 = sigma.spectrum
-    overlap = np.abs(v0.conj().T @ v1) ** 2
-    return float(w0**s @ overlap @ w1 ** (1.0 - s))
+    overlap = np.abs(_cross(rho, sigma)) ** 2
+    return float(rho.spectrum[0] ** s @ overlap @ sigma.spectrum[0] ** (1.0 - s))
 
 
 def fidelity_fock(rho: FockOperator, sigma: FockOperator) -> float:
@@ -339,11 +431,7 @@ def fidelity_fock(rho: FockOperator, sigma: FockOperator) -> float:
     Singular values carry rounding noise of order 1e-16, where square roots
     of the eigenvalues of sqrt(rho) sigma sqrt(rho) would carry ~1e-11.
     """
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ValueError("operators must share dimensions")
-    w0, v0 = rho.spectrum
-    w1, v1 = sigma.spectrum
-    cross = np.sqrt(w0)[:, None] * (v0.conj().T @ v1) * np.sqrt(w1)
+    cross = np.sqrt(rho.spectrum[0])[:, None] * _cross(rho, sigma) * np.sqrt(sigma.spectrum[0])
     return float(np.linalg.svd(cross, compute_uv=False).sum())
 
 

@@ -7,10 +7,14 @@ the hypothesis-pair moments of `target.pair_moments`, fed mpf inputs, so
 the limit-order study can evaluate exact exponent ratios instead of
 expansions.  The Williamson step and the overlap formula are written here
 independently of `divergence`; at moderate parameters the results agree
-with the float64 path (tested), which is what certifies this route.
+with the float64 path (tested), which is what certifies this route.  The
+s-independent Williamson step of a point is kept in a small cache, so
+evaluating one point at several s pays for it once.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -78,11 +82,16 @@ def _lam(p, x):
     return (hi + lo) / (hi - lo)
 
 
-def _log_q(mean0, cov0, mean1, cov1, s):
+def _geometry(mean0, cov0, mean1, cov1):
+    """The s-independent part of log Q_s: mean difference and both Williamson
+    decompositions."""
     m0, v0, m1, v1 = (mp.matrix(x) for x in (mean0, cov0, mean1, cov1))
-    n = v0.rows // 2
-    nus0, t0 = _williamson_pl(v0)
-    nus1, t1 = _williamson_pl(v1)
+    return m1 - m0, _williamson_pl(v0), _williamson_pl(v1)
+
+
+def _log_q_at(geometry, s):
+    diff, (nus0, t0), (nus1, t1) = geometry
+    n = t0.rows // 2
     lam0 = mp.zeros(2 * n)
     lam1 = mp.zeros(2 * n)
     log_g = mp.mpf(0)
@@ -92,16 +101,27 @@ def _log_q(mean0, cov0, mean1, cov1, s):
         lam1[2 * k, 2 * k] = lam1[2 * k + 1, 2 * k + 1] = _lam(1 - s, x1)
         log_g += mp.log(_g(s, x0)) + mp.log(_g(1 - s, x1))
     sig = t0 * lam0 * t0.T + t1 * lam1 * t1.T
-    delta = mp.sqrt(2) * (m1 - m0)
+    delta = mp.sqrt(2) * diff
     quad = (delta.T * mp.lu_solve(sig, delta))[0]
     return n * mp.log(2) + log_g - mp.log(mp.det(sig)) / 2 - quad / 2
+
+
+def _log_q(mean0, cov0, mean1, cov1, s):
+    return _log_q_at(_geometry(mean0, cov0, mean1, cov1), s)
+
+
+@lru_cache(maxsize=8)
+def _pair_geometry(kind: str, n_s, n_b, kappa, model: str, dps: int):
+    # Only mp numbers are kept: a sweep over s reuses the two mpmath
+    # Williamson decompositions of its point, which dominate each call.
+    with mp.workdps(dps):
+        return _geometry(*pair_moments(kind, mp.mpf(n_s), mp.mpf(n_b), mp.mpf(kappa), model))
 
 
 def log_q_s(kind: str, n_s, n_b, kappa, s, model: str = "agnostic", dps: int = 60) -> mp.mpf:
     """High-precision log Q_s for a transmitter/target configuration."""
     with mp.workdps(dps):
-        moments = pair_moments(kind, mp.mpf(n_s), mp.mpf(n_b), mp.mpf(kappa), model)
-        return _log_q(*moments, mp.mpf(s))
+        return _log_q_at(_pair_geometry(kind, n_s, n_b, kappa, model, dps), mp.mpf(s))
 
 
 def log_q_half(kind: str, n_s, n_b, kappa, model: str = "agnostic", dps: int = 60) -> mp.mpf:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from gaussqi import fock_oracle
 from gaussqi.divergence import fidelity, q_s_general
 from gaussqi.fock_oracle import (
+    NEGATIVITY_TOL,
     FockOperator,
     apply_target_fock,
     build_state,
@@ -55,6 +58,35 @@ def test_build_rejects_small_cutoff():
 def test_beamsplitter_unitary_exact_on_truncation():
     u = _beamsplitter_unitary(np.arccos(np.sqrt(0.3)), 12, 12).toarray()
     assert np.linalg.norm(u.T @ u - np.eye(144)) < 1e-9
+
+
+def _counting_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(fock_oracle.np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+@pytest.mark.parametrize("d_t,d_e", [(5, 5), (12, 7), (24, 24)])
+def test_beamsplitter_matches_expm_with_cached_modes(d_t, d_e, monkeypatch):
+    from scipy.linalg import expm
+
+    a = np.kron(np.diag(np.sqrt(np.arange(1.0, d_t)), 1), np.eye(d_e))
+    b = np.kron(np.eye(d_t), np.diag(np.sqrt(np.arange(1.0, d_e)), 1))
+    generator = a @ b.T - a.T @ b
+    fock_oracle._beamsplitter_modes.cache_clear()
+    calls = _counting_eigh(monkeypatch)
+    for theta in (0.1, np.arccos(np.sqrt(0.3)), 1.4):
+        u = _beamsplitter_unitary(theta, d_t, d_e).toarray()
+        assert np.abs(u - expm(-theta * generator)).max() < 1e-12
+        # one eigh per block size 1..min(d_t, d_e) on first use; the modes
+        # depend on the dimensions only, so a new theta runs none
+        assert len(calls) == min(d_t, d_e)
 
 
 def test_vacuum_through_empty_channel():
@@ -188,28 +220,118 @@ def test_fock_operator_validation():
     assert FockOperator(np.eye(2, dtype=complex), 1, 2, 0.0).matrix.dtype == np.complex128
 
 
+def _block_sizes(op):
+    return np.unique(np.bincount(fock_oracle._components(op.matrix != 0)))
+
+
 def test_spectrum_computed_once(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(fock_oracle.np.linalg, "eigh", counting_eigh)
     rho0, rho1 = hypothesis_pair_fock(tmss(0.3), TargetConfig(kappa=0.2, n_b=0.3), 12)
+    calls = _counting_eigh(monkeypatch)
     for s in (0.3, 0.5, 0.7):
         q_s_fock(rho0, rho1, s)
-    # rho0 and rho1 once each; the pure probe is never diagonalised
-    assert calls == [(144, 144), (144, 144)]
+    # rho0 is diagonal; rho1 has one block per photon-number difference
+    assert _block_sizes(rho0).tolist() == [1]
+    assert np.unique(fock_oracle._components(rho1.matrix != 0)).size == 2 * 12 - 1
+    assert all(shape[-1] < 144 for shape in calls)
     assert rho0.matrix.dtype == rho1.matrix.dtype == np.float64
     probe = build_state(tmss(0.3), 12)
     for op in (rho0, rho1, probe):
         for arr in op.spectrum:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+    # the pure probe is never diagonalised
     evals, evecs = probe.spectrum
     assert evals.shape == (1,) and evecs.shape == (144, 1)
+    assert 0 < len(calls) <= _block_sizes(rho0).size + _block_sizes(rho1).size
+
+
+def _assert_matches_dense(op):
+    evals, evecs = op.spectrum
+    dense_w, dense_v = np.linalg.eigh(op.matrix)
+    top = dense_w.max()
+    kept = dense_w > top * 1e-14
+    np.testing.assert_allclose(np.sort(evals), dense_w[kept], rtol=0, atol=1e-13 * top)
+    kept_part = (dense_v[:, kept] * dense_w[kept]) @ dense_v[:, kept].conj().T
+    assert np.abs((evecs * evals) @ evecs.conj().T - kept_part).max() < 1e-13 * top
+    assert np.abs(evecs.conj().T @ evecs - np.eye(evals.size)).max() < 1e-13
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    sizes=st.lists(st.integers(1, 7), min_size=1, max_size=8),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_spectrum_matches_dense_on_permuted_blocks(sizes, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    m = np.zeros((n, n), dtype=complex if is_complex else float)
+    start = 0
+    for k in sizes:
+        # rank-deficient PSD block on its own scale
+        a = rng.normal(size=(k, rng.integers(1, k + 1)))
+        if is_complex:
+            a = a + 1j * rng.normal(size=a.shape)
+        m[start : start + k, start : start + k] = 10.0 ** rng.uniform(-6, 0) * (a @ a.conj().T)
+        start += k
+    perm = rng.permutation(n)
+    op = FockOperator(m[np.ix_(perm, perm)], 1, n, 0.0)
+    assert np.bincount(fock_oracle._components(op.matrix != 0)).max() <= max(sizes)
+    _assert_matches_dense(op)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("vacuum", "coherent", "smsv", "tmss")),
+    n_s=st.floats(0.05, 0.5),
+    n_b=st.floats(0.0, 0.5),
+    kappa=st.floats(0.05, 0.5),
+)
+def test_block_spectrum_matches_dense_on_hypothesis_pairs(kind, n_s, n_b, kappa):
+    spec = TransmitterSpec(kind, 0.0 if kind == "vacuum" else n_s)
+    # a loose budget keeps the truncation small; the operators stay PSD
+    for op in hypothesis_pair_fock(spec, TargetConfig(kappa=kappa, n_b=n_b), 10, budget=1.0):
+        _assert_matches_dense(op)
+
+
+def test_block_spectrum_checks_are_global():
+    # a dense 3x3 block with eigenvalues 1, 1/2, 1/4, then smaller blocks
+    q = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) ** 2)[0]
+    big = (q * [1.0, 0.5, 0.25]) @ q.T
+    # a 1x1 block far below the global maximum is dropped, even though it
+    # is the largest eigenvalue of its own block and of its block size
+    tiny = np.zeros((4, 4))
+    tiny[:3, :3] = big
+    tiny[3, 3] = 1e-16
+    evals, _ = FockOperator(tiny, 1, 4, 0.0).spectrum
+    np.testing.assert_allclose(np.sort(evals), [0.25, 0.5, 1.0], rtol=1e-14)
+    # a negative eigenvalue inside a smaller block is still caught
+    bad = np.zeros((5, 5))
+    bad[:3, :3] = big
+    bad[3:, 3:] = [[0.0, 1e-9], [1e-9, 0.0]]
+    assert -1e-9 < -NEGATIVITY_TOL
+    with pytest.raises(ValueError, match="below"):
+        FockOperator(bad, 1, 5, 0.0).spectrum
+
+
+def test_overlap_computed_once_and_dropped_with_operators():
+    rho0, rho1 = hypothesis_pair_fock(tmss(0.3), TargetConfig(kappa=0.2, n_b=0.3), 10)
+    q = q_s_fock(rho0, rho1, 0.3)
+    (cross,) = rho0._overlaps.values()
+    for s in (0.5, 0.7):
+        q_s_fock(rho0, rho1, s)
+    f = fidelity_fock(rho0, rho1)
+    (stored,) = rho0._overlaps.values()
+    assert stored is cross
+    # later calls read the stored product rather than forming their own
+    rho0._overlaps[rho1] = 2.0 * cross
+    assert q_s_fock(rho0, rho1, 0.3) == pytest.approx(4.0 * q, rel=1e-12)
+    assert fidelity_fock(rho0, rho1) == pytest.approx(2.0 * f, rel=1e-12)
+    ref0, ref1 = weakref.ref(rho0), weakref.ref(rho1)
+    del rho1, cross, stored
+    assert ref1() is None and len(rho0._overlaps) == 0
+    del rho0
+    assert ref0() is None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

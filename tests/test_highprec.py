@@ -1,9 +1,10 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from gaussqi import highprec
 from gaussqi.divergence import q_s_general
-from gaussqi.target import TargetConfig, make_pair
+from gaussqi.target import TargetConfig, make_pair, pair_moments
 from gaussqi.transmitters import TransmitterSpec
 
 MODERATE = [
@@ -53,3 +54,19 @@ def test_rejects_unknown_model():
     message = r"unknown model 'legcy'; expected one of \('agnostic', 'legacy'\)"
     with pytest.raises(ValueError, match=message):
         highprec.log_q_half("coherent", 1, 1, 0.1, model="legcy")
+
+
+@pytest.mark.parametrize(
+    "kind,n_s,n_b,kappa", [MODERATE[3], MODERATE[4], ("coherent", 0.5, 1.0, 0.3)]
+)
+def test_cached_geometry_is_bit_identical(kind, n_s, n_b, kappa):
+    highprec._pair_geometry.cache_clear()
+    fresh = [highprec.log_q_s(kind, n_s, n_b, kappa, s) for s in (0.3, 0.5, 0.7)]
+    assert highprec._pair_geometry.cache_info().misses == 1
+    again = [highprec.log_q_s(kind, n_s, n_b, kappa, s) for s in (0.3, 0.5, 0.7)]
+    with mp.workdps(60):
+        moments = pair_moments(kind, mp.mpf(n_s), mp.mpf(n_b), mp.mpf(kappa), "agnostic")
+        uncached = [highprec._log_q(*moments, mp.mpf(s)) for s in (0.3, 0.5, 0.7)]
+    assert fresh == again == uncached
+    with pytest.raises(ValueError, match="unknown model"):
+        highprec.log_q_s(kind, n_s, n_b, kappa, 0.5, model="legcy")
