@@ -407,9 +407,12 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate, s_tol: float = S_TOL,
         One ChernoffResult per pair, in stack order.
 
     Raises:
-        ValueError: an unphysical covariance, a failed Williamson step, or
-            an overlap matrix that is not positive definite.
+        ValueError: s_tol outside (0, 1/2 - _S_EDGE), the first bracket's
+            width; an unphysical covariance, a failed Williamson step, or an
+            overlap matrix that is not positive definite.
     """
+    if not 0.0 < s_tol < 0.5 - _S_EDGE:
+        raise ValueError(f"s_tol must lie in (0, {0.5 - _S_EDGE}), got {s_tol}")
     degenerate = np.asarray(degenerate, dtype=bool).reshape(-1)
     results = [ChernoffResult(0.5, 1.0, 0.0, 1.0, True, s_tol, ("degenerate",))] * degenerate.size
     live = np.flatnonzero(~degenerate)
@@ -495,26 +498,32 @@ def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
     return float(0.5 * np.exp(n_copies * min(log_q_half, 0.0)))
 
 
-def fidelity(rho0: GaussianState, rho1: GaussianState) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho0) rho1 sqrt(rho0)) for one mode.
+def fidelity_many(mean0, cov0, mean1, cov1) -> np.ndarray:
+    """Uhlmann fidelity tr sqrt(sqrt(rho0) rho1 sqrt(rho0)) of every single-mode pair of a stack.
 
-    Uses the closed single-mode form with D = det(cov0 + cov1) and
-    L = 4 (det cov0 - 1/4)(det cov1 - 1/4):
+    Pairs are stacked as for `chernoff_many`: means (N, 2), covariances
+    (N, 2, 2).  Uses the closed single-mode form with D = det(cov0 + cov1)
+    and L = 4 (det cov0 - 1/4)(det cov1 - 1/4):
 
         F = exp(-d^T (cov0+cov1)^{-1} d / 4) / sqrt(sqrt(D + L) - sqrt(L))
 
     evaluated through D / (sqrt(D+L) + sqrt(L)) to avoid cancellation.
+    Every step is elementwise or a LAPACK call per pair, so a pair's value
+    does not depend on the rest of the stack.
     """
-    if rho0.n_modes != rho1.n_modes:
-        raise ValueError(f"mode mismatch: {rho0.n_modes} vs {rho1.n_modes}")
-    if rho0.n_modes != 1:
+    if np.shape(cov0)[-1] != 2 or np.shape(cov1)[-1] != 2:
         raise ValueError("fidelity supports single-mode states only")
-    total = rho0.cov + rho1.cov
-    d = rho1.mean - rho0.mean
-    big_d = float(np.linalg.det(total))
-    big_l = 4.0 * max(np.linalg.det(rho0.cov) - 0.25, 0.0) * max(
-        np.linalg.det(rho1.cov) - 0.25, 0.0
+    total = cov0 + cov1
+    d = mean1 - mean0
+    big_d = np.linalg.det(total)
+    big_l = 4.0 * np.maximum(np.linalg.det(cov0) - 0.25, 0.0) * np.maximum(
+        np.linalg.det(cov1) - 0.25, 0.0
     )
     denom_sq = big_d / (np.sqrt(big_d + big_l) + np.sqrt(big_l))
-    quad = float(d @ np.linalg.solve(total, d))
-    return min(float(np.exp(-0.25 * quad) / np.sqrt(denom_sq)), 1.0)
+    quad = (d * np.linalg.solve(total, d[..., None])[..., 0]).sum(axis=-1)
+    return np.minimum(np.exp(-0.25 * quad) / np.sqrt(denom_sq), 1.0)
+
+
+def fidelity(rho0: GaussianState, rho1: GaussianState) -> float:
+    """Uhlmann fidelity of two single-mode states: `fidelity_many` on a stack of one."""
+    return float(fidelity_many(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])[0])

@@ -119,9 +119,12 @@ def _pair_geometry(kind: str, n_s, n_b, kappa, model: str, dps: int):
 
 
 def log_q_s(kind: str, n_s, n_b, kappa, s, model: str = "agnostic", dps: int = 60) -> mp.mpf:
-    """High-precision log Q_s for a transmitter/target configuration."""
+    """High-precision log Q_s for a transmitter/target configuration, 0 < s < 1."""
     with mp.workdps(dps):
-        return _log_q_at(_pair_geometry(kind, n_s, n_b, kappa, model, dps), mp.mpf(s))
+        s = mp.mpf(s)
+        if not 0 < s < 1:
+            raise ValueError(f"s must lie in (0, 1), got {s}")
+        return _log_q_at(_pair_geometry(kind, n_s, n_b, kappa, model, dps), s)
 
 
 def log_q_half(kind: str, n_s, n_b, kappa, model: str = "agnostic", dps: int = 60) -> mp.mpf:

@@ -24,10 +24,10 @@ import numpy as np
 from . import highprec
 # chernoff stays importable from here: the benchmark's tracer tests read
 # gaussqi.sweeps.chernoff.
-from .divergence import chernoff, chernoff_many, fidelity, lambda_factor  # noqa: F401
+from .divergence import chernoff, chernoff_many, fidelity_many, lambda_factor  # noqa: F401
 from .symplectic import symplectic_eigenvalues
-from .target import TargetConfig, _check_model, make_pair, pair_stack
-from .transmitters import KINDS, TransmitterSpec, thermal_state
+from .target import _check_model, _check_target, pair_stack
+from .transmitters import KINDS, _check_nonnegative
 
 QUANTITIES = (
     "chernoff",
@@ -70,6 +70,8 @@ class SweepPlan:
 
     Grids are explicit tuples; the CLI layer parses range expressions into
     them.  A vacuum transmitter ignores the n_s grid (single point at 0).
+    The grids are validated here, once, by the checks TransmitterSpec and
+    TargetConfig make on a single point.
     """
 
     transmitters: tuple = ("coherent",)
@@ -88,7 +90,6 @@ class SweepPlan:
         for q in self.quantities:
             if q not in QUANTITIES:
                 raise ValueError(f"unknown quantity {q!r}")
-        _check_model(self.model)
         if self.out_format not in FORMATS:
             raise ValueError(f"unknown format {self.out_format!r}; expected one of {FORMATS}")
         for name, grid in (
@@ -99,6 +100,9 @@ class SweepPlan:
             arr = np.asarray(grid, dtype=float)
             if arr.size == 0 or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} grid must be non-empty and finite")
+        if set(self.transmitters) - {"vacuum"}:
+            _check_nonnegative("n_signal", self.n_s_grid)
+        _check_target(self.kappa_grid, self.n_b_grid, self.model)
 
 
 def _plan_points(plan: SweepPlan):
@@ -111,70 +115,57 @@ def _plan_points(plan: SweepPlan):
                     yield kind, float(n_s), float(n_b), float(kappa)
 
 
-def _chernoff_points(plan: SweepPlan) -> dict:
-    """Every ChernoffResult the plan's rows need, keyed by (kind, n_s, n_b, kappa).
+def _plan_stacks(plan: SweepPlan) -> dict:
+    """(ChernoffResult, fidelity, degenerate) per (kind, n_s, n_b, kappa) the rows read.
 
-    The distinct points of each transmitter kind, the coherent and vacuum
-    reference points of the ratio quantities included, are evaluated as one
-    stack by chernoff_many.  Each point is validated through TransmitterSpec
-    and TargetConfig, as a single pair would be.
+    The points of each transmitter kind, the coherent and vacuum reference
+    points included, form one pair_stack.  The result is None unless a row
+    reads an exponent, the fidelity None unless one reads it of a one-mode probe.
     """
     points: dict = {}
-
-    def need(kind, n_s, n_b, kappa):
-        TransmitterSpec(kind, n_s)
-        TargetConfig(kappa=kappa, n_b=n_b, model=plan.model)
-        points.setdefault(kind, {})[(n_s, n_b, kappa)] = None
-
     for kind, n_s, n_b, kappa in _plan_points(plan):
-        need(kind, n_s, n_b, kappa)
+        points.setdefault(kind, {})[(n_s, n_b, kappa)] = None
         if "ratio_vs_coherent" in plan.quantities:
-            need("coherent", n_s, n_b, kappa)
+            points.setdefault("coherent", {})[(n_s, n_b, kappa)] = None
         if "ratio_vs_vacuum" in plan.quantities:
-            need("vacuum", 0.0, n_b, kappa)
-    results = {}
+            points.setdefault("vacuum", {})[(0.0, n_b, kappa)] = None
+    needs_exponent = any(q != "fidelity" for q in plan.quantities)
+    values = {}
     for kind, keys in points.items():
         n_s, n_b, kappa = np.array(list(keys), dtype=float).T
-        stack = chernoff_many(*pair_stack(kind, n_s, n_b, kappa, plan.model))
-        results.update(((kind,) + key, res) for key, res in zip(keys, stack))
-    return results
+        mean0, cov0, mean1, cov1, degenerate = pair_stack(kind, n_s, n_b, kappa, plan.model)
+        results = fids = [None] * len(keys)
+        if needs_exponent:
+            results = chernoff_many(mean0, cov0, mean1, cov1, degenerate)
+        if "fidelity" in plan.quantities and cov0.shape[-1] == 2:
+            fids = fidelity_many(mean0, cov0, mean1, cov1).tolist()
+        for key, point in zip(keys, zip(results, fids, degenerate.tolist())):
+            values[(kind,) + key] = point
+    return values
 
 
-def _evaluate(results: dict, kind: str, n_s: float, n_b: float,
+def _evaluate(values: dict, kind: str, n_s: float, n_b: float,
               kappa: float, model: str, quantity: str) -> SweepRow:
-    res = results[(kind, n_s, n_b, kappa)]
-    flags = tuple(res.flags)
-    base = dict(transmitter=kind, model=model, n_s=n_s, n_b=n_b, kappa=kappa,
-                quantity=quantity, s_star=res.s_star, flags=flags)
-    if quantity == "chernoff":
-        return SweepRow(value=res.xi, **base)
-    if quantity == "q_half":
-        return SweepRow(value=res.q_half, **base)
-    if quantity == "s_star":
-        return SweepRow(value=res.s_star, **base)
+    res, fid, degenerate = values[(kind, n_s, n_b, kappa)]
+    base = dict(transmitter=kind, model=model, n_s=n_s, n_b=n_b, kappa=kappa, quantity=quantity)
     if quantity == "fidelity":
-        spec = TransmitterSpec(kind, n_s)
-        if spec.n_modes != 1:
-            return SweepRow(value=float("nan"),
-                            **{**base, "flags": flags + ("unsupported",), "s_star": None})
-        pair = make_pair(spec, TargetConfig(kappa=kappa, n_b=n_b, model=model))
-        return SweepRow(value=fidelity(pair.rho0, pair.rho1),
-                        **{**base, "s_star": None})
+        flags = ("degenerate",) * degenerate + ("unsupported",) * (fid is None)
+        return SweepRow(value=float("nan") if fid is None else fid, flags=flags, **base)
+    base.update(s_star=res.s_star, flags=res.flags)
+    direct = {"chernoff": res.xi, "q_half": res.q_half, "s_star": res.s_star}
+    if quantity in direct:
+        return SweepRow(value=direct[quantity], **base)
     if quantity == "ratio_vs_coherent":
-        ref = results[("coherent", n_s, n_b, kappa)]
-        if res.xi == 0.0 or ref.xi == 0.0:
-            return SweepRow(value=float("nan"),
-                            **{**base, "flags": flags + ("degenerate",)})
-        return SweepRow(value=res.xi / ref.xi, **base)
-    if quantity == "ratio_vs_vacuum":
-        ref = results[("vacuum", 0.0, n_b, kappa)]
-        if ref.xi == 0.0 and "degenerate" in ref.flags:
-            return SweepRow(value=float("nan"),
-                            **{**base, "flags": flags + ("degenerate",)})
+        ref = values[("coherent", n_s, n_b, kappa)][0]
+        value = res.xi / ref.xi if res.xi != 0.0 and ref.xi != 0.0 else None
+    else:
+        ref, _, ref_degenerate = values[("vacuum", 0.0, n_b, kappa)]
         # Q_{s*} ratio through the exponent difference, stable when both
         # overlaps sit within rounding of 1.
-        return SweepRow(value=float(np.exp(ref.xi - res.xi)), **base)
-    raise ValueError(f"unknown quantity {quantity!r}")
+        value = None if ref_degenerate else float(np.exp(ref.xi - res.xi))
+    if value is None:
+        return SweepRow(value=float("nan"), **{**base, "flags": res.flags + ("degenerate",)})
+    return SweepRow(value=value, **base)
 
 
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
@@ -183,12 +174,12 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     Rows follow the lexicographic order of (transmitter, n_s, n_b, kappa,
     quantity) as listed in the plan, so identical plans produce identical
     tables.  Degenerate configurations yield flagged rows, not errors.
-    The exponents come from one chernoff_many stack per transmitter kind;
-    a point's result does not depend on the other points of its stack.
+    Every quantity is read from one pair_stack per transmitter kind; a
+    point's values do not depend on the other points of its stack.
     """
-    results = _chernoff_points(plan)
+    values = _plan_stacks(plan)
     return [
-        _evaluate(results, kind, n_s, n_b, kappa, plan.model, quantity)
+        _evaluate(values, kind, n_s, n_b, kappa, plan.model, quantity)
         for kind, n_s, n_b, kappa in _plan_points(plan)
         for quantity in plan.quantities
     ]
@@ -274,22 +265,11 @@ def _fig_fidelity_curves() -> tuple[list[SweepRow], dict]:
     kappa, n_b = 1e-4, 20.0
     # maximiser of F(reflected smsv, background) as kappa -> 0
     marker = n_b**2 / (2 * n_b + 1)
-    cfg = TargetConfig(kappa=kappa, n_b=n_b)
-    background = thermal_state(n_b)
-
-    vac_pair = make_pair(TransmitterSpec("vacuum", 0.0), cfg)
-    f_vac = fidelity(vac_pair.rho1, background)
-    rows = [
-        SweepRow("vacuum", "agnostic", 0.0, n_b, kappa, "fidelity", f_vac)
-    ]
     grid = np.linspace(0.05, 30.0, 600)
-    f_smsv = np.empty_like(grid)
-    for i, n_s in enumerate(grid):
-        pair = make_pair(TransmitterSpec("smsv", float(n_s)), cfg)
-        f_smsv[i] = fidelity(pair.rho1, background)
-        rows.append(
-            SweepRow("smsv", "agnostic", float(n_s), n_b, kappa, "fidelity", f_smsv[i])
-        )
+    rows = run_sweep(SweepPlan(transmitters=("vacuum", "smsv"), quantities=("fidelity",),
+                               n_s_grid=tuple(grid), n_b_grid=(n_b,), kappa_grid=(kappa,)))
+    f_vac = rows[0].value
+    f_smsv = np.array([r.value for r in rows[1:]])
 
     peak = float(grid[np.argmax(f_smsv)])
     peak_dev = abs(peak - marker) / marker
@@ -323,11 +303,10 @@ def _fig_smsv_ratio() -> tuple[list[SweepRow], dict]:
         n_b_grid=(n_b,),
         kappa_grid=(kappa,),
     )
-    rows = run_sweep(plan)
-    cfg = TargetConfig(kappa=kappa, n_b=n_b)
-    vac_pair = make_pair(TransmitterSpec("vacuum", 0.0), cfg)
-    f_vac = fidelity(vac_pair.rho0, vac_pair.rho1)
-    rows.append(SweepRow("vacuum", "agnostic", 0.0, n_b, kappa, "fidelity", f_vac))
+    vacuum = SweepPlan(transmitters=("vacuum",), quantities=("fidelity",),
+                       n_b_grid=(n_b,), kappa_grid=(kappa,))
+    rows = run_sweep(plan) + run_sweep(vacuum)
+    f_vac = rows[-1].value
 
     ratio = np.array([r.value for r in rows if r.quantity == "ratio_vs_vacuum"])
     fids = np.array([r.value for r in rows if r.quantity == "fidelity" and r.transmitter == "smsv"])
@@ -543,8 +522,8 @@ def _check_tmss_eigenvalues(name: str) -> ExpansionCheck:
     kappas = np.logspace(-5, -2, 4)
     resid1, resid2 = [], []
     for kappa in kappas:
-        pair = make_pair(TransmitterSpec("tmss", n_s), TargetConfig(kappa=kappa, n_b=n_b))
-        gammas = 2.0 * np.sort(symplectic_eigenvalues(pair.rho1.cov))[::-1]
+        cov1 = pair_stack("tmss", n_s, n_b, kappa)[3]
+        gammas = 2.0 * np.sort(symplectic_eigenvalues(cov1))[::-1]
         model1 = (1 + 2 * n_b) - 2 * n_b * (1 + n_b) * kappa / (1 + n_s + n_b)
         model2 = (1 + 2 * n_s) - 2 * n_s * (1 + n_s) * kappa / (1 + n_s + n_b)
         resid1.append(abs(gammas[0] - model1))

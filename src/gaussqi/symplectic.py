@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Module-wide numerical tolerances.  Overridable by callers that pass
-# explicit values to the validating constructors.
+# Module-wide numerical tolerances.
 SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
 PHYSICALITY_TOL = 1e-10
@@ -63,14 +62,10 @@ def symplectic_inverse(s: np.ndarray) -> np.ndarray:
     return (signs[:, None] * st[..., order, :])[..., order] * signs
 
 
-def is_symplectic(s: np.ndarray, tol: float | None = None) -> bool:
-    """Check ||S Delta S^T - Delta||_F < tol (default SYMPLECTIC_TOL)."""
-    if tol is None:
-        tol = SYMPLECTIC_TOL
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
-        return False
+def is_symplectic(s: np.ndarray) -> bool:
+    """Check ||S Delta S^T - Delta||_F < SYMPLECTIC_TOL for a square S of even size."""
     delta = symplectic_form(s.shape[0] // 2)
-    return bool(np.linalg.norm(s @ delta @ s.T - delta) < tol)
+    return bool(np.linalg.norm(s @ delta @ s.T - delta) < SYMPLECTIC_TOL)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

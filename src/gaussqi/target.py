@@ -27,7 +27,7 @@ from .symplectic import (
     partial_trace,
     tensor,
 )
-from .transmitters import TransmitterSpec, probe_moments, thermal_state
+from .transmitters import TransmitterSpec, _check_nonnegative, probe_moments, thermal_state
 
 MODELS = ("agnostic", "legacy")
 
@@ -40,6 +40,16 @@ def _check_model(model: str) -> None:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
+def _check_target(kappa, n_b, model: str) -> None:
+    """The checks of TargetConfig, elementwise on arrays of kappa and n_b."""
+    kappa = np.atleast_1d(kappa)
+    outside = ~((0.0 <= kappa) & (kappa < 1.0))
+    if outside.any():
+        raise ValueError(f"kappa must lie in [0, 1), got {kappa[outside][0]}")
+    _check_nonnegative("n_b", n_b)
+    _check_model(model)
+
+
 @dataclass(frozen=True)
 class TargetConfig:
     """Reflectivity kappa, background occupation n_b, and model convention."""
@@ -49,11 +59,7 @@ class TargetConfig:
     model: str = "agnostic"
 
     def __post_init__(self):
-        if not np.isfinite(self.kappa) or not 0.0 <= self.kappa < 1.0:
-            raise ValueError(f"kappa must lie in [0, 1), got {self.kappa}")
-        if not np.isfinite(self.n_b) or self.n_b < 0:
-            raise ValueError(f"n_b must be a finite non-negative number, got {self.n_b}")
-        _check_model(self.model)
+        _check_target(self.kappa, self.n_b, self.model)
 
     @property
     def effective_n_b(self) -> float:

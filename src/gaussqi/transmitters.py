@@ -16,6 +16,14 @@ from .symplectic import GaussianState
 KINDS = ("vacuum", "coherent", "smsv", "tmss")
 
 
+def _check_nonnegative(name: str, value) -> None:
+    """Reject a value that is negative or not finite; on an array, name its first such entry."""
+    value = np.atleast_1d(value)
+    bad = ~(np.isfinite(value) & (value >= 0))
+    if bad.any():
+        raise ValueError(f"{name} must be a finite non-negative number, got {value[bad][0]}")
+
+
 @dataclass(frozen=True)
 class TransmitterSpec:
     """Transmitter kind plus per-mode signal intensity N_S.
@@ -31,8 +39,7 @@ class TransmitterSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown transmitter kind {self.kind!r}; expected one of {KINDS}")
-        if not np.isfinite(self.n_signal) or self.n_signal < 0:
-            raise ValueError(f"n_signal must be a finite non-negative number, got {self.n_signal}")
+        _check_nonnegative("n_signal", self.n_signal)
         if self.kind == "vacuum" and self.n_signal != 0.0:
             raise ValueError("vacuum transmitter requires n_signal = 0")
 
@@ -60,8 +67,7 @@ def tmss(n_signal: float) -> TransmitterSpec:
 
 def thermal_state(n_b: float) -> GaussianState:
     """Single-mode thermal state with mean photon number n_b: cov (n_b + 1/2) I."""
-    if not np.isfinite(n_b) or n_b < 0:
-        raise ValueError(f"n_b must be a finite non-negative number, got {n_b}")
+    _check_nonnegative("n_b", n_b)
     return GaussianState(mean=np.zeros(2), cov=(n_b + 0.5) * np.eye(2))
 
 

@@ -35,6 +35,16 @@ def test_chernoff_invalid_input(capsys):
                  "--nb", "1", "--kappa", "0"]) == 1
 
 
+@pytest.mark.parametrize("tol", ["0.9", "nan"])
+def test_chernoff_command_rejects_bad_tolerance(capsys, tol):
+    argv = ["chernoff", "--transmitter", "coherent", "--ns", "1", "--nb", "100",
+            "--kappa", "1e-2", "--tol", tol]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "s_tol must lie in" in captured.err
+
+
 def test_sweep_plan_file(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text(

@@ -246,6 +246,14 @@ def test_chernoff_iteration_budget_is_flagged():
     assert res.xi >= -np.log(res.q_half)
 
 
+@pytest.mark.parametrize("s_tol", [0.9, 0.5 - _S_EDGE, 0.0, -1e-7, float("nan"), float("inf")])
+def test_chernoff_rejects_bad_s_tol(s_tol):
+    # a tolerance as wide as the first bracket used to return s* = 1/2 unflagged
+    pair = make_pair(coherent(1.0), TargetConfig(kappa=1e-2, n_b=20.0))
+    with pytest.raises(ValueError, match="s_tol must lie in"):
+        chernoff(pair, s_tol=s_tol)
+
+
 def test_vacuum_detection_exponent_positive():
     res = chernoff(make_pair(vacuum(), TargetConfig(kappa=0.1, n_b=1.0)))
     assert res.xi > 0.0

@@ -70,3 +70,10 @@ def test_cached_geometry_is_bit_identical(kind, n_s, n_b, kappa):
     assert fresh == again == uncached
     with pytest.raises(ValueError, match="unknown model"):
         highprec.log_q_s(kind, n_s, n_b, kappa, 0.5, model="legcy")
+
+
+@pytest.mark.parametrize("s", [0, 1, 1.5, -0.2, float("nan")])
+def test_log_q_s_rejects_s_outside_unit_interval(s):
+    # s = 1.5 used to return a complex mpc, s = 0 to divide by zero
+    with pytest.raises(ValueError, match=r"s must lie in \(0, 1\), got "):
+        highprec.log_q_s("coherent", 1.0, 1.0, 0.1, s)

@@ -4,6 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import gaussqi.sweeps
+from gaussqi.cli import main
+from gaussqi.divergence import fidelity
+from gaussqi.symplectic import GaussianState
 from gaussqi.sweeps import (
     CHECKS,
     SweepPlan,
@@ -16,6 +20,8 @@ from gaussqi.sweeps import (
     run_sweep,
     verify_expansion,
 )
+from gaussqi.target import TargetConfig, make_pair
+from gaussqi.transmitters import TransmitterSpec
 
 
 def small_plan(**overrides):
@@ -111,6 +117,97 @@ def test_fidelity_quantity_tmss_flagged():
     for row in rows:
         assert math.isnan(row.value)
         assert "unsupported" in row.flags
+
+
+def test_fidelity_only_plan_runs_no_chernoff_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("chernoff_many called for a fidelity-only plan")
+
+    monkeypatch.setattr(gaussqi.sweeps, "chernoff_many", refuse)
+    rows = run_sweep(small_plan(transmitters=("vacuum", "coherent", "smsv", "tmss"),
+                                quantities=("fidelity",)))
+    assert len(rows) == (1 + 3) * 2
+    assert all(row.s_star is None for row in rows)
+
+
+def test_run_sweep_builds_no_state_or_spec(monkeypatch):
+    # the plan is validated once; the rows come from moment stacks alone
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built during run_sweep")
+
+    plan = small_plan(transmitters=("vacuum", "coherent", "smsv", "tmss"),
+                      quantities=gaussqi.sweeps.QUANTITIES)
+    for cls in (GaussianState, TransmitterSpec, TargetConfig):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    assert len(run_sweep(plan)) == (1 + 3) * 2 * len(gaussqi.sweeps.QUANTITIES)
+
+
+@pytest.mark.parametrize("model", ["agnostic", "legacy"])
+def test_sweep_fidelity_equals_scalar_fidelity(model):
+    plan = small_plan(transmitters=("vacuum", "coherent", "smsv"), quantities=("fidelity",),
+                      n_s_grid=(1e-3, 0.7, 40.0), n_b_grid=(0.0, 3.0, 200.0),
+                      kappa_grid=(1e-4, 0.3), model=model)
+    rows = run_sweep(plan)
+    assert len(rows) == (1 + 3 + 3) * 3 * 2
+    for row in rows:
+        pair = make_pair(TransmitterSpec(row.transmitter, row.n_s),
+                         TargetConfig(kappa=row.kappa, n_b=row.n_b, model=model))
+        assert row.value == fidelity(pair.rho0, pair.rho1)
+        assert row.flags == (("degenerate",) if pair.degenerate else ())
+
+
+def test_legacy_vacuum_fidelity_row_flagged_degenerate():
+    rows = run_sweep(small_plan(transmitters=("vacuum",), quantities=("fidelity",),
+                                model="legacy"))
+    assert rows
+    for row in rows:
+        assert row.flags == ("degenerate",)
+        assert row.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fidelity_rows_carry_no_minimiser_flags():
+    # at N_B = 0 the coherent pair is flat in s and the tmss minimum sits at
+    # the bracket edge; the fidelity rows used no search
+    rows = run_sweep(small_plan(transmitters=("coherent", "tmss"),
+                                quantities=("chernoff", "fidelity"),
+                                n_s_grid=(1.0,), n_b_grid=(0.0,), kappa_grid=(0.2,)))
+    flags = {(row.transmitter, row.quantity): row.flags for row in rows}
+    assert flags == {
+        ("coherent", "chernoff"): ("flat",),
+        ("coherent", "fidelity"): (),
+        ("tmss", "chernoff"): ("edge",),
+        ("tmss", "fidelity"): ("unsupported",),
+    }
+
+
+INVALID_GRIDS = [
+    (dict(n_s_grid=(0.5, -1.0)), "n_signal must be a finite non-negative number, got -1.0"),
+    (dict(n_b_grid=(1.0, -2.0)), "n_b must be a finite non-negative number, got -2.0"),
+    (dict(kappa_grid=(0.1, 1.0)), "kappa must lie in [0, 1), got 1.0"),
+    (dict(kappa_grid=(-0.1,)), "kappa must lie in [0, 1), got -0.1"),
+]
+
+
+@pytest.mark.parametrize("grids, message", INVALID_GRIDS, ids=["n_s", "n_b", "kappa-1", "kappa-neg"])
+def test_plan_rejects_invalid_grid_values(grids, message):
+    with pytest.raises(ValueError) as info:
+        small_plan(**grids)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("grids, message", INVALID_GRIDS, ids=["n_s", "n_b", "kappa-1", "kappa-neg"])
+def test_sweep_command_rejects_invalid_grid_values(tmp_path, capsys, grids, message):
+    (field, grid), = grids.items()
+    key = {"n_s_grid": "grid_ns", "n_b_grid": "grid_nb", "kappa_grid": "grid_kappa"}[field]
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"transmitter = coherent\n{key} = {','.join(map(repr, grid))}\n")
+    assert main(["sweep", str(plan)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_vacuum_plan_ignores_the_n_s_grid():
+    rows = run_sweep(small_plan(transmitters=("vacuum",), n_s_grid=(-1.0,)))
+    assert rows and all(row.n_s == 0.0 for row in rows)
 
 
 def test_emit_round_trip(tmp_path):
