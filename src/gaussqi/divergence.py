@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import PHYSICALITY_TOL, GaussianState, symplectic_inverse, williamson
+from .symplectic import GaussianState, _check_physical, symplectic_inverse, williamson
 from .target import HypothesisPair
+from .transmitters import _check_nonnegative
 
 # Minimizer defaults; chosen because log Q_s becomes exponentially flat in s
 # at small reflectivity, where a linear-scale objective would lose the minimum.
@@ -135,10 +136,7 @@ class _PairGeometry:
         w = williamson(np.concatenate((cov0, cov1)))
         # The pairs do not pass through GaussianState, so physicality is
         # checked here, on the symplectic eigenvalues just computed.
-        if w.nu.min(initial=np.inf) < 0.5 - PHYSICALITY_TOL:
-            raise ValueError(
-                f"unphysical covariance: min symplectic eigenvalue {w.nu.min():.12g} < 1/2"
-            )
+        _check_physical(w.nu)
         self.n = w.nu.shape[-1]
         # Both states side by side: eigenvalues (x0, x1) taken at orders
         # (s, 1-s), whose s-derivatives carry the signs (+1, -1).
@@ -251,8 +249,8 @@ def q_s_coherent_closed(s: float, kappa: float, n_b: float, n_s: float) -> float
     s = _check_s(s)
     if not 0.0 <= kappa < 1.0:
         raise ValueError(f"kappa must lie in [0, 1), got {kappa}")
-    if n_b < 0 or n_s < 0:
-        raise ValueError("n_b and n_s must be non-negative")
+    _check_nonnegative("n_b", n_b)
+    _check_nonnegative("n_signal", n_s)
     a = (n_b + 1.0) ** s
     b = n_b**s
     c = ((1.0 - kappa) * n_b + 1.0) ** (1.0 - s)

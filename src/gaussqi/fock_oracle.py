@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .target import TargetConfig
-from .transmitters import TransmitterSpec
+from .transmitters import TransmitterSpec, _check_nonnegative
 
 HERMITICITY_TOL = 1e-12
 NEGATIVITY_TOL = 1e-10
@@ -173,8 +173,7 @@ def _geometric_weights(n_mean: float, cutoff: int) -> np.ndarray:
 
 def thermal_fock(n_b: float, cutoff: int) -> FockOperator:
     """Truncated thermal state: geometric diagonal in the number basis."""
-    if n_b < 0:
-        raise ValueError(f"n_b must be non-negative, got {n_b}")
+    _check_nonnegative("n_b", n_b)
     if cutoff < 2:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
     w = _geometric_weights(n_b, cutoff)
@@ -325,8 +324,6 @@ def apply_target_fock(state: FockOperator, cfg: TargetConfig, cutoff: int) -> Fo
             "apply_target_fock implements the bare-background channel; "
             "substitute n_b/(1-kappa) in the config for the legacy model"
         )
-    if not 0.0 < cfg.kappa < 1.0:
-        raise ValueError(f"target-present requires kappa in (0, 1), got {cfg.kappa}")
     d = state.cutoff
     d_rest = d ** (state.n_modes - 1)
     theta = float(np.arccos(np.sqrt(cfg.kappa)))

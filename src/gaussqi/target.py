@@ -27,7 +27,13 @@ from .symplectic import (
     partial_trace,
     tensor,
 )
-from .transmitters import TransmitterSpec, _check_nonnegative, probe_moments, thermal_state
+from .transmitters import (
+    TransmitterSpec,
+    _check_nonnegative,
+    _check_probe,
+    probe_moments,
+    thermal_state,
+)
 
 MODELS = ("agnostic", "legacy")
 
@@ -35,19 +41,23 @@ MODELS = ("agnostic", "legacy")
 TRANSMITTED_MODE = 0
 
 
-def _check_model(model: str) -> None:
+def _check_target(kappa, n_b, model: str) -> None:
+    """The one definition of a valid target, elementwise on arrays of kappa and n_b.
+
+    kappa = 0 is no target: there is no target-present state to compare."""
+    kappa = np.atleast_1d(kappa)
+    outside = ~((kappa > 0) & (kappa < 1))
+    if outside.any():
+        raise ValueError(f"kappa must lie in (0, 1), got {float(kappa[outside][0])}")
+    _check_nonnegative("n_b", n_b)
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
-def _check_target(kappa, n_b, model: str) -> None:
-    """The checks of TargetConfig, elementwise on arrays of kappa and n_b."""
-    kappa = np.atleast_1d(kappa)
-    outside = ~((0.0 <= kappa) & (kappa < 1.0))
-    if outside.any():
-        raise ValueError(f"kappa must lie in [0, 1), got {kappa[outside][0]}")
-    _check_nonnegative("n_b", n_b)
-    _check_model(model)
+def _effective_n_b(n_b, kappa, model: str):
+    """Background occupation of the reflection channel: n_b / (1 - kappa) in
+    the legacy model, n_b otherwise; plain arithmetic, so mpf stays mpf."""
+    return n_b / (1 - kappa) if model == "legacy" else n_b
 
 
 @dataclass(frozen=True)
@@ -64,9 +74,7 @@ class TargetConfig:
     @property
     def effective_n_b(self) -> float:
         """Background occupation fed into the beamsplitter dilation."""
-        if self.model == "legacy":
-            return self.n_b / (1.0 - self.kappa)
-        return self.n_b
+        return _effective_n_b(self.n_b, self.kappa, self.model)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +95,6 @@ def dilated_present(probe: GaussianState, cfg: TargetConfig) -> GaussianState:
     beamsplitter between the transmitted mode and the environment.  For the
     two-mode entangled probe this exposes the full 6x6 covariance.
     """
-    if not 0.0 < cfg.kappa < 1.0:
-        raise ValueError(f"target-present requires kappa in (0, 1), got {cfg.kappa}")
     env = thermal_state(cfg.effective_n_b)
     joint = tensor(probe, env)
     u = beamsplitter(cfg.kappa, TRANSMITTED_MODE, probe.n_modes, probe.n_modes + 1)
@@ -123,19 +129,13 @@ def pair_moments(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
     mpmath.mpf inputs; structural zeros are exact floats.
 
     Raises:
-        ValueError: kappa outside (0, 1), an unknown model, or an unknown
-            transmitter kind.
+        ValueError: a probe or target outside its domain (_check_probe,
+            _check_target).
     """
-    kappas = np.asarray(kappa)
-    outside = ~((0 < kappas) & (kappas < 1))
-    if outside.any():
-        raise ValueError(
-            f"target-present requires kappa in (0, 1), got {kappas[outside].flat[0]}"
-        )
-    _check_model(model)
+    _check_probe(kind, n_s)
+    _check_target(kappa, n_b, model)
     mean, cov = probe_moments(kind, n_s)
-    n_eff = n_b / (1 - kappa) if model == "legacy" else n_b
-    noise = (1 - kappa) * (n_eff + 0.5)
+    noise = (1 - kappa) * (_effective_n_b(n_b, kappa, model) + 0.5)
     amp = kappa ** 0.5
 
     # Indices 0 and 1 are the transmitted mode's quadratures.
@@ -196,9 +196,6 @@ def make_pair(spec: TransmitterSpec, cfg: TargetConfig) -> HypothesisPair:
     A legacy-model vacuum transmitter yields rho0 == rho1; the pair is
     returned flagged as degenerate rather than rejected, so downstream code
     can exhibit the ill-posedness instead of crashing.
-
-    Raises:
-        ValueError: kappa = 0, where the target-present state is undefined.
     """
     mean0, cov0, mean1, cov1, degenerate = pair_stack(
         spec.kind, spec.n_signal, cfg.n_b, cfg.kappa, cfg.model

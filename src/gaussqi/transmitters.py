@@ -16,12 +16,27 @@ from .symplectic import GaussianState
 KINDS = ("vacuum", "coherent", "smsv", "tmss")
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown transmitter kind {kind!r}; expected one of {KINDS}")
+
+
 def _check_nonnegative(name: str, value) -> None:
-    """Reject a value that is negative or not finite; on an array, name its first such entry."""
+    """Reject a negative, infinite or nan value; on an array, name its first such entry.
+
+    Comparisons, not np.isfinite, so mpmath.mpf values take the same test."""
     value = np.atleast_1d(value)
-    bad = ~(np.isfinite(value) & (value >= 0))
+    bad = ~((value >= 0) & (value < np.inf))
     if bad.any():
-        raise ValueError(f"{name} must be a finite non-negative number, got {value[bad][0]}")
+        raise ValueError(f"{name} must be a finite non-negative number, got {float(value[bad][0])}")
+
+
+def _check_probe(kind: str, n_s) -> None:
+    """The one definition of a valid probe, elementwise on an array of n_s."""
+    _check_kind(kind)
+    _check_nonnegative("n_signal", n_s)
+    if kind == "vacuum" and (np.atleast_1d(n_s) != 0).any():
+        raise ValueError("vacuum transmitter requires n_signal = 0")
 
 
 @dataclass(frozen=True)
@@ -37,11 +52,7 @@ class TransmitterSpec:
     n_signal: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown transmitter kind {self.kind!r}; expected one of {KINDS}")
-        _check_nonnegative("n_signal", self.n_signal)
-        if self.kind == "vacuum" and self.n_signal != 0.0:
-            raise ValueError("vacuum transmitter requires n_signal = 0")
+        _check_probe(self.kind, self.n_signal)
 
     @property
     def n_modes(self) -> int:
@@ -103,7 +114,7 @@ def probe_moments(kind: str, n_s):
             [0.0, -c, 0.0, a],
         ]
         return [0.0] * 4, cov
-    raise ValueError(f"unknown transmitter kind {kind!r}; expected one of {KINDS}")
+    _check_kind(kind)  # raises: kind is none of KINDS
 
 
 def probe_state(spec: TransmitterSpec) -> GaussianState:

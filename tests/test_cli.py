@@ -33,6 +33,7 @@ def test_chernoff_invalid_input(capsys):
     # kappa = 0 leaves no target-present state: invalid input, not a row
     assert main(["chernoff", "--transmitter", "coherent", "--ns", "1",
                  "--nb", "1", "--kappa", "0"]) == 1
+    assert capsys.readouterr().err.endswith("error: kappa must lie in (0, 1), got 0.0\n")
 
 
 @pytest.mark.parametrize("tol", ["0.9", "nan"])

@@ -183,19 +183,21 @@ def test_fidelity_rows_carry_no_minimiser_flags():
 INVALID_GRIDS = [
     (dict(n_s_grid=(0.5, -1.0)), "n_signal must be a finite non-negative number, got -1.0"),
     (dict(n_b_grid=(1.0, -2.0)), "n_b must be a finite non-negative number, got -2.0"),
-    (dict(kappa_grid=(0.1, 1.0)), "kappa must lie in [0, 1), got 1.0"),
-    (dict(kappa_grid=(-0.1,)), "kappa must lie in [0, 1), got -0.1"),
+    (dict(kappa_grid=(0.1, 1.0)), "kappa must lie in (0, 1), got 1.0"),
+    (dict(kappa_grid=(-0.1,)), "kappa must lie in (0, 1), got -0.1"),
+    (dict(kappa_grid=(0.0, 0.1)), "kappa must lie in (0, 1), got 0.0"),
 ]
+INVALID_GRID_IDS = ["n_s", "n_b", "kappa-1", "kappa-neg", "kappa-0"]
 
 
-@pytest.mark.parametrize("grids, message", INVALID_GRIDS, ids=["n_s", "n_b", "kappa-1", "kappa-neg"])
+@pytest.mark.parametrize("grids, message", INVALID_GRIDS, ids=INVALID_GRID_IDS)
 def test_plan_rejects_invalid_grid_values(grids, message):
     with pytest.raises(ValueError) as info:
         small_plan(**grids)
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("grids, message", INVALID_GRIDS, ids=["n_s", "n_b", "kappa-1", "kappa-neg"])
+@pytest.mark.parametrize("grids, message", INVALID_GRIDS, ids=INVALID_GRID_IDS)
 def test_sweep_command_rejects_invalid_grid_values(tmp_path, capsys, grids, message):
     (field, grid), = grids.items()
     key = {"n_s_grid": "grid_ns", "n_b_grid": "grid_nb", "kappa_grid": "grid_kappa"}[field]

@@ -185,11 +185,10 @@ def test_target_present_rejects_kappa_edge():
 
 
 def test_make_pair_rejects_kappa_zero():
-    # kappa = 0 is a valid TargetConfig but has no target-present state
-    cfg = TargetConfig(kappa=0.0, n_b=1.0)
-    for spec in (vacuum(), coherent(1.0), tmss(1.0)):
-        with pytest.raises(ValueError):
-            make_pair(spec, cfg)
+    # kappa = 0 has no target-present state, so no TargetConfig carries it
+    # and no pair can be built from one
+    with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1\), got 0.0"):
+        TargetConfig(kappa=0.0, n_b=1.0)
 
 
 def test_pair_moments_keep_the_number_type():
