@@ -11,6 +11,7 @@ this demo constructs.
 import numpy as np
 
 import gaussqi as gq
+from gaussqi.reference import dilated_present, target_present
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -34,13 +35,13 @@ for spec in (gq.vacuum(), gq.coherent(N_S), gq.smsv(N_S), gq.tmss(N_S)):
 # make_pair writes the channel in closed form; the beamsplitter dilation
 # (tensor a thermal mode, beamsplit, trace it out) agrees to machine precision.
 for spec in (gq.smsv(N_S), gq.tmss(N_S)):
-    a = gq.target_present(gq.probe_state(spec), cfg)
+    a = target_present(gq.probe_state(spec), cfg)
     b = gq.make_pair(spec, cfg).rho1
     print(f"{spec.kind}: dilation vs make_pair, max |diff| =", np.abs(a.cov - b.cov).max())
 
 # For the entangled probe the full three-mode (transmitter/memory/environment)
 # covariance is available before the trace:
-full = gq.dilated_present(gq.probe_state(gq.tmss(N_S)), cfg)
+full = dilated_present(gq.probe_state(gq.tmss(N_S)), cfg)
 print("\nfull 6x6 covariance of the dilation (doubled convention):")
 print(2 * full.cov)
 

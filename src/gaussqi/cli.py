@@ -83,13 +83,14 @@ _PLAN_KEYS = {
 }
 
 
-def read_plan(path: str, out_override=None, format_override=None) -> SweepPlan:
-    """Read a flat key = value plan file.
+def read_plan(path: str, out_override=None, format_override=None):
+    """Read a flat key = value plan file into (plan, out_path, out_format).
 
     Keys: transmitter(s), quantity/quantities, ns or grid_ns, nb or
     grid_nb, kappa or grid_kappa, model, out, format.  An unknown key, or
     a setting given twice (under either of its names), is an error.  Lines
-    starting with '#' are comments.
+    starting with '#' are comments.  out_path is None when neither the
+    plan nor the override names one (the rows go to stdout).
     """
     fields: dict = {}
     where: dict = {}
@@ -127,19 +128,22 @@ def read_plan(path: str, out_override=None, format_override=None) -> SweepPlan:
         except _CliError as exc:
             raise _CliError(f"{where[key]}: {exc}") from None
 
+    out_format = format_override or fields.get("format", "csv")
+    if out_format not in FORMATS:
+        raise _CliError(f"{where['format']}: unknown format {out_format!r}; "
+                        f"expected one of {FORMATS}")
     try:
-        return SweepPlan(
+        plan = SweepPlan(
             transmitters=names("transmitters", ("coherent",)),
             quantities=names("quantities", ("chernoff",)),
             n_s_grid=grid("ns", (1.0,)),
             n_b_grid=grid("nb", (1.0,)),
             kappa_grid=grid("kappa", (1e-2,)),
             model=fields.get("model", "agnostic"),
-            out_path=out_override or fields.get("out"),
-            out_format=format_override or fields.get("format", "csv"),
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
+    return plan, out_override or fields.get("out"), out_format
 
 
 def _cmd_chernoff(args) -> int:
@@ -167,9 +171,10 @@ def _cmd_chernoff(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    plan = read_plan(args.plan, out_override=args.out, format_override=args.format)
+    plan, out_path, out_format = read_plan(args.plan, out_override=args.out,
+                                           format_override=args.format)
     rows = run_sweep(plan)
-    emit(rows, plan.out_path or sys.stdout, plan.out_format)
+    emit(rows, out_path or sys.stdout, out_format)
     return 0
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .symplectic import GaussianState, _check_physical, symplectic_inverse, williamson
 from .target import HypothesisPair
-from .transmitters import _check_nonnegative
 
 # Minimizer defaults; chosen because log Q_s becomes exponentially flat in s
 # at small reflectivity, where a linear-scale objective would lose the minimum.
@@ -234,64 +233,6 @@ def q_s_general(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
     return float(_geometry(rho0, rho1).q(np.array([_check_s(s)]))[0])
 
 
-def q_s_coherent_closed(s: float, kappa: float, n_b: float, n_s: float) -> float:
-    """Closed-form Q_s for the coherent-transmitter pair (agnostic model).
-
-    With A = (N_B+1)^s, B = N_B^s, C = ((1-k)N_B + 1)^{1-s},
-    D = (1-k)^{1-s} N_B^{1-s}:
-
-        Q_s = exp(-kappa N_S (A - B)(C - D) / (A C - B D)) / (A C - B D)
-
-    where the denominator equals
-    (1+N_B)(1 - kappa N_B/(1+N_B))^{1-s} - N_B (1-kappa)^{1-s}.
-    At kappa = 0 the pair is degenerate and Q_s = 1.
-    """
-    s = _check_s(s)
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError(f"kappa must lie in [0, 1), got {kappa}")
-    _check_nonnegative("n_b", n_b)
-    _check_nonnegative("n_signal", n_s)
-    a = (n_b + 1.0) ** s
-    b = n_b**s
-    c = ((1.0 - kappa) * n_b + 1.0) ** (1.0 - s)
-    d = (1.0 - kappa) ** (1.0 - s) * n_b ** (1.0 - s)
-    denom = a * c - b * d
-    return float(np.exp(-kappa * n_s * (a - b) * (c - d) / denom) / denom)
-
-
-def q_s_alt(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
-    """Q_s for zero-mean single-mode pairs via the F0/F1 spectral weights.
-
-    F0(s, nu0, nu1) = ((2nu0+1)^s + (2nu0-1)^s)((2nu1+1)^{1-s} - (2nu1-1)^{1-s}) / 4
-    F1(s, nu0, nu1) = F0(1-s, nu1, nu0)
-    Q_s = exp(-tr log[F0 T0 T0^T + F1 T1 T1^T] / 2)
-
-    normalized so that Q_s(rho, rho) = 1 (anchor calibrated against
-    q_s_general and the Fock-basis oracle).
-    """
-    s = _check_s(s)
-    if rho0.n_modes != 1 or rho1.n_modes != 1:
-        raise ValueError("q_s_alt applies to single-mode states only")
-    if np.abs(rho0.mean).max() > 1e-12 or np.abs(rho1.mean).max() > 1e-12:
-        raise ValueError("q_s_alt applies to zero-mean states only")
-    geom = _geometry(rho0, rho1)
-    x0, x1 = geom.factors.x[0]
-    t0, t1 = geom.t[0, :, :2], geom.t[0, :, 2:]
-
-    def f0(p, xa, xb):
-        return ((xa + 1.0) ** p + (xa - 1.0) ** p) * (
-            (xb + 1.0) ** (1.0 - p) - (xb - 1.0) ** (1.0 - p)
-        ) / 4.0
-
-    w0 = f0(s, x0, x1)
-    w1 = f0(1.0 - s, x1, x0)
-    m = w0 * (t0 @ t0.T) + w1 * (t1 @ t1.T)
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
-        raise ValueError("q_s_alt: weight matrix not positive definite")
-    return min(float(np.exp(-0.5 * logdet)), 1.0)
-
-
 @dataclass(frozen=True)
 class ChernoffResult:
     """Minimized overlap: s*, Q_{s*}, exponent xi = -log Q_{s*}, and Q_{1/2}.
@@ -381,7 +322,8 @@ def chernoff(pair: HypothesisPair, s_tol: float = S_TOL, max_iter: int = MAX_ITE
     to xi = 0 with a "degenerate" flag.  If log Q_s varies by less than
     FLAT_SPAN over [0.05, 0.95] the minimizer would chase noise, so s* = 1/2
     is reported with a "flat" flag.  Failure to converge within max_iter
-    search steps is flagged "maxiter", never silent.
+    search steps is flagged "maxiter", never silent.  xi is max(-log Q, 0):
+    rounding can push log Q_s of a near-identical pair just above 0.
 
     This is `chernoff_many` on a stack of one pair.
     """
@@ -470,12 +412,12 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate, s_tol: float = S_TOL,
         ("flat",) if is_flat else ("edge",) * at_edge + ("maxiter",) * (not conv)
         for is_flat, at_edge, conv in zip(flat.tolist(), (s_star == edge).tolist(), converged.tolist())
     ]
-    # A flat pair reports the Bhattacharyya point.
+    # A flat pair reports the Bhattacharyya point; no pair reports xi < 0.
     columns = (
         live.tolist(),
         np.where(flat, 0.5, s_star).tolist(),
         np.where(flat, q_half, np.minimum(np.exp(log_q_star), 1.0)).tolist(),
-        np.where(flat, -log_q_half, np.maximum(-log_q_star, 0.0)).tolist(),
+        np.maximum(-np.where(flat, log_q_half, log_q_star), 0.0).tolist(),
         q_half.tolist(),
         (converged | flat).tolist(),
         flags,

@@ -13,7 +13,6 @@ Quantities handled by sweeps:
 from __future__ import annotations
 
 import csv
-import io
 import json
 import operator
 from dataclasses import dataclass
@@ -80,8 +79,6 @@ class SweepPlan:
     n_b_grid: tuple = (1.0,)
     kappa_grid: tuple = (1e-2,)
     model: str = "agnostic"
-    out_path: str | None = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         for kind in self.transmitters:
@@ -89,8 +86,6 @@ class SweepPlan:
         for q in self.quantities:
             if q not in QUANTITIES:
                 raise ValueError(f"unknown quantity {q!r}")
-        if self.out_format not in FORMATS:
-            raise ValueError(f"unknown format {self.out_format!r}; expected one of {FORMATS}")
         for name, grid in (
             ("n_s", self.n_s_grid),
             ("n_b", self.n_b_grid),
@@ -223,36 +218,6 @@ def emit(rows: list[SweepRow], path, out_format: str = "csv") -> None:
     finally:
         if owns:
             stream.close()
-
-
-def rows_to_csv(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    emit(rows, buf, "csv")
-    return buf.getvalue()
-
-
-def parse_csv(text: str) -> list[SweepRow]:
-    """Inverse of the CSV emitter (used by round-trip tests)."""
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected header {header}")
-    rows = []
-    for rec in reader:
-        rows.append(
-            SweepRow(
-                transmitter=rec[0],
-                model=rec[1],
-                n_s=float(rec[2]),
-                n_b=float(rec[3]),
-                kappa=float(rec[4]),
-                quantity=rec[5],
-                value=float(rec[6]) if rec[6] else float("nan"),
-                s_star=float(rec[7]) if rec[7] else None,
-                flags=tuple(f for f in rec[8].split(";") if f),
-            )
-        )
-    return rows
 
 
 # --------------------------------------------------------------------------

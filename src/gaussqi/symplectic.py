@@ -3,6 +3,8 @@
 Conventions used throughout the package: canonical ordering
 (q1, p1, ..., qn, pn), natural units hbar = 1, vacuum covariance I/2.
 A covariance matrix is physical iff every symplectic eigenvalue is >= 1/2.
+Gaussian unitaries, tensor products and partial traces serve only the
+reference routes and live in `reference`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 
 # Module-wide numerical tolerances.
 SYMMETRY_TOL = 1e-12
-SYMPLECTIC_TOL = 1e-10
 PHYSICALITY_TOL = 1e-10
 MIN_COV_EIGENVALUE = 1e-14
 
@@ -60,12 +61,6 @@ def symplectic_inverse(s: np.ndarray) -> np.ndarray:
     order, signs = _form_permutation(s.shape[-1])
     st = np.swapaxes(s, -1, -2)
     return (signs[:, None] * st[..., order, :])[..., order] * signs
-
-
-def is_symplectic(s: np.ndarray) -> bool:
-    """Check ||S Delta S^T - Delta||_F < SYMPLECTIC_TOL for a square S of even size."""
-    delta = symplectic_form(s.shape[0] // 2)
-    return bool(np.linalg.norm(s @ delta @ s.T - delta) < SYMPLECTIC_TOL)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -134,34 +129,6 @@ class GaussianState:
             and np.abs(self.mean - other.mean).max() <= atol * scale
             and np.abs(self.cov - other.cov).max() <= atol * scale
         )
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianUnitary:
-    """Gaussian unitary acting as mean -> S mean + d, cov -> S cov S^T."""
-
-    S: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.S, dtype=float)
-        d = np.asarray(self.d, dtype=float).reshape(-1)
-        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
-            raise ValueError(f"S must be square with even size, got {s.shape}")
-        if d.shape[0] != s.shape[0]:
-            raise ValueError("displacement length does not match S")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("displacement must be finite")
-        if not is_symplectic(s):
-            raise ValueError("S does not satisfy S Delta S^T = Delta within tolerance")
-        s.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "S", s)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def n_modes(self) -> int:
-        return self.S.shape[0] // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,121 +208,3 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
     if ((diag * diag).sum(axis=axes) > 1e-16 * (sigma * sigma).sum(axis=axes)).any():
         raise ValueError("williamson: result failed the diagonalization invariant")
     return WilliamsonDecomposition(nu=nu, S=s)
-
-
-def apply_unitary(state: GaussianState, u: GaussianUnitary) -> GaussianState:
-    """Transform a state by a Gaussian unitary."""
-    if state.n_modes != u.n_modes:
-        raise ValueError(
-            f"mode mismatch: state has {state.n_modes}, unitary acts on {u.n_modes}"
-        )
-    return GaussianState(mean=u.S @ state.mean + u.d, cov=u.S @ state.cov @ u.S.T)
-
-
-def beamsplitter(kappa: float, mode_a: int, mode_b: int, n_modes: int) -> GaussianUnitary:
-    """Beamsplitter of transmissivity kappa between two modes.
-
-    Acts as a' = sqrt(kappa) a - sqrt(1-kappa) b and
-    b' = sqrt(1-kappa) a + sqrt(kappa) b on the chosen pair, identity
-    elsewhere.  The relative sign is a fixed convention; it is unobservable
-    in every quantity computed from covariances and means.
-
-    Args:
-        kappa: transmission probability, 0 < kappa < 1.
-        mode_a: transmitted mode index (0-based).
-        mode_b: environment mode index (0-based).
-        n_modes: total number of modes.
-    """
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    if mode_a == mode_b or not (0 <= mode_a < n_modes and 0 <= mode_b < n_modes):
-        raise ValueError(f"invalid mode pair ({mode_a}, {mode_b}) for {n_modes} modes")
-    c = np.sqrt(kappa)
-    s = np.sqrt(1.0 - kappa)
-    eye2 = np.eye(2)
-    mat = np.eye(2 * n_modes)
-    a, b = 2 * mode_a, 2 * mode_b
-    mat[a:a + 2, a:a + 2] = c * eye2
-    mat[a:a + 2, b:b + 2] = -s * eye2
-    mat[b:b + 2, a:a + 2] = s * eye2
-    mat[b:b + 2, b:b + 2] = c * eye2
-    return GaussianUnitary(S=mat, d=np.zeros(2 * n_modes))
-
-
-def squeezer(r: float, mode: int = 0, n_modes: int = 1) -> GaussianUnitary:
-    """Single-mode squeezer: q -> e^{-r} q, p -> e^{r} p on the given mode."""
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"invalid mode {mode} for {n_modes} modes")
-    mat = np.eye(2 * n_modes)
-    i = 2 * mode
-    mat[i, i] = np.exp(-r)
-    mat[i + 1, i + 1] = np.exp(r)
-    return GaussianUnitary(S=mat, d=np.zeros(2 * n_modes))
-
-
-def phase_rotation(theta: float, mode: int = 0, n_modes: int = 1) -> GaussianUnitary:
-    """Phase-space rotation by theta on the given mode."""
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"invalid mode {mode} for {n_modes} modes")
-    mat = np.eye(2 * n_modes)
-    i = 2 * mode
-    c, s = np.cos(theta), np.sin(theta)
-    mat[i:i + 2, i:i + 2] = np.array([[c, s], [-s, c]])
-    return GaussianUnitary(S=mat, d=np.zeros(2 * n_modes))
-
-
-def displacement(d: np.ndarray) -> GaussianUnitary:
-    """Displacement by a phase-space vector d (length 2n)."""
-    d = np.asarray(d, dtype=float).reshape(-1)
-    return GaussianUnitary(S=np.eye(d.shape[0]), d=d)
-
-
-def tensor(*states: GaussianState) -> GaussianState:
-    """Tensor product of Gaussian states (block-diagonal covariance)."""
-    if not states:
-        raise ValueError("tensor requires at least one state")
-    mean = np.concatenate([st.mean for st in states])
-    cov = np.zeros((mean.shape[0], mean.shape[0]))
-    start = 0
-    for st in states:
-        stop = start + st.cov.shape[0]
-        cov[start:stop, start:stop] = st.cov
-        start = stop
-    return GaussianState(mean=mean, cov=cov)
-
-
-def partial_trace(state: GaussianState, keep) -> GaussianState:
-    """Reduced state on a subset of modes.
-
-    Args:
-        state: input Gaussian state.
-        keep: iterable of 0-based mode indices to retain; the output mode
-            order follows the sorted indices.
-    """
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep must contain at least one mode index")
-    if keep[0] < 0 or keep[-1] >= state.n_modes:
-        raise ValueError(f"mode indices {keep} out of range for {state.n_modes} modes")
-    idx = np.array([2 * k + off for k in keep for off in (0, 1)])
-    return GaussianState(mean=state.mean[idx], cov=state.cov[np.ix_(idx, idx)])
-
-
-def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    """Random symplectic matrix via exp(Delta H) with H random symmetric."""
-    from scipy.linalg import expm
-
-    h = rng.standard_normal((2 * n_modes, 2 * n_modes))
-    h = scale * (h + h.T) / 2.0
-    return expm(symplectic_form(n_modes) @ h)
-
-
-def random_physical_cov(
-    n_modes: int,
-    rng: np.random.Generator,
-    nu_max: float = 5.0,
-) -> np.ndarray:
-    """Random physical covariance T diag(nu x I2) T^T with nu in [1/2, nu_max]."""
-    t = random_symplectic(n_modes, rng)
-    nu = rng.uniform(0.5, nu_max, size=n_modes)
-    return t @ np.diag(np.repeat(nu, 2)) @ t.T

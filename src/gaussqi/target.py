@@ -9,9 +9,9 @@ which makes a vacuum transmitter unable to see the target at all.
 
 `pair_moments` writes the hypothesis-pair moments once, in closed form and
 plain arithmetic; `make_pair` (float64) and `highprec` (mpmath) both build
-on it.  `dilated_present` and `target_present` construct the same channel
-independently, through the beamsplitter dilation, as the reference route
-the closed form is tested against.
+on it.  `reference.target_present` constructs the same channel
+independently, through the beamsplitter dilation, as the route the closed
+form is tested against.
 """
 
 from __future__ import annotations
@@ -20,25 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (
-    GaussianState,
-    apply_unitary,
-    beamsplitter,
-    partial_trace,
-    tensor,
-)
-from .transmitters import (
-    TransmitterSpec,
-    _check_nonnegative,
-    _check_probe,
-    probe_moments,
-    thermal_state,
-)
+from .symplectic import GaussianState
+from .transmitters import TransmitterSpec, _check_nonnegative, _check_probe, probe_moments
 
 MODELS = ("agnostic", "legacy")
-
-# Transmitted mode is always the first mode of the probe; memory modes follow.
-TRANSMITTED_MODE = 0
 
 
 def _check_target(kappa, n_b, model: str) -> None:
@@ -86,29 +71,6 @@ class HypothesisPair:
     config: TargetConfig
     transmitter: TransmitterSpec
     degenerate: bool = False
-
-
-def dilated_present(probe: GaussianState, cfg: TargetConfig) -> GaussianState:
-    """Joint probe+environment state after reflection, before tracing.
-
-    Appends the thermal environment as the last mode and applies the
-    beamsplitter between the transmitted mode and the environment.  For the
-    two-mode entangled probe this exposes the full 6x6 covariance.
-    """
-    env = thermal_state(cfg.effective_n_b)
-    joint = tensor(probe, env)
-    u = beamsplitter(cfg.kappa, TRANSMITTED_MODE, probe.n_modes, probe.n_modes + 1)
-    return apply_unitary(joint, u)
-
-
-def target_present(probe: GaussianState, cfg: TargetConfig) -> GaussianState:
-    """State received under the 'target present' hypothesis.
-
-    Built by the dilation route: tensor a thermal mode, beamsplit with the
-    transmitted mode, trace out the environment.
-    """
-    out = dilated_present(probe, cfg)
-    return partial_trace(out, keep=range(probe.n_modes))
 
 
 def pair_moments(kind: str, n_s, n_b, kappa, model: str = "agnostic"):

@@ -11,18 +11,19 @@ import numpy as np
 import pytest
 
 from gaussqi import highprec
-from gaussqi.divergence import chernoff, fidelity, q_s_alt, q_s_coherent_closed, q_s_general
+from gaussqi.divergence import chernoff, fidelity, q_s_general
 from gaussqi.fock_oracle import choose_cutoff, hypothesis_pair_fock, q_s_fock
-from gaussqi.sweeps import reproduce_figure, verify_expansion
-from gaussqi.symplectic import (
+from gaussqi.reference import (
     beamsplitter,
     phase_rotation,
+    q_s_alt,
+    q_s_coherent_closed,
     random_physical_cov,
     random_symplectic,
     squeezer,
-    symplectic_form,
-    williamson,
 )
+from gaussqi.sweeps import reproduce_figure, verify_expansion
+from gaussqi.symplectic import symplectic_form, williamson
 from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import TransmitterSpec, coherent, smsv, thermal_state, vacuum
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gaussqi.cli import main, parse_grid, read_plan
-from gaussqi.sweeps import CHECKS, parse_csv
+from gaussqi.sweeps import CHECKS
+from sweep_csv import parse_csv
 
 
 def test_parse_grid_forms():
@@ -121,6 +122,27 @@ def test_plan_rejects_malformed_range(tmp_path, capsys):
     assert "plan.txt:1: 'nb': cannot parse grid 'log:1:10'; expected log:lo:hi:n" in err
 
 
+def test_chernoff_command_never_prints_negative_xi(capsys):
+    # a flat pair whose log Q_{1/2} rounds to just above 0 printed -1.8e-15
+    argv = ["chernoff", "--transmitter", "smsv", "--ns", "1e-4", "--nb", "1e4",
+            "--kappa", "1e-4", "--model", "legacy"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "xi       = 0\n" in out
+    assert "flags    = flat\n" in out
+
+
+def test_plan_rejects_unknown_format_before_any_point(tmp_path, capsys, monkeypatch):
+    def refuse(plan):
+        raise AssertionError("a plan with a bad format must not be evaluated")
+
+    monkeypatch.setattr("gaussqi.cli.run_sweep", refuse)
+    plan = tmp_path / "plan.txt"
+    plan.write_text("ns = 0.5\nformat = xml\n")
+    assert main(["sweep", str(plan)]) == 1
+    assert "plan.txt:2: 'format': unknown format 'xml'" in capsys.readouterr().err
+
+
 def test_chernoff_command_prints_edge_flag(capsys):
     argv = ["chernoff", "--transmitter", "tmss", "--ns", "1", "--nb", "0", "--kappa", "0.1"]
     assert main(argv) == 0
@@ -174,7 +196,8 @@ def test_figure_rejects_grid_flags(capsys):
 def test_read_plan_defaults(tmp_path):
     plan = tmp_path / "p.txt"
     plan.write_text("nb = 3.0\n")
-    parsed = read_plan(str(plan))
+    parsed, out_path, out_format = read_plan(str(plan))
     assert parsed.transmitters == ("coherent",)
     assert parsed.n_b_grid == (3.0,)
-    assert parsed.out_format == "csv"
+    assert out_path is None
+    assert out_format == "csv"

@@ -40,10 +40,12 @@ def test_demo_runs(name, tmp_path):
 
 def test_import_loads_no_scipy(tmp_path):
     # scipy is needed only by the Fock oracle's beamsplitter and by
-    # random_symplectic, which import it when they run.
+    # random_symplectic, which import it when they run; the second routes
+    # are imported only by those who check against them.
     code = (
         "import sys, gaussqi, gaussqi.cli\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                or m in ('gaussqi.reference', 'gaussqi.fock_oracle'))\n"
         "sys.exit(', '.join(loaded) or None)"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_env(),

@@ -10,11 +10,10 @@ from gaussqi.divergence import (
     lambda_factor,
     lambda_slope,
     log_g_slope,
-    q_s_alt,
-    q_s_coherent_closed,
     q_s_general,
 )
-from gaussqi.symplectic import GaussianState, apply_unitary, phase_rotation
+from gaussqi.reference import apply_unitary, phase_rotation, q_s_alt, q_s_coherent_closed
+from gaussqi.symplectic import GaussianState
 from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import coherent, smsv, thermal_state, tmss, vacuum
 

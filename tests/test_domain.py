@@ -4,8 +4,8 @@ with the same message, from the checks in transmitters and target."""
 import pytest
 
 from gaussqi import highprec
-from gaussqi.divergence import q_s_coherent_closed
 from gaussqi.fock_oracle import thermal_fock
+from gaussqi.reference import q_s_coherent_closed
 from gaussqi.sweeps import SweepPlan
 from gaussqi.target import TargetConfig, pair_stack
 from gaussqi.transmitters import TransmitterSpec

@@ -137,7 +137,7 @@ def test_q_s_fock_matches_gaussian_thermal():
 
 
 def test_q_s_alt_oracle_anchor():
-    from gaussqi.divergence import q_s_alt
+    from gaussqi.reference import q_s_alt
 
     a = q_s_fock(thermal_fock(1.0, 120), thermal_fock(2.0, 120), 0.5)
     b = q_s_general(thermal_state(1.0), thermal_state(2.0), 0.5)

@@ -4,7 +4,8 @@ Points are drawn from the moderate box kappa in [1e-3, 0.1], N_S in
 [1e-3, 10], N_B in [1e-3, 100] (log-uniform), for every transmitter and
 both target models.  The float64 floor of log Q_s grows with the background:
 the G and Lambda factors difference (x+1)^p and (x-1)^p at x ~ 2 N_B + 1,
-so absolute tolerances below carry a 1e-15 (1 + N_B) term.
+so absolute tolerances below carry a 1e-15 (1 + N_B) term.  The
+cross-route test at the end draws from its own box, CROSS_ROUTE_BOX.
 """
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gaussqi import highprec
 from gaussqi.divergence import _S_EDGE, _geometry, _PairGeometry, chernoff, chernoff_many, q_s_general
+from gaussqi.reference import q_s_alt, random_symplectic
 from gaussqi.sweeps import SweepPlan, run_sweep
-from gaussqi.symplectic import random_symplectic
 from gaussqi.target import MODELS, HypothesisPair, TargetConfig, make_pair, pair_stack
 from gaussqi.transmitters import KINDS, TransmitterSpec
 
@@ -180,3 +182,55 @@ def test_stacked_overlap_invariants(s, seed, kind, model, logs):
     sym = random_symplectic(mean0.shape[-1] // 2, np.random.default_rng(seed), scale=0.3)
     moved = log_q(mean0 @ sym.T, sym @ cov0 @ sym.T, mean1 @ sym.T, sym @ cov1 @ sym.T)
     assert np.all(np.abs(moved - value) <= 1e-9 * np.abs(value) + floor)
+
+
+CROSS_ROUTE_BOX = dict(
+    kind=st.sampled_from(KINDS),
+    model=st.sampled_from(MODELS),
+    kappa=st.floats(1e-2, 0.5),
+    n_s=st.floats(1e-2, 20.0),
+    n_b=st.floats(1e-2, 20.0),
+    s=st.floats(0.1, 0.9),
+)
+
+
+def _cross_route_misses() -> list:
+    """Points of CROSS_ROUTE_BOX where a float64 route misses the mpmath -log Q_s.
+
+    The routes are q_s_general everywhere and reference.q_s_alt on the
+    single-mode zero-mean pairs; a miss is a relative deviation above 1e-10,
+    returned as (deviation, route, kind, model, kappa, n_s, n_b, s).
+    Hypothesis only draws the points, so every point is evaluated and the
+    misses are reported together, without shrinking.
+    """
+    misses = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**CROSS_ROUTE_BOX)
+    def evaluate(kind, model, kappa, n_s, n_b, s):
+        n_s = 0.0 if kind == "vacuum" else n_s
+        cfg = TargetConfig(kappa=kappa, n_b=n_b, model=model)
+        pair = make_pair(TransmitterSpec(kind, n_s), cfg)
+        assume(not pair.degenerate)
+        exact = -float(highprec.log_q_s(kind, n_s, n_b, kappa, s, model))
+        routes = (q_s_general, q_s_alt) if kind in ("vacuum", "smsv") else (q_s_general,)
+        for route in routes:
+            deviation = abs(-np.log(route(pair.rho0, pair.rho1, s)) - exact) / exact
+            if deviation > 1e-10:
+                misses.append((deviation, route.__name__, kind, model, kappa, n_s, n_b, s))
+
+    evaluate()
+    return misses
+
+
+# float64 log Q_s carries an absolute error of a few eps, so where -log Q_s
+# is small (low kappa, low N_S or N_B) its relative error passes 1e-10.
+# Of this test's points, vacuum at kappa = N_B = 0.01, s = 0.1 misses by
+# 4.4e-9 (q_s_general) and 3.1e-9 (q_s_alt); the worst point found on the
+# box, legacy smsv at N_S = kappa = 0.01, N_B = 20, s = 0.1, misses by
+# 4.5e-6.  That is ROADMAP direction 2's cancellation defect: once it is
+# fixed this test passes, and strict=True makes that fail until the mark goes.
+@pytest.mark.xfail(strict=True, reason="float64 -log Q_s cancels where it is small")
+def test_float64_routes_match_highprec():
+    misses = _cross_route_misses()
+    assert not misses, f"{len(misses)} misses, worst {max(misses)}"

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -14,14 +15,13 @@ from gaussqi.sweeps import (
     SweepRow,
     emit,
     limit_order_study,
-    parse_csv,
     reproduce_figure,
-    rows_to_csv,
     run_sweep,
     verify_expansion,
 )
 from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import TransmitterSpec
+from sweep_csv import parse_csv
 
 
 def small_plan(**overrides):
@@ -53,8 +53,10 @@ def test_run_sweep_shape_and_determinism():
     rows = run_sweep(plan)
     # vacuum collapses the n_s grid to a single zero-intensity point
     assert len(rows) == (1 + 1) * 2 * 1 * 2
-    again = rows_to_csv(run_sweep(plan))
-    assert rows_to_csv(rows) == again
+    first, again = io.StringIO(), io.StringIO()
+    emit(rows, first)
+    emit(run_sweep(plan), again)
+    assert first.getvalue() == again.getvalue()
 
 
 def test_vacuum_rows_have_zero_intensity():

@@ -3,21 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussqi.symplectic import (
-    GaussianState,
+from gaussqi.reference import (
     GaussianUnitary,
     apply_unitary,
     beamsplitter,
-    displacement,
     partial_trace,
     phase_rotation,
     random_physical_cov,
     random_symplectic,
     squeezer,
+    tensor,
+)
+from gaussqi.symplectic import (
+    GaussianState,
     symplectic_eigenvalues,
     symplectic_form,
     symplectic_inverse,
-    tensor,
     williamson,
 )
 from gaussqi.target import TargetConfig, make_pair
@@ -145,15 +146,7 @@ def test_gaussian_state_validation():
 
 def test_gaussian_unitary_rejects_non_symplectic():
     with pytest.raises(ValueError):
-        GaussianUnitary(S=2.0 * np.eye(2), d=np.zeros(2))
-
-
-def test_displacement_moves_only_mean():
-    n_s = 4.0
-    vac = GaussianState(np.zeros(2), 0.5 * np.eye(2))
-    out = apply_unitary(vac, displacement(np.array([np.sqrt(2 * n_s), 0.0])))
-    assert np.allclose(out.mean, [2 * np.sqrt(2), 0.0])
-    assert np.allclose(out.cov, 0.5 * np.eye(2))
+        GaussianUnitary(S=2.0 * np.eye(2))
 
 
 def test_thermal_isotropy_under_rotation():

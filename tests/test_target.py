@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussqi.reference import dilated_present, target_present
 from gaussqi.symplectic import GaussianState, symplectic_eigenvalues
-from gaussqi.target import (
-    TargetConfig,
-    dilated_present,
-    make_pair,
-    pair_moments,
-    target_present,
-)
+from gaussqi.target import TargetConfig, make_pair, pair_moments
 from gaussqi.transmitters import (
     KINDS,
     TransmitterSpec,
