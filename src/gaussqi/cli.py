@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .divergence import chernoff
+from .divergence import S_TOL, chernoff
 from .sweeps import (
     CHECKS,
     FIGURES,
@@ -147,7 +147,7 @@ def read_plan(path: str, out_override=None, format_override=None):
 
 
 def _cmd_chernoff(args) -> int:
-    spec = TransmitterSpec(args.transmitter, 0.0 if args.transmitter == "vacuum" else args.ns)
+    spec = TransmitterSpec(args.transmitter, args.ns)
     cfg = TargetConfig(kappa=args.kappa, n_b=args.nb, model=args.model)
     pair = make_pair(spec, cfg)
     res = chernoff(pair, s_tol=args.tol)
@@ -225,7 +225,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nb", type=float, required=True, help="background occupation N_B")
     p.add_argument("--kappa", type=float, required=True, help="reflectivity")
     p.add_argument("--model", choices=MODELS, default="agnostic")
-    p.add_argument("--tol", type=float, default=1e-7, help="absolute s tolerance")
+    p.add_argument("--tol", type=float, default=S_TOL, help="absolute s tolerance")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(func=_cmd_chernoff)

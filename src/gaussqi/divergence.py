@@ -34,22 +34,13 @@ def _check_s(s: float) -> float:
     return s
 
 
-def _doubled(x) -> np.ndarray:
-    """Clamp doubled symplectic eigenvalues to the physical domain x >= 1.
-
-    Pure-state eigenvalues land at x = 1 up to rounding; the clamp realizes
-    the 0^p = 0 convention instead of pow of a negative residual.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 1.0 - 1e-9):
-        raise ValueError(f"unphysical doubled symplectic eigenvalue {x.min()} < 1")
-    return np.maximum(x, 1.0)
-
-
 class _Factors:
-    """The part of the factor helpers that depends on x alone, computed once.
+    """The factors G_p(x), Lambda_p(x) and their p-slopes, for 0 < p < 1.
 
-    x is clamped to x >= 1, and every factor is written through
+    x holds doubled symplectic eigenvalues.  The caller checks physicality;
+    x is only clamped to x >= 1, so a pure mode that rounding put just
+    below 1 realises the 0^p = 0 convention instead of pow of a negative
+    residual.  Every factor is written through
     L = ln((x+1)/(x-1)) = log1p(2/(x-1)), which does not cancel as p -> 0
     or x -> inf.  At a pure mode (x = 1) L is inf: e^{-pL} = 0 and
     tanh(pL/2) = 1 give G_p = Lambda_p = 1 exactly, and both slopes are
@@ -57,7 +48,7 @@ class _Factors:
     """
 
     def __init__(self, x):
-        self.x = _doubled(x)
+        self.x = np.maximum(np.asarray(x, dtype=float), 1.0)
         self.pure = self.x == 1.0
         with np.errstate(divide="ignore"):
             self.log_ratio = np.log1p(2.0 / (self.x - 1.0))
@@ -71,54 +62,34 @@ class _Factors:
         return sub
 
     def g(self, p):
+        """G_p(x) = 2^p / ((x+1)^p - (x-1)^p), as 2^p / ((x+1)^p (1 - e^{-pL}))."""
         return 2.0**p / ((self.x + 1.0) ** p * -np.expm1(-p * self.log_ratio))
 
     def lam(self, p):
+        """Lambda_p(x) = ((x+1)^p + (x-1)^p) / ((x+1)^p - (x-1)^p) = coth(pL/2)."""
         return 1.0 / np.tanh(0.5 * p * self.log_ratio)
 
     def log_g_slope(self, p):
+        """d/dp log G_p(x) = log 2 - ln(x+1) - L / expm1(pL).
+
+        log 2 - ln(x+1) is evaluated as -log1p((x-1)/2), which does not
+        cancel as x -> 1.
+        """
         ratio = self._finite_ratio
         tail = np.where(self.pure, 0.0, ratio / np.expm1(p * ratio))
         return -np.log1p(0.5 * (self.x - 1.0)) - tail
 
     def lam_slope(self, p):
+        """d/dp Lambda_p(x) = -L / (2 sinh^2(pL/2))."""
         ratio = self._finite_ratio
         return np.where(self.pure, 0.0, -0.5 * ratio / np.sinh(0.5 * p * ratio) ** 2)
-
-
-def g_factor(p: float, x):
-    """G_p(x) = 2^p / ((x+1)^p - (x-1)^p) for x >= 1, 0 < p < 1.
-
-    Evaluated as 2^p / ((x+1)^p (1 - e^{-pL})) with L = ln((x+1)/(x-1)).
-    Like the other factor helpers, p may be an array matching x.
-    """
-    return _Factors(x).g(p)
-
-
-def lambda_factor(p: float, x):
-    """Lambda_p(x) = ((x+1)^p + (x-1)^p) / ((x+1)^p - (x-1)^p) = coth(pL/2) for x >= 1."""
-    return _Factors(x).lam(p)
-
-
-def log_g_slope(p: float, x):
-    """d/dp log G_p(x) = log 2 - ln(x+1) - L / expm1(pL), with L as in g_factor.
-
-    log 2 - ln(x+1) is evaluated as -log1p((x-1)/2), which does not cancel
-    as x -> 1.
-    """
-    return _Factors(x).log_g_slope(p)
-
-
-def lambda_slope(p: float, x):
-    """d/dp Lambda_p(x) = -L / (2 sinh^2(pL/2)), with L as in g_factor."""
-    return _Factors(x).lam_slope(p)
 
 
 class _PairGeometry:
     """Williamson data of a stack of state pairs, reused across evaluations in s.
 
     Pairs are stacked along the first axis: means (N, 2n) and covariances
-    (N, 2n, 2n).  log_q and log_q_and_slope take one s per pair.  Every
+    (N, 2n, 2n).  log_q_and_slope takes one s per pair.  Every
     step is elementwise across the stack or a LAPACK/BLAS call per pair, and
     no stacked array meets a shared 2-D operand in a product (that would
     become one BLAS call over all rows), so a pair's numbers do not depend
@@ -175,19 +146,14 @@ class _PairGeometry:
                     ) from exc
             raise
 
-    def _log_q(self, p: np.ndarray, chol: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """log Q_s from the Cholesky factors L of Sigma(s) and z = L^-1 delta."""
-        log_g = np.log(self.factors.g(p)).sum(axis=-1)
-        half_logdet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-        return self.n * np.log(2.0) + log_g - half_logdet - 0.5 * (z * z).sum(axis=-1)
-
-    def log_q(self, s: np.ndarray) -> np.ndarray:
-        p = self._orders(s)
-        chol = self._cholesky(s, p)
-        return self._log_q(p, chol, np.linalg.solve(chol, self._rhs[..., :1])[..., 0])
-
     def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log Q_s and d/ds log Q_s from one Sigma(s) and one Cholesky factor per pair.
+
+        The package's one evaluation of log Q_s (see q_s_general); callers
+        that want the value alone drop the slope.  With the Cholesky factor L
+        of Sigma(s) and z = L^-1 delta,
+
+            log Q_s = n log 2 + sum log G - sum_j log L_jj - z^T z / 2.
 
         With y = Sigma^-1 delta and
         dSigma = T0 [⊕ dLambda_s(x0) I2] T0^T - T1 [⊕ dLambda_{1-s}(x1) I2] T1^T:
@@ -198,7 +164,7 @@ class _PairGeometry:
 
         Both terms run through A = L^-1 [T0 T1]: for a diagonal D in those
         frames, tr(Sigma^-1 T D T^T) is sum_jk A_jk^2 D_k, and T^T y is
-        A^T z with z = L^-1 delta.
+        A^T z.
         """
         p = self._orders(s)
         chol = self._cholesky(s, p)
@@ -208,10 +174,10 @@ class _PairGeometry:
         w = (z[..., None] * a).sum(axis=-2)
         slope = (self._sign * self.factors.log_g_slope(p)).sum(axis=-1)
         slope -= 0.5 * (((a * a).sum(axis=-2) - w * w) * d_sigma).sum(axis=-1)
-        return self._log_q(p, chol, z), slope
-
-    def q(self, s: np.ndarray) -> np.ndarray:
-        return np.minimum(np.exp(self.log_q(s)), 1.0)
+        log_g = np.log(self.factors.g(p)).sum(axis=-1)
+        half_logdet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+        log_q = self.n * np.log(2.0) + log_g - half_logdet - 0.5 * (z * z).sum(axis=-1)
+        return log_q, slope
 
 
 def _geometry(rho0: GaussianState, rho1: GaussianState) -> _PairGeometry:
@@ -230,7 +196,8 @@ def q_s_general(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
         Q_s = 2^n prod_k G_s(2 nu0_k) G_{1-s}(2 nu1_k) / sqrt(det Sigma(s))
               * exp(-delta^T Sigma(s)^{-1} delta / 2)
     """
-    return float(_geometry(rho0, rho1).q(np.array([_check_s(s)]))[0])
+    log_q = _geometry(rho0, rho1).log_q_and_slope(np.array([_check_s(s)]))[0][0]
+    return float(min(np.exp(log_q), 1.0))
 
 
 @dataclass(frozen=True)
@@ -245,12 +212,11 @@ class ChernoffResult:
     xi: float
     q_half: float
     converged: bool
-    s_tol: float
     flags: tuple = ()
     n_evals: int = 0
 
 
-def _slope_root(evaluate, lo, d_lo, hi, d_hi, s_tol: float, max_iter: int):
+def _slope_root(evaluate, lo, d_lo, hi, d_hi, s_tol: float):
     """Lowest log Q_s seen by a safeguarded secant search on the slope.
 
     Runs for a stack of pairs at once: lo, d_lo, hi, d_hi are arrays with
@@ -278,7 +244,7 @@ def _slope_root(evaluate, lo, d_lo, hi, d_hi, s_tol: float, max_iter: int):
     # The sign of the last slope: +1 kept lo (replaced hi), -1 kept hi, 0 before any step.
     kept = np.zeros(at.size)
     ref_width, stalled = hi - lo, np.zeros(at.size, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if at.size == 0:
             break
         s = np.where(stalled >= 3, 0.5 * (lo + hi), (lo * w_hi - hi * w_lo) / (w_hi - w_lo))
@@ -310,7 +276,7 @@ def _slope_root(evaluate, lo, d_lo, hi, d_hi, s_tol: float, max_iter: int):
     return out_s, out_v, converged
 
 
-def chernoff(pair: HypothesisPair, s_tol: float = S_TOL, max_iter: int = MAX_ITER) -> ChernoffResult:
+def chernoff(pair: HypothesisPair, s_tol: float = S_TOL) -> ChernoffResult:
     """Minimize Q_s over s in (0, 1) by a root search on d/ds log Q_s.
 
     log Q_s is convex in s (Audenaert et al., PRL 98, 160501 (2007)), so the
@@ -321,7 +287,7 @@ def chernoff(pair: HypothesisPair, s_tol: float = S_TOL, max_iter: int = MAX_ITE
     the zero of the slope to within s_tol.  Degenerate pairs short-circuit
     to xi = 0 with a "degenerate" flag.  If log Q_s varies by less than
     FLAT_SPAN over [0.05, 0.95] the minimizer would chase noise, so s* = 1/2
-    is reported with a "flat" flag.  Failure to converge within max_iter
+    is reported with a "flat" flag.  Failure to converge within MAX_ITER
     search steps is flagged "maxiter", never silent.  xi is max(-log Q, 0):
     rounding can push log Q_s of a near-identical pair just above 0.
 
@@ -330,12 +296,12 @@ def chernoff(pair: HypothesisPair, s_tol: float = S_TOL, max_iter: int = MAX_ITE
     rho0, rho1 = pair.rho0, pair.rho1
     return chernoff_many(
         rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None],
-        [pair.degenerate], s_tol, max_iter,
+        [pair.degenerate], s_tol,
     )[0]
 
 
-def chernoff_many(mean0, cov0, mean1, cov1, degenerate, s_tol: float = S_TOL,
-                  max_iter: int = MAX_ITER) -> list[ChernoffResult]:
+def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
+                  s_tol: float = S_TOL) -> list[ChernoffResult]:
     """`chernoff` for every pair of a stack, one numpy pass per search step.
 
     Pairs are stacked along the first axis: means (N, 2n), covariances
@@ -354,7 +320,7 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate, s_tol: float = S_TOL,
     if not 0.0 < s_tol < 0.5 - _S_EDGE:
         raise ValueError(f"s_tol must lie in (0, {0.5 - _S_EDGE}), got {s_tol}")
     degenerate = np.asarray(degenerate, dtype=bool).reshape(-1)
-    results = [ChernoffResult(0.5, 1.0, 0.0, 1.0, True, s_tol, ("degenerate",))] * degenerate.size
+    results = [ChernoffResult(0.5, 1.0, 0.0, 1.0, True, ("degenerate",))] * degenerate.size
     live = np.flatnonzero(~degenerate)
     if live.size == 0:
         return results
@@ -390,7 +356,7 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate, s_tol: float = S_TOL,
                 lambda s, idx: evaluate(s, i[idx]),
                 np.where(low_end, end, 0.5), np.where(low_end, d_end, d_mid),
                 np.where(low_end, 0.5, end), np.where(low_end, d_mid, d_end),
-                s_tol, max_iter,
+                s_tol,
             )
         # Noise-level non-minimum; fall back to the Bhattacharyya point.
         i = moving[log_q_half[moving] < log_q_star[moving]]
@@ -401,8 +367,8 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate, s_tol: float = S_TOL,
     flat = np.zeros(m, dtype=bool)
     near = np.flatnonzero(log_q_half - log_q_star < 2.0 * FLAT_SPAN)
     if near.size:
-        sub = geom.take(near)
-        ends = np.stack((sub.log_q(np.full(near.size, 0.05)), sub.log_q(np.full(near.size, 0.95))))
+        sub = geom.take(np.concatenate((near, near)))
+        ends = sub.log_q_and_slope(np.repeat((0.05, 0.95), near.size))[0].reshape(2, -1)
         n_evals[near] += 2
         inside = (0.05 <= s_star[near]) & (s_star[near] <= 0.95)
         low = np.where(inside, log_q_star[near], np.minimum(ends.min(axis=0), log_q_half[near]))
@@ -424,7 +390,7 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate, s_tol: float = S_TOL,
         n_evals.tolist(),
     )
     for j, s, q, xi, q_mid, conv, fl, count in zip(*columns):
-        results[j] = ChernoffResult(s, q, xi, q_mid, conv, s_tol, fl, count)
+        results[j] = ChernoffResult(s, q, xi, q_mid, conv, fl, count)
     return results
 
 
@@ -434,7 +400,7 @@ def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
         raise ValueError(f"n_copies must be a non-negative integer, got {n_copies}")
     if pair.degenerate:
         return 0.5
-    log_q_half = _geometry(pair.rho0, pair.rho1).log_q(np.array([0.5]))[0]
+    log_q_half = _geometry(pair.rho0, pair.rho1).log_q_and_slope(np.array([0.5]))[0][0]
     return float(0.5 * np.exp(n_copies * min(log_q_half, 0.0)))
 
 

@@ -20,6 +20,9 @@ import mpmath as mp
 
 from .target import pair_moments
 
+# Working precision, in decimal digits, of every evaluation in this module.
+DPS = 60
+
 
 def _mp_symplectic_form(n: int) -> mp.matrix:
     delta = mp.zeros(2 * n)
@@ -106,42 +109,38 @@ def _log_q_at(geometry, s):
     return n * mp.log(2) + log_g - mp.log(mp.det(sig)) / 2 - quad / 2
 
 
-def _log_q(mean0, cov0, mean1, cov1, s):
-    return _log_q_at(_geometry(mean0, cov0, mean1, cov1), s)
-
-
 @lru_cache(maxsize=8)
-def _pair_geometry(kind: str, n_s, n_b, kappa, model: str, dps: int):
+def _pair_geometry(kind: str, n_s, n_b, kappa, model: str):
     # Only mp numbers are kept: a sweep over s reuses the two mpmath
     # Williamson decompositions of its point, which dominate each call.
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         return _geometry(*pair_moments(kind, mp.mpf(n_s), mp.mpf(n_b), mp.mpf(kappa), model))
 
 
-def log_q_s(kind: str, n_s, n_b, kappa, s, model: str = "agnostic", dps: int = 60) -> mp.mpf:
+def log_q_s(kind: str, n_s, n_b, kappa, s, model: str = "agnostic") -> mp.mpf:
     """High-precision log Q_s for a transmitter/target configuration, 0 < s < 1."""
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         s = mp.mpf(s)
         if not 0 < s < 1:
             raise ValueError(f"s must lie in (0, 1), got {s}")
-        return _log_q_at(_pair_geometry(kind, n_s, n_b, kappa, model, dps), s)
+        return _log_q_at(_pair_geometry(kind, n_s, n_b, kappa, model), s)
 
 
-def log_q_half(kind: str, n_s, n_b, kappa, model: str = "agnostic", dps: int = 60) -> mp.mpf:
+def log_q_half(kind: str, n_s, n_b, kappa, model: str = "agnostic") -> mp.mpf:
     """High-precision log Q_{1/2} for a transmitter/target configuration."""
-    return log_q_s(kind, n_s, n_b, kappa, 0.5, model=model, dps=dps)
+    return log_q_s(kind, n_s, n_b, kappa, 0.5, model=model)
 
 
-def q_half_deficit(kind: str, n_s, n_b, kappa, model: str = "agnostic", dps: int = 60) -> float:
+def q_half_deficit(kind: str, n_s, n_b, kappa, model: str = "agnostic") -> float:
     """High-precision 1 - Q_{1/2}, taken to float only at the end."""
-    with mp.workdps(dps):
-        return float(-mp.expm1(log_q_half(kind, n_s, n_b, kappa, model, dps=dps)))
+    with mp.workdps(DPS):
+        return float(-mp.expm1(log_q_half(kind, n_s, n_b, kappa, model)))
 
 
-def exponent_ratio(n_s, n_b, kappa, model: str = "agnostic", dps: int = 60) -> float:
+def exponent_ratio(n_s, n_b, kappa, model: str = "agnostic") -> float:
     """Ratio of Bhattacharyya exponents, entangled over coherent transmitter,
     at matched signal intensity."""
-    with mp.workdps(dps):
-        num = -log_q_half("tmss", n_s, n_b, kappa, model, dps=dps)
-        den = -log_q_half("coherent", n_s, n_b, kappa, model, dps=dps)
+    with mp.workdps(DPS):
+        num = -log_q_half("tmss", n_s, n_b, kappa, model)
+        den = -log_q_half("coherent", n_s, n_b, kappa, model)
         return float(num / den)

@@ -23,7 +23,7 @@ import numpy as np
 from . import highprec
 # chernoff stays importable from here: the benchmark's tracer tests read
 # gaussqi.sweeps.chernoff.
-from .divergence import chernoff, chernoff_many, fidelity_many, lambda_factor  # noqa: F401
+from .divergence import _Factors, chernoff, chernoff_many, fidelity_many  # noqa: F401
 from .symplectic import symplectic_eigenvalues
 from .target import _check_target, pair_stack
 from .transmitters import _check_kind, _check_nonnegative
@@ -410,6 +410,11 @@ def _order_check(name, parameters, xs, residuals, expected, details=None,
                           details or {}, passed)
 
 
+def _lambda_sum(s: float, n_b: float, kappa: float) -> float:
+    """Lambda_s(2N_B+1) + Lambda_{1-s}(2(1-k)N_B+1), which both Lambda-sum checks expand."""
+    return float(_Factors(2 * n_b + 1).lam(s) + _Factors(2 * (1 - kappa) * n_b + 1).lam(1 - s))
+
+
 def _check_bright_lambda_sum(name: str) -> ExpansionCheck:
     # Lambda_s(2N_B+1) + Lambda_{1-s}(2(1-k)N_B+1) -> (2N_B(1-ks)+1)/(s(1-s))
     # with O(1/N_B) residual, uniformly over the tested s.
@@ -420,9 +425,7 @@ def _check_bright_lambda_sum(name: str) -> ExpansionCheck:
     for n_b in n_bs:
         worst = 0.0
         for s in s_values:
-            exact = float(
-                lambda_factor(s, 2 * n_b + 1) + lambda_factor(1 - s, 2 * (1 - kappa) * n_b + 1)
-            )
+            exact = _lambda_sum(s, n_b, kappa)
             model = (2 * n_b * (1 - kappa * s) + 1) / (s * (1 - s))
             worst = max(worst, abs(exact - model))
         resid.append(worst)
@@ -439,9 +442,7 @@ def _check_dim_lambda_sum(name: str) -> ExpansionCheck:
     for s in (0.5, 0.3, 0.7):
         resid = []
         for n_b in n_bs:
-            exact = float(
-                lambda_factor(s, 2 * n_b + 1) + lambda_factor(1 - s, 2 * (1 - kappa) * n_b + 1)
-            )
+            exact = _lambda_sum(s, n_b, kappa)
             model = 2 + 2 * (n_b**s + n_b ** (1 - s))
             resid.append(abs(exact - model))
         expected = min(1.0, 2 * s, 2 * (1 - s))

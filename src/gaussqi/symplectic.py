@@ -63,11 +63,6 @@ def symplectic_inverse(s: np.ndarray) -> np.ndarray:
     return (signs[:, None] * st[..., order, :])[..., order] * signs
 
 
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a covariance matrix, ascending: williamson(cov).nu."""
-    return williamson(cov).nu
-
-
 def _check_physical(nu) -> None:
     """Reject symplectic eigenvalues below 1/2 by more than PHYSICALITY_TOL."""
     nu_min = np.min(nu, initial=np.inf)
@@ -139,6 +134,42 @@ class WilliamsonDecomposition:
     S: np.ndarray
 
 
+def _spectrum(cov: np.ndarray, where: str):
+    """The first half of williamson: everything up to the symplectic eigenvalues.
+
+    Returns the symmetrised covariance sigma, sigma^{-1/2}, nu (ascending)
+    and the eigenvectors of -i sigma^{-1/2} Delta sigma^{-1/2} that belong
+    to the positive eigenvalues 1/nu, in the order of nu.
+    """
+    sigma = _validated_cov(cov, where)
+    n = sigma.shape[-1] // 2
+
+    evals, evecs = np.linalg.eigh(sigma)
+    if evals[..., 0].min(initial=np.inf) < MIN_COV_EIGENVALUE:
+        raise ValueError(
+            f"covariance not positive definite: min eigenvalue {evals.min():.3e} "
+            f"< {MIN_COV_EIGENVALUE}"
+        )
+    root_inv = (evecs * evals[..., None, :] ** -0.5) @ np.swapaxes(evecs, -1, -2)
+    order, signs = _form_permutation(2 * n)
+    anti = (root_inv[..., order] * signs) @ root_inv
+    anti = 0.5 * (anti - np.swapaxes(anti, -1, -2))
+
+    rates, vecs = np.linalg.eigh(-1j * anti)
+    # eigh sorts the rates ascending; the last n are the positive ones, and
+    # taking them from the top puts nu = 1 / rate in ascending order.
+    return sigma, root_inv, 1.0 / rates[..., n:][..., ::-1], vecs[..., n:][..., ::-1]
+
+
+def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of a covariance matrix, or a stack of them, ascending.
+
+    The first half of `williamson`, bit for bit its nu, without building S.
+    Raises ValueError on the inputs `williamson` rejects before S.
+    """
+    return _spectrum(cov, "symplectic_eigenvalues")[2]
+
+
 def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
     """Williamson decomposition of a positive-definite covariance matrix.
 
@@ -164,26 +195,10 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
             input (min eigenvalue below MIN_COV_EIGENVALUE), or failure of
             the internal invariant check.
     """
-    sigma = _validated_cov(cov, "williamson")
+    sigma, root_inv, nu, pos = _spectrum(cov, "williamson")
     dim = sigma.shape[-1]
     n = dim // 2
-
-    evals, evecs = np.linalg.eigh(sigma)
-    if evals[..., 0].min(initial=np.inf) < MIN_COV_EIGENVALUE:
-        raise ValueError(
-            f"covariance not positive definite: min eigenvalue {evals.min():.3e} "
-            f"< {MIN_COV_EIGENVALUE}"
-        )
-    root_inv = (evecs * evals[..., None, :] ** -0.5) @ np.swapaxes(evecs, -1, -2)
     order, signs = _form_permutation(dim)
-    anti = (root_inv[..., order] * signs) @ root_inv
-    anti = 0.5 * (anti - np.swapaxes(anti, -1, -2))
-
-    rates, vecs = np.linalg.eigh(-1j * anti)
-    # eigh sorts the rates ascending; the last n are the positive ones, and
-    # taking them from the top puts nu = 1 / rate in ascending order.
-    nu = 1.0 / rates[..., n:][..., ::-1]
-    pos = vecs[..., n:][..., ::-1]
     # Each eigenvector is fixed up to a phase, which rotates its canonical
     # pair; the phase that makes its largest entry real and positive keeps
     # S = I for a diagonal input.

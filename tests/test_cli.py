@@ -35,6 +35,10 @@ def test_chernoff_invalid_input(capsys):
     assert main(["chernoff", "--transmitter", "coherent", "--ns", "1",
                  "--nb", "1", "--kappa", "0"]) == 1
     assert capsys.readouterr().err.endswith("error: kappa must lie in (0, 1), got 0.0\n")
+    # --ns used to be dropped for the vacuum transmitter, computing n_s = 0
+    assert main(["chernoff", "--transmitter", "vacuum", "--ns", "5",
+                 "--nb", "1", "--kappa", "0.1"]) == 1
+    assert capsys.readouterr() == ("", "error: vacuum transmitter requires n_signal = 0\n")
 
 
 @pytest.mark.parametrize("tol", ["0.9", "nan"])

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from gaussqi import divergence
 from gaussqi.divergence import (
     _S_EDGE,
+    _Factors,
     bhattacharyya_error_bound,
     chernoff,
     fidelity,
-    g_factor,
-    lambda_factor,
-    lambda_slope,
-    log_g_slope,
     q_s_general,
 )
 from gaussqi.reference import apply_unitary, phase_rotation, q_s_alt, q_s_coherent_closed
@@ -20,14 +18,12 @@ from gaussqi.transmitters import coherent, smsv, thermal_state, tmss, vacuum
 
 def test_g_lambda_anchors():
     for p in (0.2, 0.5, 0.8):
-        assert float(g_factor(p, 1.0)) == 1.0
-        assert float(lambda_factor(p, 1.0)) == 1.0
+        assert float(_Factors(1.0).g(p)) == 1.0
+        assert float(_Factors(1.0).lam(p)) == 1.0
         # Lambda_p(x) ~ x/p at large argument
         x = 1e7
-        assert abs(float(lambda_factor(p, x)) / (x / p) - 1.0) < 1e-5
-        assert float(g_factor(p, 3.0)) > 0.0
-    with pytest.raises(ValueError):
-        lambda_factor(0.5, 0.9)
+        assert abs(float(_Factors(x).lam(p)) / (x / p) - 1.0) < 1e-5
+        assert float(_Factors(3.0).g(p)) > 0.0
 
 
 def test_factor_helpers_match_mpmath():
@@ -51,13 +47,17 @@ def test_factor_helpers_match_mpmath():
                     mp.diff(lambda q: mp.log(g_mp(q, xm)), pm),
                     mp.diff(lambda q: lam_mp(q, xm), pm),
                 )
-                for helper, ref in zip((g_factor, lambda_factor, log_g_slope, lambda_slope), exact):
-                    value = float(helper(p, x))
+                f = _Factors(x)
+                for helper, ref in zip((f.g, f.lam, f.log_g_slope, f.lam_slope), exact):
+                    value = float(helper(p))
                     assert abs(value - float(ref)) <= 1e-14 * abs(float(ref)), (helper, p, x)
-    # A pure mode: G = Lambda = 1 and both slopes 0, exactly.
-    for p in (1e-6, 0.5, 1 - 1e-6):
-        assert float(g_factor(p, 1.0)) == float(lambda_factor(p, 1.0)) == 1.0
-        assert float(log_g_slope(p, 1.0)) == float(lambda_slope(p, 1.0)) == 0.0
+    # A pure mode: G = Lambda = 1 and both slopes 0, exactly; rounding just
+    # below x = 1 is clamped onto it.
+    for x in (1.0, 1 - 1e-12):
+        f = _Factors(x)
+        for p in (1e-6, 0.5, 1 - 1e-6):
+            assert float(f.g(p)) == float(f.lam(p)) == 1.0
+            assert float(f.log_g_slope(p)) == float(f.lam_slope(p)) == 0.0
 
 
 def test_q_s_identical_states_is_one():
@@ -236,9 +236,10 @@ def test_chernoff_evaluation_count(spec):
     assert 2 <= res.n_evals <= 12
 
 
-def test_chernoff_iteration_budget_is_flagged():
+def test_chernoff_iteration_budget_is_flagged(monkeypatch):
     pair = make_pair(tmss(1.0), TargetConfig(kappa=1e-2, n_b=20.0))
-    res = chernoff(pair, max_iter=1)
+    monkeypatch.setattr(divergence, "MAX_ITER", 1)
+    res = chernoff(pair)
     assert res.flags == ("maxiter",)
     assert not res.converged
     assert res.n_evals == 3
@@ -350,7 +351,7 @@ def test_bright_lambda_sum_expansion():
     for s in (0.3, 0.5, 0.7):
         resid = []
         for n_b in n_bs:
-            exact = float(lambda_factor(s, 2 * n_b + 1) + lambda_factor(1 - s, 2 * (1 - kappa) * n_b + 1))
+            exact = float(_Factors(2 * n_b + 1).lam(s) + _Factors(2 * (1 - kappa) * n_b + 1).lam(1 - s))
             model = (2 * n_b * (1 - kappa * s) + 1) / (s * (1 - s))
             resid.append(abs(exact - model))
         slope = np.polyfit(np.log(1.0 / n_bs), np.log(resid), 1)[0]
@@ -363,7 +364,7 @@ def test_dim_lambda_sum_expansion():
     n_bs = np.array([1e-2, 1e-3, 1e-4])
     resid = []
     for n_b in n_bs:
-        exact = float(lambda_factor(0.5, 2 * n_b + 1) + lambda_factor(0.5, 2 * (1 - kappa) * n_b + 1))
+        exact = float(_Factors(2 * n_b + 1).lam(0.5) + _Factors(2 * (1 - kappa) * n_b + 1).lam(0.5))
         model = 2 + 4 * np.sqrt(n_b)
         resid.append(abs(exact - model))
     slope = np.polyfit(np.log(n_bs), np.log(resid), 1)[0]

@@ -28,7 +28,7 @@ ENTRY_POINTS = {
         ("n_s", "n_b", "kappa"),
     ),
     "highprec.log_q_s": (
-        lambda n_s, n_b, kappa: highprec.log_q_s("coherent", n_s, n_b, kappa, 0.5, dps=20),
+        lambda n_s, n_b, kappa: highprec.log_q_s("coherent", n_s, n_b, kappa, 0.5),
         ("n_s", "n_b", "kappa"),
     ),
     # the closed form keeps its own kappa domain [0, 1), where kappa = 0 gives Q_s = 1
@@ -78,7 +78,7 @@ def test_every_entry_point_rejects_a_bad_probe(kind, n_s, message):
     calls = [
         lambda: TransmitterSpec(kind, n_s),
         lambda: pair_stack(kind, n_s, 1.0, 0.1),
-        lambda: highprec.log_q_s(kind, n_s, 1.0, 0.1, 0.5, dps=20),
+        lambda: highprec.log_q_s(kind, n_s, 1.0, 0.1, 0.5),
     ]
     if kind != "vacuum":  # a plan's vacuum rows ignore the n_s grid
         calls.append(lambda: SweepPlan(transmitters=(kind,), n_s_grid=(n_s,)))

@@ -64,9 +64,10 @@ def test_cached_geometry_is_bit_identical(kind, n_s, n_b, kappa):
     fresh = [highprec.log_q_s(kind, n_s, n_b, kappa, s) for s in (0.3, 0.5, 0.7)]
     assert highprec._pair_geometry.cache_info().misses == 1
     again = [highprec.log_q_s(kind, n_s, n_b, kappa, s) for s in (0.3, 0.5, 0.7)]
-    with mp.workdps(60):
+    with mp.workdps(highprec.DPS):
         moments = pair_moments(kind, mp.mpf(n_s), mp.mpf(n_b), mp.mpf(kappa), "agnostic")
-        uncached = [highprec._log_q(*moments, mp.mpf(s)) for s in (0.3, 0.5, 0.7)]
+        geometry = highprec._geometry(*moments)
+        uncached = [highprec._log_q_at(geometry, mp.mpf(s)) for s in (0.3, 0.5, 0.7)]
     assert fresh == again == uncached
     with pytest.raises(ValueError, match="unknown model"):
         highprec.log_q_s(kind, n_s, n_b, kappa, 0.5, model="legcy")

@@ -96,6 +96,8 @@ def test_williamson_stack_matches_each_matrix(n_modes, size, seed):
         covs += [0.8 * np.eye(4), absent]
     stack = np.array(covs)
     w = williamson(stack)
+    # symplectic_eigenvalues is the first half of williamson, bit for bit.
+    assert np.array_equal(symplectic_eigenvalues(stack), w.nu)
     assert w.nu.shape == (len(covs), n_modes)
     assert w.S.shape == stack.shape
     delta = symplectic_form(n_modes)
@@ -142,6 +144,20 @@ def test_gaussian_state_validation():
         GaussianState(mean=np.array([np.inf, 0.0]), cov=0.5 * np.eye(2))
     with pytest.raises(ValueError):
         GaussianState(mean=np.zeros(4), cov=0.5 * np.eye(2))
+
+
+def test_gaussian_state_builds_no_williamson(monkeypatch):
+    # A state needs only nu to check physicality, never the symplectic S.
+    import gaussqi.symplectic
+
+    def fail(cov):
+        raise AssertionError("GaussianState called williamson")
+
+    monkeypatch.setattr(gaussqi.symplectic, "williamson", fail)
+    state = GaussianState(mean=np.zeros(4), cov=probe_state(tmss(1.0)).cov)
+    assert state.n_modes == 2
+    with pytest.raises(ValueError, match="unphysical"):
+        GaussianState(mean=np.zeros(2), cov=0.1 * np.eye(2))
 
 
 def test_gaussian_unitary_rejects_non_symplectic():
