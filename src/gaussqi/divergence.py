@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import GaussianState, _check_physical, symplectic_inverse, williamson
+from .symplectic import GaussianState, _check_physical, _validated_cov, symplectic_inverse, williamson
 from .target import HypothesisPair
 
 # Minimizer defaults; chosen because log Q_s becomes exponentially flat in s
@@ -25,6 +25,14 @@ S_TOL = 1e-7
 MAX_ITER = 200
 FLAT_SPAN = 1e-13
 _S_EDGE = 1e-6
+
+
+def _mean_difference(mean0, mean1, where: str) -> np.ndarray:
+    """mean1 - mean0 of a stack of pairs; it is finite exactly when both means are."""
+    diff = np.asarray(mean1, dtype=float) - np.asarray(mean0, dtype=float)
+    if not np.isfinite(diff).all():
+        raise ValueError(f"{where}: means must be finite")
+    return diff
 
 
 def _check_s(s: float) -> float:
@@ -116,7 +124,7 @@ class _PairGeometry:
         # back to the covariance: cov = T diag(nu x I2) T^T; t is [T0 T1].
         t = symplectic_inverse(w.S)
         self.t = np.concatenate((t[:size], t[size:]), axis=-1)
-        delta = np.sqrt(2.0) * (np.asarray(mean1, dtype=float) - np.asarray(mean0, dtype=float))
+        delta = np.sqrt(2.0) * _mean_difference(mean0, mean1, "overlap")
         self._rhs = np.concatenate((delta[..., None], self.t), axis=-1)
 
     def take(self, idx) -> "_PairGeometry":
@@ -419,8 +427,9 @@ def fidelity_many(mean0, cov0, mean1, cov1) -> np.ndarray:
     """
     if np.shape(cov0)[-1] != 2 or np.shape(cov1)[-1] != 2:
         raise ValueError("fidelity supports single-mode states only")
+    cov0, cov1 = _validated_cov(cov0, "fidelity"), _validated_cov(cov1, "fidelity")
     total = cov0 + cov1
-    d = mean1 - mean0
+    d = _mean_difference(mean0, mean1, "fidelity")
     big_d = np.linalg.det(total)
     big_l = 4.0 * np.maximum(np.linalg.det(cov0) - 0.25, 0.0) * np.maximum(
         np.linalg.det(cov1) - 0.25, 0.0

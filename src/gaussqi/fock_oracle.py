@@ -20,7 +20,8 @@ is never diagonalised.
 
 The beamsplitter generator is theta times a theta-independent matrix in
 each total-photon-number block; the eigenmodes of those blocks are cached
-per pair of dimensions, so a new theta costs one batched product.  The
+per cutoff, so a new theta costs one batched product per block size, and
+the unitary is applied block by block, never assembled.  The
 s-independent overlap V0^dag V1 of a pair is computed once, kept on the
 first operator for as long as the second one lives, and shared by q_s_fock
 and fidelity_fock.
@@ -56,23 +57,20 @@ class FockOperator:
     """Hermitian operator on a truncated n-mode Fock space.
 
     The matrix is stored read-only, as float64 when the input is real and
-    as complex128 when it is complex.  `spectrum` is computed on first use
-    and cached.  trace_deficit records 1 - tr for density operators, the
-    bookkeeping of what the cutoff discarded.
+    as complex128 when it is complex.  Its dimension must be cutoff**n_modes.
+    `spectrum` is computed on first use and cached.
     """
 
     matrix: np.ndarray
     n_modes: int
-    cutoff: int
-    trace_deficit: float
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
         m = m.astype(complex if np.iscomplexobj(m) else float)
-        dim = self.cutoff**self.n_modes
-        if m.shape != (dim, dim):
+        root = round(m.shape[0] ** (1.0 / self.n_modes)) if m.ndim == 2 else 0
+        if m.ndim != 2 or m.shape != (root**self.n_modes,) * 2:
             raise ValueError(
-                f"matrix shape {m.shape} does not match cutoff**n_modes = {dim}"
+                f"matrix shape {m.shape} is not cutoff**n_modes square for n_modes = {self.n_modes}"
             )
         scale = max(1.0, np.abs(m).max())
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL * scale:
@@ -80,6 +78,16 @@ class FockOperator:
         m = 0.5 * (m + m.conj().T)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @property
+    def cutoff(self) -> int:
+        """Per-mode dimension: the n_modes-th root of the matrix dimension."""
+        return round(self.matrix.shape[0] ** (1.0 / self.n_modes))
+
+    @property
+    def trace_deficit(self) -> float:
+        """1 - tr: for a density operator, what the cutoff discarded."""
+        return float(1.0 - np.trace(self.matrix).real)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -176,13 +184,7 @@ def thermal_fock(n_b: float, cutoff: int) -> FockOperator:
     _check_nonnegative("n_b", n_b)
     if cutoff < 2:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
-    w = _geometric_weights(n_b, cutoff)
-    return FockOperator(
-        matrix=np.diag(w),
-        n_modes=1,
-        cutoff=cutoff,
-        trace_deficit=float(1.0 - w.sum()),
-    )
+    return FockOperator(np.diag(_geometric_weights(n_b, cutoff)), 1)
 
 
 def _coherent_amplitudes(alpha: float, cutoff: int) -> np.ndarray:
@@ -236,12 +238,7 @@ def build_state(
         raise ValueError(
             f"cutoff {cutoff} too small: trace deficit {deficit:.3e} exceeds budget {budget:.3e}"
         )
-    state = FockOperator(
-        matrix=np.outer(vec, vec),
-        n_modes=spec.n_modes,
-        cutoff=cutoff,
-        trace_deficit=deficit,
-    )
+    state = FockOperator(np.outer(vec, vec), spec.n_modes)
     # Fill the cached_property slot so the spectrum is never recomputed.
     state.__dict__["spectrum"] = _read_only(
         np.array([norm2]), vec[:, None] / np.sqrt(norm2)
@@ -250,27 +247,25 @@ def build_state(
 
 
 @lru_cache(maxsize=4)
-def _beamsplitter_modes(d_t: int, d_e: int):
+def _beamsplitter_modes(d: int):
     """theta-independent eigenmodes of the truncated beamsplitter generator.
 
-    The generator a b^dag - a^dag b conserves total photon number; its block
-    for total n is a real antisymmetric tridiagonal A, with D^-1 A D = i J
-    for D = diag(i^k) and J real symmetric tridiagonal, so
-    exp(-theta A) = P exp(-i theta mu) P^dag with J = Q diag(mu) Q^T and
-    P = D Q.  Returns (P, mu) for each distinct block size, from one
-    batched eigh per size, and the CSR layout of the unitary: the position
-    of each stored entry in the concatenated blocks, its column, and the
-    row pointer.
+    The generator a b^dag - a^dag b on two modes of dimension d conserves
+    total photon number; its block for total n is a real antisymmetric
+    tridiagonal A, with D^-1 A D = i J for D = diag(i^k) and J real
+    symmetric tridiagonal, so exp(-theta A) = P exp(-i theta mu) P^dag with
+    J = Q diag(mu) Q^T and P = D Q.  Returns (P, mu, index) for each
+    distinct block size, from one batched eigh per size; index[b] holds the
+    joint-space indices n_a d + n_b of block b, in ascending order.
     """
-    dim = d_t * d_e
-    if dim > _MAX_JOINT_DIM:
+    if d * d > _MAX_JOINT_DIM:
         raise ValueError(
-            f"joint beamsplitter dimension {dim} exceeds the desk-scale cap {_MAX_JOINT_DIM}"
+            f"joint beamsplitter dimension {d * d} exceeds the desk-scale cap {_MAX_JOINT_DIM}"
         )
-    n_tot = np.arange(d_t + d_e - 1)
-    lo = np.maximum(0, n_tot - (d_e - 1))
-    sizes = np.minimum(d_t - 1, n_tot) - lo + 1
-    modes, rows, cols = [], [], []
+    n_tot = np.arange(2 * d - 1)
+    lo = np.maximum(0, n_tot - (d - 1))
+    sizes = np.minimum(d - 1, n_tot) - lo + 1
+    modes = []
     for size in np.unique(sizes):
         n = n_tot[sizes == size][:, None]
         n_a = lo[sizes == size][:, None] + np.arange(size)
@@ -281,74 +276,44 @@ def _beamsplitter_modes(d_t: int, d_e: int):
         j[:, k, k + 1] = amp
         j[:, k + 1, k] = amp
         mu, q = np.linalg.eigh(j)
-        modes.append((1j ** np.arange(size)[:, None] * q, mu))
-        index = n_a * d_e + (n - n_a)
-        rows.append(np.broadcast_to(index[:, :, None], j.shape).ravel())
-        cols.append(np.broadcast_to(index[:, None, :], j.shape).ravel())
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.lexsort((cols, rows)).astype(np.int32)
-    indptr = np.searchsorted(rows[order], np.arange(dim + 1)).astype(np.int32)
-    return modes, order, cols[order].astype(np.int32), indptr
+        modes.append((1j ** np.arange(size)[:, None] * q, mu, n_a * d + (n - n_a)))
+    return modes
 
 
-def _beamsplitter_unitary(theta: float, d_t: int, d_e: int):
-    """exp(-theta (a b^dag - a^dag b)) on the truncated two-mode space.
-
-    Block by block P exp(-i theta mu) P^dag from the cached modes of
-    _beamsplitter_modes; the result is exactly unitary on the truncated
-    space and block-sparse, hence returned as a scipy.sparse CSR matrix.
-    scipy.sparse is imported here, on first use, so importing the package
-    does not load it.
-    """
-    import scipy.sparse as sp
-
-    modes, order, cols, indptr = _beamsplitter_modes(d_t, d_e)
-    data = np.concatenate([
-        ((p * np.exp(-1j * theta * mu)[:, None, :]) @ p.conj().transpose(0, 2, 1)).real.ravel()
-        for p, mu in modes
-    ])
-    return sp.csr_matrix((data[order], cols, indptr), shape=(d_t * d_e,) * 2)
-
-
-def apply_target_fock(state: FockOperator, cfg: TargetConfig, cutoff: int) -> FockOperator:
+def apply_target_fock(state: FockOperator, cfg: TargetConfig) -> FockOperator:
     """Reflect the transmitted mode off the target in the number basis.
 
-    Tensors a truncated thermal environment of dimension `cutoff`, applies
-    the beamsplitter unitary with theta = arccos(sqrt(kappa)), and traces
-    the environment back out.  Only the bare-background model is accepted;
-    the rescaled-background convention is a parameter substitution that
-    belongs upstream of this call.
+    Tensors a thermal environment of occupation cfg.effective_n_b, truncated
+    at state.cutoff, applies the beamsplitter unitary with
+    theta = arccos(sqrt(kappa)), and traces the environment back out.  The
+    unitary acts on each total-photon-number block of the transmitted mode
+    and the environment as one batched product on the rows of that block.
     """
-    if cfg.model != "agnostic":
-        raise ValueError(
-            "apply_target_fock implements the bare-background channel; "
-            "substitute n_b/(1-kappa) in the config for the legacy model"
-        )
     d = state.cutoff
     d_rest = d ** (state.n_modes - 1)
     theta = float(np.arccos(np.sqrt(cfg.kappa)))
-    u = _beamsplitter_unitary(theta, d, cutoff)
+    blocks = [
+        (((p * np.exp(-1j * theta * mu)[:, None, :]) @ p.conj().transpose(0, 2, 1)).real, index)
+        for p, mu, index in _beamsplitter_modes(d)
+    ]
 
     # Environment columns sqrt(p_m)|m> for the occupied thermal levels.
-    env = _geometric_weights(cfg.n_b, cutoff)
+    env = _geometric_weights(cfg.effective_n_b, d)
     live = np.flatnonzero(env)
-    inject = np.eye(cutoff)[:, live] * np.sqrt(env[live])
+    inject = np.eye(d)[:, live] * np.sqrt(env[live])
 
     evals, evecs = state.spectrum
     out = np.zeros((d * d_rest, d * d_rest), dtype=state.matrix.dtype)
     for lam, col in zip(evals, evecs.T):
         # Columns (probe eigvec) x sqrt(p_m)|m>_env, one per live m, with
         # the transmitted mode interleaved with the environment.
-        joint = np.kron(col.reshape(d, d_rest), inject)
-        w = (u @ joint).reshape(d, cutoff, d_rest, live.size)
-        mat = np.transpose(w, (0, 2, 1, 3)).reshape(d * d_rest, cutoff * live.size)
+        w = np.kron(col.reshape(d, d_rest), inject)
+        for u, index in blocks:
+            w[index] = u @ w[index]
+        w = w.reshape(d, d, d_rest, live.size)
+        mat = np.transpose(w, (0, 2, 1, 3)).reshape(d * d_rest, d * live.size)
         out += lam * (mat @ mat.conj().T)
-    return FockOperator(
-        matrix=out,
-        n_modes=state.n_modes,
-        cutoff=d,
-        trace_deficit=float(1.0 - np.trace(out).real),
-    )
+    return FockOperator(out, state.n_modes)
 
 
 def partial_trace_fock(state: FockOperator, keep) -> FockOperator:
@@ -363,12 +328,7 @@ def partial_trace_fock(state: FockOperator, keep) -> FockOperator:
     for k in sorted(traced, reverse=True):
         tens = np.trace(tens, axis1=k, axis2=k + tens.ndim // 2)
     dim = d ** len(keep)
-    return FockOperator(
-        matrix=tens.reshape(dim, dim),
-        n_modes=len(keep),
-        cutoff=d,
-        trace_deficit=float(1.0 - np.trace(tens.reshape(dim, dim)).real),
-    )
+    return FockOperator(tens.reshape(dim, dim), len(keep))
 
 
 def hypothesis_pair_fock(
@@ -380,23 +340,17 @@ def hypothesis_pair_fock(
     """Truncated (rho0, rho1) for a transmitter/target configuration.
 
     The legacy model substitutes n_b/(1-kappa) into the reflection channel
-    while the absent hypothesis keeps the bare background.
+    (see apply_target_fock) while the absent hypothesis keeps the bare
+    background.
     """
     probe = build_state(spec, cutoff, budget=budget)
-    channel_cfg = TargetConfig(kappa=cfg.kappa, n_b=cfg.effective_n_b, model="agnostic")
-    rho1 = apply_target_fock(probe, channel_cfg, cutoff)
+    rho1 = apply_target_fock(probe, cfg)
     background = thermal_fock(cfg.n_b, cutoff)
     if spec.n_modes == 1:
         rho0 = background
     else:
         memory = partial_trace_fock(probe, keep=range(1, spec.n_modes))
-        mat = np.kron(background.matrix, memory.matrix)
-        rho0 = FockOperator(
-            matrix=mat,
-            n_modes=spec.n_modes,
-            cutoff=cutoff,
-            trace_deficit=float(1.0 - np.trace(mat).real),
-        )
+        rho0 = FockOperator(np.kron(background.matrix, memory.matrix), spec.n_modes)
     return rho0, rho1
 
 

@@ -32,20 +32,22 @@ def _mp_symplectic_form(n: int) -> mp.matrix:
     return delta
 
 
-def _sym_root(v: mp.matrix, power):
-    """v**power for symmetric positive definite v, via eigendecomposition."""
+def _sym_roots(v: mp.matrix):
+    """v**(1/2) and v**(-1/2) for symmetric positive definite v, from one
+    eigendecomposition."""
     evals, q = mp.eigsy(v)
     d = mp.zeros(v.rows)
+    d_inv = mp.zeros(v.rows)
     for i in range(v.rows):
-        d[i, i] = evals[i] ** power
-    return q * d * q.T
+        d[i, i] = evals[i] ** (mp.mpf(1) / 2)
+        d_inv[i, i] = evals[i] ** (mp.mpf(-1) / 2)
+    return q * d * q.T, q * d_inv * q.T
 
 
 def _williamson_pl(v: mp.matrix):
     """Symplectic eigenvalues nu_k and T with v = T diag(nu x I2) T^T."""
     n = v.rows // 2
-    root = _sym_root(v, mp.mpf(1) / 2)
-    root_inv = _sym_root(v, mp.mpf(-1) / 2)
+    root, root_inv = _sym_roots(v)
     anti = root_inv * _mp_symplectic_form(n) * root_inv
     # -i anti is Hermitian with eigenvalues +-1/nu_k.  Its eigenvectors are
     # orthonormal even where nu_k coincide, so the real and imaginary parts

@@ -71,10 +71,15 @@ def _check_physical(nu) -> None:
 
 
 def _validated_cov(cov: np.ndarray, where: str) -> np.ndarray:
-    """Symmetrised covariance, or stack of covariances along the leading axes."""
+    """Symmetrised covariance, or stack of covariances along the leading axes.
+
+    Finiteness is checked before symmetry: a comparison with nan is false,
+    so a nan would pass every later test."""
     cov = np.asarray(cov, dtype=float)
     if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
         raise ValueError(f"{where}: covariance must be square with even size, got {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise ValueError(f"{where}: covariance must be finite")
     cov_t = np.swapaxes(cov, -1, -2)
     axes = (-2, -1)
     scale = np.abs(cov).max(axis=axes, initial=1.0)
@@ -97,16 +102,17 @@ class GaussianState:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = _validated_cov(self.cov, "GaussianState")
-        if cov.ndim != 2:
-            raise ValueError(f"GaussianState: covariance must be one matrix, got {cov.shape}")
-        if mean.shape[0] != cov.shape[0]:
+        shape = np.shape(self.cov)
+        if len(shape) != 2:
+            raise ValueError(f"GaussianState: covariance must be one matrix, got {shape}")
+        if mean.shape[0] != shape[0]:
             raise ValueError(
-                f"mean length {mean.shape[0]} does not match covariance size {cov.shape[0]}"
+                f"mean length {mean.shape[0]} does not match covariance size {shape[0]}"
             )
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ValueError("GaussianState moments must be finite")
-        _check_physical(symplectic_eigenvalues(cov))
+        if not np.isfinite(mean).all():
+            raise ValueError("GaussianState: mean must be finite")
+        cov, _, nu, _ = _spectrum(self.cov, "GaussianState")
+        _check_physical(nu)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)

@@ -39,14 +39,19 @@ def test_demo_runs(name, tmp_path):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy is needed only by the Fock oracle's beamsplitter and by
-    # random_symplectic, which import it when they run; the second routes
-    # are imported only by those who check against them.
+    # scipy is needed only by random_symplectic, which imports it when it
+    # runs; the second routes are imported only by those who check against
+    # them, and the Fock oracle runs on numpy alone.
     code = (
         "import sys, gaussqi, gaussqi.cli\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "                or m in ('gaussqi.reference', 'gaussqi.fock_oracle'))\n"
-        "sys.exit(', '.join(loaded) or None)"
+        "if loaded: sys.exit(', '.join(loaded))\n"
+        "from gaussqi.fock_oracle import choose_cutoff, hypothesis_pair_fock, q_s_fock\n"
+        "spec, cfg = gaussqi.tmss(0.3), gaussqi.TargetConfig(kappa=0.2, n_b=0.3)\n"
+        "q_s_fock(*hypothesis_pair_fock(spec, cfg, 10), 0.5)\n"
+        "choose_cutoff(gaussqi.coherent(0.3), cfg)\n"
+        "sys.exit(', '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_env(),
                           capture_output=True, text=True, timeout=120)

@@ -1,12 +1,15 @@
 """One parameter domain: every entry point rejects a bad n_s, n_b or kappa
-with the same message, from the checks in transmitters and target."""
+with the same message, from the checks in transmitters and target; and
+every entry point that takes moments rejects non-finite ones."""
 
 import pytest
 
 from gaussqi import highprec
+from gaussqi.divergence import chernoff_many, fidelity_many
 from gaussqi.fock_oracle import thermal_fock
 from gaussqi.reference import q_s_coherent_closed
 from gaussqi.sweeps import SweepPlan
+from gaussqi.symplectic import GaussianState, symplectic_eigenvalues, williamson
 from gaussqi.target import TargetConfig, pair_stack
 from gaussqi.transmitters import TransmitterSpec
 
@@ -86,3 +89,44 @@ def test_every_entry_point_rejects_a_bad_probe(kind, n_s, message):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+
+def _coherent_pair_stack():
+    mean0, cov0, mean1, cov1, _ = pair_stack("coherent", [1.0], 1.0, 0.1)
+    return mean0, cov0, mean1, cov1
+
+
+def _spoil(array, value, entry):
+    array = array.copy()
+    array[entry] = value
+    return array
+
+
+# Moment entry point -> call taking (mean0, cov0, mean1, cov1) stacks of one pair.
+MOMENT_ENTRY_POINTS = {
+    "williamson": lambda m0, c0, m1, c1: williamson(c1),
+    "symplectic_eigenvalues": lambda m0, c0, m1, c1: symplectic_eigenvalues(c1),
+    "GaussianState": lambda m0, c0, m1, c1: GaussianState(m1[0], c1[0]),
+    "chernoff_many": lambda m0, c0, m1, c1: chernoff_many(m0, c0, m1, c1, [False]),
+    "fidelity_many": lambda m0, c0, m1, c1: fidelity_many(m0, c0, m1, c1),
+}
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", list(MOMENT_ENTRY_POINTS))
+def test_every_moment_entry_point_rejects_non_finite_covariance(entry, value):
+    m0, c0, m1, c1 = _coherent_pair_stack()
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        MOMENT_ENTRY_POINTS[entry](m0, c0, m1, _spoil(c1, value, (0, 0, 0)))
+
+
+@pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", ["GaussianState", "chernoff_many", "fidelity_many"])
+def test_every_pair_entry_point_rejects_non_finite_mean(entry, value):
+    m0, c0, m1, c1 = _coherent_pair_stack()
+    with pytest.raises(ValueError, match="must be finite"):
+        MOMENT_ENTRY_POINTS[entry](m0, c0, _spoil(m1, value, (0, 1)), c1)
+    # a bad reference mean is caught as well
+    if entry != "GaussianState":
+        with pytest.raises(ValueError, match="means must be finite"):
+            MOMENT_ENTRY_POINTS[entry](_spoil(m0, value, (0, 0)), c0, m1, c1)

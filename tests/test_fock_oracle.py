@@ -19,7 +19,6 @@ from gaussqi.fock_oracle import (
     partial_trace_fock,
     q_s_fock,
     thermal_fock,
-    _beamsplitter_unitary,
 )
 from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import TransmitterSpec, coherent, smsv, thermal_state, tmss, vacuum
@@ -55,9 +54,21 @@ def test_build_rejects_small_cutoff():
         build_state(coherent(5.0), 4, budget=1e-10)
 
 
+def _dense_beamsplitter(theta, d):
+    """The d^2 x d^2 unitary assembled from the cached blocks, P exp(-i theta mu) P^dag each."""
+    u = np.zeros((d * d, d * d))
+    for p, mu, index in fock_oracle._beamsplitter_modes(d):
+        block = (p * np.exp(-1j * theta * mu)[:, None, :]) @ p.conj().transpose(0, 2, 1)
+        u[index[:, :, None], index[:, None, :]] = block.real
+    return u
+
+
 def test_beamsplitter_unitary_exact_on_truncation():
-    u = _beamsplitter_unitary(np.arccos(np.sqrt(0.3)), 12, 12).toarray()
+    u = _dense_beamsplitter(np.arccos(np.sqrt(0.3)), 12)
     assert np.linalg.norm(u.T @ u - np.eye(144)) < 1e-9
+    # the blocks partition the joint space
+    index = np.concatenate([i.ravel() for _, _, i in fock_oracle._beamsplitter_modes(12)])
+    assert np.array_equal(np.sort(index), np.arange(144))
 
 
 def _counting_eigh(monkeypatch):
@@ -72,40 +83,41 @@ def _counting_eigh(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("d_t,d_e", [(5, 5), (12, 7), (24, 24)])
-def test_beamsplitter_matches_expm_with_cached_modes(d_t, d_e, monkeypatch):
+@pytest.mark.parametrize("d", [5, 24])
+def test_beamsplitter_matches_expm_with_cached_modes(d, monkeypatch):
     from scipy.linalg import expm
 
-    a = np.kron(np.diag(np.sqrt(np.arange(1.0, d_t)), 1), np.eye(d_e))
-    b = np.kron(np.eye(d_t), np.diag(np.sqrt(np.arange(1.0, d_e)), 1))
+    lower = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    a = np.kron(lower, np.eye(d))
+    b = np.kron(np.eye(d), lower)
     generator = a @ b.T - a.T @ b
     fock_oracle._beamsplitter_modes.cache_clear()
     calls = _counting_eigh(monkeypatch)
     for theta in (0.1, np.arccos(np.sqrt(0.3)), 1.4):
-        u = _beamsplitter_unitary(theta, d_t, d_e).toarray()
+        u = _dense_beamsplitter(theta, d)
         assert np.abs(u - expm(-theta * generator)).max() < 1e-12
-        # one eigh per block size 1..min(d_t, d_e) on first use; the modes
-        # depend on the dimensions only, so a new theta runs none
-        assert len(calls) == min(d_t, d_e)
+        # one eigh per block size 1..d on first use; the modes depend on
+        # the cutoff only, so a new theta runs none
+        assert len(calls) == d
 
 
 def test_vacuum_through_empty_channel():
     st = build_state(vacuum(), 10)
-    out = apply_target_fock(st, TargetConfig(kappa=0.4, n_b=0.0), 10)
+    out = apply_target_fock(st, TargetConfig(kappa=0.4, n_b=0.0))
     assert abs(out.matrix[0, 0] - 1.0) < 1e-12
     assert out.trace_deficit < 1e-12
 
 
 def test_photon_bookkeeping_through_channel():
     st = build_state(coherent(0.3), 20)
-    out = apply_target_fock(st, TargetConfig(kappa=0.2, n_b=0.4), 20)
+    out = apply_target_fock(st, TargetConfig(kappa=0.2, n_b=0.4))
     assert mean_photon_number(out, 0) == pytest.approx(0.2 * 0.3 + 0.8 * 0.4, abs=1e-6)
 
 
 def test_smsv_quadratures_through_channel():
     n_s, kappa, n_b, d = 0.3, 0.2, 0.4, 40
     st = build_state(smsv(n_s), d)
-    out = apply_target_fock(st, TargetConfig(kappa=kappa, n_b=n_b), d)
+    out = apply_target_fock(st, TargetConfig(kappa=kappa, n_b=n_b))
     a = np.diag(np.sqrt(np.arange(1, d)), 1)
     q = (a + a.T) / np.sqrt(2)
     p = (a - a.T) / (1j * np.sqrt(2))
@@ -116,10 +128,14 @@ def test_smsv_quadratures_through_channel():
     assert vp == pytest.approx((kappa * np.exp(2 * r) + (1 - kappa) * (2 * n_b + 1)) / 2, abs=1e-6)
 
 
-def test_apply_target_rejects_legacy():
-    st = build_state(vacuum(), 8)
-    with pytest.raises(ValueError):
-        apply_target_fock(st, TargetConfig(kappa=0.2, n_b=0.4, model="legacy"), 8)
+def test_legacy_channel_is_agnostic_channel_at_rescaled_background():
+    kappa, n_b, n_s = 0.2, 0.4, 0.3
+    st = build_state(smsv(n_s), 40)
+    legacy = apply_target_fock(st, TargetConfig(kappa=kappa, n_b=n_b, model="legacy"))
+    rescaled = apply_target_fock(st, TargetConfig(kappa=kappa, n_b=n_b / (1 - kappa)))
+    assert np.array_equal(legacy.matrix, rescaled.matrix)
+    # the reflected noise (1 - kappa) n_b / (1 - kappa) is n_b itself
+    assert mean_photon_number(legacy, 0) == pytest.approx(kappa * n_s + n_b, abs=1e-6)
 
 
 def test_q_s_fock_self_overlap_is_trace():
@@ -158,7 +174,7 @@ def test_fidelity_fock_anchors():
     one = np.zeros((10, 10), dtype=complex)
     one[1, 1] = 1.0
     f = fidelity_fock(
-        FockOperator(zero, 1, 10, 0.0), FockOperator(one, 1, 10, 0.0)
+        FockOperator(zero, 1), FockOperator(one, 1)
     )
     assert abs(f) < 1e-12
 
@@ -211,13 +227,20 @@ def test_choose_cutoff():
 
 def test_fock_operator_validation():
     with pytest.raises(ValueError):
-        FockOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, 2, 0.0)  # not Hermitian
+        FockOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)  # not Hermitian
     with pytest.raises(ValueError):
-        FockOperator(np.eye(3), 1, 2, 0.0)  # wrong shape
+        FockOperator(np.eye(3), 2)  # 3 is no cutoff**2
+    with pytest.raises(ValueError):
+        FockOperator(np.eye(4)[:3], 1)  # not square
+    # cutoff and trace deficit are read off the matrix
+    op = FockOperator(np.eye(9) / 12, 2)
+    assert op.cutoff == 3 and op.trace_deficit == pytest.approx(0.25, abs=1e-15)
+    # 125 ** (1 / 3) evaluates to 4.999... in float64
+    assert FockOperator(np.eye(125), 3).cutoff == 5
     # real input is stored real, complex input stays complex
-    assert FockOperator(np.eye(2, dtype=int), 1, 2, 0.0).matrix.dtype == np.float64
-    assert FockOperator(np.eye(2), 1, 2, 0.0).matrix.dtype == np.float64
-    assert FockOperator(np.eye(2, dtype=complex), 1, 2, 0.0).matrix.dtype == np.complex128
+    assert FockOperator(np.eye(2, dtype=int), 1).matrix.dtype == np.float64
+    assert FockOperator(np.eye(2), 1).matrix.dtype == np.float64
+    assert FockOperator(np.eye(2, dtype=complex), 1).matrix.dtype == np.complex128
 
 
 def _block_sizes(op):
@@ -275,7 +298,7 @@ def test_block_spectrum_matches_dense_on_permuted_blocks(sizes, is_complex, seed
         m[start : start + k, start : start + k] = 10.0 ** rng.uniform(-6, 0) * (a @ a.conj().T)
         start += k
     perm = rng.permutation(n)
-    op = FockOperator(m[np.ix_(perm, perm)], 1, n, 0.0)
+    op = FockOperator(m[np.ix_(perm, perm)], 1)
     assert np.bincount(fock_oracle._components(op.matrix != 0)).max() <= max(sizes)
     _assert_matches_dense(op)
 
@@ -303,7 +326,7 @@ def test_block_spectrum_checks_are_global():
     tiny = np.zeros((4, 4))
     tiny[:3, :3] = big
     tiny[3, 3] = 1e-16
-    evals, _ = FockOperator(tiny, 1, 4, 0.0).spectrum
+    evals, _ = FockOperator(tiny, 1).spectrum
     np.testing.assert_allclose(np.sort(evals), [0.25, 0.5, 1.0], rtol=1e-14)
     # a negative eigenvalue inside a smaller block is still caught
     bad = np.zeros((5, 5))
@@ -311,7 +334,7 @@ def test_block_spectrum_checks_are_global():
     bad[3:, 3:] = [[0.0, 1e-9], [1e-9, 0.0]]
     assert -1e-9 < -NEGATIVITY_TOL
     with pytest.raises(ValueError, match="below"):
-        FockOperator(bad, 1, 5, 0.0).spectrum
+        FockOperator(bad, 1).spectrum
 
 
 def test_overlap_computed_once_and_dropped_with_operators():
@@ -352,7 +375,7 @@ def test_phase_rotated_pair_is_complex_and_equivalent(kind, n_s, n_b, kappa, phi
     rotation = np.outer(phase, phase.conj())
 
     def rotate(op):
-        return FockOperator(op.matrix * rotation, 1, d, op.trace_deficit)
+        return FockOperator(op.matrix * rotation, 1)
 
     rot0, rot1 = rotate(rho0), rotate(rho1)
     assert rot0.matrix.dtype == rot1.matrix.dtype == np.complex128
@@ -362,6 +385,6 @@ def test_phase_rotated_pair_is_complex_and_equivalent(kind, n_s, n_b, kappa, phi
     for s in (0.3, 0.5, 0.7):
         assert abs(q_s_fock(rot0, rot1, s) - q_s_fock(rho0, rho1, s)) < 1e-10
     assert abs(fidelity_fock(rot0, rot1) - fidelity_fock(rho0, rho1)) < 1e-12
-    out = apply_target_fock(rotate(build_state(spec, d)), cfg, d)
+    out = apply_target_fock(rotate(build_state(spec, d)), cfg)
     assert out.matrix.dtype == np.complex128
     assert np.abs(out.matrix - rot1.matrix).max() < 1e-12

@@ -14,8 +14,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussqi import highprec
-from gaussqi.divergence import _S_EDGE, _geometry, _PairGeometry, chernoff, chernoff_many, q_s_general
-from gaussqi.reference import q_s_alt, random_symplectic
+from gaussqi.divergence import (
+    _S_EDGE,
+    _geometry,
+    _PairGeometry,
+    chernoff,
+    chernoff_many,
+    fidelity_many,
+    q_s_general,
+)
+from gaussqi.reference import q_s_alt, random_symplectic, target_present
 from gaussqi.sweeps import SweepPlan, run_sweep
 from gaussqi.target import MODELS, HypothesisPair, TargetConfig, make_pair, pair_stack
 from gaussqi.transmitters import KINDS, TransmitterSpec
@@ -181,6 +189,37 @@ def test_stacked_overlap_invariants(s, seed, kind, model, logs):
     sym = random_symplectic(mean0.shape[-1] // 2, np.random.default_rng(seed), scale=0.3)
     moved = log_q(mean0 @ sym.T, sym @ cov0 @ sym.T, mean1 @ sym.T, sym @ cov1 @ sym.T)
     assert np.all(np.abs(moved - value) <= 1e-9 * np.abs(value) + floor)
+
+
+@SETTINGS
+@given(**BOX)
+def test_bhattacharyya_overlap_below_fidelity(kind, model, log_kappa, log_n_s, log_n_b):
+    # Q_{1/2} = tr sqrt(rho0) sqrt(rho1) <= ||sqrt(rho0) sqrt(rho1)||_1 = F,
+    # with equality for commuting states (the vacuum transmitter's pair).
+    assume(kind != "tmss")
+    pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
+    rho0, rho1 = pair.rho0, pair.rho1
+    f = fidelity_many(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])[0]
+    assert q_s_general(rho0, rho1, 0.5) <= f + _floor(pair)
+
+
+@SETTINGS
+@given(
+    s=st.floats(0.05, 0.95),
+    channel_kappa=st.floats(0.05, 0.95),
+    channel_log_n_b=st.floats(-3.0, 2.0),
+    **BOX,
+)
+def test_common_channel_does_not_decrease_overlap(
+    s, channel_kappa, channel_log_n_b, kind, model, log_kappa, log_n_s, log_n_b
+):
+    # Data processing: one thermal loss channel, built by the dilation
+    # route, applied to both hypotheses cannot make them easier to tell apart.
+    pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
+    channel = TargetConfig(kappa=channel_kappa, n_b=10.0**channel_log_n_b)
+    before = q_s_general(pair.rho0, pair.rho1, s)
+    after = q_s_general(target_present(pair.rho0, channel), target_present(pair.rho1, channel), s)
+    assert np.log(after) >= np.log(before) - _floor(pair) * (1.0 + channel.n_b)
 
 
 CROSS_ROUTE_BOX = dict(
