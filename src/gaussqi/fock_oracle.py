@@ -1,30 +1,24 @@
 """Brute-force ground truth in a truncated number basis.
 
-States are assembled from their exact amplitudes, the target is applied as
-the exponential of the truncated beamsplitter generator, and overlaps
-tr rho^s sigma^{1-s} come from Hermitian eigendecompositions.  Nothing here
-touches the Gaussian covariance machinery; agreement between the two
-routes is the package's core acceptance check.
+States are assembled from their exact amplitudes, the target is a
+beamsplitter with a thermal environment followed by a partial trace, and
+overlaps tr rho^s sigma^{1-s} come from Hermitian eigendecompositions.
+Nothing here touches the Gaussian covariance machinery; agreement between
+the two routes is the package's core acceptance check.
 
-Every amplitude, thermal weight and beamsplitter block built here is real,
-so the operators are real symmetric float64 matrices and LAPACK runs its
-real symmetric solver; a matrix given as complex is kept complex.  Each
-operator diagonalises itself at most once: FockOperator.spectrum, its
-clamped spectrum on the support, is cached, read-only, and shared by every
-overlap, fidelity and channel that uses the operator.  The spectrum is
-taken block by block over the connected components of the matrix's
-non-zero pattern, an exact permutation similarity: rho0 is diagonal, and
-the tmss rho1 splits into one block per photon-number difference.  A pure
-probe from build_state carries its rank-1 spectrum from its amplitudes and
-is never diagonalised.
+Operators stay in block form from construction to overlap: dense Hermitian
+blocks on disjoint sets of basis indices, zero elsewhere.  The thermal rho0
+and the tmss memory are diagonals, a pure probe is one block on the support
+of its amplitude vector, and the tmss rho1 has one block per photon-number
+difference.  A dense matrix given to FockOperator is split once over the
+connected components of its non-zero pattern.  Validation, spectra and
+overlaps run block by block; `matrix` is a dense view assembled on demand.
 
-The beamsplitter generator is theta times a theta-independent matrix in
-each total-photon-number block; the eigenmodes of those blocks are cached
-per cutoff, so a new theta costs one batched product per block size, and
-the unitary is applied block by block, never assembled.  The
-s-independent overlap V0^dag V1 of a pair is computed once, kept on the
-first operator for as long as the second one lives, and shared by q_s_fock
-and fidelity_fock.
+Every amplitude, thermal weight and beamsplitter entry built here is real,
+so blocks are float64 and LAPACK runs its real symmetric solver; an
+operator given as complex stays complex.  Each operator is diagonalised at
+most once, and the s-independent overlap of a pair is computed once and
+shared by q_s_fock and fidelity_fock.
 
 Multi-mode operators use row-major mode ordering: the transmitted mode is
 the slowest index, matching numpy.kron(A_mode0, A_mode1).
@@ -32,8 +26,8 @@ the slowest index, matching numpy.kron(A_mode0, A_mode1).
 
 from __future__ import annotations
 
+import math
 import weakref
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -45,75 +39,104 @@ HERMITICITY_TOL = 1e-12
 NEGATIVITY_TOL = 1e-10
 DEFAULT_TRACE_BUDGET = 1e-6
 
-# Desk-scale ceilings: eigendecompositions cap the per-mode dimension,
-# much lower for the three-mode dilation of the entangled probe.
+# Desk-scale ceilings on the per-mode dimension, much lower for the
+# three-mode dilation of the entangled probe.
 MAX_CUTOFF_SINGLE = 128
 MAX_CUTOFF_THREE_MODE = 24
 _MAX_JOINT_DIM = 70000
 
 
-@dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Hermitian operator on a truncated n-mode Fock space.
+    """Hermitian operator on a truncated n-mode Fock space, in block form.
 
-    The matrix is stored read-only, as float64 when the input is real and
-    as complex128 when it is complex.  Its dimension must be cutoff**n_modes.
-    `spectrum` is computed on first use and cached.
+    `blocks` is a tuple of (idx, mats) stacks: mats[b] is the block on the
+    basis indices idx[b], the blocks are disjoint, and the operator is zero
+    outside them.  FockOperator(matrix, n_modes) splits a dense matrix over
+    the connected components of its non-zero pattern; the builders below
+    pass their blocks directly.  Either way the dimension must be
+    cutoff**n_modes, every block is checked for Hermiticity and
+    symmetrised, and blocks are stored read-only, as float64 when the input
+    is real and as complex128 when it is complex.  The spectrum is computed
+    block by block on first use and cached.
     """
 
-    matrix: np.ndarray
-    n_modes: int
+    def __init__(self, matrix, n_modes: int):
+        m = np.asarray(matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix shape {m.shape} is not square")
+        groups = _layout(_components(m != 0))[0]
+        blocks = [(idx, m[idx[:, :, None], idx[:, None, :]]) for idx in groups]
+        self._store(blocks, n_modes, m.shape[0])
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        m = m.astype(complex if np.iscomplexobj(m) else float)
-        root = round(m.shape[0] ** (1.0 / self.n_modes)) if m.ndim == 2 else 0
-        if m.ndim != 2 or m.shape != (root**self.n_modes,) * 2:
-            raise ValueError(
-                f"matrix shape {m.shape} is not cutoff**n_modes square for n_modes = {self.n_modes}"
-            )
-        scale = max(1.0, np.abs(m).max())
-        if np.abs(m - m.conj().T).max() > HERMITICITY_TOL * scale:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        m = 0.5 * (m + m.conj().T)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+    @classmethod
+    def _from_blocks(cls, blocks, n_modes: int, dim: int) -> FockOperator:
+        op = cls.__new__(cls)
+        op._store(blocks, n_modes, dim)
+        return op
+
+    def _store(self, blocks, n_modes: int, dim: int) -> None:
+        if round(dim ** (1.0 / n_modes)) ** n_modes != dim:
+            raise ValueError(f"dimension {dim} is not cutoff**n_modes for n_modes = {n_modes}")
+        dtype = complex if any(np.iscomplexobj(m) for _, m in blocks) else float
+        blocks = [(idx, np.asarray(m, dtype)) for idx, m in blocks]
+        scale = max([1.0] + [np.abs(m).max() for _, m in blocks])
+        stored = []
+        for idx, m in blocks:
+            adjoint = m.conj().swapaxes(1, 2)
+            if np.abs(m - adjoint).max() > HERMITICITY_TOL * scale:
+                raise ValueError("matrix is not Hermitian within tolerance")
+            stored.append(_read_only(np.asarray(idx), 0.5 * (m + adjoint)))
+        self.blocks = tuple(stored)
+        self.n_modes, self.dim, self.dtype = n_modes, dim, np.dtype(dtype)
 
     @property
     def cutoff(self) -> int:
-        """Per-mode dimension: the n_modes-th root of the matrix dimension."""
-        return round(self.matrix.shape[0] ** (1.0 / self.n_modes))
+        """Per-mode dimension: the n_modes-th root of the dimension."""
+        return round(self.dim ** (1.0 / self.n_modes))
 
     @property
     def trace_deficit(self) -> float:
         """1 - tr: for a density operator, what the cutoff discarded."""
-        return float(1.0 - np.trace(self.matrix).real)
+        return float(1.0 - sum(np.trace(m, axis1=1, axis2=2).real.sum() for _, m in self.blocks))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix, assembled from the blocks on each access."""
+        out = np.zeros((self.dim, self.dim), self.dtype)
+        for idx, m in self.blocks:
+            out[idx[:, :, None], idx[:, None, :]] = m
+        return out
 
     @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (eigenvalues, eigenvectors) on the support, computed once.
+    def _eigen(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per stack (idx, w, v): each block's eigenpairs, computed once.
 
         Truncation and rounding produce eigenvalues of size ~1e-16 around
         the exact zeros of pure states; fractional powers would amplify that
         noise (1e-16^0.3 ~ 1e-5), so anything below the eigensolver's
         resolution, relative to the largest eigenvalue of the whole
-        operator, is an exact zero and is dropped with its eigenvector.
+        operator, is an exact zero: w holds 0.0 there.
 
         Raises:
             ValueError: an eigenvalue lies below -NEGATIVITY_TOL.
         """
-        blocks = _block_eigh(self.matrix)
-        lowest = min(w.min() for _, w, _ in blocks)
+        solved = [(idx, *np.linalg.eigh(m)) for idx, m in self.blocks]
+        lowest = min(w.min() for _, w, _ in solved)
         if lowest < -NEGATIVITY_TOL:
             raise ValueError(
                 f"operator has eigenvalue {lowest:.3e} below -{NEGATIVITY_TOL}"
             )
-        cut = max(max(w.max() for _, w, _ in blocks), 0.0) * 1e-14
-        kept = [np.nonzero(w > cut) for _, w, _ in blocks]
-        evals = np.concatenate([w[k] for (_, w, _), k in zip(blocks, kept)])
-        evecs = np.zeros((self.matrix.shape[0], evals.size), dtype=self.matrix.dtype)
+        cut = max(max(w.max() for _, w, _ in solved), 0.0) * 1e-14
+        return tuple(_read_only(idx, np.where(w > cut, w, 0.0), v) for idx, w, v in solved)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (eigenvalues, eigenvectors) on the support, as dense columns."""
+        kept = [np.nonzero(w) for _, w, _ in self._eigen]
+        evals = np.concatenate([w[k] for (_, w, _), k in zip(self._eigen, kept)])
+        evecs = np.zeros((self.dim, evals.size), self.dtype)
         col = 0
-        for (idx, _, v), (b, j) in zip(blocks, kept):
+        for (idx, _, v), (b, j) in zip(self._eigen, kept):
             # column col + i holds eigenvector j[i] of block b[i] on its rows
             cols = col + np.arange(b.size)
             evecs[idx[b], cols[:, None]] = v[b, :, j]
@@ -122,45 +145,73 @@ class FockOperator:
 
     @cached_property
     def _overlaps(self) -> weakref.WeakKeyDictionary:
-        # V0^dag V1 against each partner operator, dropped with the partner
+        # (w0, V0^dag V1, w1) against each partner operator, dropped with the partner
         return weakref.WeakKeyDictionary()
 
 
-def _components(nonzero: np.ndarray) -> np.ndarray:
-    """Connected-component label of each index of a symmetric pattern.
+def _labels(n: int, groups) -> np.ndarray:
+    """Connected-component label of each of n indices.
 
-    Min-label propagation along the non-zero entries with pointer jumping;
-    each label is the smallest index of its component.
+    The entries of each row of every (h, k) array in `groups` share a
+    component; negative entries are ignored.  Min-label propagation with
+    pointer jumping; each label is the smallest index of its component.
     """
-    rows, cols = np.nonzero(nonzero)
-    label = np.arange(nonzero.shape[0])
+    index = np.concatenate([g[g >= 0] for g in groups])
+    count = np.concatenate([(g >= 0).sum(axis=1) for g in groups])
+    count = count[count > 0]
+    first = np.cumsum(count) - count
+    member = np.repeat(np.arange(count.size), count)
+    label = np.arange(n)
     while True:
         new = label.copy()
-        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, index, np.minimum.reduceat(label[index], first)[member])
         new = new[new]
         if np.array_equal(new, label):
             return label
         label = new
 
 
-def _block_eigh(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Eigendecomposition of Hermitian m over its connected blocks.
+def _components(nonzero: np.ndarray) -> np.ndarray:
+    """Connected-component label of each index of a square non-zero pattern."""
+    return _labels(nonzero.shape[0], [np.argwhere(nonzero)])
 
-    Returns (idx, w, v) per distinct block size: idx[b] are the indices of
-    block b, and w[b], v[b] its eigenpairs from one batched eigh per size.
-    Only exact zeros separate blocks, so this is m's spectrum up to the
-    rounding of each block's own solve.
+
+def _layout(label: np.ndarray):
+    """The blocks of a component labelling, and where each index sits in them.
+
+    Returns (groups, row, col, vec).  groups[g] is the (nb, k) array of the
+    ascending indices of every size-k block, one array per distinct size.
+    Laid out as the groups' (nb, k, k) stacks raveled one after the other,
+    entry (i, j) of a block sits at row[i] + col[j]; laid out as their
+    (nb, k) stacks, index i sits at vec[i].
     """
-    label = _components(m != 0)
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[order], prepend=-1))
     sizes = np.diff(starts, append=label.size)
-    blocks = []
-    for size in np.unique(sizes):
-        idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        w, v = np.linalg.eigh(m[idx[:, :, None], idx[:, None, :]])
-        blocks.append((idx, w, v))
-    return blocks
+    # blocks ordered by size, then by first index: where each one starts
+    by_size = np.argsort(sizes, kind="stable")
+    ordered = sizes[by_size]
+    vstart, mstart = np.empty_like(sizes), np.empty_like(sizes)
+    vstart[by_size] = np.cumsum(ordered) - ordered
+    mstart[by_size] = np.cumsum(ordered**2) - ordered**2
+    block = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.arange(label.size) - starts[block]
+    row, col, vec = (np.empty(label.size, dtype=int) for _ in range(3))
+    col[order] = pos
+    row[order] = mstart[block] + sizes[block] * pos
+    vec[order] = vstart[block] + pos
+    groups = [order[starts[sizes == k][:, None] + np.arange(k)] for k in np.unique(sizes)]
+    return groups, row, col, vec
+
+
+def _stacks(flat: np.ndarray, groups, square: bool) -> list[np.ndarray]:
+    """Cut a flat array laid out by _layout into one stack per group."""
+    out, start = [], 0
+    for idx in groups:
+        shape = idx.shape + idx.shape[1:] if square else idx.shape
+        out.append(flat[start : start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
+    return out
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -184,7 +235,9 @@ def thermal_fock(n_b: float, cutoff: int) -> FockOperator:
     _check_nonnegative("n_b", n_b)
     if cutoff < 2:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
-    return FockOperator(np.diag(_geometric_weights(n_b, cutoff)), 1)
+    weights = _geometric_weights(n_b, cutoff)
+    diagonal = [(np.arange(cutoff)[:, None], weights[:, None, None])]
+    return FockOperator._from_blocks(diagonal, 1, cutoff)
 
 
 def _coherent_amplitudes(alpha: float, cutoff: int) -> np.ndarray:
@@ -215,8 +268,9 @@ def build_state(
 
     Amplitudes are not renormalized; the lost tail is reported through
     trace_deficit and rejected when it exceeds the budget.  The state is
-    pure, so its spectrum is recorded from the amplitude vector: the single
-    eigenvalue vec @ vec with eigenvector vec / |vec|.
+    pure: one block on the support of the amplitude vector, whose spectrum
+    is recorded from the vector, the single eigenvalue vec @ vec with
+    eigenvector vec / |vec|.
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
@@ -238,10 +292,14 @@ def build_state(
         raise ValueError(
             f"cutoff {cutoff} too small: trace deficit {deficit:.3e} exceeds budget {budget:.3e}"
         )
-    state = FockOperator(np.outer(vec, vec), spec.n_modes)
-    # Fill the cached_property slot so the spectrum is never recomputed.
-    state.__dict__["spectrum"] = _read_only(
-        np.array([norm2]), vec[:, None] / np.sqrt(norm2)
+    support = np.flatnonzero(vec)[None]
+    amp = vec[support]
+    state = FockOperator._from_blocks(
+        [(support, amp[:, :, None] * amp[:, None, :])], spec.n_modes, vec.size
+    )
+    # Fill the cached_property slot so the probe is never diagonalised.
+    state.__dict__["_eigen"] = (
+        _read_only(support, np.array([[norm2]]), amp[:, :, None] / np.sqrt(norm2)),
     )
     return state
 
@@ -280,55 +338,133 @@ def _beamsplitter_modes(d: int):
     return modes
 
 
+@lru_cache(maxsize=4)
+def _beamsplitter_plan(d: int):
+    """The theta-independent parts of _beamsplitter(theta, d).
+
+    Returns ((P, P^dag) per block size of _beamsplitter_modes(d), all mu
+    concatenated, slots): entry (i, j) of the block of total N maps
+    |n, N - n> to |a, N - a> with n = n_a[j] and a = n_a[i], and slots
+    holds its flat position [n, a - n + d - 1, N - n] in a (d, 2d - 1, d)
+    array, for all blocks raveled in order.
+    """
+    modes = _beamsplitter_modes(d)
+    slots = []
+    for _, _, index in modes:
+        n_a, n_b = np.divmod(index, d)
+        n, a = n_a[:, None, :], n_a[:, :, None]
+        slots.append(((n * (2 * d - 1) + a - n + d - 1) * d + (n_a + n_b)[:, :1, None] - n).ravel())
+    pairs = [(p, np.ascontiguousarray(p.conj().transpose(0, 2, 1))) for p, _, _ in modes]
+    return pairs, np.concatenate([mu.ravel() for _, mu, _ in modes]), np.concatenate(slots)
+
+
+def _beamsplitter(theta: float, d: int) -> np.ndarray:
+    """K[n, t + d - 1, m] = <n + t, m - t| exp(-theta G) |n, m>, zero off the truncation.
+
+    One batched product per block size of the cached eigenmodes.
+    """
+    pairs, mu, slots = _beamsplitter_plan(d)
+    phase = np.exp(-1j * theta * mu)
+    blocks, start = [], 0
+    for p, p_dag in pairs:
+        nb, _, size = p.shape
+        e = phase[start : start + nb * size].reshape(nb, 1, size)
+        blocks.append(((p * e) @ p_dag).real.ravel())
+        start += nb * size
+    k = np.zeros(d * (2 * d - 1) * d)
+    k[slots] = np.concatenate(blocks)
+    return k.reshape(d, 2 * d - 1, d)
+
+
 def apply_target_fock(state: FockOperator, cfg: TargetConfig) -> FockOperator:
     """Reflect the transmitted mode off the target in the number basis.
 
     Tensors a thermal environment of occupation cfg.effective_n_b, truncated
     at state.cutoff, applies the beamsplitter unitary with
-    theta = arccos(sqrt(kappa)), and traces the environment back out.  The
-    unitary acts on each total-photon-number block of the transmitted mode
-    and the environment as one batched product on the rows of that block.
+    theta = arccos(sqrt(kappa)), and traces the environment back out:
+    rho1 = sum over the probe's eigenpairs (lam, psi), the environment's
+    input m and output e of p_m <e|U|m> lam |psi><psi| <m|U^dag|e>.  An
+    input n of the transmitted mode leaves as a = n + t with t = m - e, so
+    the terms of one eigenvector and one shift t form a Gram matrix F F^dag
+    on the rows (n + t, rest) of the eigenvector's support, with
+    F[(n, rest), m] = sqrt(lam p_m) <n + t, m - t|U|n, m> psi[n, rest].
+    Gram matrices on overlapping rows are summed into one block.  The tmss
+    probe lives on n = rest, so its shift t is the photon-number difference
+    of the block, and each of its 2d - 1 blocks is a single A A^T.
     """
     d = state.cutoff
-    d_rest = d ** (state.n_modes - 1)
-    theta = float(np.arccos(np.sqrt(cfg.kappa)))
-    blocks = [
-        (((p * np.exp(-1j * theta * mu)[:, None, :]) @ p.conj().transpose(0, 2, 1)).real, index)
-        for p, mu, index in _beamsplitter_modes(d)
-    ]
+    d_rest = state.dim // d
+    shift = _beamsplitter(float(np.arccos(np.sqrt(cfg.kappa))), d)
+    root_p = np.sqrt(_geometric_weights(cfg.effective_n_b, d))
+    t = np.arange(2 * d - 1)[:, None]
+    terms = []
+    for idx, w, v in state._eigen:
+        k = idx.shape[1]
+        b, j = np.nonzero(w)
+        amp = np.sqrt(w[b, j])[:, None] * v[b, :, j]
+        n, rest = np.divmod(idx[b], d_rest)
+        # F[eigenvector, t, (n, rest), m], rows outside the truncation zero
+        f = shift[n[:, None, :], t] * (amp[:, None, :, None] * root_p)
+        a = n[:, None, :] + t - (d - 1)
+        rows = np.where((a >= 0) & (a < d), a * d_rest + rest[:, None, :], -1)
+        terms.append((rows.reshape(-1, k), (f @ f.conj().swapaxes(-1, -2)).reshape(-1, k, k)))
 
-    # Environment columns sqrt(p_m)|m> for the occupied thermal levels.
-    env = _geometric_weights(cfg.effective_n_b, d)
-    live = np.flatnonzero(env)
-    inject = np.eye(d)[:, live] * np.sqrt(env[live])
+    groups, row, col, _ = _layout(_labels(state.dim, [rows for rows, _ in terms]))
+    size = sum(idx.size * idx.shape[1] for idx in groups)
+    # entries on a row outside the truncation land past the end and are dropped
+    target = []
+    for rows, _ in terms:
+        start = np.where(rows >= 0, row[rows], size)
+        offset = np.where(rows >= 0, col[rows], size)
+        target.append((start[:, :, None] + offset[:, None, :]).ravel())
+    target = np.concatenate(target)
+    value = np.concatenate([gram.ravel() for _, gram in terms])
+    flat = np.bincount(target, value.real, size)[:size]
+    if np.iscomplexobj(value):
+        flat = flat + 1j * np.bincount(target, value.imag, size)[:size]
+    return FockOperator._from_blocks(
+        list(zip(groups, _stacks(flat, groups, square=True))), state.n_modes, state.dim
+    )
 
-    evals, evecs = state.spectrum
-    out = np.zeros((d * d_rest, d * d_rest), dtype=state.matrix.dtype)
-    for lam, col in zip(evals, evecs.T):
-        # Columns (probe eigvec) x sqrt(p_m)|m>_env, one per live m, with
-        # the transmitted mode interleaved with the environment.
-        w = np.kron(col.reshape(d, d_rest), inject)
-        for u, index in blocks:
-            w[index] = u @ w[index]
-        w = w.reshape(d, d, d_rest, live.size)
-        mat = np.transpose(w, (0, 2, 1, 3)).reshape(d * d_rest, d * live.size)
-        out += lam * (mat @ mat.conj().T)
-    return FockOperator(out, state.n_modes)
+
+def _mode_index(digits, modes, d: int) -> np.ndarray:
+    """Joint index of a subset of modes from per-mode digits."""
+    index = np.zeros_like(digits[0])
+    for k in modes:
+        index = index * d + digits[k]
+    return index
 
 
 def partial_trace_fock(state: FockOperator, keep) -> FockOperator:
-    """Reduced operator on a subset of modes (sorted index order)."""
+    """Reduced operator on a subset of modes (sorted index order).
+
+    Sums, block by block, the entries whose traced modes agree.
+    """
     keep = sorted(set(int(k) for k in keep))
     if not keep or keep[0] < 0 or keep[-1] >= state.n_modes:
         raise ValueError(f"invalid keep set {keep} for {state.n_modes} modes")
     n, d = state.n_modes, state.cutoff
-    shape = (d,) * n
-    tens = state.matrix.reshape(shape + shape)
     traced = [k for k in range(n) if k not in keep]
-    for k in sorted(traced, reverse=True):
-        tens = np.trace(tens, axis1=k, axis2=k + tens.ndim // 2)
-    dim = d ** len(keep)
-    return FockOperator(tens.reshape(dim, dim), len(keep))
+    out = np.zeros((d ** len(keep),) * 2, state.dtype)
+    for idx, m in state.blocks:
+        digits = np.unravel_index(idx, (d,) * n)
+        kept, gone = (_mode_index(digits, modes, d) for modes in (keep, traced))
+        same = gone[:, :, None] == gone[:, None, :]
+        i, j = np.broadcast_arrays(kept[:, :, None], kept[:, None, :])
+        np.add.at(out, (i[same], j[same]), m[same])
+    return FockOperator(out, len(keep))
+
+
+def _kron(a: FockOperator, b: FockOperator) -> FockOperator:
+    """a (x) b in block form: one block per pair of blocks."""
+    blocks = []
+    for ia, ma in a.blocks:
+        for ib, mb in b.blocks:
+            idx = ia[:, None, :, None] * b.dim + ib[None, :, None, :]
+            idx = idx.reshape(len(ia) * len(ib), -1)
+            mats = np.einsum("aij,bkl->abikjl", ma, mb).reshape(idx.shape + idx.shape[1:])
+            blocks.append((idx, mats))
+    return FockOperator._from_blocks(blocks, a.n_modes + b.n_modes, a.dim * b.dim)
 
 
 def hypothesis_pair_fock(
@@ -349,19 +485,45 @@ def hypothesis_pair_fock(
     if spec.n_modes == 1:
         rho0 = background
     else:
-        memory = partial_trace_fock(probe, keep=range(1, spec.n_modes))
-        rho0 = FockOperator(np.kron(background.matrix, memory.matrix), spec.n_modes)
+        rho0 = _kron(background, partial_trace_fock(probe, keep=range(1, spec.n_modes)))
     return rho0, rho1
 
 
-def _cross(rho: FockOperator, sigma: FockOperator) -> np.ndarray:
-    """V0^dag V1 from the cached spectra, computed once per operator pair."""
-    if rho.matrix.shape != sigma.matrix.shape:
+def _place(eigen, groups, row, col, vec):
+    """An operator's eigenpairs laid out on the joint blocks of a pair.
+
+    A joint block of size k has k eigenvalue slots: the eigenvectors of an
+    operator block take the slots of the block's first indices, and a slot
+    without an eigenvector holds eigenvalue 0.
+    """
+    w_flat = np.zeros(sum(idx.size for idx in groups))
+    v_flat = np.zeros(
+        sum(idx.size * idx.shape[1] for idx in groups), np.result_type(*(v for _, _, v in eigen))
+    )
+    for idx, w, v in eigen:
+        slots = idx[:, : w.shape[1]]
+        w_flat[vec[slots]] = w
+        v_flat[row[idx][:, :, None] + col[slots][:, None, :]] = v
+    return zip(_stacks(w_flat, groups, square=False), _stacks(v_flat, groups, square=True))
+
+
+def _cross(rho: FockOperator, sigma: FockOperator):
+    """(w0, V0^dag V1, w1) per stack of joint blocks, computed once per pair.
+
+    The joint blocks are the connected components of the blocks of both
+    operators together.  Every eigenvector lies inside one of them, so
+    V0^dag V1 is block diagonal over the joint blocks.
+    """
+    if rho.dim != sigma.dim:
         raise ValueError("operators must share dimensions")
     cross = rho._overlaps.get(sigma)
     if cross is None:
-        cross = rho.spectrum[1].conj().T @ sigma.spectrum[1]
-        cross.setflags(write=False)
+        label = _labels(rho.dim, [idx for idx, _, _ in rho._eigen + sigma._eigen])
+        layout = _layout(label)
+        sides = zip(_place(rho._eigen, *layout), _place(sigma._eigen, *layout))
+        cross = tuple(
+            _read_only(w0, v0.conj().swapaxes(1, 2) @ v1, w1) for (w0, v0), (w1, v1) in sides
+        )
         rho._overlaps[sigma] = cross
     return cross
 
@@ -370,20 +532,27 @@ def q_s_fock(rho: FockOperator, sigma: FockOperator, s: float) -> float:
     """tr rho^s sigma^{1-s} from the cached spectra of both operators."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    overlap = np.abs(_cross(rho, sigma)) ** 2
-    return float(rho.spectrum[0] ** s @ overlap @ sigma.spectrum[0] ** (1.0 - s))
+    return float(
+        sum(
+            np.einsum("bi,bij,bj->", w0**s, np.abs(cross) ** 2, w1 ** (1.0 - s))
+            for w0, cross, w1 in _cross(rho, sigma)
+        )
+    )
 
 
 def fidelity_fock(rho: FockOperator, sigma: FockOperator) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) on the truncation.
 
     Evaluated as the trace norm of sqrt(rho) sqrt(sigma), the sum of the
-    singular values of sqrt(w0) V0^dag V1 sqrt(w1) from the cached spectra.
+    singular values of sqrt(w0) V0^dag V1 sqrt(w1) over the joint blocks.
     Singular values carry rounding noise of order 1e-16, where square roots
     of the eigenvalues of sqrt(rho) sigma sqrt(rho) would carry ~1e-11.
     """
-    cross = np.sqrt(rho.spectrum[0])[:, None] * _cross(rho, sigma) * np.sqrt(sigma.spectrum[0])
-    return float(np.linalg.svd(cross, compute_uv=False).sum())
+    weighted = (
+        np.sqrt(w0)[:, :, None] * cross * np.sqrt(w1)[:, None, :]
+        for w0, cross, w1 in _cross(rho, sigma)
+    )
+    return float(sum(np.linalg.svd(m, compute_uv=False).sum() for m in weighted))
 
 
 def mean_photon_number(op: FockOperator, mode: int) -> float:
@@ -391,7 +560,10 @@ def mean_photon_number(op: FockOperator, mode: int) -> float:
     if not 0 <= mode < op.n_modes:
         raise ValueError(f"invalid mode {mode} for {op.n_modes} modes")
     d, n = op.cutoff, op.n_modes
-    diag = np.real(np.diag(op.matrix)).reshape((d,) * n)
+    diag = np.zeros(op.dim)
+    for idx, m in op.blocks:
+        diag[idx] = np.diagonal(m, axis1=1, axis2=2).real
+    diag = diag.reshape((d,) * n)
     counts = np.arange(d)
     axes = tuple(k for k in range(n) if k != mode)
     return float((diag.sum(axis=axes) if axes else diag) @ counts)

@@ -47,7 +47,8 @@ def test_criterion_01_oracle_equivalence():
     cutoffs = {}
     for kind in ("vacuum", "coherent", "smsv", "tmss"):
         if kind == "tmss":
-            # three-mode dilation pinned at the desk-scale ceiling
+            # choose_cutoff verifies 23 at this anchor (test_choose_cutoff);
+            # the grid runs at 24, at or above it, the three-mode ceiling
             cutoffs[kind] = 24
         else:
             cutoffs[kind] = choose_cutoff(

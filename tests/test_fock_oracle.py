@@ -101,6 +101,33 @@ def test_beamsplitter_matches_expm_with_cached_modes(d, monkeypatch):
         assert len(calls) == d
 
 
+def _dense_dilation(spec, cfg, d):
+    """rho1 from the dense beamsplitter: sum_m p_m sum_e <e|U|m> psi psi^T <m|U^T|e>."""
+    evals, evecs = build_state(spec, d, budget=1.0).spectrum
+    psi = (evecs[:, 0] * np.sqrt(evals[0])).reshape(d, -1)  # (n, rest)
+    u = _dense_beamsplitter(np.arccos(np.sqrt(cfg.kappa)), d).reshape(d, d, d, d)  # (a, e, n, m)
+    nbar, m = cfg.effective_n_b, np.arange(d)
+    p = nbar**m / (nbar + 1.0) ** (m + 1)
+    out = 0.0
+    for k in m:
+        phi = np.einsum("aen,nr->are", u[:, :, :, k], psi).reshape(-1, d)  # rows (a, rest)
+        out = out + p[k] * (phi @ phi.T)
+    return out
+
+
+@pytest.mark.parametrize("d", [5, 12, 24])
+def test_block_built_rho1_matches_dense_dilation(d):
+    for kind in ("vacuum", "coherent", "smsv", "tmss"):
+        spec = TransmitterSpec(kind, 0.0 if kind == "vacuum" else 0.4)
+        for model in ("agnostic", "legacy"):
+            cfg = TargetConfig(kappa=0.2, n_b=0.3, model=model)
+            rho1 = apply_target_fock(build_state(spec, d, budget=1.0), cfg)
+            assert np.abs(rho1.matrix - _dense_dilation(spec, cfg, d)).max() <= 1e-15
+    # the tmss rho1 is built as one block per photon-number difference
+    sizes = sorted(idx.shape[1] for idx, _ in rho1.blocks for _ in idx)
+    assert sizes == sorted(d - abs(delta) for delta in range(1 - d, d))
+
+
 def test_vacuum_through_empty_channel():
     st = build_state(vacuum(), 10)
     out = apply_target_fock(st, TargetConfig(kappa=0.4, n_b=0.0))
@@ -221,7 +248,7 @@ def test_choose_cutoff():
         choose_cutoff(tmss(0.5), TargetConfig(kappa=0.2, n_b=20.0), tol=1e-10)
     # criterion 1's anchor: its grid runs at exactly these cutoffs
     anchor = TargetConfig(kappa=0.3, n_b=0.5)
-    for spec, expected in ((vacuum(), 18), (coherent(0.5), 23), (smsv(0.5), 37)):
+    for spec, expected in ((vacuum(), 18), (coherent(0.5), 23), (smsv(0.5), 37), (tmss(0.5), 23)):
         assert choose_cutoff(spec, anchor, tol=1e-8) == expected
 
 
@@ -241,6 +268,59 @@ def test_fock_operator_validation():
     assert FockOperator(np.eye(2, dtype=int), 1).matrix.dtype == np.float64
     assert FockOperator(np.eye(2), 1).matrix.dtype == np.float64
     assert FockOperator(np.eye(2, dtype=complex), 1).matrix.dtype == np.complex128
+
+
+def test_validation_runs_block_by_block():
+    # blocks of sizes 3, 2 and 1 on interleaved indices of a 6-dimensional
+    # space, one stack per size; the faults below sit in the last stack
+    q = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) ** 2)[0]
+    small = np.array([[[0.2, 0.1], [0.1, 0.3]]])
+
+    def blocks(big):
+        return [
+            (np.array([[5]]), np.array([[[0.05]]])),
+            (np.array([[1, 3]]), small),
+            (np.array([[0, 2, 4]]), big[None]),
+        ]
+
+    good = (q * [0.3, 0.2, 0.1]) @ q.T
+    op = FockOperator._from_blocks(blocks(good), 1, 6)
+    assert op.trace_deficit == pytest.approx(1.0 - 1.15, abs=1e-14)
+    # a non-Hermitian entry inside the 3x3 block, given as blocks or dense
+    bad = good.copy()
+    bad[0, 2] += 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        FockOperator._from_blocks(blocks(bad), 1, 6)
+    dense = op.matrix
+    dense[0, 4] += 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        FockOperator(dense, 1)
+    # an eigenvalue below -NEGATIVITY_TOL in the 3x3 block only
+    negative = FockOperator._from_blocks(blocks((q * [0.3, 0.2, -1e-9]) @ q.T), 1, 6)
+    with pytest.raises(ValueError, match="below"):
+        negative.spectrum
+    with pytest.raises(ValueError, match="below"):
+        FockOperator(negative.matrix, 1).spectrum
+    # within the tolerance it is an exact zero of the support
+    evals, _ = FockOperator._from_blocks(blocks((q * [0.3, 0.2, -1e-11]) @ q.T), 1, 6).spectrum
+    expected = np.sort(np.r_[0.05, np.linalg.eigvalsh(small[0]), 0.2, 0.3])
+    np.testing.assert_allclose(np.sort(evals), expected, rtol=1e-13)
+
+
+def test_tmss_pair_peaks_below_one_dense_matrix():
+    import tracemalloc
+
+    cfg = TargetConfig(kappa=0.2, n_b=0.3)
+    tracemalloc.start()
+    try:
+        rho0, rho1 = hypothesis_pair_fock(tmss(0.4), cfg, 24)
+        for s in (0.3, 0.5, 0.7):
+            q_s_fock(rho0, rho1, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense 576 x 576 float64 matrix is 2.65 MB
+    assert peak < 576 * 576 * 8
 
 
 def _block_sizes(op):
@@ -347,7 +427,7 @@ def test_overlap_computed_once_and_dropped_with_operators():
     (stored,) = rho0._overlaps.values()
     assert stored is cross
     # later calls read the stored product rather than forming their own
-    rho0._overlaps[rho1] = 2.0 * cross
+    rho0._overlaps[rho1] = tuple((w0, 2.0 * c, w1) for w0, c, w1 in cross)
     assert q_s_fock(rho0, rho1, 0.3) == pytest.approx(4.0 * q, rel=1e-12)
     assert fidelity_fock(rho0, rho1) == pytest.approx(2.0 * f, rel=1e-12)
     ref0, ref1 = weakref.ref(rho0), weakref.ref(rho1)

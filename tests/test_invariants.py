@@ -5,9 +5,11 @@ Points are drawn from the moderate box kappa in [1e-3, 0.1], N_S in
 both target models.  The float64 floor of log Q_s grows with the background:
 the G and Lambda factors difference (x+1)^p and (x-1)^p at x ~ 2 N_B + 1,
 so absolute tolerances below carry a 1e-15 (1 + N_B) term.  The
-cross-route test at the end draws from its own box, CROSS_ROUTE_BOX.
+cross-route tests at the end draw from their own boxes: CROSS_ROUTE_BOX
+for the float64 routes, criterion 1's box for the Fock oracle.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from gaussqi.divergence import (
     fidelity_many,
     q_s_general,
 )
+from gaussqi.fock_oracle import choose_cutoff, hypothesis_pair_fock, q_s_fock
 from gaussqi.reference import q_s_alt, random_symplectic, target_present
 from gaussqi.sweeps import SweepPlan, run_sweep
 from gaussqi.target import MODELS, HypothesisPair, TargetConfig, make_pair, pair_stack
@@ -272,3 +275,29 @@ def _cross_route_misses() -> list:
 def test_float64_routes_match_highprec():
     misses = _cross_route_misses()
     assert not misses, f"{len(misses)} misses, worst {max(misses)}"
+
+
+def test_fock_oracle_matches_highprec():
+    """The truncated number basis against the mpmath route, one point per kind and model.
+
+    Points are drawn from criterion 1's box (N_S, N_B in [0.1, 0.5], kappa
+    in [0.1, 0.3]) and evaluated at the cutoff choose_cutoff verifies to
+    1e-8.  In the legacy model the dilation sees N_B / (1 - kappa), so N_B
+    is drawn up to 0.5 (1 - kappa) there: the channel's occupancy stays in
+    the box, and the three-mode dilation of tmss stays under its ceiling of
+    24 per mode (legacy tmss at N_S = N_B = 0.5, kappa = 0.3 needs more).
+    """
+    rng = np.random.default_rng(6)
+    worst = 0.0
+    for kind in KINDS:
+        for model in MODELS:
+            kappa = rng.uniform(0.1, 0.3)
+            top = 0.5 * (1.0 - kappa) if model == "legacy" else 0.5
+            n_s = 0.0 if kind == "vacuum" else rng.uniform(0.1, 0.5)
+            n_b = rng.uniform(0.1, top)
+            spec, cfg = TransmitterSpec(kind, n_s), TargetConfig(kappa=kappa, n_b=n_b, model=model)
+            rho0, rho1 = hypothesis_pair_fock(spec, cfg, choose_cutoff(spec, cfg, tol=1e-8))
+            for s in (0.3, 0.5, 0.7):
+                exact = float(mp.exp(highprec.log_q_s(kind, n_s, n_b, kappa, s, model)))
+                worst = max(worst, abs(q_s_fock(rho0, rho1, s) - exact))
+    assert worst < 1e-7
