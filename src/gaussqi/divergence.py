@@ -5,6 +5,12 @@ the two covariance matrices.  The closed form below follows the doubled
 quadrature convention of the standard Gaussian-discrimination formula, so
 symplectic eigenvalues enter as x = 2 nu and mean vectors pick up a factor
 sqrt(2) relative to the package's vacuum = I/2 convention.
+
+Two geometries evaluate it.  `_StandardGeometry` takes the standard form
+every `target.pair_stack` pair is in and needs no matrix routine; it serves
+`chernoff_many`, `chernoff` and `bhattacharyya_error_bound`.
+`_PairGeometry` takes any pair of states through `williamson`; it serves
+`q_s_general`.
 """
 
 from __future__ import annotations
@@ -93,6 +99,11 @@ class _Factors:
         return np.where(self.pure, 0.0, -0.5 * ratio / np.sinh(0.5 * p * ratio) ** 2)
 
 
+def _orders(sign: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Factor orders per mode: s for the modes of rho0 (sign +1), 1 - s for rho1's."""
+    return np.where(sign > 0.0, s[:, None], 1.0 - s[:, None])
+
+
 class _PairGeometry:
     """Williamson data of a stack of state pairs, reused across evaluations in s.
 
@@ -127,18 +138,8 @@ class _PairGeometry:
         delta = np.sqrt(2.0) * _mean_difference(mean0, mean1, "overlap")
         self._rhs = np.concatenate((delta[..., None], self.t), axis=-1)
 
-    def take(self, idx) -> "_PairGeometry":
-        """The sub-stack of the pairs at the given indices."""
-        sub = object.__new__(_PairGeometry)
-        sub.n, sub._sign = self.n, self._sign
-        sub.factors, sub.t, sub._rhs = self.factors.take(idx), self.t[idx], self._rhs[idx]
-        return sub
-
-    def _orders(self, s: np.ndarray) -> np.ndarray:
-        return np.where(self._sign > 0.0, s[:, None], 1.0 - s[:, None])
-
     def _cholesky(self, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Cholesky factors of Sigma(s) at the orders p = _orders(s)."""
+        """Cholesky factors of Sigma(s) at the orders p = _orders(sign, s)."""
         lam = self.factors.lam(p).repeat(2, axis=-1)
         sig = (self.t * lam[:, None, :]) @ np.swapaxes(self.t, -1, -2)
         try:
@@ -174,7 +175,7 @@ class _PairGeometry:
         frames, tr(Sigma^-1 T D T^T) is sum_jk A_jk^2 D_k, and T^T y is
         A^T z.
         """
-        p = self._orders(s)
+        p = _orders(self._sign, s)
         chol = self._cholesky(s, p)
         sol = np.linalg.solve(chol, self._rhs)
         z, a = sol[..., 0], sol[..., 1:]
@@ -186,6 +187,142 @@ class _PairGeometry:
         half_logdet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
         log_q = self.n * np.log(2.0) + log_g - half_logdet - 0.5 * (z * z).sum(axis=-1)
         return log_q, slope
+
+
+class _StandardGeometry:
+    """The geometry of a stack of pairs in standard form, in closed form.
+
+    `target.pair_stack` writes every pair in this form: each covariance has
+    no q-p correlations and is either one mode, diag(a, b), or two modes,
+    [[a I2, c Z], [c Z, m I2]] with Z = diag(1, -1), and the means of a
+    two-mode pair agree.  Williamson's decomposition and Sigma(s) of
+    q_s_general then have closed forms (Serafini, Quantum Continuous
+    Variables, 2017; Pirandola & Lloyd, PRA 78, 012331 (2008)):
+
+    - one mode: nu = sqrt(ab) and T = diag(t, 1/t) with t^2 = a / nu, so
+      Sigma(s) is diagonal: Lambda_s(x0) t0^2 + Lambda_{1-s}(x1) t1^2 in the
+      q-sector and the same with 1/t^2 in the p-sector.
+    - two modes: with S = sqrt((a - m)^2 + 4 (am - c^2)) = nu_a + nu_m,
+      nu_a, nu_m = (S +- (a - m)) / 2, and T is the two-mode squeezer
+      [[ch, sh], [sh, ch]] on (q_a, q_m) and [[ch, -sh], [-sh, ch]] on
+      (p_a, p_m), with ch sh = c / S and sh^2 = 2 c^2 / (S (a + m + S)).
+      Both sectors of Sigma(s) have the determinant
+
+          L0a L0m + L1a L1m + L0a (sh^2 L1a + ch^2 L1m) + L0m (ch^2 L1a + sh^2 L1m)
+
+      with Lij = Lambda(x_ij) of state i, mode j, and (ch, sh) those of the
+      relative squeezer T0^-1 T1: a sum of positive terms.  The diagonal of
+      T_i^T Sigma^-1 T_i, which the slope's trace term weighs, is such a sum
+      over that determinant as well.
+
+    The inputs are stacked as for _PairGeometry and checked as it checks
+    them; a stack in any other form is rejected.  Every step is elementwise
+    across the stack, with no LAPACK call, so a pair's numbers do not
+    depend on the other pairs in its stack.
+    """
+
+    def __init__(self, mean0, cov0, mean1, cov1):
+        if np.shape(cov0) != np.shape(cov1):
+            raise ValueError(
+                f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}"
+            )
+        size = len(cov0)
+        cov = _validated_cov(np.concatenate((cov0, cov1)), "overlap")
+        delta = np.sqrt(2.0) * _mean_difference(mean0, mean1, "overlap")
+        self.n = cov.shape[-1] // 2
+        diag = np.diagonal(cov, axis1=-2, axis2=-1)
+        if self.n == 1:
+            standard = cov[:, 0, 1] == 0.0
+            positive = (diag > 0.0).all(axis=-1)
+        elif self.n == 2:
+            a, m, c = cov[:, 0, 0], cov[:, 2, 2], cov[:, 0, 2]
+            standard = (
+                (cov[:, (0, 0, 1, 2), (1, 3, 2, 3)] == 0.0).all(axis=-1)
+                & (diag[:, 1] == a) & (diag[:, 3] == m) & (cov[:, 1, 3] == -c)
+                & np.tile((delta == 0.0).all(axis=-1), 2)
+            )
+            det = a * m - c * c
+            positive = (a > 0.0) & (m > 0.0) & (det > 0.0)
+        else:
+            standard = np.zeros(len(cov), dtype=bool)
+        if not standard.all():
+            k = int(np.argmin(standard)) % size
+            raise ValueError(
+                f"overlap: pair {k} is not in standard form (diag(a, b) for one mode; "
+                "[[a I, c Z], [c Z, m I]] and equal means for two)"
+            )
+        if not positive.all():
+            raise ValueError("unphysical covariance: not positive definite")
+        if self.n == 1:
+            nu = np.sqrt(diag[:, 0] * diag[:, 1])
+            # Sigma's q- and p-entries per state: t^2 = a / nu and 1/t^2 = b / nu.
+            weights = diag / nu[:, None]
+            self._coef = np.stack((weights[:size], weights[size:]), axis=-1)
+            nu = nu[:, None]
+        else:
+            # a = ch^2 nu_a + sh^2 nu_m and m = sh^2 nu_a + ch^2 nu_m, so each
+            # nu is its diagonal entry less sh^2 S: exact where c = 0.
+            total = np.sqrt((a - m) ** 2 + 4.0 * det)
+            shift = 2.0 * c * c / (a + m + total)
+            nu = np.stack((a - shift, m - shift), axis=-1)
+            # The rounding of the entries moves nu by up to about
+            # eps (a + m) cosh 2r, with cosh 2r = (a + m) / S.  A pure mode
+            # (nu = 1/2) that rounding put above 1/2 would give
+            # Lambda_p(2 nu) - 1 ~ 2 (nu - 1/2)^p, an O(1) error at small p,
+            # so nu within that distance of 1/2 is set to 1/2.
+            noise = 2.0 * np.finfo(float).eps * (a + m) ** 2 / total
+            nu[np.abs(nu - 0.5) <= noise[:, None]] = 0.5
+            ch = np.sqrt(1.0 + shift / total)
+            sh = c / (total * ch)
+            # sinh of the relative squeeze r1 - r0; only its square enters.
+            self._coef = (sh[size:] * ch[:size] - ch[size:] * sh[:size]) ** 2
+        _check_physical(nu)
+        self.factors = _Factors(2.0 * np.concatenate((nu[:size], nu[size:]), axis=-1))
+        self._sign = np.repeat((1.0, -1.0), self.n)
+        self._delta = delta
+
+    def take(self, idx) -> "_StandardGeometry":
+        """The sub-stack of the pairs at the given indices."""
+        sub = object.__new__(_StandardGeometry)
+        sub.n, sub._sign = self.n, self._sign
+        sub.factors = self.factors.take(idx)
+        sub._coef, sub._delta = self._coef[idx], self._delta[idx]
+        return sub
+
+    def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log Q_s and d/ds log Q_s, as _PairGeometry.log_q_and_slope defines them.
+
+        dSigma = T0 dLambda_s(x0) T0^T - T1 dLambda_{1-s}(x1) T1^T; its sign
+        per state is carried in `lam` and `d_lam` below.
+        """
+        p = _orders(self._sign, s)
+        lam, d_lam = self.factors.lam(p), self._sign * self.factors.lam_slope(p)
+        log_q = self.n * np.log(2.0) + np.log(self.factors.g(p)).sum(axis=-1)
+        slope = (self._sign * self.factors.log_g_slope(p)).sum(axis=-1)
+        if self.n == 1:
+            # Sectors (q, p) of the diagonal Sigma; y = Sigma^-1 delta.
+            sigma = (self._coef * lam[:, None, :]).sum(axis=-1)
+            d_sigma = (self._coef * d_lam[:, None, :]).sum(axis=-1)
+            y = self._delta / sigma
+            log_q -= 0.5 * (np.log(sigma) + self._delta * y).sum(axis=-1)
+            slope -= 0.5 * ((1.0 / sigma - y * y) * d_sigma).sum(axis=-1)
+            return log_q, slope
+        sh2 = self._coef
+        ch2 = 1.0 + sh2
+        l0a, l0m, l1a, l1m = lam.T
+        d0a, d0m, d1a, d1m = d_lam.T
+        # Sigma in the frame of either state: Lambda_i + the other state's
+        # Lambda seen through the relative squeezer.
+        into0 = (ch2 * l1a + sh2 * l1m, sh2 * l1a + ch2 * l1m)
+        into1 = (ch2 * l0a + sh2 * l0m, sh2 * l0a + ch2 * l0m)
+        det = l0a * l0m + l1a * l1m + l0a * into0[1] + l0m * into0[0]
+        # tr(Sigma^-1 dSigma) over both sectors, halved: the diagonal of the
+        # inverse of each frame's matrix is its other diagonal entry / det.
+        trace = (
+            d0a * (l0m + into0[1]) + d0m * (l0a + into0[0])
+            + d1a * (l1m + into1[1]) + d1m * (l1a + into1[0])
+        ) / det
+        return log_q - np.log(det), slope - trace
 
 
 def _geometry(rho0: GaussianState, rho1: GaussianState) -> _PairGeometry:
@@ -299,7 +436,8 @@ def chernoff(pair: HypothesisPair, s_tol: float = S_TOL) -> ChernoffResult:
     search steps is flagged "maxiter", never silent.  xi is max(-log Q, 0):
     rounding can push log Q_s of a near-identical pair just above 0.
 
-    This is `chernoff_many` on a stack of one pair.
+    This is `chernoff_many` on a stack of one pair, so the pair must be in
+    the standard form `make_pair` builds.
     """
     rho0, rho1 = pair.rho0, pair.rho1
     return chernoff_many(
@@ -313,17 +451,19 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
     """`chernoff` for every pair of a stack, one numpy pass per search step.
 
     Pairs are stacked along the first axis: means (N, 2n), covariances
-    (N, 2n, 2n), as `target.pair_stack` gives them, and `degenerate` holds
-    one flag per pair.  Every pair takes the steps `chernoff` describes on
-    its own, so its result does not depend on the rest of the stack.
+    (N, 2n, 2n), in the standard form `target.pair_stack` gives them (see
+    `_StandardGeometry`), and `degenerate` holds one flag per pair.  Every
+    pair takes the steps `chernoff` describes on its own, so its result
+    does not depend on the rest of the stack.
 
     Returns:
         One ChernoffResult per pair, in stack order.
 
     Raises:
         ValueError: s_tol outside (0, 1/2 - _S_EDGE), the first bracket's
-            width; an unphysical covariance, a failed Williamson step, or an
-            overlap matrix that is not positive definite.
+            width; a non-finite or non-symmetric covariance or mean; a pair
+            not in the standard form of `_StandardGeometry`; or an
+            unphysical covariance.
     """
     if not 0.0 < s_tol < 0.5 - _S_EDGE:
         raise ValueError(f"s_tol must lie in (0, {0.5 - _S_EDGE}), got {s_tol}")
@@ -332,7 +472,7 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
     live = np.flatnonzero(~degenerate)
     if live.size == 0:
         return results
-    geom = _PairGeometry(mean0[live], cov0[live], mean1[live], cov1[live])
+    geom = _StandardGeometry(mean0[live], cov0[live], mean1[live], cov1[live])
     m = live.size
     n_evals = np.zeros(m, dtype=int)
 
@@ -403,12 +543,17 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
 
 
 def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
-    """Upper bound (1/2) Q_{1/2}^N on the N-copy symmetric error probability."""
+    """Upper bound (1/2) Q_{1/2}^N on the N-copy symmetric error probability.
+
+    The pair must be in the standard form `make_pair` builds (see
+    `_StandardGeometry`)."""
     if n_copies < 0 or int(n_copies) != n_copies:
         raise ValueError(f"n_copies must be a non-negative integer, got {n_copies}")
     if pair.degenerate:
         return 0.5
-    log_q_half = _geometry(pair.rho0, pair.rho1).log_q_and_slope(np.array([0.5]))[0][0]
+    rho0, rho1 = pair.rho0, pair.rho1
+    geom = _StandardGeometry(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])
+    log_q_half = geom.log_q_and_slope(np.array([0.5]))[0][0]
     return float(0.5 * np.exp(n_copies * min(log_q_half, 0.0)))
 
 

@@ -1,7 +1,9 @@
 """One parameter domain: every entry point rejects a bad n_s, n_b or kappa
-with the same message, from the checks in transmitters and target; and
-every entry point that takes moments rejects non-finite ones."""
+with the same message, from the checks in transmitters and target; every
+entry point that takes moments rejects non-finite ones; and chernoff_many
+rejects, after that, a stack outside its standard form or unphysical."""
 
+import numpy as np
 import pytest
 
 from gaussqi import highprec
@@ -130,3 +132,47 @@ def test_every_pair_entry_point_rejects_non_finite_mean(entry, value):
     if entry != "GaussianState":
         with pytest.raises(ValueError, match="means must be finite"):
             MOMENT_ENTRY_POINTS[entry](_spoil(m0, value, (0, 0)), c0, m1, c1)
+
+
+def _tmss_pair_stack():
+    mean0, cov0, mean1, cov1, _ = pair_stack("tmss", [1.0], 1.0, 0.1)
+    return mean0, cov0, mean1, cov1
+
+
+def _correlate(cov, i, j, value=0.1):
+    cov = cov.copy()
+    cov[:, i, j] = cov[:, j, i] = value
+    return cov
+
+
+# Stacks that break the standard form of chernoff_many, as (mean0, cov0, mean1, cov1).
+NOT_STANDARD = {
+    "one-mode q-p correlation": lambda m0, c0, m1, c1: (m0, c0, m1, _correlate(c1, 0, 1)),
+    "two-mode q-p correlation": lambda m0, c0, m1, c1: (m0, c0, m1, _correlate(c1, 0, 3)),
+    "two-mode unequal q entries": lambda m0, c0, m1, c1: (m0, _correlate(c0, 0, 0, 2.0), m1, c1),
+    "two-mode unequal means": lambda m0, c0, m1, c1: (m0, c0, _spoil(m1, 0.1, (0, 2)), c1),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_STANDARD))
+def test_chernoff_many_rejects_a_stack_not_in_standard_form(case):
+    stack = _coherent_pair_stack() if case.startswith("one") else _tmss_pair_stack()
+    with pytest.raises(ValueError, match="pair 0 is not in standard form"):
+        chernoff_many(*NOT_STANDARD[case](*stack), [False])
+
+
+def test_chernoff_many_checks_finiteness_before_the_standard_form():
+    m0, c0, m1, c1 = _tmss_pair_stack()
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        chernoff_many(m0, c0, m1, _correlate(c1, 0, 1, NAN), [False])
+    with pytest.raises(ValueError, match="means must be finite"):
+        chernoff_many(m0, c0, _spoil(m1, NAN, (0, 2)), c1, [False])
+
+
+@pytest.mark.parametrize("kind, scale", [("coherent", 0.1), ("coherent", -1.0), ("tmss", 0.1)])
+def test_chernoff_many_rejects_an_unphysical_standard_form(kind, scale):
+    # 0.1 I has symplectic eigenvalues 0.1; -I is not positive definite.
+    stack = _coherent_pair_stack() if kind == "coherent" else _tmss_pair_stack()
+    m0, c0, m1, c1 = stack
+    with pytest.raises(ValueError, match="unphysical covariance"):
+        chernoff_many(m0, c0, m1, scale * np.eye(c1.shape[-1])[None], [False])

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from gaussqi import highprec
 from gaussqi.divergence import (
     _S_EDGE,
-    _geometry,
     _PairGeometry,
+    _StandardGeometry,
     chernoff,
     chernoff_many,
     fidelity_many,
@@ -27,6 +27,7 @@ from gaussqi.divergence import (
 )
 from gaussqi.fock_oracle import choose_cutoff, hypothesis_pair_fock, q_s_fock
 from gaussqi.reference import q_s_alt, random_symplectic, target_present
+from gaussqi.symplectic import symplectic_eigenvalues
 from gaussqi.sweeps import SweepPlan, run_sweep
 from gaussqi.target import MODELS, HypothesisPair, TargetConfig, make_pair, pair_stack
 from gaussqi.transmitters import KINDS, TransmitterSpec
@@ -53,11 +54,18 @@ def _floor(pair) -> float:
     return 1e-15 * (1.0 + pair.config.n_b)
 
 
+def _standard(pair, size: int = 1) -> _StandardGeometry:
+    """The production geometry of one pair, as a stack of `size` copies."""
+    rho0, rho1 = pair.rho0, pair.rho1
+    moments = (rho0.mean, rho0.cov, rho1.mean, rho1.cov)
+    return _StandardGeometry(*(np.repeat(x[None], size, axis=0) for x in moments))
+
+
 @SETTINGS
 @given(s=st.floats(0.05, 0.95), **BOX)
 def test_slope_matches_central_difference(s, kind, model, log_kappa, log_n_s, log_n_b):
     pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
-    geom = _geometry(pair.rho0, pair.rho1)
+    geom = _standard(pair)
     slope = geom.log_q_and_slope(np.array([s]))[1][0]
 
     def log_q(t):
@@ -67,6 +75,16 @@ def test_slope_matches_central_difference(s, kind, model, log_kappa, log_n_s, lo
     central = (log_q(s + h) - log_q(s - h)) / (2.0 * h)
     # The difference quotient itself carries the noise floor / h.
     assert slope == pytest.approx(central, rel=1e-6, abs=1e-9 + _floor(pair) / h)
+
+
+@SETTINGS
+@given(**BOX)
+def test_log_q_is_convex_in_s(kind, model, log_kappa, log_n_s, log_n_b):
+    # log Q_s is convex in s (Audenaert et al., PRL 98, 160501 (2007)).
+    pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
+    grid = np.linspace(0.02, 0.98, 49)
+    values = _standard(pair, grid.size).log_q_and_slope(grid)[0]
+    assert np.diff(values, 2).min() >= -_floor(pair)
 
 
 @SETTINGS
@@ -176,8 +194,8 @@ def test_stacked_overlap_invariants(s, seed, kind, model, logs):
     floor = 1e-14 * (1.0 + n_b)
     s = np.full(n_b.size, s)
 
-    def log_q(m0, c0, m1, c1, at=s):
-        return _PairGeometry(m0, c0, m1, c1).log_q_and_slope(at)[0]
+    def log_q(m0, c0, m1, c1, at=s, geometry=_StandardGeometry):
+        return geometry(m0, c0, m1, c1).log_q_and_slope(at)[0]
 
     value = log_q(mean0, cov0, mean1, cov1)
     # 0 < Q_s <= 1
@@ -189,9 +207,75 @@ def test_stacked_overlap_invariants(s, seed, kind, model, logs):
     swapped = log_q(mean1, cov1, mean0, cov0, at=1.0 - s)
     assert np.all(np.abs(swapped - value) <= 1e-9 * np.abs(value) + floor)
     # The same symplectic transformation of both states leaves Q_s alone.
+    # Moved states leave the standard form, so this runs on the dense route.
     sym = random_symplectic(mean0.shape[-1] // 2, np.random.default_rng(seed), scale=0.3)
-    moved = log_q(mean0 @ sym.T, sym @ cov0 @ sym.T, mean1 @ sym.T, sym @ cov1 @ sym.T)
+    moved = log_q(mean0 @ sym.T, sym @ cov0 @ sym.T, mean1 @ sym.T, sym @ cov1 @ sym.T,
+                  geometry=_PairGeometry)
     assert np.all(np.abs(moved - value) <= 1e-9 * np.abs(value) + floor)
+
+
+# The kinds and models whose pairs are not all degenerate: a legacy vacuum
+# pair's states coincide.
+LIVE = [(kind, model) for kind in KINDS for model in MODELS if (kind, model) != ("vacuum", "legacy")]
+
+
+def _standard_draws(kind, model, seed, size=2000):
+    """pair_stack moments of `size` draws from the box, the first 50 at N_B = 0.
+
+    Returns n_b and the moments of the pairs that are not degenerate.
+    """
+    rng = np.random.default_rng(seed)
+    kappa = 10.0 ** rng.uniform(-3.0, -1.0, size)
+    n_s = np.zeros(size) if kind == "vacuum" else 10.0 ** rng.uniform(-3.0, 1.0, size)
+    n_b = 10.0 ** rng.uniform(-3.0, 2.0, size)
+    n_b[:50] = 0.0
+    mean0, cov0, mean1, cov1, degenerate = pair_stack(kind, n_s, n_b, kappa, model)
+    live = ~degenerate
+    return n_b[live], (mean0[live], cov0[live], mean1[live], cov1[live])
+
+
+@pytest.mark.parametrize("kind, model", LIVE)
+def test_standard_geometry_nu_matches_symplectic_eigenvalues(kind, model):
+    n_b, moments = _standard_draws(kind, model, seed=90)
+    geom = _StandardGeometry(*moments)
+    nu = np.sort(0.5 * geom.factors.x.reshape(n_b.size, 2, -1), axis=-1)
+    dense = np.stack([symplectic_eigenvalues(cov) for cov in moments[1::2]], axis=1)
+    assert np.all(np.abs(nu - dense) <= 1e-13 * dense)
+    if kind == "tmss":
+        # At N_B = 0 the transmitted mode of both states is pure, and the
+        # closed form puts it at x = 1 exactly, where rounding of the
+        # entries would leave it on either side.
+        assert np.all(geom.factors.x[n_b == 0.0][:, (0, 2)] == 1.0)
+
+
+@pytest.mark.parametrize("kind, model", LIVE)
+def test_standard_geometry_matches_dense_route(kind, model):
+    """The closed form against the Williamson route, pair and swapped pair.
+
+    ROADMAP direction 9's pin: 2000 draws from the box per kind and model,
+    the first 50 at N_B = 0, where rho0 has a pure mode, at s drawn from
+    [0.05, 0.95].  log Q_s agrees to 1e-9 |log Q_s| + 1e-14 (1 + N_B).  The
+    slope sums terms that grow like 1/s and 1/(1 - s) (L / expm1(pL) at
+    small p), so its floor carries a factor 1 / (2 min(s, 1 - s)), 1 at
+    s = 1/2.  A tmss pair at N_B = 0 has a pure mode in rho1 as well, which
+    rounding of its entries puts just above or below 1/2; above it,
+    Lambda_p(1 + d) - 1 ~ 2 (d/2)^p turns that rounding into an O(1)
+    error.  So pairs where the Williamson route puts a mode just above 1/2
+    are left out (the closed form puts it at 1/2; see the test above).
+    """
+    n_b, moments = _standard_draws(kind, model, seed=91)
+    nus = [symplectic_eigenvalues(cov) for cov in moments[1::2]]
+    rounded_up = [(nu > 0.5) & (nu < 0.5 + 1e-12) for nu in nus]
+    keep = ~(rounded_up[0] | rounded_up[1]).any(axis=-1)
+    n_b, (mean0, cov0, mean1, cov1) = n_b[keep], (x[keep] for x in moments)
+    s = np.random.default_rng(92).uniform(0.05, 0.95, n_b.size)
+    floor = 1e-14 * (1.0 + n_b)
+    for states, at in (((mean0, cov0, mean1, cov1), s), ((mean1, cov1, mean0, cov0), 1.0 - s)):
+        value, slope = _StandardGeometry(*states).log_q_and_slope(at)
+        dense_value, dense_slope = _PairGeometry(*states).log_q_and_slope(at)
+        assert np.all(np.abs(value - dense_value) <= 1e-9 * np.abs(dense_value) + floor)
+        slope_floor = floor / (2.0 * np.minimum(at, 1.0 - at))
+        assert np.all(np.abs(slope - dense_slope) <= 1e-9 * np.abs(dense_slope) + slope_floor)
 
 
 @SETTINGS

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import gaussqi.divergence
 import gaussqi.sweeps
+import gaussqi.symplectic
 from gaussqi.cli import main
 from gaussqi.divergence import fidelity
 from gaussqi.symplectic import GaussianState
@@ -142,6 +144,23 @@ def test_run_sweep_builds_no_state_or_spec(monkeypatch):
     for cls in (GaussianState, TransmitterSpec, TargetConfig):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     assert len(run_sweep(plan)) == (1 + 3) * 2 * len(gaussqi.sweeps.QUANTITIES)
+
+
+@pytest.mark.parametrize("model", ["agnostic", "legacy"])
+def test_run_sweep_exponents_take_no_matrix_routine(monkeypatch, model):
+    # Every exponent comes from the closed-form standard geometry: no
+    # Williamson step, and no LAPACK routine per pair.
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix routine called during run_sweep")
+
+    for module in (gaussqi.symplectic, gaussqi.divergence):
+        monkeypatch.setattr(module, "williamson", refuse)
+    for name in ("cholesky", "eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    plan = small_plan(transmitters=("vacuum", "coherent", "smsv", "tmss"),
+                      quantities=tuple(q for q in gaussqi.sweeps.QUANTITIES if q != "fidelity"),
+                      n_b_grid=(0.0, 2.0), model=model)
+    assert len(run_sweep(plan)) == (1 + 3) * 2 * 5
 
 
 @pytest.mark.parametrize("model", ["agnostic", "legacy"])
