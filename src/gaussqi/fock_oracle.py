@@ -145,7 +145,7 @@ class FockOperator:
 
     @cached_property
     def _overlaps(self) -> weakref.WeakKeyDictionary:
-        # (w0, V0^dag V1, w1) against each partner operator, dropped with the partner
+        # _overlap's (cross, terms) against each partner operator, dropped with the partner
         return weakref.WeakKeyDictionary()
 
 
@@ -507,37 +507,43 @@ def _place(eigen, groups, row, col, vec):
     return zip(_stacks(w_flat, groups, square=False), _stacks(v_flat, groups, square=True))
 
 
-def _cross(rho: FockOperator, sigma: FockOperator):
-    """(w0, V0^dag V1, w1) per stack of joint blocks, computed once per pair.
+def _overlap(rho: FockOperator, sigma: FockOperator):
+    """(cross, terms) of a pair, computed once and kept on rho.
 
-    The joint blocks are the connected components of the blocks of both
-    operators together.  Every eigenvector lies inside one of them, so
-    V0^dag V1 is block diagonal over the joint blocks.
+    cross holds (w0, V0^dag V1, w1) per stack of joint blocks.  The joint
+    blocks are the connected components of the blocks of both operators
+    together.  Every eigenvector lies inside one of them, so V0^dag V1 is
+    block diagonal over the joint blocks.  terms holds the same overlap as
+    three flat arrays (w0, |V0^dag V1|^2, w1), one entry per non-zero term
+    of the sum q_s_fock takes.
     """
     if rho.dim != sigma.dim:
         raise ValueError("operators must share dimensions")
-    cross = rho._overlaps.get(sigma)
-    if cross is None:
+    overlap = rho._overlaps.get(sigma)
+    if overlap is None:
         label = _labels(rho.dim, [idx for idx, _, _ in rho._eigen + sigma._eigen])
         layout = _layout(label)
         sides = zip(_place(rho._eigen, *layout), _place(sigma._eigen, *layout))
         cross = tuple(
             _read_only(w0, v0.conj().swapaxes(1, 2) @ v1, w1) for (w0, v0), (w1, v1) in sides
         )
-        rho._overlaps[sigma] = cross
-    return cross
+        w0, c2, w1 = (np.concatenate(parts) for parts in zip(*(
+            (np.broadcast_to(w0[:, :, None], c.shape).ravel(), (np.abs(c) ** 2).ravel(),
+             np.broadcast_to(w1[:, None, :], c.shape).ravel())
+            for w0, c, w1 in cross
+        )))
+        keep = (w0 > 0.0) & (c2 > 0.0) & (w1 > 0.0)
+        overlap = cross, _read_only(w0[keep], c2[keep], w1[keep])
+        rho._overlaps[sigma] = overlap
+    return overlap
 
 
 def q_s_fock(rho: FockOperator, sigma: FockOperator, s: float) -> float:
     """tr rho^s sigma^{1-s} from the cached spectra of both operators."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    return float(
-        sum(
-            np.einsum("bi,bij,bj->", w0**s, np.abs(cross) ** 2, w1 ** (1.0 - s))
-            for w0, cross, w1 in _cross(rho, sigma)
-        )
-    )
+    w0, c2, w1 = _overlap(rho, sigma)[1]
+    return float(np.dot(w0**s * w1 ** (1.0 - s), c2))
 
 
 def fidelity_fock(rho: FockOperator, sigma: FockOperator) -> float:
@@ -550,7 +556,7 @@ def fidelity_fock(rho: FockOperator, sigma: FockOperator) -> float:
     """
     weighted = (
         np.sqrt(w0)[:, :, None] * cross * np.sqrt(w1)[:, None, :]
-        for w0, cross, w1 in _cross(rho, sigma)
+        for w0, cross, w1 in _overlap(rho, sigma)[0]
     )
     return float(sum(np.linalg.svd(m, compute_uv=False).sum() for m in weighted))
 

@@ -5,11 +5,22 @@ At reflectivities below roughly 1e-7 the Bhattacharyya exponent
 separate Q from 1.  These helpers evaluate the overlap formula in mpmath on
 the hypothesis-pair moments of `target.pair_moments`, fed mpf inputs, so
 the limit-order study can evaluate exact exponent ratios instead of
-expansions.  The Williamson step and the overlap formula are written here
-independently of `divergence`; at moderate parameters the results agree
-with the float64 path (tested), which is what certifies this route.  The
-s-independent Williamson step of a point is kept in a small cache, so
-evaluating one point at several s pays for it once.
+expansions.  The symplectic eigendecomposition and the overlap formula are
+written here independently of `divergence`; at moderate parameters the
+results agree with the float64 path (tested), which is what certifies this
+route.
+
+Each state V = L L^T is taken through its Cholesky factor: K = L^-1 Omega
+L^-T is antisymmetric, the symmetric K K^T has eigenvalues 1/nu_k^2, each
+twice, and with W its orthonormal eigenvectors the state's term of Sigma_s
+is L W diag(Lambda_p(nu_j) / nu_j) W^T L^T.  That term is a function of
+K K^T, so any eigenbasis serves and coinciding nu need no pairing.  Both
+terms are written in rho0's frame L0 W0, where Sigma_s = L0 W0 A W0^T L0^T
+with A = diag(c0) + M diag(c1) M^T, and one Cholesky factor of A gives its
+determinant and the mean term.  The s-independent part of a point, one
+real eigendecomposition per state, is kept in a small cache, so evaluating
+one point at several s pays for it once.  Matrices are lists of rows of
+mpf; mpmath's matrix type appears only around `mp.eigsy`.
 """
 
 from __future__ import annotations
@@ -22,99 +33,112 @@ from .target import pair_moments
 
 # Working precision, in decimal digits, of every evaluation in this module.
 DPS = 60
+# A doubled symplectic eigenvalue 2 nu within this distance of 1 is a pure
+# mode, set to 1 exactly.  The eigensolver leaves a pure mode a few units
+# of the last digit off 1/2, and (2 nu - 1)**p would carry that rounding
+# into log Q at O(1e-61**p), or make it complex.
+_PURE_BAND = mp.mpf(10) ** (10 - DPS)
 
 
-def _mp_symplectic_form(n: int) -> mp.matrix:
-    delta = mp.zeros(2 * n)
-    for k in range(n):
-        delta[2 * k, 2 * k + 1] = mp.mpf(1)
-        delta[2 * k + 1, 2 * k] = mp.mpf(-1)
-    return delta
+def _cholesky(a):
+    """Lower-triangular L with a = L L^T, as square rows; reads only a[i][j]
+    with j <= i."""
+    low = []
+    for i, row in enumerate(a):
+        out = []
+        for j in range(i):
+            out.append((row[j] - mp.fdot(out, low[j][:j])) / low[j][j])
+        out.append(mp.sqrt(row[i] - mp.fdot(out, out)))
+        low.append(out + [0] * (len(a) - i - 1))
+    return low
 
 
-def _sym_roots(v: mp.matrix):
-    """v**(1/2) and v**(-1/2) for symmetric positive definite v, from one
-    eigendecomposition."""
-    evals, q = mp.eigsy(v)
-    d = mp.zeros(v.rows)
-    d_inv = mp.zeros(v.rows)
-    for i in range(v.rows):
-        d[i, i] = evals[i] ** (mp.mpf(1) / 2)
-        d_inv[i, i] = evals[i] ** (mp.mpf(-1) / 2)
-    return q * d * q.T, q * d_inv * q.T
+def _forward(low, b):
+    """x with L x = b, for lower-triangular L."""
+    x = []
+    for i, row in enumerate(low):
+        x.append((b[i] - mp.fdot(row[:i], x)) / row[i])
+    return x
 
 
-def _williamson_pl(v: mp.matrix):
-    """Symplectic eigenvalues nu_k and T with v = T diag(nu x I2) T^T."""
-    n = v.rows // 2
-    root, root_inv = _sym_roots(v)
-    anti = root_inv * _mp_symplectic_form(n) * root_inv
-    # -i anti is Hermitian with eigenvalues +-1/nu_k.  Its eigenvectors are
-    # orthonormal even where nu_k coincide, so the real and imaginary parts
-    # of those with positive eigenvalue form orthogonal canonical pairs.
-    evals, evecs = mp.eighe(anti * mp.mpc(0, -1))
-
-    cols = []
-    nus = []
-    for i, lam in enumerate(evals):
-        if lam <= 0:
-            continue
-        w = evecs[:, i]
-        u = mp.matrix([mp.re(w[j]) for j in range(2 * n)])
-        x = mp.matrix([mp.im(w[j]) for j in range(2 * n)])
-        cols.append((u / mp.norm(u), x / mp.norm(x)))
-        nus.append(1 / lam)
-
-    o = mp.zeros(2 * n)
-    for k, (u, x) in enumerate(cols):
-        for j in range(2 * n):
-            o[j, 2 * k] = u[j]
-            o[j, 2 * k + 1] = x[j]
-    d_inv_half = mp.zeros(2 * n)
-    for k, nu in enumerate(nus):
-        d_inv_half[2 * k, 2 * k] = 1 / mp.sqrt(nu)
-        d_inv_half[2 * k + 1, 2 * k + 1] = 1 / mp.sqrt(nu)
-    return nus, root * o * d_inv_half
+def _columns(rows):
+    return [list(col) for col in zip(*rows)]
 
 
-def _g(p, x):
-    return mp.mpf(2) ** p / ((x + 1) ** p - (x - 1) ** p)
-
-
-def _lam(p, x):
-    hi = (x + 1) ** p
-    lo = (x - 1) ** p
-    return (hi + lo) / (hi - lo)
+def _state(cov):
+    """Cholesky factor L, eigenvectors W of K K^T (as columns), the sum of
+    log(2 nu + 1) over them, and per eigenvector the pair
+    (1/nu, log((2 nu - 1) / (2 nu + 1))), with None for the log of a pure mode."""
+    low = _cholesky(cov)
+    dim = len(cov)
+    inv = _columns([_forward(low, [1 if i == j else 0 for i in range(dim)]) for j in range(dim)])
+    # Rows of L^-1 Omega, with Omega = diag([[0, 1], [-1, 0]]) per mode.
+    inv_omega = [[-r[k + 1] if k % 2 == 0 else r[k - 1] for k in range(dim)] for r in inv]
+    anti = [[mp.fdot(a, b) for b in inv] for a in inv_omega]
+    evals, vecs = mp.eigsy(mp.matrix([[mp.fdot(a, b) for b in anti] for a in anti]))
+    log_hi, modes = [], []
+    for e in evals:
+        inv_nu = mp.sqrt(e)
+        x = 2 / inv_nu
+        if abs(x - 1) < _PURE_BAND:
+            log_hi.append(mp.log(2))
+            modes.append((mp.mpf(2), None))
+        else:
+            log_hi.append(mp.log(x + 1))
+            modes.append((inv_nu, mp.log1p(-2 / (x + 1))))
+    return low, [[vecs[i, j] for i in range(dim)] for j in range(dim)], mp.fsum(log_hi), modes
 
 
 def _geometry(mean0, cov0, mean1, cov1):
-    """The s-independent part of log Q_s: mean difference and both Williamson
-    decompositions."""
-    m0, v0, m1, v1 = (mp.matrix(x) for x in (mean0, cov0, mean1, cov1))
-    return m1 - m0, _williamson_pl(v0), _williamson_pl(v1)
+    """The s-independent part of log Q_s, in rho0's frame L0 W0: log det L0,
+    both states' sums of log(2 nu + 1) and modes (see _state),
+    M = W0^T L0^-1 L1 W1 and z = sqrt(2) W0^T L0^-1 (m1 - m0)."""
+    low0, w0, log_hi0, modes0 = _state(cov0)
+    low1, w1, log_hi1, modes1 = _state(cov1)
+    rel = [_forward(low0, col) for col in _columns(low1)]  # columns of L0^-1 L1
+    rel_w1 = [[mp.fdot(row, w) for w in w1] for row in _columns(rel)]  # rows of L0^-1 L1 W1
+    m = [[mp.fdot(w, col) for col in _columns(rel_w1)] for w in w0]
+    y = _forward(low0, [b - a for a, b in zip(mean0, mean1)])
+    z = [mp.sqrt(2) * mp.fdot(w, y) for w in w0]
+    log_det0 = mp.fsum(mp.log(row[i]) for i, row in enumerate(low0))
+    return log_det0, log_hi0, modes0, log_hi1, modes1, m, z
+
+
+def _weights(p, modes):
+    """Per eigenvector Lambda_p(nu) / nu, and the product over eigenvectors
+    of 1 - r, where with hi, lo = (2 nu + 1)**p, (2 nu - 1)**p and
+    r = lo / hi, Lambda_p = (1 + r) / (1 - r) and hi - lo = hi (1 - r)."""
+    weights, spread = [], mp.mpf(1)
+    for inv_nu, log_ratio in modes:
+        t = 1 if log_ratio is None else 1 - mp.exp(p * log_ratio)
+        weights.append((2 - t) / t * inv_nu)
+        spread *= t
+    return weights, spread
 
 
 def _log_q_at(geometry, s):
-    diff, (nus0, t0), (nus1, t1) = geometry
-    n = t0.rows // 2
-    lam0 = mp.zeros(2 * n)
-    lam1 = mp.zeros(2 * n)
-    log_g = mp.mpf(0)
-    for k in range(n):
-        x0, x1 = 2 * nus0[k], 2 * nus1[k]
-        lam0[2 * k, 2 * k] = lam0[2 * k + 1, 2 * k + 1] = _lam(s, x0)
-        lam1[2 * k, 2 * k] = lam1[2 * k + 1, 2 * k + 1] = _lam(1 - s, x1)
-        log_g += mp.log(_g(s, x0)) + mp.log(_g(1 - s, x1))
-    sig = t0 * lam0 * t0.T + t1 * lam1 * t1.T
-    delta = mp.sqrt(2) * diff
-    quad = (delta.T * mp.lu_solve(sig, delta))[0]
-    return n * mp.log(2) + log_g - mp.log(mp.det(sig)) / 2 - quad / 2
+    log_det0, log_hi0, modes0, log_hi1, modes1, m, z = geometry
+    n = len(z) // 2
+    c0, spread0 = _weights(s, modes0)
+    c1, spread1 = _weights(1 - s, modes1)
+    # Sum over modes of log G_p(nu), G_p = 2**p / (hi - lo): the 2**p make
+    # n log 2, and each mode's hi - lo appears once per eigenvector of its pair.
+    log_hi = s * log_hi0 + (1 - s) * log_hi1
+    log_g = n * mp.ln2 - (log_hi + mp.log(spread0 * spread1)) / 2
+    scaled = [[mk * c for mk, c in zip(row, c1)] for row in m]
+    a = [[mp.fdot(scaled[i], m[j]) + (c0[i] if i == j else 0) for j in range(i + 1)]
+         for i in range(len(m))]
+    low = _cholesky(a)
+    u = _forward(low, z)
+    # log det Sigma_s / 2 = log det L0 + log det of A's Cholesky factor
+    log_det_low = mp.log(mp.fprod(row[i] for i, row in enumerate(low)))
+    return n * mp.ln2 + log_g - log_det0 - log_det_low - mp.fdot(u, u) / 2
 
 
 @lru_cache(maxsize=8)
 def _pair_geometry(kind: str, n_s, n_b, kappa, model: str):
     # Only mp numbers are kept: a sweep over s reuses the two mpmath
-    # Williamson decompositions of its point, which dominate each call.
+    # eigendecompositions of its point, which dominate each call.
     with mp.workdps(DPS):
         return _geometry(*pair_moments(kind, mp.mpf(n_s), mp.mpf(n_b), mp.mpf(kappa), model))
 

@@ -20,7 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from . import highprec
+# `highprec`, and with it mpmath, is imported inside the checks and the
+# limit study that evaluate it, so a sweep or a figure does not load it.
 # chernoff stays importable from here: the benchmark's tracer tests read
 # gaussqi.sweeps.chernoff.
 from .divergence import _Factors, chernoff, chernoff_many, fidelity_many  # noqa: F401
@@ -455,6 +456,7 @@ def _check_dim_lambda_sum(name: str) -> ExpansionCheck:
 
 def _check_coherent_affinity(name: str, n_b, n_s, model, expected) -> ExpansionCheck:
     # -log Q_{1/2} for the coherent pair against model(kappa, n_s, n_b).
+    from . import highprec
     kappas = np.logspace(-4, -2, 4)
     resid = []
     for kappa in kappas:
@@ -467,6 +469,7 @@ def _check_smsv_vs_vacuum(name: str, n_b, n_s, kappas, model, key, compare) -> E
     # 1 - Q_{1/2} for squeezed light against model(kappa, n_s, n_b), whose
     # residual is o(k^2); details[key] records whether compare(smsv deficit,
     # vacuum deficit) holds at every kappa.
+    from . import highprec
     resid = []
     holds = True
     for kappa in kappas:
@@ -502,6 +505,7 @@ def _check_tmss_affinity(name: str) -> ExpansionCheck:
     # (N_S - 2 N_S^{3/2} + 3 N_S^2) k / N_B + (N_B-1) k^2/(8 N_B)
     # + (5N_S/4 - 3 N_S^{3/2} + 9 N_S^2) k^2 / N_B.  At small N_S and large
     # N_B the neglected terms are O(k^3).
+    from . import highprec
     n_b, n_s = 1e4, 1e-3
     kappas = np.logspace(-4, -2, 4)
     resid = []
@@ -521,6 +525,7 @@ def _check_limit_order(name: str) -> ExpansionCheck:
     # ratio.  kappa -> 0 first approaches (but never reaches) 4; n_s -> 0
     # first gives no advantage; the rescaled-background model is continuous
     # with limit 4.
+    from . import highprec
     n_b = 1e4
     kappa_first = [
         (1e-4, k) for k in (1e-6, 1e-8, 1e-10, 1e-11)
@@ -608,6 +613,7 @@ def limit_order_study(model: str = "agnostic") -> list[SweepRow]:
     holds the signal intensity at 1e-4 while the reflectivity drops;
     "ns-first" holds the reflectivity at 1e-3 while the intensity drops.
     """
+    from . import highprec
     n_b = 1e4
     rows = []
     kappa_path = (1e-4, 1e-6, 1e-8, 1e-10) if model == "agnostic" else (1e-4, 1e-5, 1e-6)

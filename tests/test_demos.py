@@ -41,11 +41,13 @@ def test_demo_runs(name, tmp_path):
 def test_import_loads_no_scipy(tmp_path):
     # scipy is needed only by random_symplectic, which imports it when it
     # runs; the second routes are imported only by those who check against
-    # them, and the Fock oracle runs on numpy alone.
+    # them, and the Fock oracle runs on numpy alone.  mpmath comes with
+    # highprec, which only the verify checks and the limit study load.
     code = (
         "import sys, gaussqi, gaussqi.cli\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "                or m in ('gaussqi.reference', 'gaussqi.fock_oracle'))\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')\n"
+        "                or m in ('gaussqi.reference', 'gaussqi.fock_oracle',\n"
+        "                         'gaussqi.highprec'))\n"
         "if loaded: sys.exit(', '.join(loaded))\n"
         "from gaussqi.fock_oracle import choose_cutoff, hypothesis_pair_fock, q_s_fock\n"
         "spec, cfg = gaussqi.tmss(0.3), gaussqi.TargetConfig(kappa=0.2, n_b=0.3)\n"

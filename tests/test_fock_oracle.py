@@ -417,21 +417,39 @@ def test_block_spectrum_checks_are_global():
         FockOperator(bad, 1).spectrum
 
 
+@pytest.mark.parametrize("spec,cutoff", [(coherent(0.4), 20), (smsv(0.4), 30), (tmss(0.4), 16)])
+def test_flat_terms_match_the_block_sum(spec, cutoff):
+    # q_s_fock sums the flat terms; the sum over the joint blocks of the
+    # cached cross products is the reference, equal up to summation order.
+    rho0, rho1 = hypothesis_pair_fock(spec, TargetConfig(kappa=0.2, n_b=0.3), cutoff)
+    for s in (0.1, 0.5, 0.9):
+        flat = q_s_fock(rho0, rho1, s)
+        cross, _ = fock_oracle._overlap(rho0, rho1)
+        blocks = sum(
+            np.einsum("bi,bij,bj->", w0**s, np.abs(c) ** 2, w1 ** (1.0 - s)) for w0, c, w1 in cross
+        )
+        assert flat == pytest.approx(blocks, rel=1e-14)
+
+
 def test_overlap_computed_once_and_dropped_with_operators():
     rho0, rho1 = hypothesis_pair_fock(tmss(0.3), TargetConfig(kappa=0.2, n_b=0.3), 10)
     q = q_s_fock(rho0, rho1, 0.3)
-    (cross,) = rho0._overlaps.values()
+    (overlap,) = rho0._overlaps.values()
     for s in (0.5, 0.7):
         q_s_fock(rho0, rho1, s)
     f = fidelity_fock(rho0, rho1)
     (stored,) = rho0._overlaps.values()
-    assert stored is cross
-    # later calls read the stored product rather than forming their own
-    rho0._overlaps[rho1] = tuple((w0, 2.0 * c, w1) for w0, c, w1 in cross)
+    assert stored is overlap
+    # later calls read the stored product rather than forming their own:
+    # fidelity_fock the blocks, q_s_fock the flat terms
+    cross, (w0, c2, w1) = overlap
+    rho0._overlaps[rho1] = (
+        tuple((w0, 2.0 * c, w1) for w0, c, w1 in cross), (w0, 4.0 * c2, w1)
+    )
     assert q_s_fock(rho0, rho1, 0.3) == pytest.approx(4.0 * q, rel=1e-12)
     assert fidelity_fock(rho0, rho1) == pytest.approx(2.0 * f, rel=1e-12)
     ref0, ref1 = weakref.ref(rho0), weakref.ref(rho1)
-    del rho1, cross, stored
+    del rho1, overlap, stored, cross, w0, c2, w1
     assert ref1() is None and len(rho0._overlaps) == 0
     del rho0
     assert ref0() is None
