@@ -12,6 +12,7 @@ import numpy as np
 
 import gaussqi as gq
 from gaussqi.reference import dilated_present, target_present
+from gaussqi.symplectic import symplectic_eigenvalues
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -45,6 +46,5 @@ full = dilated_present(gq.probe_state(gq.tmss(N_S)), cfg)
 print("\nfull 6x6 covariance of the dilation (doubled convention):")
 print(2 * full.cov)
 
-# Williamson data of the received two-mode state
-w = gq.williamson(gq.make_pair(gq.tmss(N_S), cfg).rho1.cov)
-print("\nsymplectic eigenvalues of the received two-mode state:", w.nu)
+nu = symplectic_eigenvalues(gq.make_pair(gq.tmss(N_S), cfg).rho1.cov)
+print("\nsymplectic eigenvalues of the received two-mode state:", nu)

@@ -15,7 +15,7 @@ from .divergence import (
     fidelity,
     q_s_general,
 )
-from .symplectic import GaussianState, williamson
+from .symplectic import GaussianState
 from .target import HypothesisPair, TargetConfig, make_pair, pair_stack
 from .transmitters import (
     TransmitterSpec,

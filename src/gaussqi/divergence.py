@@ -6,11 +6,11 @@ quadrature convention of the standard Gaussian-discrimination formula, so
 symplectic eigenvalues enter as x = 2 nu and mean vectors pick up a factor
 sqrt(2) relative to the package's vacuum = I/2 convention.
 
-Two geometries evaluate it.  `_StandardGeometry` takes the standard form
-every `target.pair_stack` pair is in and needs no matrix routine; it serves
-`chernoff_many`, `chernoff` and `bhattacharyya_error_bound`.
-`_PairGeometry` takes any pair of states through `williamson`; it serves
-`q_s_general`.
+Production evaluates it in one way, `_StandardGeometry`: the Williamson
+data of the standard form every `target.pair_stack` pair is in, in closed
+form, with no matrix routine.  The dense route through a numerical
+Williamson decomposition, which takes any pair of states, is the tests'
+reference and lives in `reference`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import GaussianState, _check_physical, _validated_cov, symplectic_inverse, williamson
+from .symplectic import GaussianState, _check_physical, _validated_cov
 from .target import HypothesisPair
 
 # Minimizer defaults; chosen because log Q_s becomes exponentially flat in s
@@ -104,99 +104,14 @@ def _orders(sign: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.where(sign > 0.0, s[:, None], 1.0 - s[:, None])
 
 
-class _PairGeometry:
-    """Williamson data of a stack of state pairs, reused across evaluations in s.
-
-    Pairs are stacked along the first axis: means (N, 2n) and covariances
-    (N, 2n, 2n).  log_q_and_slope takes one s per pair.  Every
-    step is elementwise across the stack or a LAPACK/BLAS call per pair, and
-    no stacked array meets a shared 2-D operand in a product (that would
-    become one BLAS call over all rows), so a pair's numbers do not depend
-    on the other pairs in its stack.
-    """
-
-    def __init__(self, mean0, cov0, mean1, cov1):
-        if np.shape(cov0) != np.shape(cov1):
-            raise ValueError(
-                f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}"
-            )
-        # One Williamson step for the states of both hypotheses.
-        size = len(cov0)
-        w = williamson(np.concatenate((cov0, cov1)))
-        # The pairs do not pass through GaussianState, so physicality is
-        # checked here, on the symplectic eigenvalues just computed.
-        _check_physical(w.nu)
-        self.n = w.nu.shape[-1]
-        # Both states side by side: eigenvalues (x0, x1) taken at orders
-        # (s, 1-s), whose s-derivatives carry the signs (+1, -1).
-        self.factors = _Factors(2.0 * np.concatenate((w.nu[:size], w.nu[size:]), axis=-1))
-        self._sign = np.repeat((1.0, -1.0), self.n)
-        # The overlap formula wants the symplectics mapping the diagonal form
-        # back to the covariance: cov = T diag(nu x I2) T^T; t is [T0 T1].
-        t = symplectic_inverse(w.S)
-        self.t = np.concatenate((t[:size], t[size:]), axis=-1)
-        delta = np.sqrt(2.0) * _mean_difference(mean0, mean1, "overlap")
-        self._rhs = np.concatenate((delta[..., None], self.t), axis=-1)
-
-    def _cholesky(self, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Cholesky factors of Sigma(s) at the orders p = _orders(sign, s)."""
-        lam = self.factors.lam(p).repeat(2, axis=-1)
-        sig = (self.t * lam[:, None, :]) @ np.swapaxes(self.t, -1, -2)
-        try:
-            return np.linalg.cholesky(sig)
-        except np.linalg.LinAlgError:
-            # Name the first pair whose matrix fails.
-            for s_k, sig_k in zip(s, sig):
-                try:
-                    np.linalg.cholesky(sig_k)
-                except np.linalg.LinAlgError as exc:
-                    raise ValueError(
-                        f"overlap matrix not positive definite at s={s_k}"
-                    ) from exc
-            raise
-
-    def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log Q_s and d/ds log Q_s from one Sigma(s) and one Cholesky factor per pair.
-
-        The package's one evaluation of log Q_s (see q_s_general); callers
-        that want the value alone drop the slope.  With the Cholesky factor L
-        of Sigma(s) and z = L^-1 delta,
-
-            log Q_s = n log 2 + sum log G - sum_j log L_jj - z^T z / 2.
-
-        With y = Sigma^-1 delta and
-        dSigma = T0 [⊕ dLambda_s(x0) I2] T0^T - T1 [⊕ dLambda_{1-s}(x1) I2] T1^T:
-
-            d/ds log Q_s = sum_k d_p log G_p(x0_k)|_{p=s}
-                         - sum_k d_p log G_p(x1_k)|_{p=1-s}
-                         - tr(Sigma^-1 dSigma) / 2 + y^T dSigma y / 2
-
-        Both terms run through A = L^-1 [T0 T1]: for a diagonal D in those
-        frames, tr(Sigma^-1 T D T^T) is sum_jk A_jk^2 D_k, and T^T y is
-        A^T z.
-        """
-        p = _orders(self._sign, s)
-        chol = self._cholesky(s, p)
-        sol = np.linalg.solve(chol, self._rhs)
-        z, a = sol[..., 0], sol[..., 1:]
-        d_sigma = (self._sign * self.factors.lam_slope(p)).repeat(2, axis=-1)
-        w = (z[..., None] * a).sum(axis=-2)
-        slope = (self._sign * self.factors.log_g_slope(p)).sum(axis=-1)
-        slope -= 0.5 * (((a * a).sum(axis=-2) - w * w) * d_sigma).sum(axis=-1)
-        log_g = np.log(self.factors.g(p)).sum(axis=-1)
-        half_logdet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-        log_q = self.n * np.log(2.0) + log_g - half_logdet - 0.5 * (z * z).sum(axis=-1)
-        return log_q, slope
-
-
 class _StandardGeometry:
     """The geometry of a stack of pairs in standard form, in closed form.
 
     `target.pair_stack` writes every pair in this form: each covariance has
     no q-p correlations and is either one mode, diag(a, b), or two modes,
     [[a I2, c Z], [c Z, m I2]] with Z = diag(1, -1), and the means of a
-    two-mode pair agree.  Williamson's decomposition and Sigma(s) of
-    q_s_general then have closed forms (Serafini, Quantum Continuous
+    two-mode pair agree.  The Williamson data and Sigma(s) of `q_s_general`
+    then have closed forms (Serafini, Quantum Continuous
     Variables, 2017; Pirandola & Lloyd, PRA 78, 012331 (2008)):
 
     - one mode: nu = sqrt(ab) and T = diag(t, 1/t) with t^2 = a / nu, so
@@ -215,10 +130,11 @@ class _StandardGeometry:
       T_i^T Sigma^-1 T_i, which the slope's trace term weighs, is such a sum
       over that determinant as well.
 
-    The inputs are stacked as for _PairGeometry and checked as it checks
-    them; a stack in any other form is rejected.  Every step is elementwise
-    across the stack, with no LAPACK call, so a pair's numbers do not
-    depend on the other pairs in its stack.
+    Pairs are stacked along the first axis: means (N, 2n) and covariances
+    (N, 2n, 2n).  Non-finite, non-symmetric and unphysical moments are
+    rejected, and so is a stack in any other form.  Every step is
+    elementwise across the stack, with no LAPACK call, so a pair's numbers
+    do not depend on the other pairs in its stack.
     """
 
     def __init__(self, mean0, cov0, mean1, cov1):
@@ -290,10 +206,16 @@ class _StandardGeometry:
         return sub
 
     def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log Q_s and d/ds log Q_s, as _PairGeometry.log_q_and_slope defines them.
+        """log Q_s of `q_s_general` and its slope d/ds log Q_s, at one s per pair.
 
-        dSigma = T0 dLambda_s(x0) T0^T - T1 dLambda_{1-s}(x1) T1^T; its sign
-        per state is carried in `lam` and `d_lam` below.
+        With dSigma = T0 [⊕ dLambda_s(x0) I2] T0^T - T1 [⊕ dLambda_{1-s}(x1) I2] T1^T
+        and y = Sigma^-1 delta:
+
+            d/ds log Q_s = sum_k d_p log G_p(x0_k)|_{p=s}
+                         - sum_k d_p log G_p(x1_k)|_{p=1-s}
+                         - tr(Sigma^-1 dSigma) / 2 + y^T dSigma y / 2
+
+        The sign of dSigma per state is carried in `lam` and `d_lam` below.
         """
         p = _orders(self._sign, s)
         lam, d_lam = self.factors.lam(p), self._sign * self.factors.lam_slope(p)
@@ -325,9 +247,9 @@ class _StandardGeometry:
         return log_q - np.log(det), slope - trace
 
 
-def _geometry(rho0: GaussianState, rho1: GaussianState) -> _PairGeometry:
-    """The geometry of one pair of states, as a stack of one."""
-    return _PairGeometry(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])
+def _geometry(rho0: GaussianState, rho1: GaussianState) -> _StandardGeometry:
+    """The standard geometry of one pair of states, as a stack of one."""
+    return _StandardGeometry(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])
 
 
 def q_s_general(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
@@ -340,6 +262,9 @@ def q_s_general(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
         delta = sqrt(2) (mean1 - mean0)
         Q_s = 2^n prod_k G_s(2 nu0_k) G_{1-s}(2 nu1_k) / sqrt(det Sigma(s))
               * exp(-delta^T Sigma(s)^{-1} delta / 2)
+
+    This is `_StandardGeometry` on a stack of one, so the pair must be in
+    the standard form `make_pair` builds; any other pair raises ValueError.
     """
     log_q = _geometry(rho0, rho1).log_q_and_slope(np.array([_check_s(s)]))[0][0]
     return float(min(np.exp(log_q), 1.0))
@@ -551,9 +476,7 @@ def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
         raise ValueError(f"n_copies must be a non-negative integer, got {n_copies}")
     if pair.degenerate:
         return 0.5
-    rho0, rho1 = pair.rho0, pair.rho1
-    geom = _StandardGeometry(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])
-    log_q_half = geom.log_q_and_slope(np.array([0.5]))[0][0]
+    log_q_half = _geometry(pair.rho0, pair.rho1).log_q_and_slope(np.array([0.5]))[0][0]
     return float(0.5 * np.exp(n_copies * min(log_q_half, 0.0)))
 
 

@@ -1,20 +1,25 @@
 """Second routes: the independent constructions production is tested against.
 
 Production builds the hypothesis pair in closed form (`target.pair_moments`)
-and evaluates Q_s through one overlap formula (`divergence.q_s_general`).
-This module holds the other ways to reach the same numbers, apart from the
-truncated-Fock oracle (`fock_oracle`) and the mpmath route (`highprec`):
+and evaluates Q_s from the closed-form Williamson data of its standard form
+(`divergence._StandardGeometry`).  This module holds the other ways to reach
+the same numbers, apart from the truncated-Fock oracle (`fock_oracle`) and
+the mpmath route (`highprec`):
 
 - a Gaussian-unitary toolkit: symplectic unitaries (beamsplitter, squeezer,
   phase rotation), tensor products, partial traces and random symplectics;
 - the beamsplitter dilation of the target channel (`dilated_present`,
   `target_present`), which the closed-form moments are tested against;
-- two closed forms of Q_s that share nothing with the Williamson route of
+- the dense overlap route for any pair of states: a numerical Williamson
+  decomposition (`williamson`) and Sigma(s) as a matrix (`_PairGeometry`),
+  which shares the factors G, Lambda of `divergence._Factors` with
+  production but none of its closed-form geometry;
+- two closed forms of Q_s that share no overlap arithmetic with
   `divergence`: the coherent-transmitter form (`q_s_coherent_closed`) and
-  the single-mode zero-mean determinant form (`q_s_alt`).
+  the single-mode zero-mean determinant form (`q_s_alt`).  Of `divergence`
+  they use only its check of s.
 
-No production module imports this one, and it imports nothing from
-`divergence`, so a fault in the overlap formula cannot hide in its check.
+No production module imports this one, so nothing in it runs in production.
 """
 
 from __future__ import annotations
@@ -23,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import GaussianState, symplectic_form
+from .divergence import _check_s, _Factors, _mean_difference, _orders
+from .symplectic import (
+    GaussianState,
+    _check_physical,
+    _form_permutation,
+    _spectrum,
+    symplectic_form,
+)
 from .target import TargetConfig
 from .transmitters import _check_nonnegative, thermal_state
 
@@ -31,14 +43,6 @@ SYMPLECTIC_TOL = 1e-10
 
 # Transmitted mode is always the first mode of the probe; memory modes follow.
 TRANSMITTED_MODE = 0
-
-
-def _check_s(s: float) -> float:
-    """The order check of `divergence`, repeated so this module imports nothing from it."""
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    return s
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +215,145 @@ def target_present(probe: GaussianState, cfg: TargetConfig) -> GaussianState:
 
 
 # --------------------------------------------------------------------------
+# The dense overlap route
+
+
+def symplectic_inverse(s: np.ndarray) -> np.ndarray:
+    """Invert a symplectic matrix, or a stack of them, as S^-1 = -Delta S^T Delta.
+
+    Delta is applied as its signed permutation, so the result is exact.
+    """
+    order, signs = _form_permutation(s.shape[-1])
+    st = np.swapaxes(s, -1, -2)
+    return (signs[:, None] * st[..., order, :])[..., order] * signs
+
+
+@dataclass(frozen=True, eq=False)
+class WilliamsonDecomposition:
+    """Result of williamson(): S cov S^T = diag(nu_1, nu_1, ..., nu_n, nu_n)."""
+
+    nu: np.ndarray
+    S: np.ndarray
+
+
+def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
+    """Williamson decomposition of a positive-definite covariance matrix.
+
+    Finds a symplectic S and symplectic eigenvalues nu (ascending) with
+    S cov S^T = ⊕_k nu_k I_2.  The real antisymmetric matrix
+    A = cov^{-1/2} Delta cov^{-1/2} has eigenvalues +-i/nu_k; the Hermitian
+    matrix -iA has them as +-1/nu_k, with orthonormal eigenvectors even
+    where the nu_k coincide.  sqrt(2) times the real and imaginary parts of
+    the eigenvectors of its positive eigenvalues are orthonormal canonical
+    pairs (u_k, x_k) with u_k^T A x_k = 1/nu_k, the orthogonal part of S.
+    nu is `symplectic.symplectic_eigenvalues`, bit for bit.
+
+    Args:
+        cov: symmetric positive-definite 2n x 2n matrix, or a stack of them
+            along the leading axes; every matrix is decomposed, and checked,
+            on its own.
+
+    Returns:
+        WilliamsonDecomposition shaped like the input: nu (..., n) and
+        S (..., 2n, 2n).
+
+    Raises:
+        ValueError: non-finite, non-symmetric, non-positive-definite, or
+            near-singular input, or failure of the internal invariant check.
+    """
+    sigma, root_inv, nu, pos = _spectrum(cov, "williamson")
+    dim = sigma.shape[-1]
+    n = dim // 2
+    order, signs = _form_permutation(dim)
+    # Each eigenvector is fixed up to a phase, which rotates its canonical
+    # pair; the phase that makes its largest entry real and positive keeps
+    # S = I for a diagonal input.
+    big = np.take_along_axis(pos, np.abs(pos).argmax(axis=-2)[..., None, :], axis=-2)
+    pos = pos * (big.conj() / np.abs(big))
+    o = np.empty(sigma.shape)
+    o[..., 0::2] = np.sqrt(2.0) * pos.real
+    o[..., 1::2] = np.sqrt(2.0) * pos.imag
+
+    d_half = np.repeat(np.sqrt(nu), 2, axis=-1)
+    s = (d_half[..., :, None] * np.swapaxes(o, -1, -2)) @ root_inv
+
+    # Internal guard: verify the defining relations of every matrix before
+    # returning (Frobenius norms compared squared).
+    s_t = np.swapaxes(s, -1, -2)
+    axes = (-2, -1)
+    sympl = (s[..., order] * signs) @ s_t - symplectic_form(n)
+    if ((sympl * sympl).sum(axis=axes) > 1e-16).any():
+        raise ValueError("williamson: result failed the symplectic invariant")
+    diag = s @ sigma @ s_t - d_half[..., :, None] ** 2 * np.eye(dim)
+    if ((diag * diag).sum(axis=axes) > 1e-16 * (sigma * sigma).sum(axis=axes)).any():
+        raise ValueError("williamson: result failed the diagonalization invariant")
+    return WilliamsonDecomposition(nu=nu, S=s)
+
+
+class _PairGeometry:
+    """The overlap of any stack of state pairs through `williamson`, reused across s.
+
+    Stacked as for `divergence._StandardGeometry`, which this route pins:
+    means (N, 2n), covariances (N, 2n, 2n), with cov_i = T_i D_i T_i^T and
+    Sigma(s) of `divergence.q_s_general` built as a matrix.  With its
+    Cholesky factor L and z = L^-1 delta,
+
+        log Q_s = n log 2 + sum log G - sum_j log L_jj - z^T z / 2,
+
+    and the slope of `_StandardGeometry.log_q_and_slope` runs through
+    A = L^-1 [T0 T1]: for a diagonal D in those frames, tr(Sigma^-1 T D T^T)
+    is sum_jk A_jk^2 D_k, and T^T y is A^T z.  Every step is elementwise or
+    a LAPACK call per pair, so a pair's numbers do not depend on its stack.
+
+    A pure mode that rounding put above nu = 1/2 would turn
+    Lambda_p(2 nu) - 1 ~ 2 (nu - 1/2)^p into an O(1) error at small p, so,
+    as in the closed form, nu within 2 eps (tr cov)^2 / sum(nu) of 1/2 is
+    set to 1/2.  That band is four times the closed form's, since the
+    numerical decomposition rounds up to about twice as far.
+    """
+
+    def __init__(self, mean0, cov0, mean1, cov1):
+        if np.shape(cov0) != np.shape(cov1):
+            raise ValueError(
+                f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}"
+            )
+        size = len(cov0)
+        cov = np.concatenate((cov0, cov1))
+        w = williamson(cov)
+        _check_physical(w.nu)
+        trace = np.trace(cov, axis1=-2, axis2=-1)
+        noise = 2.0 * np.finfo(float).eps * trace**2 / w.nu.sum(axis=-1)
+        nu = np.where(np.abs(w.nu - 0.5) <= noise[:, None], 0.5, w.nu)
+        self.n = nu.shape[-1]
+        # Both states side by side: eigenvalues (x0, x1) taken at orders
+        # (s, 1-s), whose s-derivatives carry the signs (+1, -1).
+        self.factors = _Factors(2.0 * np.concatenate((nu[:size], nu[size:]), axis=-1))
+        self._sign = np.repeat((1.0, -1.0), self.n)
+        # The symplectics mapping the diagonal form back to the covariance,
+        # side by side: t is [T0 T1].
+        t = symplectic_inverse(w.S)
+        self.t = np.concatenate((t[:size], t[size:]), axis=-1)
+        delta = np.sqrt(2.0) * _mean_difference(mean0, mean1, "overlap")
+        self._rhs = np.concatenate((delta[..., None], self.t), axis=-1)
+
+    def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log Q_s and d/ds log Q_s at one s per pair."""
+        p = _orders(self._sign, s)
+        lam = self.factors.lam(p).repeat(2, axis=-1)
+        chol = np.linalg.cholesky((self.t * lam[:, None, :]) @ np.swapaxes(self.t, -1, -2))
+        sol = np.linalg.solve(chol, self._rhs)
+        z, a = sol[..., 0], sol[..., 1:]
+        d_sigma = (self._sign * self.factors.lam_slope(p)).repeat(2, axis=-1)
+        w = (z[..., None] * a).sum(axis=-2)
+        slope = (self._sign * self.factors.log_g_slope(p)).sum(axis=-1)
+        slope -= 0.5 * (((a * a).sum(axis=-2) - w * w) * d_sigma).sum(axis=-1)
+        log_g = np.log(self.factors.g(p)).sum(axis=-1)
+        half_logdet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+        log_q = self.n * np.log(2.0) + log_g - half_logdet - 0.5 * (z * z).sum(axis=-1)
+        return log_q, slope
+
+
+# --------------------------------------------------------------------------
 # Closed forms of Q_s
 
 
@@ -231,10 +374,10 @@ def q_s_coherent_closed(s: float, kappa: float, n_b: float, n_s: float) -> float
     relative errors of -log Q_{1/2} against `highprec` at N_S = 1e-4,
     N_B = 1e4 were
 
-        kappa   closed form   q_s_general
-        1e-2    1.4e-8        6.9e-11
-        1e-4    2.8e-4        8.1e-7
-        1e-6    15x           4.6e-3
+        kappa   closed form   q_s_general   dense route
+        1e-2    1.4e-8        3.4e-11       7.2e-11
+        1e-4    2.8e-4        1.2e-6        7.9e-7
+        1e-6    15x           1.1e-2        5.0e-3
     """
     s = _check_s(s)
     if not 0.0 <= kappa < 1.0:

@@ -3,8 +3,9 @@
 Conventions used throughout the package: canonical ordering
 (q1, p1, ..., qn, pn), natural units hbar = 1, vacuum covariance I/2.
 A covariance matrix is physical iff every symplectic eigenvalue is >= 1/2.
-Gaussian unitaries, tensor products and partial traces serve only the
-reference routes and live in `reference`.
+Production needs the symplectic eigenvalues alone; the symplectic S of a
+Williamson decomposition, Gaussian unitaries, tensor products and partial
+traces serve only the reference routes and live in `reference`.
 """
 
 from __future__ import annotations
@@ -51,16 +52,6 @@ def _form_permutation(dim: int) -> tuple[np.ndarray, np.ndarray]:
             a.setflags(write=False)
         _PERMUTATIONS[dim] = perm
     return perm
-
-
-def symplectic_inverse(s: np.ndarray) -> np.ndarray:
-    """Invert a symplectic matrix, or a stack of them, as S^-1 = -Delta S^T Delta.
-
-    Delta is applied as its signed permutation, so the result is exact.
-    """
-    order, signs = _form_permutation(s.shape[-1])
-    st = np.swapaxes(s, -1, -2)
-    return (signs[:, None] * st[..., order, :])[..., order] * signs
 
 
 def _check_physical(nu) -> None:
@@ -132,20 +123,13 @@ class GaussianState:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class WilliamsonDecomposition:
-    """Result of williamson(): S cov S^T = diag(nu_1, nu_1, ..., nu_n, nu_n)."""
-
-    nu: np.ndarray
-    S: np.ndarray
-
-
 def _spectrum(cov: np.ndarray, where: str):
-    """The first half of williamson: everything up to the symplectic eigenvalues.
+    """A Williamson decomposition up to the symplectic eigenvalues.
 
     Returns the symmetrised covariance sigma, sigma^{-1/2}, nu (ascending)
     and the eigenvectors of -i sigma^{-1/2} Delta sigma^{-1/2} that belong
-    to the positive eigenvalues 1/nu, in the order of nu.
+    to the positive eigenvalues 1/nu, in the order of nu; the reference
+    route `reference.williamson` builds S from them.
     """
     sigma = _validated_cov(cov, where)
     n = sigma.shape[-1] // 2
@@ -170,62 +154,6 @@ def _spectrum(cov: np.ndarray, where: str):
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, or a stack of them, ascending.
 
-    The first half of `williamson`, bit for bit its nu, without building S.
-    Raises ValueError on the inputs `williamson` rejects before S.
+    Raises ValueError on a non-finite, non-symmetric or near-singular input.
     """
     return _spectrum(cov, "symplectic_eigenvalues")[2]
-
-
-def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
-    """Williamson decomposition of a positive-definite covariance matrix.
-
-    Finds a symplectic S and symplectic eigenvalues nu (ascending) with
-    S cov S^T = ⊕_k nu_k I_2.  The real antisymmetric matrix
-    A = cov^{-1/2} Delta cov^{-1/2} has eigenvalues +-i/nu_k; the Hermitian
-    matrix -iA has them as +-1/nu_k, with orthonormal eigenvectors even
-    where the nu_k coincide.  sqrt(2) times the real and imaginary parts of
-    the eigenvectors of its positive eigenvalues are orthonormal canonical
-    pairs (u_k, x_k) with u_k^T A x_k = 1/nu_k, the orthogonal part of S.
-
-    Args:
-        cov: symmetric positive-definite 2n x 2n matrix, or a stack of them
-            along the leading axes; every matrix is decomposed, and checked,
-            on its own.
-
-    Returns:
-        WilliamsonDecomposition with nu sorted ascending, shaped like the
-        input: nu (..., n) and S (..., 2n, 2n).
-
-    Raises:
-        ValueError: non-symmetric, non-positive-definite, or near-singular
-            input (min eigenvalue below MIN_COV_EIGENVALUE), or failure of
-            the internal invariant check.
-    """
-    sigma, root_inv, nu, pos = _spectrum(cov, "williamson")
-    dim = sigma.shape[-1]
-    n = dim // 2
-    order, signs = _form_permutation(dim)
-    # Each eigenvector is fixed up to a phase, which rotates its canonical
-    # pair; the phase that makes its largest entry real and positive keeps
-    # S = I for a diagonal input.
-    big = np.take_along_axis(pos, np.abs(pos).argmax(axis=-2)[..., None, :], axis=-2)
-    pos = pos * (big.conj() / np.abs(big))
-    o = np.empty(sigma.shape)
-    o[..., 0::2] = np.sqrt(2.0) * pos.real
-    o[..., 1::2] = np.sqrt(2.0) * pos.imag
-
-    d_half = np.repeat(np.sqrt(nu), 2, axis=-1)
-    s = (d_half[..., :, None] * np.swapaxes(o, -1, -2)) @ root_inv
-
-    # Internal guard: a silent failure here would poison every downstream
-    # overlap, so verify the defining relations of every matrix before
-    # returning (Frobenius norms compared squared).
-    s_t = np.swapaxes(s, -1, -2)
-    axes = (-2, -1)
-    sympl = (s[..., order] * signs) @ s_t - symplectic_form(n)
-    if ((sympl * sympl).sum(axis=axes) > 1e-16).any():
-        raise ValueError("williamson: result failed the symplectic invariant")
-    diag = s @ sigma @ s_t - d_half[..., :, None] ** 2 * np.eye(dim)
-    if ((diag * diag).sum(axis=axes) > 1e-16 * (sigma * sigma).sum(axis=axes)).any():
-        raise ValueError("williamson: result failed the diagonalization invariant")
-    return WilliamsonDecomposition(nu=nu, S=s)

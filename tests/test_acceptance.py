@@ -21,9 +21,10 @@ from gaussqi.reference import (
     random_physical_cov,
     random_symplectic,
     squeezer,
+    williamson,
 )
 from gaussqi.sweeps import reproduce_figure, verify_expansion
-from gaussqi.symplectic import symplectic_form, williamson
+from gaussqi.symplectic import symplectic_form
 from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import TransmitterSpec, coherent, smsv, thermal_state, vacuum
 

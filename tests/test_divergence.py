@@ -10,7 +10,13 @@ from gaussqi.divergence import (
     fidelity,
     q_s_general,
 )
-from gaussqi.reference import apply_unitary, phase_rotation, q_s_alt, q_s_coherent_closed
+from gaussqi.reference import (
+    _PairGeometry,
+    apply_unitary,
+    phase_rotation,
+    q_s_alt,
+    q_s_coherent_closed,
+)
 from gaussqi.symplectic import GaussianState
 from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import coherent, smsv, thermal_state, tmss, vacuum
@@ -154,7 +160,8 @@ def test_q_s_with_degenerate_spectrum():
 
 
 def test_williamson_degenerate_diagonal():
-    from gaussqi.symplectic import symplectic_form, williamson
+    from gaussqi.reference import williamson
+    from gaussqi.symplectic import symplectic_form
 
     w = williamson(0.8 * np.eye(4))
     assert np.allclose(w.nu, [0.8, 0.8])
@@ -162,15 +169,33 @@ def test_williamson_degenerate_diagonal():
     assert np.linalg.norm(w.S @ delta @ w.S.T - delta) < 1e-10
 
 
+def _dense_q(rho0, rho1, s):
+    """Q_s of one pair on the dense reference route, which takes any pair of states."""
+    geom = _PairGeometry(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])
+    return float(np.exp(geom.log_q_and_slope(np.array([s]))[0][0]))
+
+
 def test_q_s_invariant_under_joint_unitary():
+    # The rotated states leave the standard form, so the reference route
+    # evaluates them, against the production kernel on the pair itself.
     pair = make_pair(tmss(0.7), TargetConfig(kappa=0.3, n_b=1.2))
     u = phase_rotation(0.9, mode=0, n_modes=2)
     r0 = apply_unitary(pair.rho0, u)
     r1 = apply_unitary(pair.rho1, u)
     for s in (0.3, 0.6):
-        assert q_s_general(r0, r1, s) == pytest.approx(
+        assert _dense_q(r0, r1, s) == pytest.approx(
             q_s_general(pair.rho0, pair.rho1, s), rel=1e-11
         )
+
+
+@pytest.mark.parametrize("kind", ["coherent", "tmss"])
+def test_q_s_general_rejects_a_pair_not_in_standard_form(kind):
+    pair = make_pair(coherent(0.7) if kind == "coherent" else tmss(0.7),
+                     TargetConfig(kappa=0.3, n_b=1.2))
+    u = phase_rotation(0.9, mode=0, n_modes=pair.rho0.n_modes)
+    rotated = apply_unitary(pair.rho0, u), apply_unitary(pair.rho1, u)
+    with pytest.raises(ValueError, match="pair 0 is not in standard form"):
+        q_s_general(*rotated, 0.5)
 
 
 def test_q_s_convexity_and_global_minimum():

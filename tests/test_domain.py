@@ -9,9 +9,9 @@ import pytest
 from gaussqi import highprec
 from gaussqi.divergence import chernoff_many, fidelity_many
 from gaussqi.fock_oracle import thermal_fock
-from gaussqi.reference import q_s_coherent_closed
+from gaussqi.reference import q_s_coherent_closed, williamson
 from gaussqi.sweeps import SweepPlan
-from gaussqi.symplectic import GaussianState, symplectic_eigenvalues, williamson
+from gaussqi.symplectic import GaussianState, symplectic_eigenvalues
 from gaussqi.target import TargetConfig, pair_stack
 from gaussqi.transmitters import TransmitterSpec
 

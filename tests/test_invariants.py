@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from gaussqi import highprec
 from gaussqi.divergence import (
     _S_EDGE,
-    _PairGeometry,
     _StandardGeometry,
     chernoff,
     chernoff_many,
@@ -26,7 +25,7 @@ from gaussqi.divergence import (
     q_s_general,
 )
 from gaussqi.fock_oracle import choose_cutoff, hypothesis_pair_fock, q_s_fock
-from gaussqi.reference import q_s_alt, random_symplectic, target_present
+from gaussqi.reference import _PairGeometry, q_s_alt, random_symplectic, target_present
 from gaussqi.symplectic import symplectic_eigenvalues
 from gaussqi.sweeps import SweepPlan, run_sweep
 from gaussqi.target import MODELS, HypothesisPair, TargetConfig, make_pair, pair_stack
@@ -250,7 +249,7 @@ def test_standard_geometry_nu_matches_symplectic_eigenvalues(kind, model):
 
 @pytest.mark.parametrize("kind, model", LIVE)
 def test_standard_geometry_matches_dense_route(kind, model):
-    """The closed form against the Williamson route, pair and swapped pair.
+    """The closed form against the dense reference route, pair and swapped pair.
 
     ROADMAP direction 9's pin: 2000 draws from the box per kind and model,
     the first 50 at N_B = 0, where rho0 has a pure mode, at s drawn from
@@ -258,16 +257,10 @@ def test_standard_geometry_matches_dense_route(kind, model):
     slope sums terms that grow like 1/s and 1/(1 - s) (L / expm1(pL) at
     small p), so its floor carries a factor 1 / (2 min(s, 1 - s)), 1 at
     s = 1/2.  A tmss pair at N_B = 0 has a pure mode in rho1 as well, which
-    rounding of its entries puts just above or below 1/2; above it,
-    Lambda_p(1 + d) - 1 ~ 2 (d/2)^p turns that rounding into an O(1)
-    error.  So pairs where the Williamson route puts a mode just above 1/2
-    are left out (the closed form puts it at 1/2; see the test above).
+    rounding puts just above or below 1/2 on the dense route; both routes
+    set it to 1/2, so every draw is compared.
     """
-    n_b, moments = _standard_draws(kind, model, seed=91)
-    nus = [symplectic_eigenvalues(cov) for cov in moments[1::2]]
-    rounded_up = [(nu > 0.5) & (nu < 0.5 + 1e-12) for nu in nus]
-    keep = ~(rounded_up[0] | rounded_up[1]).any(axis=-1)
-    n_b, (mean0, cov0, mean1, cov1) = n_b[keep], (x[keep] for x in moments)
+    n_b, (mean0, cov0, mean1, cov1) = _standard_draws(kind, model, seed=91)
     s = np.random.default_rng(92).uniform(0.05, 0.95, n_b.size)
     floor = 1e-14 * (1.0 + n_b)
     for states, at in (((mean0, cov0, mean1, cov1), s), ((mean1, cov1, mean0, cov0), 1.0 - s)):

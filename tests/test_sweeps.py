@@ -5,9 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import gaussqi.divergence
 import gaussqi.sweeps
-import gaussqi.symplectic
 from gaussqi.cli import main
 from gaussqi.divergence import fidelity
 from gaussqi.symplectic import GaussianState
@@ -148,13 +146,11 @@ def test_run_sweep_builds_no_state_or_spec(monkeypatch):
 
 @pytest.mark.parametrize("model", ["agnostic", "legacy"])
 def test_run_sweep_exponents_take_no_matrix_routine(monkeypatch, model):
-    # Every exponent comes from the closed-form standard geometry: no
-    # Williamson step, and no LAPACK routine per pair.
+    # Every exponent comes from the closed-form standard geometry, with no
+    # LAPACK routine per pair.
     def refuse(*args, **kwargs):
         raise AssertionError("matrix routine called during run_sweep")
 
-    for module in (gaussqi.symplectic, gaussqi.divergence):
-        monkeypatch.setattr(module, "williamson", refuse)
     for name in ("cholesky", "eigh", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
     plan = small_plan(transmitters=("vacuum", "coherent", "smsv", "tmss"),

@@ -12,15 +12,11 @@ from gaussqi.reference import (
     random_physical_cov,
     random_symplectic,
     squeezer,
-    tensor,
-)
-from gaussqi.symplectic import (
-    GaussianState,
-    symplectic_eigenvalues,
-    symplectic_form,
     symplectic_inverse,
+    tensor,
     williamson,
 )
+from gaussqi.symplectic import GaussianState, symplectic_eigenvalues, symplectic_form
 from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import probe_state, thermal_state, tmss
 
@@ -146,14 +142,13 @@ def test_gaussian_state_validation():
         GaussianState(mean=np.zeros(4), cov=0.5 * np.eye(2))
 
 
-def test_gaussian_state_builds_no_williamson(monkeypatch):
-    # A state needs only nu to check physicality, never the symplectic S.
+def test_gaussian_state_builds_no_williamson():
+    # A state needs only nu to check physicality, never the symplectic S,
+    # which only the reference route builds.
     import gaussqi.symplectic
 
-    def fail(cov):
-        raise AssertionError("GaussianState called williamson")
-
-    monkeypatch.setattr(gaussqi.symplectic, "williamson", fail)
+    dense = {"williamson", "WilliamsonDecomposition", "symplectic_inverse"}
+    assert not dense & set(vars(gaussqi.symplectic))
     state = GaussianState(mean=np.zeros(4), cov=probe_state(tmss(1.0)).cov)
     assert state.n_modes == 2
     with pytest.raises(ValueError, match="unphysical"):
