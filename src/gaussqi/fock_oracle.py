@@ -17,8 +17,10 @@ overlaps run block by block; `matrix` is a dense view assembled on demand.
 Every amplitude, thermal weight and beamsplitter entry built here is real,
 so blocks are float64 and LAPACK runs its real symmetric solver; an
 operator given as complex stays complex.  Each operator is diagonalised at
-most once, and the s-independent overlap of a pair is computed once and
-shared by q_s_fock and fidelity_fock.
+most once.  Every rho0 built here is diagonal in the number basis, so
+q_s_fock and fidelity_fock read rho0's diagonal p and rho1's own
+eigenpairs: tr rho0^s rho1^{1-s} = sum_i p_i^s <i|rho1^{1-s}|i>, a weighted
+sum over rho1's flat terms, cached on rho1.
 
 Multi-mode operators use row-major mode ordering: the transmitted mode is
 the slowest index, matching numpy.kron(A_mode0, A_mode1).
@@ -27,7 +29,6 @@ the slowest index, matching numpy.kron(A_mode0, A_mode1).
 from __future__ import annotations
 
 import math
-import weakref
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -39,10 +40,10 @@ HERMITICITY_TOL = 1e-12
 NEGATIVITY_TOL = 1e-10
 DEFAULT_TRACE_BUDGET = 1e-6
 
-# Desk-scale ceilings on the per-mode dimension, much lower for the
-# three-mode dilation of the entangled probe.
-MAX_CUTOFF_SINGLE = 128
-MAX_CUTOFF_THREE_MODE = 24
+# Desk-scale ceiling on the per-mode dimension, one for every probe: the
+# largest array apply_target_fock forms has (2d - 1) k d entries for a
+# probe supported on k indices, and k = d for coherent and tmss alike.
+MAX_CUTOFF = 128
 _MAX_JOINT_DIM = 70000
 
 
@@ -144,9 +145,19 @@ class FockOperator:
         return _read_only(evals, evecs)
 
     @cached_property
-    def _overlaps(self) -> weakref.WeakKeyDictionary:
-        # _overlap's (cross, terms) against each partner operator, dropped with the partner
-        return weakref.WeakKeyDictionary()
+    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (i, w, c2): one entry per eigenpair (w, v) and index i
+        of its block, with w > 0 and c2 = |v[i]|^2 > 0, computed once.
+
+        <i|op^t|i> is the sum of w^t c2 over the entries of index i.
+        """
+        parts = []
+        for idx, w, v in self._eigen:
+            c2 = np.abs(v) ** 2  # c2[b, r, l] = |v_l[idx[b, r]]|^2
+            i, w_l = np.broadcast_arrays(idx[:, :, None], w[:, None, :])
+            keep = (w_l > 0.0) & (c2 > 0.0)
+            parts.append((i[keep], w_l[keep], c2[keep]))
+        return _read_only(*(np.concatenate(part) for part in zip(*parts)))
 
 
 def _labels(n: int, groups) -> np.ndarray:
@@ -179,11 +190,10 @@ def _components(nonzero: np.ndarray) -> np.ndarray:
 def _layout(label: np.ndarray):
     """The blocks of a component labelling, and where each index sits in them.
 
-    Returns (groups, row, col, vec).  groups[g] is the (nb, k) array of the
+    Returns (groups, row, col).  groups[g] is the (nb, k) array of the
     ascending indices of every size-k block, one array per distinct size.
     Laid out as the groups' (nb, k, k) stacks raveled one after the other,
-    entry (i, j) of a block sits at row[i] + col[j]; laid out as their
-    (nb, k) stacks, index i sits at vec[i].
+    entry (i, j) of a block sits at row[i] + col[j].
     """
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[order], prepend=-1))
@@ -191,24 +201,22 @@ def _layout(label: np.ndarray):
     # blocks ordered by size, then by first index: where each one starts
     by_size = np.argsort(sizes, kind="stable")
     ordered = sizes[by_size]
-    vstart, mstart = np.empty_like(sizes), np.empty_like(sizes)
-    vstart[by_size] = np.cumsum(ordered) - ordered
+    mstart = np.empty_like(sizes)
     mstart[by_size] = np.cumsum(ordered**2) - ordered**2
     block = np.repeat(np.arange(sizes.size), sizes)
     pos = np.arange(label.size) - starts[block]
-    row, col, vec = (np.empty(label.size, dtype=int) for _ in range(3))
+    row, col = np.empty(label.size, dtype=int), np.empty(label.size, dtype=int)
     col[order] = pos
     row[order] = mstart[block] + sizes[block] * pos
-    vec[order] = vstart[block] + pos
     groups = [order[starts[sizes == k][:, None] + np.arange(k)] for k in np.unique(sizes)]
-    return groups, row, col, vec
+    return groups, row, col
 
 
-def _stacks(flat: np.ndarray, groups, square: bool) -> list[np.ndarray]:
-    """Cut a flat array laid out by _layout into one stack per group."""
+def _stacks(flat: np.ndarray, groups) -> list[np.ndarray]:
+    """Cut a flat array laid out by _layout into one (nb, k, k) stack per group."""
     out, start = [], 0
     for idx in groups:
-        shape = idx.shape + idx.shape[1:] if square else idx.shape
+        shape = idx.shape + idx.shape[1:]
         out.append(flat[start : start + math.prod(shape)].reshape(shape))
         start += math.prod(shape)
     return out
@@ -409,7 +417,7 @@ def apply_target_fock(state: FockOperator, cfg: TargetConfig) -> FockOperator:
         rows = np.where((a >= 0) & (a < d), a * d_rest + rest[:, None, :], -1)
         terms.append((rows.reshape(-1, k), (f @ f.conj().swapaxes(-1, -2)).reshape(-1, k, k)))
 
-    groups, row, col, _ = _layout(_labels(state.dim, [rows for rows, _ in terms]))
+    groups, row, col = _layout(_labels(state.dim, [rows for rows, _ in terms]))
     size = sum(idx.size * idx.shape[1] for idx in groups)
     # entries on a row outside the truncation land past the end and are dropped
     target = []
@@ -423,7 +431,7 @@ def apply_target_fock(state: FockOperator, cfg: TargetConfig) -> FockOperator:
     if np.iscomplexobj(value):
         flat = flat + 1j * np.bincount(target, value.imag, size)[:size]
     return FockOperator._from_blocks(
-        list(zip(groups, _stacks(flat, groups, square=True))), state.n_modes, state.dim
+        list(zip(groups, _stacks(flat, groups))), state.n_modes, state.dim
     )
 
 
@@ -489,75 +497,48 @@ def hypothesis_pair_fock(
     return rho0, rho1
 
 
-def _place(eigen, groups, row, col, vec):
-    """An operator's eigenpairs laid out on the joint blocks of a pair.
+def _diagonal(rho: FockOperator, sigma: FockOperator) -> np.ndarray:
+    """rho's eigenvalues as its number-basis diagonal p, zero outside its blocks.
 
-    A joint block of size k has k eigenvalue slots: the eigenvectors of an
-    operator block take the slots of the block's first indices, and a slot
-    without an eigenvector holds eigenvalue 0.
-    """
-    w_flat = np.zeros(sum(idx.size for idx in groups))
-    v_flat = np.zeros(
-        sum(idx.size * idx.shape[1] for idx in groups), np.result_type(*(v for _, _, v in eigen))
-    )
-    for idx, w, v in eigen:
-        slots = idx[:, : w.shape[1]]
-        w_flat[vec[slots]] = w
-        v_flat[row[idx][:, :, None] + col[slots][:, None, :]] = v
-    return zip(_stacks(w_flat, groups, square=False), _stacks(v_flat, groups, square=True))
-
-
-def _overlap(rho: FockOperator, sigma: FockOperator):
-    """(cross, terms) of a pair, computed once and kept on rho.
-
-    cross holds (w0, V0^dag V1, w1) per stack of joint blocks.  The joint
-    blocks are the connected components of the blocks of both operators
-    together.  Every eigenvector lies inside one of them, so V0^dag V1 is
-    block diagonal over the joint blocks.  terms holds the same overlap as
-    three flat arrays (w0, |V0^dag V1|^2, w1), one entry per non-zero term
-    of the sum q_s_fock takes.
+    Raises:
+        ValueError: the operators differ in dimension, or rho has a block
+            larger than 1x1.
     """
     if rho.dim != sigma.dim:
         raise ValueError("operators must share dimensions")
-    overlap = rho._overlaps.get(sigma)
-    if overlap is None:
-        label = _labels(rho.dim, [idx for idx, _, _ in rho._eigen + sigma._eigen])
-        layout = _layout(label)
-        sides = zip(_place(rho._eigen, *layout), _place(sigma._eigen, *layout))
-        cross = tuple(
-            _read_only(w0, v0.conj().swapaxes(1, 2) @ v1, w1) for (w0, v0), (w1, v1) in sides
-        )
-        w0, c2, w1 = (np.concatenate(parts) for parts in zip(*(
-            (np.broadcast_to(w0[:, :, None], c.shape).ravel(), (np.abs(c) ** 2).ravel(),
-             np.broadcast_to(w1[:, None, :], c.shape).ravel())
-            for w0, c, w1 in cross
-        )))
-        keep = (w0 > 0.0) & (c2 > 0.0) & (w1 > 0.0)
-        overlap = cross, _read_only(w0[keep], c2[keep], w1[keep])
-        rho._overlaps[sigma] = overlap
-    return overlap
+    p = np.zeros(rho.dim)
+    for idx, w, _ in rho._eigen:
+        if idx.shape[1] > 1:
+            raise ValueError(
+                "the first operator must be diagonal in the number basis; "
+                f"it has a {idx.shape[1]}x{idx.shape[1]} block"
+            )
+        p[idx[:, 0]] = w[:, 0]
+    return p
 
 
 def q_s_fock(rho: FockOperator, sigma: FockOperator, s: float) -> float:
-    """tr rho^s sigma^{1-s} from the cached spectra of both operators."""
+    """tr rho^s sigma^{1-s} for rho diagonal in the number basis.
+
+    The sum of p_i^s w^{1-s} |v[i]|^2 over sigma's cached terms.
+    """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    w0, c2, w1 = _overlap(rho, sigma)[1]
-    return float(np.dot(w0**s * w1 ** (1.0 - s), c2))
+    p = _diagonal(rho, sigma)
+    i, w, c2 = sigma._terms
+    return float(np.dot(p[i] ** s * w ** (1.0 - s), c2))
 
 
 def fidelity_fock(rho: FockOperator, sigma: FockOperator) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) on the truncation.
+    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), rho diagonal in the number basis.
 
     Evaluated as the trace norm of sqrt(rho) sqrt(sigma), the sum of the
-    singular values of sqrt(w0) V0^dag V1 sqrt(w1) over the joint blocks.
-    Singular values carry rounding noise of order 1e-16, where square roots
-    of the eigenvalues of sqrt(rho) sigma sqrt(rho) would carry ~1e-11.
+    singular values of sqrt(p) V sqrt(w) over sigma's blocks.  Singular
+    values carry rounding noise of order 1e-16, where square roots of the
+    eigenvalues of sqrt(rho) sigma sqrt(rho) would carry ~1e-11.
     """
-    weighted = (
-        np.sqrt(w0)[:, :, None] * cross * np.sqrt(w1)[:, None, :]
-        for w0, cross, w1 in _overlap(rho, sigma)[0]
-    )
+    root_p = np.sqrt(_diagonal(rho, sigma))
+    weighted = (root_p[idx][:, :, None] * v * np.sqrt(w)[:, None, :] for idx, w, v in sigma._eigen)
     return float(sum(np.linalg.svd(m, compute_uv=False).sum() for m in weighted))
 
 
@@ -593,16 +574,15 @@ def choose_cutoff(spec: TransmitterSpec, cfg: TargetConfig, tol: float = 1e-8) -
 
     Raises:
         ValueError: the verified cutoff would exceed the desk-scale ceiling
-            (128 per mode, 24 per mode for the three-mode dilation); shrink
-            the occupancies instead.
+            MAX_CUTOFF = 128 per mode, the same for every probe; shrink the
+            occupancies instead.
     """
-    ceiling = MAX_CUTOFF_THREE_MODE if spec.n_modes == 2 else MAX_CUTOFF_SINGLE
     d = _heuristic_start(spec, cfg, tol)
     while True:
-        if d > ceiling:
+        if d > MAX_CUTOFF:
             raise ValueError(
-                f"required cutoff exceeds the ceiling {ceiling} per mode for "
-                f"{spec.n_modes + 1}-mode dilations; reduce n_b/n_signal or loosen tol"
+                f"required cutoff exceeds the ceiling {MAX_CUTOFF} per mode; "
+                "reduce n_b/n_signal or loosen tol"
             )
         ok = False
         try:
@@ -623,4 +603,4 @@ def choose_cutoff(spec: TransmitterSpec, cfg: TargetConfig, tol: float = 1e-8) -
             return d
         grown = max(d + 1, int(np.ceil(1.25 * d)))
         # Try the ceiling itself before declaring the parameters out of reach.
-        d = min(grown, ceiling) if d < ceiling else grown
+        d = min(grown, MAX_CUTOFF) if d < MAX_CUTOFF else grown

@@ -6,8 +6,9 @@ and evaluates Q_s from the closed-form Williamson data of its standard form
 the same numbers, apart from the truncated-Fock oracle (`fock_oracle`) and
 the mpmath route (`highprec`):
 
-- a Gaussian-unitary toolkit: symplectic unitaries (beamsplitter, squeezer,
-  phase rotation), tensor products, partial traces and random symplectics;
+- a Gaussian-unitary toolkit: the symplectic form, symplectic unitaries
+  (beamsplitter, squeezer, phase rotation), tensor products, partial traces
+  and random symplectics;
 - the beamsplitter dilation of the target channel (`dilated_present`,
   `target_present`), which the closed-form moments are tested against;
 - the dense overlap route for any pair of states: a numerical Williamson
@@ -34,7 +35,6 @@ from .symplectic import (
     _check_physical,
     _form_permutation,
     _spectrum,
-    symplectic_form,
 )
 from .target import TargetConfig
 from .transmitters import _check_nonnegative, thermal_state
@@ -47,6 +47,24 @@ TRANSMITTED_MODE = 0
 
 # --------------------------------------------------------------------------
 # Gaussian unitaries and composite states
+
+# One read-only symplectic form per mode count, shared by every caller.
+_FORMS: dict[int, np.ndarray] = {}
+
+
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Return the 2n x 2n symplectic form, block diagonal [[0, 1], [-1, 0]].
+
+    Built once per mode count; the returned array is shared and read-only.
+    """
+    delta = _FORMS.get(n_modes)
+    if delta is None:
+        if n_modes < 1:
+            raise ValueError(f"n_modes must be positive, got {n_modes}")
+        delta = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        delta.setflags(write=False)
+        _FORMS[n_modes] = delta
+    return delta
 
 
 def is_symplectic(s: np.ndarray) -> bool:

@@ -3,9 +3,10 @@
 Conventions used throughout the package: canonical ordering
 (q1, p1, ..., qn, pn), natural units hbar = 1, vacuum covariance I/2.
 A covariance matrix is physical iff every symplectic eigenvalue is >= 1/2.
-Production needs the symplectic eigenvalues alone; the symplectic S of a
-Williamson decomposition, Gaussian unitaries, tensor products and partial
-traces serve only the reference routes and live in `reference`.
+Production needs the symplectic eigenvalues alone; the symplectic form as a
+matrix, the symplectic S of a Williamson decomposition, Gaussian unitaries,
+tensor products and partial traces serve only the reference routes and live
+in `reference`.
 """
 
 from __future__ import annotations
@@ -18,25 +19,6 @@ import numpy as np
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-10
 MIN_COV_EIGENVALUE = 1e-14
-
-
-# One read-only symplectic form per mode count, shared by every caller.
-_FORMS: dict[int, np.ndarray] = {}
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form, block diagonal [[0, 1], [-1, 0]].
-
-    Built once per mode count; the returned array is shared and read-only.
-    """
-    delta = _FORMS.get(n_modes)
-    if delta is None:
-        if n_modes < 1:
-            raise ValueError(f"n_modes must be positive, got {n_modes}")
-        delta = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        delta.setflags(write=False)
-        _FORMS[n_modes] = delta
-    return delta
 
 
 # Delta as a signed permutation, one per dimension 2n.

@@ -21,10 +21,10 @@ from gaussqi.reference import (
     random_physical_cov,
     random_symplectic,
     squeezer,
+    symplectic_form,
     williamson,
 )
 from gaussqi.sweeps import reproduce_figure, verify_expansion
-from gaussqi.symplectic import symplectic_form
 from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import TransmitterSpec, coherent, smsv, thermal_state, vacuum
 
@@ -49,7 +49,7 @@ def test_criterion_01_oracle_equivalence():
     for kind in ("vacuum", "coherent", "smsv", "tmss"):
         if kind == "tmss":
             # choose_cutoff verifies 23 at this anchor (test_choose_cutoff);
-            # the grid runs at 24, at or above it, the three-mode ceiling
+            # the grid runs at 24, at or above it
             cutoffs[kind] = 24
         else:
             cutoffs[kind] = choose_cutoff(

@@ -16,6 +16,7 @@ from gaussqi.reference import (
     phase_rotation,
     q_s_alt,
     q_s_coherent_closed,
+    squeezer,
 )
 from gaussqi.symplectic import GaussianState
 from gaussqi.target import TargetConfig, make_pair
@@ -160,8 +161,7 @@ def test_q_s_with_degenerate_spectrum():
 
 
 def test_williamson_degenerate_diagonal():
-    from gaussqi.reference import williamson
-    from gaussqi.symplectic import symplectic_form
+    from gaussqi.reference import symplectic_form, williamson
 
     w = williamson(0.8 * np.eye(4))
     assert np.allclose(w.nu, [0.8, 0.8])
@@ -176,16 +176,21 @@ def _dense_q(rho0, rho1, s):
 
 
 def test_q_s_invariant_under_joint_unitary():
-    # The rotated states leave the standard form, so the reference route
-    # evaluates them, against the production kernel on the pair itself.
+    # The transformed states leave the standard form, so the reference route
+    # evaluates them, against the production kernel on the pair itself.  A
+    # rotation alone commutes with the isotropic blocks of Sigma(s); the
+    # squeezer after it makes Williamson's T non-symmetric, which pins the
+    # orientation of T in the reference route.
     pair = make_pair(tmss(0.7), TargetConfig(kappa=0.3, n_b=1.2))
-    u = phase_rotation(0.9, mode=0, n_modes=2)
-    r0 = apply_unitary(pair.rho0, u)
-    r1 = apply_unitary(pair.rho1, u)
-    for s in (0.3, 0.6):
-        assert _dense_q(r0, r1, s) == pytest.approx(
-            q_s_general(pair.rho0, pair.rho1, s), rel=1e-11
-        )
+    rotation = phase_rotation(0.9, mode=0, n_modes=2)
+    for unitaries in ((rotation,), (rotation, squeezer(0.4, mode=0, n_modes=2))):
+        r0, r1 = pair.rho0, pair.rho1
+        for u in unitaries:
+            r0, r1 = apply_unitary(r0, u), apply_unitary(r1, u)
+        for s in (0.3, 0.6):
+            assert _dense_q(r0, r1, s) == pytest.approx(
+                q_s_general(pair.rho0, pair.rho1, s), rel=1e-11
+            )
 
 
 @pytest.mark.parametrize("kind", ["coherent", "tmss"])

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,18 +328,21 @@ def _block_sizes(op):
 def test_spectrum_computed_once(monkeypatch):
     rho0, rho1 = hypothesis_pair_fock(tmss(0.3), TargetConfig(kappa=0.2, n_b=0.3), 12)
     calls = _counting_eigh(monkeypatch)
-    for s in (0.3, 0.5, 0.7):
+    q_s_fock(rho0, rho1, 0.3)
+    terms = rho1.__dict__["_terms"]
+    for s in (0.5, 0.7):
         q_s_fock(rho0, rho1, s)
+    # rho1's flat terms are built once; rho0 is read through its diagonal
+    assert rho1.__dict__["_terms"] is terms and "_terms" not in rho0.__dict__
     # rho0 is diagonal; rho1 has one block per photon-number difference
     assert _block_sizes(rho0).tolist() == [1]
     assert np.unique(fock_oracle._components(rho1.matrix != 0)).size == 2 * 12 - 1
     assert all(shape[-1] < 144 for shape in calls)
     assert rho0.matrix.dtype == rho1.matrix.dtype == np.float64
     probe = build_state(tmss(0.3), 12)
-    for op in (rho0, rho1, probe):
-        for arr in op.spectrum:
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+    for arr in (*rho0.spectrum, *rho1.spectrum, *probe.spectrum, *terms):
+        with pytest.raises(ValueError):
+            arr[0] = 0
     # the pure probe is never diagonalised
     evals, evecs = probe.spectrum
     assert evals.shape == (1,) and evecs.shape == (144, 1)
@@ -417,42 +418,38 @@ def test_block_spectrum_checks_are_global():
         FockOperator(bad, 1).spectrum
 
 
-@pytest.mark.parametrize("spec,cutoff", [(coherent(0.4), 20), (smsv(0.4), 30), (tmss(0.4), 16)])
-def test_flat_terms_match_the_block_sum(spec, cutoff):
-    # q_s_fock sums the flat terms; the sum over the joint blocks of the
-    # cached cross products is the reference, equal up to summation order.
-    rho0, rho1 = hypothesis_pair_fock(spec, TargetConfig(kappa=0.2, n_b=0.3), cutoff)
-    for s in (0.1, 0.5, 0.9):
-        flat = q_s_fock(rho0, rho1, s)
-        cross, _ = fock_oracle._overlap(rho0, rho1)
-        blocks = sum(
-            np.einsum("bi,bij,bj->", w0**s, np.abs(c) ** 2, w1 ** (1.0 - s)) for w0, c, w1 in cross
-        )
-        assert flat == pytest.approx(blocks, rel=1e-14)
+def _dense_power(op, t):
+    """op^t from a dense eigh, eigenvalues below 1e-14 of the largest taken as 0."""
+    w, v = np.linalg.eigh(op.matrix)
+    w = np.where(w > w.max() * 1e-14, w, 0.0)
+    return (v * w**t) @ v.conj().T
 
 
-def test_overlap_computed_once_and_dropped_with_operators():
-    rho0, rho1 = hypothesis_pair_fock(tmss(0.3), TargetConfig(kappa=0.2, n_b=0.3), 10)
-    q = q_s_fock(rho0, rho1, 0.3)
-    (overlap,) = rho0._overlaps.values()
-    for s in (0.5, 0.7):
-        q_s_fock(rho0, rho1, s)
-    f = fidelity_fock(rho0, rho1)
-    (stored,) = rho0._overlaps.values()
-    assert stored is overlap
-    # later calls read the stored product rather than forming their own:
-    # fidelity_fock the blocks, q_s_fock the flat terms
-    cross, (w0, c2, w1) = overlap
-    rho0._overlaps[rho1] = (
-        tuple((w0, 2.0 * c, w1) for w0, c, w1 in cross), (w0, 4.0 * c2, w1)
+@pytest.mark.parametrize("model", ["agnostic", "legacy"])
+@pytest.mark.parametrize(
+    "spec,cutoff", [(vacuum(), 20), (coherent(0.4), 20), (smsv(0.4), 30), (tmss(0.4), 16)]
+)
+def test_overlaps_match_dense_reference(spec, cutoff, model):
+    # q_s_fock and fidelity_fock read rho0's diagonal and rho1's blocks; the
+    # reference takes both operators dense, as they are.
+    rho0, rho1 = hypothesis_pair_fock(
+        spec, TargetConfig(kappa=0.2, n_b=0.3, model=model), cutoff
     )
-    assert q_s_fock(rho0, rho1, 0.3) == pytest.approx(4.0 * q, rel=1e-12)
-    assert fidelity_fock(rho0, rho1) == pytest.approx(2.0 * f, rel=1e-12)
-    ref0, ref1 = weakref.ref(rho0), weakref.ref(rho1)
-    del rho1, overlap, stored, cross, w0, c2, w1
-    assert ref1() is None and len(rho0._overlaps) == 0
-    del rho0
-    assert ref0() is None
+    for s in (0.1, 0.5, 0.9):
+        dense = np.trace(_dense_power(rho0, s) @ _dense_power(rho1, 1.0 - s)).real
+        assert q_s_fock(rho0, rho1, s) == pytest.approx(dense, rel=1e-10)
+    roots = _dense_power(rho0, 0.5) @ _dense_power(rho1, 0.5)
+    dense = np.linalg.svd(roots, compute_uv=False).sum()
+    assert fidelity_fock(rho0, rho1) == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("spec", [coherent(0.4), tmss(0.4)])
+def test_overlaps_reject_a_first_operator_with_a_block(spec):
+    rho0, rho1 = hypothesis_pair_fock(spec, TargetConfig(kappa=0.2, n_b=0.3), 12)
+    with pytest.raises(ValueError, match="diagonal"):
+        q_s_fock(rho1, rho0, 0.5)
+    with pytest.raises(ValueError, match="diagonal"):
+        fidelity_fock(rho1, rho0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

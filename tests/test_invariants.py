@@ -358,20 +358,17 @@ def test_fock_oracle_matches_highprec():
     """The truncated number basis against the mpmath route, one point per kind and model.
 
     Points are drawn from criterion 1's box (N_S, N_B in [0.1, 0.5], kappa
-    in [0.1, 0.3]) and evaluated at the cutoff choose_cutoff verifies to
-    1e-8.  In the legacy model the dilation sees N_B / (1 - kappa), so N_B
-    is drawn up to 0.5 (1 - kappa) there: the channel's occupancy stays in
-    the box, and the three-mode dilation of tmss stays under its ceiling of
-    24 per mode (legacy tmss at N_S = N_B = 0.5, kappa = 0.3 needs more).
+    in [0.1, 0.3]) in both models and evaluated at the cutoff choose_cutoff
+    verifies to 1e-8.  In the legacy model the dilation sees the larger
+    occupancy N_B / (1 - kappa).
     """
     rng = np.random.default_rng(6)
     worst = 0.0
     for kind in KINDS:
         for model in MODELS:
             kappa = rng.uniform(0.1, 0.3)
-            top = 0.5 * (1.0 - kappa) if model == "legacy" else 0.5
             n_s = 0.0 if kind == "vacuum" else rng.uniform(0.1, 0.5)
-            n_b = rng.uniform(0.1, top)
+            n_b = rng.uniform(0.1, 0.5)
             spec, cfg = TransmitterSpec(kind, n_s), TargetConfig(kappa=kappa, n_b=n_b, model=model)
             rho0, rho1 = hypothesis_pair_fock(spec, cfg, choose_cutoff(spec, cfg, tol=1e-8))
             for s in (0.3, 0.5, 0.7):

@@ -12,11 +12,12 @@ from gaussqi.reference import (
     random_physical_cov,
     random_symplectic,
     squeezer,
+    symplectic_form,
     symplectic_inverse,
     tensor,
     williamson,
 )
-from gaussqi.symplectic import GaussianState, symplectic_eigenvalues, symplectic_form
+from gaussqi.symplectic import GaussianState, symplectic_eigenvalues
 from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import probe_state, thermal_state, tmss
 
@@ -147,7 +148,7 @@ def test_gaussian_state_builds_no_williamson():
     # which only the reference route builds.
     import gaussqi.symplectic
 
-    dense = {"williamson", "WilliamsonDecomposition", "symplectic_inverse"}
+    dense = {"williamson", "WilliamsonDecomposition", "symplectic_inverse", "symplectic_form"}
     assert not dense & set(vars(gaussqi.symplectic))
     state = GaussianState(mean=np.zeros(4), cov=probe_state(tmss(1.0)).cov)
     assert state.n_modes == 2
