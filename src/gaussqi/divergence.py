@@ -69,12 +69,6 @@ class _Factors:
         # L with a finite stand-in at pure modes, whose terms are masked.
         self._finite_ratio = np.where(self.pure, 1.0, self.log_ratio)
 
-    def take(self, idx) -> "_Factors":
-        sub = object.__new__(_Factors)
-        sub.x, sub.pure = self.x[idx], self.pure[idx]
-        sub.log_ratio, sub._finite_ratio = self.log_ratio[idx], self._finite_ratio[idx]
-        return sub
-
     def g(self, p):
         """G_p(x) = 2^p / ((x+1)^p - (x-1)^p), as 2^p / ((x+1)^p (1 - e^{-pL}))."""
         return 2.0**p / ((self.x + 1.0) ** p * -np.expm1(-p * self.log_ratio))
@@ -131,16 +125,22 @@ class _StandardGeometry:
       over that determinant as well.
 
     Pairs are stacked along the first axis: means (N, 2n) and covariances
-    (N, 2n, 2n).  Non-finite, non-symmetric and unphysical moments are
-    rejected, and so is a stack in any other form.  Every step is
-    elementwise across the stack, with no LAPACK call, so a pair's numbers
-    do not depend on the other pairs in its stack.
+    (N, 2n, 2n); means of any other shape are rejected, not broadcast.
+    Non-finite, non-symmetric and unphysical moments are rejected, and so
+    is a stack in any other form.  Every step is elementwise across the
+    stack, with no LAPACK call, so a pair's numbers do not depend on the
+    other pairs in its stack.
     """
 
     def __init__(self, mean0, cov0, mean1, cov1):
         if np.shape(cov0) != np.shape(cov1):
             raise ValueError(
                 f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}"
+            )
+        if not np.shape(mean0) == np.shape(mean1) == np.shape(cov0)[:-1]:
+            raise ValueError(
+                f"overlap: means of shapes {np.shape(mean0)} and {np.shape(mean1)} "
+                f"do not match covariances of shape {np.shape(cov0)}"
             )
         size = len(cov0)
         cov = _validated_cov(np.concatenate((cov0, cov1)), "overlap")
@@ -196,14 +196,6 @@ class _StandardGeometry:
         self.factors = _Factors(2.0 * np.concatenate((nu[:size], nu[size:]), axis=-1))
         self._sign = np.repeat((1.0, -1.0), self.n)
         self._delta = delta
-
-    def take(self, idx) -> "_StandardGeometry":
-        """The sub-stack of the pairs at the given indices."""
-        sub = object.__new__(_StandardGeometry)
-        sub.n, sub._sign = self.n, self._sign
-        sub.factors = self.factors.take(idx)
-        sub._coef, sub._delta = self._coef[idx], self._delta[idx]
-        return sub
 
     def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log Q_s of `q_s_general` and its slope d/ds log Q_s, at one s per pair.
@@ -286,64 +278,62 @@ class ChernoffResult:
     n_evals: int = 0
 
 
-def _slope_root(evaluate, lo, d_lo, hi, d_hi, s_tol: float):
+def _slope_root(evaluate, live, lo, d_lo, hi, d_hi, s_tol: float):
     """Lowest log Q_s seen by a safeguarded secant search on the slope.
 
-    Runs for a stack of pairs at once: lo, d_lo, hi, d_hi are arrays with
-    one entry per pair, and evaluate(s, idx) returns log Q_s and its slope
-    at s for the pairs idx.  Every pair steps on its own and drops out once
-    its bracket is closed.
+    Runs on a whole stack of pairs at once: lo, d_lo, hi, d_hi are arrays
+    with one entry per pair, and evaluate(s, live) returns log Q_s and its
+    slope at s for every pair of the stack, counting an evaluation for the
+    pairs of the boolean mask `live`.  The pairs in `live` search, each on
+    its own; a pair leaves the mask once its bracket is closed, and from
+    then on none of its entries is updated.  The entries outside the mask
+    are never read.
 
-    Requires slopes d_lo < 0 < d_hi at the bracket ends lo < hi.  Each step
-    is regula falsi on the end weights w_lo, w_hi.  When the same end is
-    kept twice in a row its weight is scaled by 1 - d_new / d_old, or
-    halved if that is not positive (Anderson-Bjorck's refinement of the
-    Illinois rule), so a strongly curved slope does not pin the step to one
-    end.  Once the bracket has failed to halve in three steps, the next
+    Requires slopes d_lo < 0 < d_hi at the bracket ends lo < hi of the live
+    pairs.  Each step is regula falsi on the end weights w_lo, w_hi.  When
+    the same end is kept twice in a row its weight is scaled by
+    1 - d_new / d_old, or halved if that is not positive (Anderson-Bjorck's
+    refinement of the Illinois rule), so a strongly curved slope does not
+    pin the step to one end.  Once the bracket has failed to halve in three steps, the next
     point is the midpoint.  A trial point is kept s_tol/2 inside the bracket,
     so the bracket closes as soon as the root estimate is that close.
-    Returns arrays (s, log Q_s, converged); converged means the bracket is
-    narrower than s_tol, or the slope was exactly 0.
+    Returns arrays (s, log Q_s, converged) over the stack; converged means
+    the bracket is narrower than s_tol, or the slope was exactly 0.  Outside
+    the mask they are (lo + hi) / 2, inf and True.
     """
-    lo, hi, w_lo, w_hi = (np.array(v, dtype=float) for v in (lo, hi, d_lo, d_hi))
-    out_s, out_v = 0.5 * (lo + hi), np.full(lo.shape, np.inf)
-    converged = hi - lo <= s_tol
-    # The pairs still searching, compacted; `at` holds their stack indices.
-    at = np.flatnonzero(~converged)
-    lo, hi, w_lo, w_hi, best_s, best_v = (a[at] for a in (lo, hi, w_lo, w_hi, out_s, out_v))
+    live = np.array(live, dtype=bool)
+    # Weights of opposite signs outside the mask keep every step finite there.
+    w_lo, w_hi = np.where(live, d_lo, -1.0), np.where(live, d_hi, 1.0)
+    best_s, best_v, converged = 0.5 * (lo + hi), np.full(lo.shape, np.inf), ~live
     # The sign of the last slope: +1 kept lo (replaced hi), -1 kept hi, 0 before any step.
-    kept = np.zeros(at.size)
-    ref_width, stalled = hi - lo, np.zeros(at.size, dtype=int)
+    kept = np.zeros(lo.shape)
+    ref_width, stalled = hi - lo, np.zeros(lo.shape, dtype=int)
     for _ in range(MAX_ITER):
-        if at.size == 0:
+        if not live.any():
             break
         s = np.where(stalled >= 3, 0.5 * (lo + hi), (lo * w_hi - hi * w_lo) / (w_hi - w_lo))
         s = np.minimum(np.maximum(s, lo + 0.5 * s_tol), hi - 0.5 * s_tol)
-        v, d = evaluate(s, at)
-        better = v < best_v
+        v, d = evaluate(s, live)
+        better = live & (v < best_v)
         best_s, best_v = np.where(better, s, best_s), np.where(better, v, best_v)
         side = np.sign(d)
-        up = side > 0.0
+        # A pair stops on a slope of exactly 0 before the 0 can become a weight.
+        converged |= live & (side == 0.0)
+        live &= side != 0.0
+        up, down = live & (side > 0.0), live & (side < 0.0)
         # The weight of an end kept twice in a row is scaled; the end replaced
         # now was the previous trial point, so its weight is still its raw slope.
         scale = 1.0 - d / np.where(up, w_hi, w_lo)
-        scale = np.where(kept == side, np.where(scale > 0.0, scale, 0.5), 1.0)
-        w_lo, w_hi = np.where(up, w_lo * scale, d), np.where(up, d, w_hi * scale)
-        lo, hi = np.where(up, lo, s), np.where(up, s, hi)
-        kept = side
+        scale = np.where(live & (kept == side), np.where(scale > 0.0, scale, 0.5), 1.0)
+        w_lo, w_hi = np.where(down, d, w_lo * scale), np.where(up, d, w_hi * scale)
+        lo, hi = np.where(down, s, lo), np.where(up, s, hi)
+        kept = np.where(live, side, kept)
         width = hi - lo
-        halved = width <= 0.5 * ref_width
-        ref_width, stalled = np.where(halved, width, ref_width), np.where(halved, 0, stalled + 1)
-        done = (side == 0.0) | (width <= s_tol)
-        if done.any():
-            out_s[at[done]], out_v[at[done]] = best_s[done], best_v[done]
-            converged[at[done]] = True
-            left = ~done
-            at, lo, hi, w_lo, w_hi, kept, ref_width, stalled, best_s, best_v = (
-                a[left] for a in (at, lo, hi, w_lo, w_hi, kept, ref_width, stalled, best_s, best_v)
-            )
-    out_s[at], out_v[at] = best_s, best_v
-    return out_s, out_v, converged
+        halved = live & (width <= 0.5 * ref_width)
+        ref_width, stalled = np.where(halved, width, ref_width), np.where(halved, 0, stalled + live)
+        converged |= live & (width <= s_tol)
+        live &= width > s_tol
+    return best_s, best_v, converged
 
 
 def chernoff(pair: HypothesisPair, s_tol: float = S_TOL) -> ChernoffResult:
@@ -354,15 +344,16 @@ def chernoff(pair: HypothesisPair, s_tol: float = S_TOL) -> ChernoffResult:
     slope at that half's bracket end (_S_EDGE or 1 - _S_EDGE) decides
     whether the minimum is interior.  If the slope does not change sign
     there, s* is that end, flagged "edge"; otherwise `_slope_root` brackets
-    the zero of the slope to within s_tol.  Degenerate pairs short-circuit
-    to xi = 0 with a "degenerate" flag.  If log Q_s varies by less than
-    FLAT_SPAN over [0.05, 0.95] the minimizer would chase noise, so s* = 1/2
-    is reported with a "flat" flag.  Failure to converge within MAX_ITER
-    search steps is flagged "maxiter", never silent.  xi is max(-log Q, 0):
-    rounding can push log Q_s of a near-identical pair just above 0.
+    the zero of the slope to within s_tol.  A degenerate pair is validated,
+    then masked out of the search: it gets xi = 0 and a "degenerate" flag.
+    If log Q_s varies by less than FLAT_SPAN over [0.05, 0.95] the
+    minimizer would chase noise, so s* = 1/2 is reported with a "flat"
+    flag.  Failure to converge within MAX_ITER search steps is flagged
+    "maxiter", never silent.  xi is max(-log Q, 0): rounding can push
+    log Q_s of a near-identical pair just above 0.
 
     This is `chernoff_many` on a stack of one pair, so the pair must be in
-    the standard form `make_pair` builds.
+    the standard form `make_pair` builds, degenerate or not.
     """
     rho0, rho1 = pair.rho0, pair.rho1
     return chernoff_many(
@@ -377,94 +368,86 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
 
     Pairs are stacked along the first axis: means (N, 2n), covariances
     (N, 2n, 2n), in the standard form `target.pair_stack` gives them (see
-    `_StandardGeometry`), and `degenerate` holds one flag per pair.  Every
-    pair takes the steps `chernoff` describes on its own, so its result
-    does not depend on the rest of the stack.
+    `_StandardGeometry`), and `degenerate` holds one flag per pair, shape
+    (N,).  Every pair, degenerate or not, is validated; the degenerate ones
+    are not searched.  The search runs on the whole stack under boolean
+    masks, and every pair takes the steps `chernoff` describes on its own,
+    so its result does not depend on the rest of the stack.
 
     Returns:
         One ChernoffResult per pair, in stack order.
 
     Raises:
         ValueError: s_tol outside (0, 1/2 - _S_EDGE), the first bracket's
-            width; a non-finite or non-symmetric covariance or mean; a pair
-            not in the standard form of `_StandardGeometry`; or an
+            width; `degenerate` not of shape (N,); means not of shape
+            (N, 2n); a non-finite or non-symmetric covariance or mean; a
+            pair not in the standard form of `_StandardGeometry`; or an
             unphysical covariance.
     """
     if not 0.0 < s_tol < 0.5 - _S_EDGE:
         raise ValueError(f"s_tol must lie in (0, {0.5 - _S_EDGE}), got {s_tol}")
-    degenerate = np.asarray(degenerate, dtype=bool).reshape(-1)
-    results = [ChernoffResult(0.5, 1.0, 0.0, 1.0, True, ("degenerate",))] * degenerate.size
-    live = np.flatnonzero(~degenerate)
-    if live.size == 0:
-        return results
-    geom = _StandardGeometry(mean0[live], cov0[live], mean1[live], cov1[live])
-    m = live.size
-    n_evals = np.zeros(m, dtype=int)
+    degenerate = np.asarray(degenerate, dtype=bool)
+    if degenerate.shape != np.shape(cov0)[:1]:
+        raise ValueError(
+            f"degenerate must hold one flag per pair, shape {np.shape(cov0)[:1]}, "
+            f"got {degenerate.shape}"
+        )
+    geom = _StandardGeometry(mean0, cov0, mean1, cov1)
+    n_evals = np.zeros(degenerate.shape, dtype=int)
 
-    def evaluate(s, idx):
-        n_evals[idx] += 1
-        return (geom if idx.size == m else geom.take(idx)).log_q_and_slope(s)
+    def evaluate(s, mask):
+        n_evals[mask] += 1
+        return geom.log_q_and_slope(s)
 
-    log_q_half, d_half = evaluate(np.full(m, 0.5), np.arange(m))
+    live = ~degenerate
+    log_q_half, d_half = evaluate(np.full(live.shape, 0.5), live)
     q_half = np.minimum(np.exp(log_q_half), 1.0)
-    s_star, log_q_star = np.full(m, 0.5), log_q_half.copy()
-    converged = np.ones(m, dtype=bool)
-    edge = np.full(m, np.nan)  # the bracket end s* fell to; NaN where none
-    moving = np.flatnonzero(d_half != 0.0)
-    if moving.size:
-        end = np.where(d_half[moving] > 0.0, _S_EDGE, 1.0 - _S_EDGE)
-        log_q_end, d_end = evaluate(end, moving)
-        # No sign change between the end and 1/2: by convexity log Q_s falls
-        # all the way to the end.
-        at_end = d_end * d_half[moving] >= 0.0
-        i = moving[at_end]
-        s_star[i] = edge[i] = end[at_end]
-        log_q_star[i] = log_q_end[at_end]
-        inner = ~at_end
-        i = moving[inner]
-        if i.size:
-            end, d_end, d_mid = end[inner], d_end[inner], d_half[i]
-            low_end = end < 0.5
-            s_star[i], log_q_star[i], converged[i] = _slope_root(
-                lambda s, idx: evaluate(s, i[idx]),
-                np.where(low_end, end, 0.5), np.where(low_end, d_end, d_mid),
-                np.where(low_end, 0.5, end), np.where(low_end, d_mid, d_end),
-                s_tol,
-            )
-        # Noise-level non-minimum; fall back to the Bhattacharyya point.
-        i = moving[log_q_half[moving] < log_q_star[moving]]
-        s_star[i], log_q_star[i] = 0.5, log_q_half[i]
+    moving = live & (d_half != 0.0)
+    end = np.where(d_half > 0.0, _S_EDGE, 1.0 - _S_EDGE)
+    log_q_end, d_end = evaluate(end, moving)
+    # No sign change between the end and 1/2: by convexity log Q_s falls
+    # all the way to the end.
+    at_end = moving & (d_end * d_half >= 0.0)
+    low_end = end < 0.5
+    s_star, log_q_star, converged = _slope_root(
+        evaluate, moving & ~at_end,
+        np.where(low_end, end, 0.5), np.where(low_end, d_end, d_half),
+        np.where(low_end, 0.5, end), np.where(low_end, d_half, d_end),
+        s_tol,
+    )
+    s_star, log_q_star = np.where(at_end, end, s_star), np.where(at_end, log_q_end, log_q_star)
+    # A pair that did not move, and a noise-level non-minimum, fall back to
+    # the Bhattacharyya point.
+    half = log_q_half < log_q_star
+    s_star, log_q_star = np.where(half, 0.5, s_star), np.where(half, log_q_half, log_q_star)
 
     # By convexity the span over [0.05, 0.95] is at least 0.9 (log Q_{1/2} -
     # log Q_{s*}), so only a pair this close to flat needs its two ends.
-    flat = np.zeros(m, dtype=bool)
-    near = np.flatnonzero(log_q_half - log_q_star < 2.0 * FLAT_SPAN)
-    if near.size:
-        sub = geom.take(np.concatenate((near, near)))
-        ends = sub.log_q_and_slope(np.repeat((0.05, 0.95), near.size))[0].reshape(2, -1)
-        n_evals[near] += 2
-        inside = (0.05 <= s_star[near]) & (s_star[near] <= 0.95)
-        low = np.where(inside, log_q_star[near], np.minimum(ends.min(axis=0), log_q_half[near]))
-        flat[near] = ends.max(axis=0) - low < FLAT_SPAN
+    flat = live & (log_q_half - log_q_star < 2.0 * FLAT_SPAN)
+    if flat.any():
+        ends = np.stack([evaluate(np.full(live.shape, s), flat)[0] for s in (0.05, 0.95)])
+        inside = (0.05 <= s_star) & (s_star <= 0.95)
+        low = np.where(inside, log_q_star, np.minimum(ends.min(axis=0), log_q_half))
+        flat &= ends.max(axis=0) - low < FLAT_SPAN
 
-    flags = [
-        ("flat",) if is_flat else ("edge",) * at_edge + ("maxiter",) * (not conv)
-        for is_flat, at_edge, conv in zip(flat.tolist(), (s_star == edge).tolist(), converged.tolist())
-    ]
     # A flat pair reports the Bhattacharyya point; no pair reports xi < 0.
-    columns = (
-        live.tolist(),
+    columns = zip(
+        degenerate.tolist(),
+        flat.tolist(),
+        (at_end & (s_star == end)).tolist(),
         np.where(flat, 0.5, s_star).tolist(),
         np.where(flat, q_half, np.minimum(np.exp(log_q_star), 1.0)).tolist(),
         np.maximum(-np.where(flat, log_q_half, log_q_star), 0.0).tolist(),
         q_half.tolist(),
         (converged | flat).tolist(),
-        flags,
         n_evals.tolist(),
     )
-    for j, s, q, xi, q_mid, conv, fl, count in zip(*columns):
-        results[j] = ChernoffResult(s, q, xi, q_mid, conv, fl, count)
-    return results
+    return [
+        ChernoffResult(0.5, 1.0, 0.0, 1.0, True, ("degenerate",)) if is_degenerate
+        else ChernoffResult(s, q, xi, q_mid, conv, ("flat",) if is_flat
+                            else ("edge",) * at_edge + ("maxiter",) * (not conv), count)
+        for is_degenerate, is_flat, at_edge, s, q, xi, q_mid, conv, count in columns
+    ]
 
 
 def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
@@ -472,7 +455,7 @@ def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
 
     The pair must be in the standard form `make_pair` builds (see
     `_StandardGeometry`)."""
-    if n_copies < 0 or int(n_copies) != n_copies:
+    if not (n_copies >= 0 and float(n_copies).is_integer()):
         raise ValueError(f"n_copies must be a non-negative integer, got {n_copies}")
     if pair.degenerate:
         return 0.5

@@ -298,8 +298,9 @@ def test_bhattacharyya_bound():
     res = chernoff(pair)
     n = 50
     assert bhattacharyya_error_bound(pair, n) == pytest.approx(0.5 * res.q_half**n, rel=1e-12)
-    with pytest.raises(ValueError):
-        bhattacharyya_error_bound(pair, -1)
+    for bad in (-1, float("inf")):
+        with pytest.raises(ValueError, match="n_copies must be a non-negative integer"):
+            bhattacharyya_error_bound(pair, bad)
 
 
 def test_bhattacharyya_matches_bright_model_exponent():

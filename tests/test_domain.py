@@ -1,7 +1,9 @@
 """One parameter domain: every entry point rejects a bad n_s, n_b or kappa
 with the same message, from the checks in transmitters and target; every
 entry point that takes moments rejects non-finite ones; and chernoff_many
-rejects, after that, a stack outside its standard form or unphysical."""
+rejects, after that, a stack outside its standard form or unphysical.
+chernoff_many checks every pair it is given, flagged degenerate or not, and
+takes one flag per pair and means of its covariances' shape."""
 
 import numpy as np
 import pytest
@@ -110,6 +112,8 @@ MOMENT_ENTRY_POINTS = {
     "symplectic_eigenvalues": lambda m0, c0, m1, c1: symplectic_eigenvalues(c1),
     "GaussianState": lambda m0, c0, m1, c1: GaussianState(m1[0], c1[0]),
     "chernoff_many": lambda m0, c0, m1, c1: chernoff_many(m0, c0, m1, c1, [False]),
+    # a pair flagged degenerate is validated as well, though not searched
+    "chernoff_many flagged": lambda m0, c0, m1, c1: chernoff_many(m0, c0, m1, c1, [True]),
     "fidelity_many": lambda m0, c0, m1, c1: fidelity_many(m0, c0, m1, c1),
 }
 
@@ -123,7 +127,9 @@ def test_every_moment_entry_point_rejects_non_finite_covariance(entry, value):
 
 
 @pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
-@pytest.mark.parametrize("entry", ["GaussianState", "chernoff_many", "fidelity_many"])
+@pytest.mark.parametrize(
+    "entry", ["GaussianState", "chernoff_many", "chernoff_many flagged", "fidelity_many"]
+)
 def test_every_pair_entry_point_rejects_non_finite_mean(entry, value):
     m0, c0, m1, c1 = _coherent_pair_stack()
     with pytest.raises(ValueError, match="must be finite"):
@@ -157,16 +163,27 @@ NOT_STANDARD = {
 @pytest.mark.parametrize("case", list(NOT_STANDARD))
 def test_chernoff_many_rejects_a_stack_not_in_standard_form(case):
     stack = _coherent_pair_stack() if case.startswith("one") else _tmss_pair_stack()
-    with pytest.raises(ValueError, match="pair 0 is not in standard form"):
-        chernoff_many(*NOT_STANDARD[case](*stack), [False])
+    for flag in (False, True):
+        with pytest.raises(ValueError, match="pair 0 is not in standard form"):
+            chernoff_many(*NOT_STANDARD[case](*stack), [flag])
+
+
+def test_standard_form_error_names_the_callers_pair():
+    # Pair 0 (no signal, legacy) is degenerate; the index counts it all the same.
+    m0, c0, m1, c1, degenerate = pair_stack("coherent", [0.0, 1.0], 1.0, 0.1, "legacy")
+    assert degenerate.tolist() == [True, False]
+    c1[1, 0, 1] = c1[1, 1, 0] = 0.1
+    with pytest.raises(ValueError, match="pair 1 is not in standard form"):
+        chernoff_many(m0, c0, m1, c1, degenerate)
 
 
 def test_chernoff_many_checks_finiteness_before_the_standard_form():
     m0, c0, m1, c1 = _tmss_pair_stack()
-    with pytest.raises(ValueError, match="covariance must be finite"):
-        chernoff_many(m0, c0, m1, _correlate(c1, 0, 1, NAN), [False])
-    with pytest.raises(ValueError, match="means must be finite"):
-        chernoff_many(m0, c0, _spoil(m1, NAN, (0, 2)), c1, [False])
+    for flag in (False, True):
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            chernoff_many(m0, c0, m1, _correlate(c1, 0, 1, NAN), [flag])
+        with pytest.raises(ValueError, match="means must be finite"):
+            chernoff_many(m0, c0, _spoil(m1, NAN, (0, 2)), c1, [flag])
 
 
 @pytest.mark.parametrize("kind, scale", [("coherent", 0.1), ("coherent", -1.0), ("tmss", 0.1)])
@@ -174,5 +191,24 @@ def test_chernoff_many_rejects_an_unphysical_standard_form(kind, scale):
     # 0.1 I has symplectic eigenvalues 0.1; -I is not positive definite.
     stack = _coherent_pair_stack() if kind == "coherent" else _tmss_pair_stack()
     m0, c0, m1, c1 = stack
-    with pytest.raises(ValueError, match="unphysical covariance"):
-        chernoff_many(m0, c0, m1, scale * np.eye(c1.shape[-1])[None], [False])
+    for flag in (False, True):
+        with pytest.raises(ValueError, match="unphysical covariance"):
+            chernoff_many(m0, c0, m1, scale * np.eye(c1.shape[-1])[None], [flag])
+
+
+@pytest.mark.parametrize("flags", [[True], [False, True, False], [[True, False]], True],
+                         ids=["short", "long", "2-d", "scalar"])
+def test_chernoff_many_takes_one_flag_per_pair(flags):
+    m0, c0, m1, c1, _ = pair_stack("coherent", [1.0, 2.0], 1.0, 0.1)
+    with pytest.raises(ValueError, match="one flag per pair"):
+        chernoff_many(m0, c0, m1, c1, flags)
+
+
+def test_chernoff_many_takes_means_of_its_covariances_shape():
+    m0, c0, m1, c1 = _coherent_pair_stack()
+    assert chernoff_many(m0, c0, m1, c1, [False])[0].xi == pytest.approx(0.01847, rel=1e-3)
+    # Length-1 means would broadcast over both quadratures (xi = 0.03626);
+    # a 2-pair mean stack over 1 pair of covariances would give one result.
+    for means in ((m0[:, 0], m1[:, 0]), (np.concatenate((m0, m0)), np.concatenate((m1, m1)))):
+        with pytest.raises(ValueError, match="means of shapes .* do not match covariances"):
+            chernoff_many(means[0], c0, means[1], c1, [False])

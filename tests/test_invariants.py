@@ -151,18 +151,21 @@ def test_chernoff_many_equals_each_pair_alone(kind, model, logs):
         assert res == chernoff(pair)
 
 
-def test_run_sweep_rows_equal_single_point_chernoff():
+# The agnostic vacuum pair at N_B = 80, kappa = 0.05 stops its search on a
+# slope of exactly 0 while the rest of its stack searches on.
+@pytest.mark.parametrize("model", MODELS)
+def test_run_sweep_rows_equal_single_point_chernoff(model):
     plan = SweepPlan(
         transmitters=KINDS,
         quantities=("chernoff", "q_half", "s_star", "ratio_vs_coherent", "ratio_vs_vacuum"),
         n_s_grid=(1e-2, 0.7),
         n_b_grid=(1e-3, 3.0, 80.0),
         kappa_grid=(1e-3, 0.05),
-        model="legacy",
+        model=model,
     )
 
     def alone(kind, n_s, n_b, kappa):
-        return chernoff(make_pair(TransmitterSpec(kind, n_s), TargetConfig(kappa, n_b, "legacy")))
+        return chernoff(make_pair(TransmitterSpec(kind, n_s), TargetConfig(kappa, n_b, model)))
 
     rows = run_sweep(plan)
     assert len(rows) == (3 * 2 + 1) * 3 * 2 * 5
