@@ -15,6 +15,7 @@ reference and lives in `reference`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,15 @@ class _Factors:
         """d/dp Lambda_p(x) = -L / (2 sinh^2(pL/2))."""
         ratio = self._finite_ratio
         return np.where(self.pure, 0.0, -0.5 * ratio / np.sinh(0.5 * p * ratio) ** 2)
+
+    def curvatures(self, lam, lam_slope):
+        """d²/dp² log G_p(x) = -(L/2) Lambda'_p and d²/dp² Lambda_p = -L Lambda_p Lambda'_p.
+
+        Both are read off Lambda_p and its slope Lambda'_p at the same p; at
+        a pure mode the slope is 0, and so are both curvatures.
+        """
+        ratio = self._finite_ratio
+        return -0.5 * ratio * lam_slope, -ratio * lam * lam_slope
 
 
 def _orders(sign: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -207,20 +217,55 @@ class _StandardGeometry:
                          - sum_k d_p log G_p(x1_k)|_{p=1-s}
                          - tr(Sigma^-1 dSigma) / 2 + y^T dSigma y / 2
 
-        The sign of dSigma per state is carried in `lam` and `d_lam` below.
+        The sign of dSigma per state is carried in `d_lam` of `_derivatives`.
         """
+        return self._derivatives(s, curvature=False)
+
+    def log_q_slope_and_curvature(self, s: np.ndarray) -> tuple[np.ndarray, ...]:
+        """`log_q_and_slope` and the curvature d²/ds² log Q_s, at one s per pair.
+
+        With the sector forms of `_StandardGeometry` the curvature reuses
+        every factor of the slope:
+
+        - each mode adds d²/dp² log G_p, and each Lambda enters Sigma with
+          its own second derivative (`_Factors.curvatures`; the sign of the
+          order 1 - s squares away);
+        - a one-mode sector of the diagonal Sigma, with y = delta / sigma
+          and r = sigma' / sigma = (log sigma)', adds
+          -((1/sigma - y^2) sigma'' - r^2 (1 - 2 delta y)) / 2;
+        - the two-mode sectors add (det'/det)^2 - det''/det of their common
+          determinant, which is bilinear in the Lambdas, so that det'' is
+          its gradient on the Lambda'' plus twice the determinant of the
+          Lambda'.
+
+        Only the Chernoff search asks for it: `q_s_general` and
+        `bhattacharyya_error_bound` call `log_q_and_slope`.
+        """
+        return self._derivatives(s, curvature=True)
+
+    def _derivatives(self, s, curvature):
         p = _orders(self._sign, s)
-        lam, d_lam = self.factors.lam(p), self._sign * self.factors.lam_slope(p)
+        lam, lam_slope = self.factors.lam(p), self.factors.lam_slope(p)
+        d_lam = self._sign * lam_slope
         log_q = self.n * np.log(2.0) + np.log(self.factors.g(p)).sum(axis=-1)
         slope = (self._sign * self.factors.log_g_slope(p)).sum(axis=-1)
+        if curvature:
+            log_g_curvature, dd_lam = self.factors.curvatures(lam, lam_slope)
+            curv = log_g_curvature.sum(axis=-1)
         if self.n == 1:
             # Sectors (q, p) of the diagonal Sigma; y = Sigma^-1 delta.
             sigma = (self._coef * lam[:, None, :]).sum(axis=-1)
             d_sigma = (self._coef * d_lam[:, None, :]).sum(axis=-1)
             y = self._delta / sigma
-            log_q -= 0.5 * (np.log(sigma) + self._delta * y).sum(axis=-1)
-            slope -= 0.5 * ((1.0 / sigma - y * y) * d_sigma).sum(axis=-1)
-            return log_q, slope
+            quad, weight = self._delta * y, 1.0 / sigma - y * y
+            log_q -= 0.5 * (np.log(sigma) + quad).sum(axis=-1)
+            slope -= 0.5 * (weight * d_sigma).sum(axis=-1)
+            if not curvature:
+                return log_q, slope
+            dd_sigma = (self._coef * dd_lam[:, None, :]).sum(axis=-1)
+            d_log_sigma = d_sigma / sigma
+            curv -= 0.5 * (weight * dd_sigma - d_log_sigma**2 * (1.0 - 2.0 * quad)).sum(axis=-1)
+            return log_q, slope, curv
         sh2 = self._coef
         ch2 = 1.0 + sh2
         l0a, l0m, l1a, l1m = lam.T
@@ -230,13 +275,21 @@ class _StandardGeometry:
         into0 = (ch2 * l1a + sh2 * l1m, sh2 * l1a + ch2 * l1m)
         into1 = (ch2 * l0a + sh2 * l0m, sh2 * l0a + ch2 * l0m)
         det = l0a * l0m + l1a * l1m + l0a * into0[1] + l0m * into0[0]
-        # tr(Sigma^-1 dSigma) over both sectors, halved: the diagonal of the
-        # inverse of each frame's matrix is its other diagonal entry / det.
-        trace = (
-            d0a * (l0m + into0[1]) + d0m * (l0a + into0[0])
-            + d1a * (l1m + into1[1]) + d1m * (l1a + into1[0])
-        ) / det
-        return log_q - np.log(det), slope - trace
+        # The gradient of det in (l0a, l0m, l1a, l1m).  tr(Sigma^-1 dSigma)
+        # over both sectors, halved, is its product with the Lambda' / det:
+        # the diagonal of the inverse of each frame's matrix is its other
+        # diagonal entry / det.
+        grad = (l0m + into0[1], l0a + into0[0], l1m + into1[1], l1a + into1[0])
+        trace = (d0a * grad[0] + d0m * grad[1] + d1a * grad[2] + d1m * grad[3]) / det
+        if not curvature:
+            return log_q - np.log(det), slope - trace
+        dd0a, dd0m, dd1a, dd1m = dd_lam.T
+        d_into0 = (ch2 * d1a + sh2 * d1m, sh2 * d1a + ch2 * d1m)
+        dd_det = (
+            dd0a * grad[0] + dd0m * grad[1] + dd1a * grad[2] + dd1m * grad[3]
+            + 2.0 * (d0a * d0m + d1a * d1m + d0a * d_into0[1] + d0m * d_into0[0])
+        )
+        return log_q - np.log(det), slope - trace, curv + trace * trace - dd_det / det
 
 
 def _geometry(rho0: GaussianState, rho1: GaussianState) -> _StandardGeometry:
@@ -278,59 +331,48 @@ class ChernoffResult:
     n_evals: int = 0
 
 
-def _slope_root(evaluate, live, lo, d_lo, hi, d_hi, s_tol: float):
-    """Lowest log Q_s seen by a safeguarded secant search on the slope.
+def _slope_root(evaluate, live, lo, hi, s, d, c, s_tol: float):
+    """Lowest log Q_s seen by a safeguarded Newton search on the slope.
 
-    Runs on a whole stack of pairs at once: lo, d_lo, hi, d_hi are arrays
-    with one entry per pair, and evaluate(s, live) returns log Q_s and its
-    slope at s for every pair of the stack, counting an evaluation for the
-    pairs of the boolean mask `live`.  The pairs in `live` search, each on
-    its own; a pair leaves the mask once its bracket is closed, and from
-    then on none of its entries is updated.  The entries outside the mask
-    are never read.
+    Runs on a whole stack of pairs at once: lo, hi, s, d, c are arrays with
+    one entry per pair, and evaluate(s, live) returns log Q_s, its slope and
+    its curvature at s for every pair of the stack, counting an evaluation
+    for the pairs of the boolean mask `live`.  The pairs in `live` search,
+    each on its own; a pair leaves the mask once its bracket is closed, and
+    from then on its bracket and best point are not updated.  The entries
+    outside the mask are never read.
 
-    Requires slopes d_lo < 0 < d_hi at the bracket ends lo < hi of the live
-    pairs.  Each step is regula falsi on the end weights w_lo, w_hi.  When
-    the same end is kept twice in a row its weight is scaled by
-    1 - d_new / d_old, or halved if that is not positive (Anderson-Bjorck's
-    refinement of the Illinois rule), so a strongly curved slope does not
-    pin the step to one end.  Once the bracket has failed to halve in three steps, the next
-    point is the midpoint.  A trial point is kept s_tol/2 inside the bracket,
-    so the bracket closes as soon as the root estimate is that close.
+    Requires, for the live pairs, a bracket lo < hi whose slope is negative
+    at lo and positive at hi, and the slope d and curvature c at s, one of
+    its ends.  Each step is a Newton step s - d / c from the latest point
+    s (rtsafe in Numerical Recipes).  It is taken when c > 0 and it lands
+    inside the bracket, and it is then kept s_tol/2 inside: a root estimate
+    within s_tol/2 of an end is stepped just past, so the bracket closes as
+    soon as the estimate is that close.  Otherwise the step bisects the
+    bracket.  The trial point replaces the end whose slope has its sign and
+    becomes the latest point.  log Q_s is convex, so c > 0 except where
+    rounding hides the curvature; there the search falls back on bisection.
     Returns arrays (s, log Q_s, converged) over the stack; converged means
     the bracket is narrower than s_tol, or the slope was exactly 0.  Outside
     the mask they are (lo + hi) / 2, inf and True.
     """
     live = np.array(live, dtype=bool)
-    # Weights of opposite signs outside the mask keep every step finite there.
-    w_lo, w_hi = np.where(live, d_lo, -1.0), np.where(live, d_hi, 1.0)
     best_s, best_v, converged = 0.5 * (lo + hi), np.full(lo.shape, np.inf), ~live
-    # The sign of the last slope: +1 kept lo (replaced hi), -1 kept hi, 0 before any step.
-    kept = np.zeros(lo.shape)
-    ref_width, stalled = hi - lo, np.zeros(lo.shape, dtype=int)
     for _ in range(MAX_ITER):
         if not live.any():
             break
-        s = np.where(stalled >= 3, 0.5 * (lo + hi), (lo * w_hi - hi * w_lo) / (w_hi - w_lo))
-        s = np.minimum(np.maximum(s, lo + 0.5 * s_tol), hi - 0.5 * s_tol)
-        v, d = evaluate(s, live)
+        # A curvature that is not positive gives a nan step, which no bracket holds.
+        newton = s - d / np.where(c > 0.0, c, np.nan)
+        inside = (lo < newton) & (newton < hi)
+        s = np.where(inside, np.clip(newton, lo + 0.5 * s_tol, hi - 0.5 * s_tol), 0.5 * (lo + hi))
+        v, d, c = evaluate(s, live)
         better = live & (v < best_v)
         best_s, best_v = np.where(better, s, best_s), np.where(better, v, best_v)
         side = np.sign(d)
-        # A pair stops on a slope of exactly 0 before the 0 can become a weight.
         converged |= live & (side == 0.0)
         live &= side != 0.0
-        up, down = live & (side > 0.0), live & (side < 0.0)
-        # The weight of an end kept twice in a row is scaled; the end replaced
-        # now was the previous trial point, so its weight is still its raw slope.
-        scale = 1.0 - d / np.where(up, w_hi, w_lo)
-        scale = np.where(live & (kept == side), np.where(scale > 0.0, scale, 0.5), 1.0)
-        w_lo, w_hi = np.where(down, d, w_lo * scale), np.where(up, d, w_hi * scale)
-        lo, hi = np.where(down, s, lo), np.where(up, s, hi)
-        kept = np.where(live, side, kept)
+        lo, hi = np.where(live & (side < 0.0), s, lo), np.where(live & (side > 0.0), s, hi)
         width = hi - lo
-        halved = live & (width <= 0.5 * ref_width)
-        ref_width, stalled = np.where(halved, width, ref_width), np.where(halved, 0, stalled + live)
         converged |= live & (width <= s_tol)
         live &= width > s_tol
     return best_s, best_v, converged
@@ -344,13 +386,15 @@ def chernoff(pair: HypothesisPair, s_tol: float = S_TOL) -> ChernoffResult:
     slope at that half's bracket end (_S_EDGE or 1 - _S_EDGE) decides
     whether the minimum is interior.  If the slope does not change sign
     there, s* is that end, flagged "edge"; otherwise `_slope_root` brackets
-    the zero of the slope to within s_tol.  A degenerate pair is validated,
-    then masked out of the search: it gets xi = 0 and a "degenerate" flag.
-    If log Q_s varies by less than FLAT_SPAN over [0.05, 0.95] the
-    minimizer would chase noise, so s* = 1/2 is reported with a "flat"
-    flag.  Failure to converge within MAX_ITER search steps is flagged
-    "maxiter", never silent.  xi is max(-log Q, 0): rounding can push
-    log Q_s of a near-identical pair just above 0.
+    the zero of the slope to within s_tol, by Newton steps on the
+    closed-form curvature of log Q_s from s = 1/2, safeguarded by
+    bisection.  A degenerate pair is validated, then masked out of the
+    search: it gets xi = 0 and a "degenerate" flag.  If log Q_s varies by
+    less than FLAT_SPAN over [0.05, 0.95] the minimizer would chase noise,
+    so s* = 1/2 is reported with a "flat" flag.  Failure to converge within
+    MAX_ITER search steps is flagged "maxiter", never silent.  xi is
+    max(-log Q, 0): rounding can push log Q_s of a near-identical pair just
+    above 0.
 
     This is `chernoff_many` on a stack of one pair, so the pair must be in
     the standard form `make_pair` builds, degenerate or not.
@@ -397,23 +441,21 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
 
     def evaluate(s, mask):
         n_evals[mask] += 1
-        return geom.log_q_and_slope(s)
+        return geom.log_q_slope_and_curvature(s)
 
     live = ~degenerate
-    log_q_half, d_half = evaluate(np.full(live.shape, 0.5), live)
+    s_half = np.full(live.shape, 0.5)
+    log_q_half, d_half, c_half = evaluate(s_half, live)
     q_half = np.minimum(np.exp(log_q_half), 1.0)
     moving = live & (d_half != 0.0)
     end = np.where(d_half > 0.0, _S_EDGE, 1.0 - _S_EDGE)
-    log_q_end, d_end = evaluate(end, moving)
+    log_q_end, d_end, _ = evaluate(end, moving)
     # No sign change between the end and 1/2: by convexity log Q_s falls
     # all the way to the end.
     at_end = moving & (d_end * d_half >= 0.0)
-    low_end = end < 0.5
     s_star, log_q_star, converged = _slope_root(
-        evaluate, moving & ~at_end,
-        np.where(low_end, end, 0.5), np.where(low_end, d_end, d_half),
-        np.where(low_end, 0.5, end), np.where(low_end, d_half, d_end),
-        s_tol,
+        evaluate, moving & ~at_end, np.minimum(end, s_half), np.maximum(end, s_half),
+        s_half, d_half, c_half, s_tol,
     )
     s_star, log_q_star = np.where(at_end, end, s_star), np.where(at_end, log_q_end, log_q_star)
     # A pair that did not move, and a noise-level non-minimum, fall back to
@@ -454,13 +496,19 @@ def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
     """Upper bound (1/2) Q_{1/2}^N on the N-copy symmetric error probability.
 
     The pair must be in the standard form `make_pair` builds (see
-    `_StandardGeometry`)."""
-    if not (n_copies >= 0 and float(n_copies).is_integer()):
+    `_StandardGeometry`).  N may be an integer of any size: a count past
+    the float range bounds the error by 0 whenever Q_{1/2} < 1.
+    """
+    # `% 1` is exact for integers of any size, and nan for inf.
+    if not (n_copies >= 0 and n_copies % 1 == 0):
         raise ValueError(f"n_copies must be a non-negative integer, got {n_copies}")
     if pair.degenerate:
         return 0.5
     log_q_half = _geometry(pair.rho0, pair.rho1).log_q_and_slope(np.array([0.5]))[0][0]
-    return float(0.5 * np.exp(n_copies * min(log_q_half, 0.0)))
+    if log_q_half >= 0.0:
+        return 0.5
+    copies = float(n_copies) if n_copies <= sys.float_info.max else np.inf
+    return float(0.5 * np.exp(copies * log_q_half))
 
 
 def fidelity_many(mean0, cov0, mean1, cov1) -> np.ndarray:

@@ -7,6 +7,7 @@ from gaussqi.divergence import (
     _Factors,
     bhattacharyya_error_bound,
     chernoff,
+    chernoff_many,
     fidelity,
     q_s_general,
 )
@@ -19,7 +20,7 @@ from gaussqi.reference import (
     squeezer,
 )
 from gaussqi.symplectic import GaussianState
-from gaussqi.target import TargetConfig, make_pair
+from gaussqi.target import TargetConfig, make_pair, pair_stack
 from gaussqi.transmitters import coherent, smsv, thermal_state, tmss, vacuum
 
 
@@ -263,7 +264,24 @@ def test_chernoff_flat_pair():
 def test_chernoff_evaluation_count(spec):
     res = chernoff(make_pair(spec, TargetConfig(kappa=1e-2, n_b=20.0)))
     assert not res.flags
-    assert 2 <= res.n_evals <= 12
+    # s = 1/2, the edge, then two Newton steps: the first lands next to
+    # s* ~ 0.5012, the second steps just past the root estimate and the
+    # bracket closes.
+    assert 3 <= res.n_evals <= 4
+
+
+@pytest.mark.parametrize("kind, most", [("tmss", 5), ("coherent", 4)])
+def test_chernoff_many_evaluations_on_a_map(kind, most):
+    # A seeded 4 x 4 map shaped like `gaussqi sweep`'s advantage map:
+    # log-uniform N_S in [1e-3, 10] and N_B in [1e-3, 100] at kappa = 1e-2.
+    # Its slowest pair sets the number of passes over the stack.
+    rng = np.random.default_rng(2)
+    n_s = np.sort(10.0 ** rng.uniform(-3.0, 1.0, 4))
+    n_b = np.sort(10.0 ** rng.uniform(-3.0, 2.0, 4))
+    *moments, degenerate = pair_stack(kind, *np.meshgrid(n_s, n_b, indexing="ij"), 1e-2)
+    results = chernoff_many(*(m.reshape(16, *m.shape[2:]) for m in moments), degenerate.ravel())
+    assert all(not r.flags for r in results)
+    assert max(r.n_evals for r in results) == most
 
 
 def test_chernoff_iteration_budget_is_flagged(monkeypatch):
@@ -298,9 +316,21 @@ def test_bhattacharyya_bound():
     res = chernoff(pair)
     n = 50
     assert bhattacharyya_error_bound(pair, n) == pytest.approx(0.5 * res.q_half**n, rel=1e-12)
-    for bad in (-1, float("inf")):
+    for bad in (-1, float("inf"), float("nan"), 2.5):
         with pytest.raises(ValueError, match="n_copies must be a non-negative integer"):
             bhattacharyya_error_bound(pair, bad)
+
+
+def test_bhattacharyya_bound_of_more_copies_than_a_float_holds():
+    # Such a count used to raise OverflowError on its way into a float.
+    pair = make_pair(coherent(1.0), TargetConfig(kappa=0.2, n_b=1.0))
+    assert bhattacharyya_error_bound(pair, 10**400) == 0.0
+    assert bhattacharyya_error_bound(pair, 10**300) == 0.0
+    legacy_vacuum = make_pair(vacuum(), TargetConfig(kappa=0.1, n_b=1.0, model="legacy"))
+    assert legacy_vacuum.degenerate
+    assert bhattacharyya_error_bound(legacy_vacuum, 10**400) == 0.5
+    with pytest.raises(ValueError, match="n_copies must be a non-negative integer"):
+        bhattacharyya_error_bound(pair, -(10**400))
 
 
 def test_bhattacharyya_matches_bright_model_exponent():

@@ -77,6 +77,29 @@ def test_slope_matches_central_difference(s, kind, model, log_kappa, log_n_s, lo
 
 
 @SETTINGS
+@given(s=st.floats(0.05, 0.95), **BOX)
+def test_curvature_matches_central_difference(s, kind, model, log_kappa, log_n_s, log_n_b):
+    pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
+    geom = _standard(pair)
+    curvature = geom.log_q_slope_and_curvature(np.array([s]))[2][0]
+
+    def slope(t):
+        return geom.log_q_and_slope(np.array([t]))[1][0]
+
+    h = 1e-5
+    central = (slope(s + h) - slope(s - h)) / (2.0 * h)
+    assert curvature == pytest.approx(central, rel=1e-6, abs=1e-9 + _floor(pair) / h)
+
+
+@SETTINGS
+@given(s=st.floats(0.02, 0.98), **BOX)
+def test_curvature_is_not_negative(s, kind, model, log_kappa, log_n_s, log_n_b):
+    # The convexity of log Q_s, now read off the closed form.
+    pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
+    assert _standard(pair).log_q_slope_and_curvature(np.array([s]))[2][0] >= -_floor(pair)
+
+
+@SETTINGS
 @given(**BOX)
 def test_log_q_is_convex_in_s(kind, model, log_kappa, log_n_s, log_n_b):
     # log Q_s is convex in s (Audenaert et al., PRL 98, 160501 (2007)).
