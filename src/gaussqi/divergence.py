@@ -50,57 +50,53 @@ def _check_s(s: float) -> float:
 
 
 class _Factors:
-    """The factors G_p(x), Lambda_p(x) and their p-slopes, for 0 < p < 1.
+    """log G_p(x), Lambda_p(x) and their first and second p-derivatives, for 0 < p < 1.
 
     x holds doubled symplectic eigenvalues.  The caller checks physicality;
     x is only clamped to x >= 1, so a pure mode that rounding put just
     below 1 realises the 0^p = 0 convention instead of pow of a negative
-    residual.  Every factor is written through
-    L = ln((x+1)/(x-1)) = log1p(2/(x-1)), which does not cancel as p -> 0
-    or x -> inf.  At a pure mode (x = 1) L is inf: e^{-pL} = 0 and
-    tanh(pL/2) = 1 give G_p = Lambda_p = 1 exactly, and both slopes are
-    set to exactly 0.  p may be a scalar or an array matching x.
+    residual.  With L = ln((x+1)/(x-1)) = log1p(2/(x-1)), which does not
+    cancel as p -> 0 or x -> inf, every factor is read off one
+    r = 1/expm1(pL):
+
+        G_p = 2^p / ((x+1)^p - (x-1)^p)     log G_p = log((1+r) / ((x+1)/2)^p)
+        Lambda_p = coth(pL/2) = 1 + 2r      Lambda'_p = -2 L r (1+r)
+        (log G_p)' = -log1p((x-1)/2) - L r  (log G_p)'' = -(L/2) Lambda'_p
+        Lambda''_p = -L Lambda_p Lambda'_p
+
+    The ratio form of log G keeps (x+1)/2 inside the log: split as
+    log1p(r) - p log((x+1)/2), its two terms cancel at large x.  At a pure
+    mode (x = 1) L is inf and r = 0, which gives G_p = Lambda_p = 1 and
+    every derivative 0, exactly.  p may be a scalar or an array matching x.
     """
 
     def __init__(self, x):
         self.x = np.maximum(np.asarray(x, dtype=float), 1.0)
-        self.pure = self.x == 1.0
+        gap = self.x - 1.0
         with np.errstate(divide="ignore"):
-            self.log_ratio = np.log1p(2.0 / (self.x - 1.0))
-        # L with a finite stand-in at pure modes, whose terms are masked.
-        self._finite_ratio = np.where(self.pure, 1.0, self.log_ratio)
+            self.log_ratio = np.log1p(2.0 / gap)
+        # L with a finite stand-in at pure modes, where it only multiplies r = 0.
+        self._finite_ratio = np.where(gap == 0.0, 1.0, self.log_ratio)
+        self._half_sum = 0.5 * (self.x + 1.0)
+        self._gap_slope = -np.log1p(0.5 * gap)
 
-    def g(self, p):
-        """G_p(x) = 2^p / ((x+1)^p - (x-1)^p), as 2^p / ((x+1)^p (1 - e^{-pL}))."""
-        return 2.0**p / ((self.x + 1.0) ** p * -np.expm1(-p * self.log_ratio))
+    def at(self, p, curvature=True):
+        """(log G, Lambda) at order p, each stacked on a last axis as (value, d/dp, d²/dp²).
 
-    def lam(self, p):
-        """Lambda_p(x) = ((x+1)^p + (x-1)^p) / ((x+1)^p - (x-1)^p) = coth(pL/2)."""
-        return 1.0 / np.tanh(0.5 * p * self.log_ratio)
-
-    def log_g_slope(self, p):
-        """d/dp log G_p(x) = log 2 - ln(x+1) - L / expm1(pL).
-
-        log 2 - ln(x+1) is evaluated as -log1p((x-1)/2), which does not
-        cancel as x -> 1.
+        Without `curvature` the second derivatives are left out, and the
+        value and first derivative are the same numbers.
         """
         ratio = self._finite_ratio
-        tail = np.where(self.pure, 0.0, ratio / np.expm1(p * ratio))
-        return -np.log1p(0.5 * (self.x - 1.0)) - tail
-
-    def lam_slope(self, p):
-        """d/dp Lambda_p(x) = -L / (2 sinh^2(pL/2))."""
-        ratio = self._finite_ratio
-        return np.where(self.pure, 0.0, -0.5 * ratio / np.sinh(0.5 * p * ratio) ** 2)
-
-    def curvatures(self, lam, lam_slope):
-        """d²/dp² log G_p(x) = -(L/2) Lambda'_p and d²/dp² Lambda_p = -L Lambda_p Lambda'_p.
-
-        Both are read off Lambda_p and its slope Lambda'_p at the same p; at
-        a pure mode the slope is 0, and so are both curvatures.
-        """
-        ratio = self._finite_ratio
-        return -0.5 * ratio * lam_slope, -ratio * lam * lam_slope
+        r = 1.0 / np.expm1(p * self.log_ratio)
+        one_r, ratio_r = 1.0 + r, ratio * r
+        lam_slope = -2.0 * ratio_r * one_r
+        log_g = (np.log(one_r / self._half_sum**p), self._gap_slope - ratio_r)
+        lam = (1.0 + 2.0 * r, lam_slope)
+        if curvature:
+            ratio_slope = ratio * lam_slope
+            log_g += (-0.5 * ratio_slope,)
+            lam += (-lam[0] * ratio_slope,)
+        return np.stack(log_g, axis=-1), np.stack(lam, axis=-1)
 
 
 def _orders(sign: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -127,19 +123,20 @@ class _StandardGeometry:
       (p_a, p_m), with ch sh = c / S and sh^2 = 2 c^2 / (S (a + m + S)).
       Both sectors of Sigma(s) have the determinant
 
-          L0a L0m + L1a L1m + L0a (sh^2 L1a + ch^2 L1m) + L0m (ch^2 L1a + sh^2 L1m)
+          det = L0a L0m + L1a L1m + L0a (sh^2 L1a + ch^2 L1m) + L0m (ch^2 L1a + sh^2 L1m)
+              = 1/2 l^T B l,   l = (L0a, L0m, L1a, L1m),   B_jk = (0, 1, sh^2, ch^2)[j xor k]
 
       with Lij = Lambda(x_ij) of state i, mode j, and (ch, sh) those of the
-      relative squeezer T0^-1 T1: a sum of positive terms.  The diagonal of
-      T_i^T Sigma^-1 T_i, which the slope's trace term weighs, is such a sum
-      over that determinant as well.
+      relative squeezer T0^-1 T1: a sum of positive terms.  B l is its
+      gradient, and the diagonal of T_i^T Sigma^-1 T_i, which the slope's
+      trace term weighs, is that gradient over det.
 
     Pairs are stacked along the first axis: means (N, 2n) and covariances
     (N, 2n, 2n); means of any other shape are rejected, not broadcast.
     Non-finite, non-symmetric and unphysical moments are rejected, and so
     is a stack in any other form.  Every step is elementwise across the
-    stack, with no LAPACK call, so a pair's numbers do not depend on the
-    other pairs in its stack.
+    stack or a product of one pair's small matrices, with no LAPACK call, so
+    a pair's numbers do not depend on the other pairs in its stack.
     """
 
     def __init__(self, mean0, cov0, mean1, cov1):
@@ -183,6 +180,7 @@ class _StandardGeometry:
             nu = np.sqrt(diag[:, 0] * diag[:, 1])
             # Sigma's q- and p-entries per state: t^2 = a / nu and 1/t^2 = b / nu.
             weights = diag / nu[:, None]
+            # (sector, state): Sigma's entries are this times the Lambdas.
             self._coef = np.stack((weights[:size], weights[size:]), axis=-1)
             nu = nu[:, None]
         else:
@@ -200,8 +198,11 @@ class _StandardGeometry:
             nu[np.abs(nu - 0.5) <= noise[:, None]] = 0.5
             ch = np.sqrt(1.0 + shift / total)
             sh = c / (total * ch)
-            # sinh of the relative squeeze r1 - r0; only its square enters.
-            self._coef = (sh[size:] * ch[:size] - ch[size:] * sh[:size]) ** 2
+            # sinh of the relative squeeze r1 - r0; only its square enters B.
+            sh2 = (sh[size:] * ch[:size] - ch[size:] * sh[:size]) ** 2
+            # (0, 1, sh^2, ch^2), and B_jk = entries[j xor k].
+            entries = np.multiply.outer(sh2, (0.0, 0.0, 1.0, 1.0)) + (0.0, 1.0, 0.0, 1.0)
+            self._coef = entries[:, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]]
         _check_physical(nu)
         self.factors = _Factors(2.0 * np.concatenate((nu[:size], nu[size:]), axis=-1))
         self._sign = np.repeat((1.0, -1.0), self.n)
@@ -217,79 +218,61 @@ class _StandardGeometry:
                          - sum_k d_p log G_p(x1_k)|_{p=1-s}
                          - tr(Sigma^-1 dSigma) / 2 + y^T dSigma y / 2
 
-        The sign of dSigma per state is carried in `d_lam` of `_derivatives`.
+        The sign of dSigma per state is carried by `_sign`.
         """
         return self._derivatives(s, curvature=False)
 
     def log_q_slope_and_curvature(self, s: np.ndarray) -> tuple[np.ndarray, ...]:
         """`log_q_and_slope` and the curvature d²/ds² log Q_s, at one s per pair.
 
+        The value and slope are the same numbers as `log_q_and_slope`'s.
         With the sector forms of `_StandardGeometry` the curvature reuses
         every factor of the slope:
 
         - each mode adds d²/dp² log G_p, and each Lambda enters Sigma with
-          its own second derivative (`_Factors.curvatures`; the sign of the
-          order 1 - s squares away);
+          its own second derivative (`_Factors.at`; the sign of the order
+          1 - s squares away);
         - a one-mode sector of the diagonal Sigma, with y = delta / sigma
           and r = sigma' / sigma = (log sigma)', adds
           -((1/sigma - y^2) sigma'' - r^2 (1 - 2 delta y)) / 2;
         - the two-mode sectors add (det'/det)^2 - det''/det of their common
-          determinant, which is bilinear in the Lambdas, so that det'' is
-          its gradient on the Lambda'' plus twice the determinant of the
-          Lambda'.
+          determinant det = l^T B l / 2, with det' = l'^T B l and
+          det'' = l''^T B l + l'^T B l'.
 
-        Only the Chernoff search asks for it: `q_s_general` and
-        `bhattacharyya_error_bound` call `log_q_and_slope`.
+        Only the Chernoff search asks for it.
         """
         return self._derivatives(s, curvature=True)
 
     def _derivatives(self, s, curvature):
-        p = _orders(self._sign, s)
-        lam, lam_slope = self.factors.lam(p), self.factors.lam_slope(p)
-        d_lam = self._sign * lam_slope
-        log_q = self.n * np.log(2.0) + np.log(self.factors.g(p)).sum(axis=-1)
-        slope = (self._sign * self.factors.log_g_slope(p)).sum(axis=-1)
-        if curvature:
-            log_g_curvature, dd_lam = self.factors.curvatures(lam, lam_slope)
-            curv = log_g_curvature.sum(axis=-1)
+        log_g, lam = self.factors.at(_orders(self._sign, s), curvature)
+        # d/ds = sign d/dp on the first derivatives; the second squares it away.
+        log_g[..., 1] *= self._sign
+        lam[..., 1] *= self._sign
+        # (log Q, slope, curvature) of the modes' G factors, then the sectors'.
+        terms = log_g.sum(axis=-2)
+        terms[:, 0] += self.n * np.log(2.0)
         if self.n == 1:
-            # Sectors (q, p) of the diagonal Sigma; y = Sigma^-1 delta.
-            sigma = (self._coef * lam[:, None, :]).sum(axis=-1)
-            d_sigma = (self._coef * d_lam[:, None, :]).sum(axis=-1)
-            y = self._delta / sigma
-            quad, weight = self._delta * y, 1.0 / sigma - y * y
-            log_q -= 0.5 * (np.log(sigma) + quad).sum(axis=-1)
-            slope -= 0.5 * (weight * d_sigma).sum(axis=-1)
+            # (Sigma, Sigma', Sigma'') per sector (q, p) of the diagonal Sigma.
+            sigma = self._coef @ lam
+            y = self._delta / sigma[..., 0]
+            quad, weight = self._delta * y, 1.0 / sigma[..., 0] - y * y
+            log_q = terms[:, 0] - 0.5 * (np.log(sigma[..., 0]) + quad).sum(axis=-1)
+            slope = terms[:, 1] - 0.5 * (weight * sigma[..., 1]).sum(axis=-1)
             if not curvature:
                 return log_q, slope
-            dd_sigma = (self._coef * dd_lam[:, None, :]).sum(axis=-1)
-            d_log_sigma = d_sigma / sigma
-            curv -= 0.5 * (weight * dd_sigma - d_log_sigma**2 * (1.0 - 2.0 * quad)).sum(axis=-1)
-            return log_q, slope, curv
-        sh2 = self._coef
-        ch2 = 1.0 + sh2
-        l0a, l0m, l1a, l1m = lam.T
-        d0a, d0m, d1a, d1m = d_lam.T
-        # Sigma in the frame of either state: Lambda_i + the other state's
-        # Lambda seen through the relative squeezer.
-        into0 = (ch2 * l1a + sh2 * l1m, sh2 * l1a + ch2 * l1m)
-        into1 = (ch2 * l0a + sh2 * l0m, sh2 * l0a + ch2 * l0m)
-        det = l0a * l0m + l1a * l1m + l0a * into0[1] + l0m * into0[0]
-        # The gradient of det in (l0a, l0m, l1a, l1m).  tr(Sigma^-1 dSigma)
-        # over both sectors, halved, is its product with the Lambda' / det:
-        # the diagonal of the inverse of each frame's matrix is its other
-        # diagonal entry / det.
-        grad = (l0m + into0[1], l0a + into0[0], l1m + into1[1], l1a + into1[0])
-        trace = (d0a * grad[0] + d0m * grad[1] + d1a * grad[2] + d1m * grad[3]) / det
+            d_log_sigma = sigma[..., 1] / sigma[..., 0]
+            return log_q, slope, terms[:, 2] - 0.5 * (
+                weight * sigma[..., 2] - d_log_sigma**2 * (1.0 - 2.0 * quad)
+            ).sum(axis=-1)
+        # forms[i, j] = l_i^T B l_j over the derivative orders i, j of l.
+        # tr(Sigma^-1 dSigma) over both sectors, halved, is det'/det.
+        forms = np.swapaxes(lam, -1, -2) @ (self._coef @ lam)
+        det = 0.5 * forms[:, 0, 0]
+        trace = forms[:, 1, 0] / det
+        log_q, slope = terms[:, 0] - np.log(det), terms[:, 1] - trace
         if not curvature:
-            return log_q - np.log(det), slope - trace
-        dd0a, dd0m, dd1a, dd1m = dd_lam.T
-        d_into0 = (ch2 * d1a + sh2 * d1m, sh2 * d1a + ch2 * d1m)
-        dd_det = (
-            dd0a * grad[0] + dd0m * grad[1] + dd1a * grad[2] + dd1m * grad[3]
-            + 2.0 * (d0a * d0m + d1a * d1m + d0a * d_into0[1] + d0m * d_into0[0])
-        )
-        return log_q - np.log(det), slope - trace, curv + trace * trace - dd_det / det
+            return log_q, slope
+        return log_q, slope, terms[:, 2] + trace * trace - (forms[:, 2, 0] + forms[:, 1, 1]) / det
 
 
 def _geometry(rho0: GaussianState, rho1: GaussianState) -> _StandardGeometry:
@@ -368,13 +351,11 @@ def _slope_root(evaluate, live, lo, hi, s, d, c, s_tol: float):
         v, d, c = evaluate(s, live)
         better = live & (v < best_v)
         best_s, best_v = np.where(better, s, best_s), np.where(better, v, best_v)
-        side = np.sign(d)
-        converged |= live & (side == 0.0)
-        live &= side != 0.0
-        lo, hi = np.where(live & (side < 0.0), s, lo), np.where(live & (side > 0.0), s, hi)
-        width = hi - lo
-        converged |= live & (width <= s_tol)
-        live &= width > s_tol
+        below, above = live & (d < 0.0), live & (d > 0.0)
+        lo, hi = np.where(below, s, lo), np.where(above, s, hi)
+        signed, wide = below | above, hi - lo > s_tol
+        converged |= (live & (d == 0.0)) | (signed & ~wide)
+        live = signed & wide
     return best_s, best_v, converged
 
 
@@ -439,9 +420,11 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
     geom = _StandardGeometry(mean0, cov0, mean1, cov1)
     n_evals = np.zeros(degenerate.shape, dtype=int)
 
-    def evaluate(s, mask):
+    def evaluate(s, mask, curvature=True):
         n_evals[mask] += 1
-        return geom.log_q_slope_and_curvature(s)
+        if curvature:
+            return geom.log_q_slope_and_curvature(s)
+        return geom.log_q_and_slope(s)
 
     live = ~degenerate
     s_half = np.full(live.shape, 0.5)
@@ -449,7 +432,7 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
     q_half = np.minimum(np.exp(log_q_half), 1.0)
     moving = live & (d_half != 0.0)
     end = np.where(d_half > 0.0, _S_EDGE, 1.0 - _S_EDGE)
-    log_q_end, d_end, _ = evaluate(end, moving)
+    log_q_end, d_end = evaluate(end, moving, curvature=False)
     # No sign change between the end and 1/2: by convexity log Q_s falls
     # all the way to the end.
     at_end = moving & (d_end * d_half >= 0.0)
@@ -467,7 +450,8 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
     # log Q_{s*}), so only a pair this close to flat needs its two ends.
     flat = live & (log_q_half - log_q_star < 2.0 * FLAT_SPAN)
     if flat.any():
-        ends = np.stack([evaluate(np.full(live.shape, s), flat)[0] for s in (0.05, 0.95)])
+        ends = np.stack([evaluate(np.full(live.shape, s), flat, curvature=False)[0]
+                         for s in (0.05, 0.95)])
         inside = (0.05 <= s_star) & (s_star <= 0.95)
         low = np.where(inside, log_q_star, np.minimum(ends.min(axis=0), log_q_half))
         flat &= ends.max(axis=0) - low < FLAT_SPAN

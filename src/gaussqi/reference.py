@@ -356,18 +356,18 @@ class _PairGeometry:
 
     def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log Q_s and d/ds log Q_s at one s per pair."""
-        p = _orders(self._sign, s)
-        lam = self.factors.lam(p).repeat(2, axis=-1)
+        log_g, lam = self.factors.at(_orders(self._sign, s), curvature=False)
+        d_sigma = (self._sign * lam[..., 1]).repeat(2, axis=-1)
+        lam = lam[..., 0].repeat(2, axis=-1)
         chol = np.linalg.cholesky((self.t * lam[:, None, :]) @ np.swapaxes(self.t, -1, -2))
         sol = np.linalg.solve(chol, self._rhs)
         z, a = sol[..., 0], sol[..., 1:]
-        d_sigma = (self._sign * self.factors.lam_slope(p)).repeat(2, axis=-1)
         w = (z[..., None] * a).sum(axis=-2)
-        slope = (self._sign * self.factors.log_g_slope(p)).sum(axis=-1)
+        slope = (self._sign * log_g[..., 1]).sum(axis=-1)
         slope -= 0.5 * (((a * a).sum(axis=-2) - w * w) * d_sigma).sum(axis=-1)
-        log_g = np.log(self.factors.g(p)).sum(axis=-1)
         half_logdet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-        log_q = self.n * np.log(2.0) + log_g - half_logdet - 0.5 * (z * z).sum(axis=-1)
+        log_q = self.n * np.log(2.0) + log_g[..., 0].sum(axis=-1) - half_logdet
+        log_q -= 0.5 * (z * z).sum(axis=-1)
         return log_q, slope
 
 

@@ -413,7 +413,8 @@ def _order_check(name, parameters, xs, residuals, expected, details=None,
 
 def _lambda_sum(s: float, n_b: float, kappa: float) -> float:
     """Lambda_s(2N_B+1) + Lambda_{1-s}(2(1-k)N_B+1), which both Lambda-sum checks expand."""
-    return float(_Factors(2 * n_b + 1).lam(s) + _Factors(2 * (1 - kappa) * n_b + 1).lam(1 - s))
+    lam_0 = _Factors(2 * n_b + 1).at(s, curvature=False)[1][0]
+    return float(lam_0 + _Factors(2 * (1 - kappa) * n_b + 1).at(1 - s, curvature=False)[1][0])
 
 
 def _check_bright_lambda_sum(name: str) -> ExpansionCheck:

@@ -24,19 +24,31 @@ from gaussqi.target import TargetConfig, make_pair, pair_stack
 from gaussqi.transmitters import coherent, smsv, thermal_state, tmss, vacuum
 
 
+def _factor_values(x, p):
+    """log G_p(x), Lambda_p(x) and their first and second p-derivatives, as floats."""
+    log_g, lam = _Factors(x).at(p)
+    return [float(v) for v in (*log_g, *lam)]
+
+
 def test_g_lambda_anchors():
     for p in (0.2, 0.5, 0.8):
-        assert float(_Factors(1.0).g(p)) == 1.0
-        assert float(_Factors(1.0).lam(p)) == 1.0
+        log_g, _, _, lam, _, _ = _factor_values(1.0, p)
+        assert log_g == 0.0 and lam == 1.0
         # Lambda_p(x) ~ x/p at large argument
         x = 1e7
-        assert abs(float(_Factors(x).lam(p)) / (x / p) - 1.0) < 1e-5
-        assert float(_Factors(3.0).g(p)) > 0.0
+        assert abs(_factor_values(x, p)[3] / (x / p) - 1.0) < 1e-5
+        assert np.isfinite(_factor_values(3.0, p)[0])
+    # Without curvature the factors are the same numbers, less the second derivatives.
+    x, p = np.array([1.0, 1.5, 3.0, 1e9]), np.array([0.2, 1e-6, 0.5, 0.99])
+    full, short = _Factors(x).at(p), _Factors(x).at(p, curvature=False)
+    for a, b in zip(full, short):
+        assert np.array_equal(a[..., :2], b) and b.shape == x.shape + (2,)
 
 
 def test_factor_helpers_match_mpmath():
     # Near p = 0 and at large x, (x+1)^p and (x-1)^p agree to many digits;
-    # the helpers must not inherit that cancellation.
+    # the factors must not inherit that cancellation.  log G within 1e-14
+    # absolute is G within 1e-14 relative.
     import mpmath as mp
 
     def g_mp(p, x):
@@ -45,27 +57,29 @@ def test_factor_helpers_match_mpmath():
     def lam_mp(p, x):
         return ((x + 1) ** p + (x - 1) ** p) / ((x + 1) ** p - (x - 1) ** p)
 
+    def exact(p, x):
+        pm, xm = mp.mpf(p), mp.mpf(x)
+        log_g = lambda q: mp.log(g_mp(q, xm))  # noqa: E731
+        lam = lambda q: lam_mp(q, xm)  # noqa: E731
+        return [float(mp.diff(f, pm, k)) for f in (log_g, lam) for k in (0, 1, 2)]
+
     with mp.workdps(50):
         for p in (1e-6, 1e-3, 0.5, 1 - 1e-6):
             for x in (1 + 1e-9, 2.0, 120.0, 401.0):
-                pm, xm = mp.mpf(p), mp.mpf(x)
-                exact = (
-                    g_mp(pm, xm),
-                    lam_mp(pm, xm),
-                    mp.diff(lambda q: mp.log(g_mp(q, xm)), pm),
-                    mp.diff(lambda q: lam_mp(q, xm), pm),
-                )
-                f = _Factors(x)
-                for helper, ref in zip((f.g, f.lam, f.log_g_slope, f.lam_slope), exact):
-                    value = float(helper(p))
-                    assert abs(value - float(ref)) <= 1e-14 * abs(float(ref)), (helper, p, x)
-    # A pure mode: G = Lambda = 1 and both slopes 0, exactly; rounding just
-    # below x = 1 is clamped onto it.
+                values, refs = _factor_values(x, p), exact(p, x)
+                assert abs(values[0] - refs[0]) <= 1e-14, (p, x)
+                for k in range(1, 6):
+                    assert abs(values[k] - refs[k]) <= 1e-14 * abs(refs[k]), (k, p, x)
+        # At large x, log G = log1p(r) - p log((x+1)/2) would cancel two
+        # terms of about p log x; the ratio form keeps log G to a few eps.
+        for p in (0.95, 1 - 1e-6):
+            for x in (1e8, 1e12, 1e15):
+                assert abs(_factor_values(x, p)[0] - exact(p, x)[0]) <= 1e-15, (p, x)
+    # A pure mode: G = Lambda = 1 and every derivative 0, exactly; rounding
+    # just below x = 1 is clamped onto it.
     for x in (1.0, 1 - 1e-12):
-        f = _Factors(x)
         for p in (1e-6, 0.5, 1 - 1e-6):
-            assert float(f.g(p)) == float(f.lam(p)) == 1.0
-            assert float(f.log_g_slope(p)) == float(f.lam_slope(p)) == 0.0
+            assert _factor_values(x, p) == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
 
 
 def test_q_s_identical_states_is_one():
@@ -412,7 +426,8 @@ def test_bright_lambda_sum_expansion():
     for s in (0.3, 0.5, 0.7):
         resid = []
         for n_b in n_bs:
-            exact = float(_Factors(2 * n_b + 1).lam(s) + _Factors(2 * (1 - kappa) * n_b + 1).lam(1 - s))
+            exact = (_factor_values(2 * n_b + 1, s)[3]
+                     + _factor_values(2 * (1 - kappa) * n_b + 1, 1 - s)[3])
             model = (2 * n_b * (1 - kappa * s) + 1) / (s * (1 - s))
             resid.append(abs(exact - model))
         slope = np.polyfit(np.log(1.0 / n_bs), np.log(resid), 1)[0]
@@ -425,7 +440,8 @@ def test_dim_lambda_sum_expansion():
     n_bs = np.array([1e-2, 1e-3, 1e-4])
     resid = []
     for n_b in n_bs:
-        exact = float(_Factors(2 * n_b + 1).lam(0.5) + _Factors(2 * (1 - kappa) * n_b + 1).lam(0.5))
+        exact = (_factor_values(2 * n_b + 1, 0.5)[3]
+                 + _factor_values(2 * (1 - kappa) * n_b + 1, 0.5)[3])
         model = 2 + 4 * np.sqrt(n_b)
         resid.append(abs(exact - model))
     slope = np.polyfit(np.log(n_bs), np.log(resid), 1)[0]

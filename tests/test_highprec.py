@@ -199,7 +199,7 @@ def test_pure_tmss_pair_matches_highprec_on_both_float64_routes():
 
 # ROADMAP direction 2: the closed-form geometry sums O(log N_B) terms to a
 # constant that is exactly 0 for identical covariances, which leaves a few
-# eps against an xi of 1e-11 to 1e-13.  These rows miss by 6.8e-5 and 1.9e-3
+# eps against an xi of 1e-11 to 1e-13.  These rows miss by 3.2e-6 and 1.9e-3
 # with no flag; strict=True makes the fix remove this mark.
 @pytest.mark.xfail(strict=True, reason="direction 2: legacy coherent xi cancels, unflagged")
 @pytest.mark.parametrize("kappa", [1e-2, 1e-4])

@@ -100,6 +100,19 @@ def test_curvature_is_not_negative(s, kind, model, log_kappa, log_n_s, log_n_b):
 
 
 @SETTINGS
+@given(s=st.floats(0.02, 0.98), **BOX)
+def test_value_and_slope_do_not_depend_on_the_curvature(s, kind, model, log_kappa, log_n_s,
+                                                        log_n_b):
+    # The Chernoff search mixes the two entry points, so they must agree bit for bit.
+    pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
+    at = np.array([s, _S_EDGE, 0.05, 0.5, 0.95, 1.0 - _S_EDGE])
+    geom = _standard(pair, at.size)
+    value, slope = geom.log_q_and_slope(at)
+    full_value, full_slope, _ = geom.log_q_slope_and_curvature(at)
+    assert np.array_equal(value, full_value) and np.array_equal(slope, full_slope)
+
+
+@SETTINGS
 @given(**BOX)
 def test_log_q_is_convex_in_s(kind, model, log_kappa, log_n_s, log_n_b):
     # log Q_s is convex in s (Audenaert et al., PRL 98, 160501 (2007)).
