@@ -16,11 +16,13 @@ overlaps run block by block; `matrix` is a dense view assembled on demand.
 
 Every amplitude, thermal weight and beamsplitter entry built here is real,
 so blocks are float64 and LAPACK runs its real symmetric solver; an
-operator given as complex stays complex.  Each operator is diagonalised at
-most once.  Every rho0 built here is diagonal in the number basis, so
-q_s_fock and fidelity_fock read rho0's diagonal p and rho1's own
-eigenpairs: tr rho0^s rho1^{1-s} = sum_i p_i^s <i|rho1^{1-s}|i>, a weighted
-sum over rho1's flat terms, cached on rho1.
+operator given as complex stays complex.  The beamsplitter is formed in
+real arithmetic and only on the inputs the probe occupies: building a pair
+peaks at 1.4 to 4.0 arrays of (2d - 1) d^2 float64 (see MAX_CUTOFF).  Each
+operator is diagonalised at most once.  Every rho0 built here is diagonal
+in the number basis, so q_s_fock and fidelity_fock read rho0's diagonal p
+and rho1's own eigenpairs: tr rho0^s rho1^{1-s} = sum_i p_i^s
+<i|rho1^{1-s}|i>, a weighted sum over rho1's flat terms, cached on rho1.
 
 Multi-mode operators use row-major mode ordering: the transmitted mode is
 the slowest index, matching numpy.kron(A_mode0, A_mode1).
@@ -40,9 +42,9 @@ HERMITICITY_TOL = 1e-12
 NEGATIVITY_TOL = 1e-10
 DEFAULT_TRACE_BUDGET = 1e-6
 
-# Desk-scale ceiling on the per-mode dimension, one for every probe: the
-# largest array apply_target_fock forms has (2d - 1) k d entries for a
-# probe supported on k indices, and k = d for coherent and tmss alike.
+# Desk-scale ceiling on the per-mode dimension, one for every probe.  A pair
+# at cutoff d peaks (tracemalloc, cached plans included) at about 1.4 (smsv),
+# 2.7 (coherent) and 3.7-4.0 (tmss) float64 arrays of (2d - 1) d^2 entries.
 MAX_CUTOFF = 128
 _MAX_JOINT_DIM = 70000
 
@@ -231,11 +233,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _geometric_weights(n_mean: float, cutoff: int) -> np.ndarray:
     n = np.arange(cutoff)
     if n_mean == 0.0:
-        w = np.zeros(cutoff)
-        w[0] = 1.0
-        return w
-    ratio = n_mean / (n_mean + 1.0)
-    return ratio**n / (n_mean + 1.0)
+        return (n == 0).astype(float)
+    return (n_mean / (n_mean + 1.0)) ** n / (n_mean + 1.0)
 
 
 def thermal_fock(n_b: float, cutoff: int) -> FockOperator:
@@ -243,8 +242,7 @@ def thermal_fock(n_b: float, cutoff: int) -> FockOperator:
     _check_nonnegative("n_b", n_b)
     if cutoff < 2:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
-    weights = _geometric_weights(n_b, cutoff)
-    diagonal = [(np.arange(cutoff)[:, None], weights[:, None, None])]
+    diagonal = [(np.arange(cutoff)[:, None], _geometric_weights(n_b, cutoff)[:, None, None])]
     return FockOperator._from_blocks(diagonal, 1, cutoff)
 
 
@@ -283,15 +281,13 @@ def build_state(
     if cutoff < 2:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
     if spec.kind == "vacuum":
-        vec = np.zeros(cutoff)
-        vec[0] = 1.0
+        vec = _geometric_weights(0.0, cutoff)
     elif spec.kind == "coherent":
         vec = _coherent_amplitudes(np.sqrt(spec.n_signal), cutoff)
     elif spec.kind == "smsv":
         vec = _smsv_amplitudes(np.arcsinh(np.sqrt(spec.n_signal)), cutoff)
     else:  # tmss
-        n_s = spec.n_signal
-        diag = np.sqrt(_geometric_weights(n_s, cutoff))
+        diag = np.sqrt(_geometric_weights(spec.n_signal, cutoff))
         vec = np.zeros(cutoff * cutoff)
         vec[np.arange(cutoff) * (cutoff + 1)] = diag
     norm2 = vec @ vec
@@ -319,9 +315,9 @@ def _beamsplitter_modes(d: int):
     The generator a b^dag - a^dag b on two modes of dimension d conserves
     total photon number; its block for total n is a real antisymmetric
     tridiagonal A, with D^-1 A D = i J for D = diag(i^k) and J real
-    symmetric tridiagonal, so exp(-theta A) = P exp(-i theta mu) P^dag with
-    J = Q diag(mu) Q^T and P = D Q.  Returns (P, mu, index) for each
-    distinct block size, from one batched eigh per size; index[b] holds the
+    symmetric tridiagonal, so exp(-theta A) = D Q exp(-i theta mu) Q^T D^-1
+    with J = Q diag(mu) Q^T.  Returns (Q, mu, index) for each distinct
+    block size, from one batched eigh per size; index[b] holds the
     joint-space indices n_a d + n_b of block b, in ascending order.
     """
     if d * d > _MAX_JOINT_DIM:
@@ -339,49 +335,74 @@ def _beamsplitter_modes(d: int):
         amp = np.sqrt(n_a[:, 1:] * (n - n_a[:, 1:] + 1.0))
         k = np.arange(size - 1)
         j = np.zeros((n.size, size, size))
-        j[:, k, k + 1] = amp
-        j[:, k + 1, k] = amp
+        j[:, k, k + 1] = j[:, k + 1, k] = amp
         mu, q = np.linalg.eigh(j)
-        modes.append((1j ** np.arange(size)[:, None] * q, mu, n_a * d + (n - n_a)))
+        modes.append((q, mu, n_a * d + (n - n_a)))
     return modes
 
 
 @lru_cache(maxsize=4)
 def _beamsplitter_plan(d: int):
-    """The theta-independent parts of _beamsplitter(theta, d).
+    """The theta-independent parts of _beamsplitter(theta, d, inputs).
 
-    Returns ((P, P^dag) per block size of _beamsplitter_modes(d), all mu
-    concatenated, slots): entry (i, j) of the block of total N maps
-    |n, N - n> to |a, N - a> with n = n_a[j] and a = n_a[i], and slots
-    holds its flat position [n, a - n + d - 1, N - n] in a (d, 2d - 1, d)
-    array, for all blocks raveled in order.
+    Returns (stacks, all mu concatenated, odd, sign).  Per block size of
+    _beamsplitter_modes(d), stacks holds (Q, slots, n): entry (i, j) of the
+    block of total N maps |n, N - n> to |a, N - a> with n = n[b, 0, j] and
+    a = n[b, 0, i]; slots holds its int32 flat position [n, a - n + d - 1,
+    N - n] in a (d, 2d - 1, d) array.  odd and sign are (d, d) tables of j - k.
     """
-    modes = _beamsplitter_modes(d)
-    slots = []
-    for _, _, index in modes:
+    stacks = []
+    for q, _, index in _beamsplitter_modes(d):
         n_a, n_b = np.divmod(index, d)
         n, a = n_a[:, None, :], n_a[:, :, None]
-        slots.append(((n * (2 * d - 1) + a - n + d - 1) * d + (n_a + n_b)[:, :1, None] - n).ravel())
-    pairs = [(p, np.ascontiguousarray(p.conj().transpose(0, 2, 1))) for p, _, _ in modes]
-    return pairs, np.concatenate([mu.ravel() for _, mu, _ in modes]), np.concatenate(slots)
+        slots = (n * (2 * d - 1) + a - n + d - 1) * d + (n_a + n_b)[:, :1, None] - n
+        stacks.append((q, slots.astype(np.int32), n))
+    mu = np.concatenate([mu.ravel() for _, mu, _ in _beamsplitter_modes(d)])
+    diff = np.subtract.outer(np.arange(d), np.arange(d)) % 4
+    # entry (j, k) of D (C - iS) D^-1 by j - k mod 4: C, S, -C, -S
+    return stacks, mu, diff % 2 == 1, np.array([1.0, 1.0, -1.0, -1.0])[diff]
 
 
-def _beamsplitter(theta: float, d: int) -> np.ndarray:
-    """K[n, t + d - 1, m] = <n + t, m - t| exp(-theta G) |n, m>, zero off the truncation.
+def _beamsplitter(theta: float, d: int, inputs: np.ndarray) -> np.ndarray:
+    """K[i, t + d - 1, m] = <n + t, m - t| exp(-theta G) |n, m> for n = inputs[i].
 
-    One batched product per block size of the cached eigenmodes.
+    Zero off the truncation; inputs ascending.  With C = Q cos(theta mu) Q^T
+    and S = Q sin(theta mu) Q^T, a block is D (C - iS) D^-1, real because C
+    vanishes where j - k is odd and S where it is even: one batched real
+    product per block size gives C and S, and a sign table picks each.  Input
+    n moves from row n to row pos[n]; one outside `inputs` to a spare last row.
     """
-    pairs, mu, slots = _beamsplitter_plan(d)
-    phase = np.exp(-1j * theta * mu)
-    blocks, start = [], 0
-    for p, p_dag in pairs:
-        nb, _, size = p.shape
-        e = phase[start : start + nb * size].reshape(nb, 1, size)
-        blocks.append(((p * e) @ p_dag).real.ravel())
+    stacks, mu, odd, sign = _beamsplitter_plan(d)
+    pos = np.full(d, inputs.size)
+    pos[inputs] = np.arange(inputs.size)
+    move = (pos - np.arange(d)) * ((2 * d - 1) * d)
+    trig = np.stack([np.cos(theta * mu), np.sin(theta * mu)])
+    k = np.zeros((inputs.size + 1) * (2 * d - 1) * d)
+    start = 0
+    for q, slots, n in stacks:
+        nb, _, size = q.shape
+        e = trig[:, start : start + nb * size].reshape(2, nb, 1, size)
+        cs = (q * e) @ q.transpose(0, 2, 1)
+        k[slots + move[n]] = np.where(odd[:size, :size], cs[1], cs[0]) * sign[:size, :size]
         start += nb * size
-    k = np.zeros(d * (2 * d - 1) * d)
-    k[slots] = np.concatenate(blocks)
-    return k.reshape(d, 2 * d - 1, d)
+    return k.reshape(-1, 2 * d - 1, d)[:-1]
+
+
+def _shifted_grams(idx, w, v, d: int, d_rest: int, theta: float, root_p: np.ndarray):
+    """(rows, F F^dag) of one stack, as in apply_target_fock; K and F are freed on return."""
+    b, j = np.nonzero(w)
+    amp = np.sqrt(w[b, j])[:, None] * v[b, :, j]
+    n, rest = np.divmod(idx[b], d_rest)
+    inputs = np.unique(n)
+    shift = _beamsplitter(theta, d, inputs)
+    # F[eigenvector, (n, rest), t, m]; one eigenvector on distinct n scales K in place
+    f = shift[None] if np.array_equal(n, inputs[None]) else shift[np.searchsorted(inputs, n)]
+    scale = (amp[:, :, None] * root_p)[:, :, None, :]
+    f = f * scale if np.iscomplexobj(scale) else np.multiply(f, scale, out=f)
+    gram = f.swapaxes(1, 2) @ f.conj().transpose(0, 2, 3, 1)
+    a = n[:, None, :] + np.arange(2 * d - 1)[:, None] - (d - 1)
+    rows = np.where((a >= 0) & (a < d), a * d_rest + rest[:, None, :], -1)
+    return rows.reshape(-1, idx.shape[1]), gram.reshape((-1,) + gram.shape[-2:])
 
 
 def apply_target_fock(state: FockOperator, cfg: TargetConfig) -> FockOperator:
@@ -396,43 +417,28 @@ def apply_target_fock(state: FockOperator, cfg: TargetConfig) -> FockOperator:
     the terms of one eigenvector and one shift t form a Gram matrix F F^dag
     on the rows (n + t, rest) of the eigenvector's support, with
     F[(n, rest), m] = sqrt(lam p_m) <n + t, m - t|U|n, m> psi[n, rest].
+    U is read only on the support's inputs n (smsv: even n; vacuum: n = 0).
     Gram matrices on overlapping rows are summed into one block.  The tmss
     probe lives on n = rest, so its shift t is the photon-number difference
     of the block, and each of its 2d - 1 blocks is a single A A^T.
     """
-    d = state.cutoff
-    d_rest = state.dim // d
-    shift = _beamsplitter(float(np.arccos(np.sqrt(cfg.kappa))), d)
+    d, d_rest = state.cutoff, state.dim // state.cutoff
+    theta = float(np.arccos(np.sqrt(cfg.kappa)))
     root_p = np.sqrt(_geometric_weights(cfg.effective_n_b, d))
-    t = np.arange(2 * d - 1)[:, None]
-    terms = []
-    for idx, w, v in state._eigen:
-        k = idx.shape[1]
-        b, j = np.nonzero(w)
-        amp = np.sqrt(w[b, j])[:, None] * v[b, :, j]
-        n, rest = np.divmod(idx[b], d_rest)
-        # F[eigenvector, t, (n, rest), m], rows outside the truncation zero
-        f = shift[n[:, None, :], t] * (amp[:, None, :, None] * root_p)
-        a = n[:, None, :] + t - (d - 1)
-        rows = np.where((a >= 0) & (a < d), a * d_rest + rest[:, None, :], -1)
-        terms.append((rows.reshape(-1, k), (f @ f.conj().swapaxes(-1, -2)).reshape(-1, k, k)))
-
+    terms = [_shifted_grams(*stack, d, d_rest, theta, root_p) for stack in state._eigen]
     groups, row, col = _layout(_labels(state.dim, [rows for rows, _ in terms]))
     size = sum(idx.size * idx.shape[1] for idx in groups)
-    # entries on a row outside the truncation land past the end and are dropped
-    target = []
-    for rows, _ in terms:
+    flat = np.zeros(size, np.result_type(*(gram for _, gram in terms)))
+    for rows, gram in terms:
+        # entries on a row outside the truncation land past the end and are dropped
         start = np.where(rows >= 0, row[rows], size)
         offset = np.where(rows >= 0, col[rows], size)
-        target.append((start[:, :, None] + offset[:, None, :]).ravel())
-    target = np.concatenate(target)
-    value = np.concatenate([gram.ravel() for _, gram in terms])
-    flat = np.bincount(target, value.real, size)[:size]
-    if np.iscomplexobj(value):
-        flat = flat + 1j * np.bincount(target, value.imag, size)[:size]
-    return FockOperator._from_blocks(
-        list(zip(groups, _stacks(flat, groups))), state.n_modes, state.dim
-    )
+        target = (start[:, :, None] + offset[:, None, :]).ravel()
+        flat += np.bincount(target, gram.real.ravel(), size)[:size]
+        if np.iscomplexobj(gram):
+            flat += 1j * np.bincount(target, gram.imag.ravel(), size)[:size]
+    blocks = list(zip(groups, _stacks(flat, groups)))
+    return FockOperator._from_blocks(blocks, state.n_modes, state.dim)
 
 
 def _mode_index(digits, modes, d: int) -> np.ndarray:
@@ -584,21 +590,15 @@ def choose_cutoff(spec: TransmitterSpec, cfg: TargetConfig, tol: float = 1e-8) -
                 f"required cutoff exceeds the ceiling {MAX_CUTOFF} per mode; "
                 "reduce n_b/n_signal or loosen tol"
             )
-        ok = False
         try:
             rho0, rho1 = hypothesis_pair_fock(spec, cfg, d, budget=tol)
             rho0_big, rho1_big = hypothesis_pair_fock(spec, cfg, 2 * d, budget=tol)
         except ValueError:
-            pass
+            ok = False
         else:
-            deficits = (
-                rho0.trace_deficit,
-                rho1.trace_deficit,
-                rho0_big.trace_deficit,
-                rho1_big.trace_deficit,
-            )
+            deficit = max(op.trace_deficit for op in (rho0, rho1, rho0_big, rho1_big))
             drift = abs(q_s_fock(rho0, rho1, 0.5) - q_s_fock(rho0_big, rho1_big, 0.5))
-            ok = max(deficits) < tol and drift < tol
+            ok = deficit < tol and drift < tol
         if ok:
             return d
         grown = max(d + 1, int(np.ceil(1.25 * d)))

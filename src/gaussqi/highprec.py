@@ -74,8 +74,17 @@ def _state(cov):
     inv = _columns([_forward(low, [1 if i == j else 0 for i in range(dim)]) for j in range(dim)])
     # Rows of L^-1 Omega, with Omega = diag([[0, 1], [-1, 0]]) per mode.
     inv_omega = [[-r[k + 1] if k % 2 == 0 else r[k - 1] for k in range(dim)] for r in inv]
-    anti = [[mp.fdot(a, b) for b in inv] for a in inv_omega]
-    evals, vecs = mp.eigsy(mp.matrix([[mp.fdot(a, b) for b in anti] for a in anti]))
+    # K = L^-1 Omega L^-T from its upper triangle, K K^T from its lower one.
+    anti = [[0] * dim for _ in range(dim)]
+    gram = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            anti[i][j] = mp.fdot(inv_omega[i], inv[j])
+            anti[j][i] = -anti[i][j]
+    for i in range(dim):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = mp.fdot(anti[i], anti[j])
+    evals, vecs = mp.eigsy(mp.matrix(gram))
     log_hi, modes = [], []
     for e in evals:
         inv_nu = mp.sqrt(e)
@@ -100,7 +109,7 @@ def _geometry(mean0, cov0, mean1, cov1):
     m = [[mp.fdot(w, col) for col in _columns(rel_w1)] for w in w0]
     y = _forward(low0, [b - a for a, b in zip(mean0, mean1)])
     z = [mp.sqrt(2) * mp.fdot(w, y) for w in w0]
-    log_det0 = mp.fsum(mp.log(row[i]) for i, row in enumerate(low0))
+    log_det0 = mp.log(mp.fprod(row[i] for i, row in enumerate(low0)))
     return log_det0, log_hi0, modes0, log_hi1, modes1, m, z
 
 

@@ -6,7 +6,8 @@ Quantities handled by sweeps:
     q_half              Bhattacharyya point Q_{1/2}
     s_star              minimizing s
     fidelity            F(rho0, rho1) (single-mode transmitters)
-    ratio_vs_coherent   xi / xi(coherent) at the same grid point
+    ratio_vs_coherent   xi / xi(coherent) at the same grid point (nan, flagged
+                        degenerate, when either is below FLAT_SPAN)
     ratio_vs_vacuum     Q_{s*} / Q_{s*}(vacuum) at the same grid point
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 # limit study that evaluate it, so a sweep or a figure does not load it.
 # chernoff stays importable from here: the benchmark's tracer tests read
 # gaussqi.sweeps.chernoff.
-from .divergence import _Factors, chernoff, chernoff_many, fidelity_many  # noqa: F401
+from .divergence import FLAT_SPAN, _Factors, chernoff, chernoff_many, fidelity_many  # noqa: F401
 from .symplectic import symplectic_eigenvalues
 from .target import _check_target, pair_stack
 from .transmitters import _check_kind, _check_nonnegative
@@ -151,7 +152,11 @@ def _evaluate(values: dict, kind: str, n_s: float, n_b: float,
         return SweepRow(value=direct[quantity], **base)
     if quantity == "ratio_vs_coherent":
         ref = values[("coherent", n_s, n_b, kappa)][0]
-        value = res.xi / ref.xi if res.xi != 0.0 and ref.xi != 0.0 else None
+        # An exponent below FLAT_SPAN, exactly 0 or a few eps, is rounding
+        # noise either way.  Flat alone is no test: a coherent pair at N_B = 0
+        # is flat in s with the exact exponent kappa N_S.
+        noise = min(res.xi, ref.xi) < FLAT_SPAN
+        value = None if noise else res.xi / ref.xi
     else:
         ref, _, ref_degenerate = values[("vacuum", 0.0, n_b, kappa)]
         # Q_{s*} ratio through the exponent difference, stable when both

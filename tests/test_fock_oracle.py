@@ -53,9 +53,11 @@ def test_build_rejects_small_cutoff():
 
 
 def _dense_beamsplitter(theta, d):
-    """The d^2 x d^2 unitary assembled from the cached blocks, P exp(-i theta mu) P^dag each."""
+    """The d^2 x d^2 unitary assembled from the cached blocks, P exp(-i theta mu) P^dag
+    each, in complex arithmetic from P = diag(i^k) Q."""
     u = np.zeros((d * d, d * d))
-    for p, mu, index in fock_oracle._beamsplitter_modes(d):
+    for q, mu, index in fock_oracle._beamsplitter_modes(d):
+        p = 1j ** np.arange(q.shape[-1])[:, None] * q
         block = (p * np.exp(-1j * theta * mu)[:, None, :]) @ p.conj().transpose(0, 2, 1)
         u[index[:, :, None], index[:, None, :]] = block.real
     return u
@@ -97,6 +99,25 @@ def test_beamsplitter_matches_expm_with_cached_modes(d, monkeypatch):
         # one eigh per block size 1..d on first use; the modes depend on
         # the cutoff only, so a new theta runs none
         assert len(calls) == d
+
+
+@pytest.mark.parametrize("d", [5, 12])
+def test_beamsplitter_kernel_matches_expm(d):
+    # _beamsplitter's real blocks and sign table against scipy's expm, read
+    # on all inputs n, on the even ones (smsv) and on n = 0 (vacuum)
+    from scipy.linalg import expm
+
+    lower = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    a, b = np.kron(lower, np.eye(d)), np.kron(np.eye(d), lower)
+    theta = np.arccos(np.sqrt(0.3))
+    u = expm(-theta * (a @ b.T - a.T @ b)).reshape(d, d, d, d)  # (n + t, m - t, n, m)
+    n, t, m = np.meshgrid(np.arange(d), np.arange(1 - d, d), np.arange(d), indexing="ij")
+    inside = (n + t >= 0) & (n + t < d) & (m - t >= 0) & (m - t < d)
+    dense = np.where(inside, u[np.clip(n + t, 0, d - 1), np.clip(m - t, 0, d - 1), n, m], 0.0)
+    for inputs in (np.arange(d), np.arange(0, d, 2), np.array([0])):
+        shift = fock_oracle._beamsplitter(theta, d, inputs)
+        assert shift.shape == (inputs.size, 2 * d - 1, d)
+        assert np.abs(shift - dense[inputs]).max() < 1e-12
 
 
 def _dense_dilation(spec, cfg, d):
@@ -319,6 +340,48 @@ def test_tmss_pair_peaks_below_one_dense_matrix():
         tracemalloc.stop()
     # one dense 576 x 576 float64 matrix is 2.65 MB
     assert peak < 576 * 576 * 8
+
+
+def _array_bytes(tree, seen):
+    """Bytes of the distinct buffers of the arrays in nested tuples and lists, all real."""
+    if isinstance(tree, np.ndarray):
+        base = tree if tree.base is None else tree.base
+        if id(base) in seen:
+            return 0
+        seen.add(id(base))
+        assert not np.iscomplexobj(base)
+        return base.nbytes
+    return sum(_array_bytes(item, seen) for item in tree) if isinstance(tree, (tuple, list)) else 0
+
+
+def test_beamsplitter_plans_are_real_and_small():
+    # 12.8 bytes per block entry: the real Q (8) and the int32 slots (4), plus
+    # O(d^2) of mu, indices and sign tables; complex P and P^dag took 40
+    d = 74
+    entries = sum(q.size for q, _, _ in fock_oracle._beamsplitter_modes(d))
+    seen = set()
+    total = sum(_array_bytes(cached(d), seen)
+                for cached in (fock_oracle._beamsplitter_modes, fock_oracle._beamsplitter_plan))
+    assert total < 16 * entries
+
+
+def test_smsv_pair_peak_in_arrays_of_the_cutoff():
+    import tracemalloc
+
+    d, cfg = 64, TargetConfig(kappa=0.3, n_b=0.5)
+    hypothesis_pair_fock(smsv(0.5), cfg, 8, budget=1.0)  # numpy's first-use allocations
+    fock_oracle._beamsplitter_modes.cache_clear()
+    fock_oracle._beamsplitter_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        hypothesis_pair_fock(smsv(0.5), cfg, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 1.36 arrays of (2d - 1) d^2 float64, plans included: K on the
+    # even inputs only, scaled in place, and its Gram matrices; with complex
+    # plans, all of K and a copy of it the peak was 4.0
+    assert peak < 1.7 * (2 * d - 1) * d * d * 8
 
 
 def _block_sizes(op):

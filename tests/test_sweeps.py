@@ -7,7 +7,7 @@ import pytest
 
 import gaussqi.sweeps
 from gaussqi.cli import main
-from gaussqi.divergence import fidelity
+from gaussqi.divergence import FLAT_SPAN, fidelity
 from gaussqi.symplectic import GaussianState
 from gaussqi.sweeps import (
     CHECKS,
@@ -96,6 +96,39 @@ def test_ratio_quantities():
         )
     )
     assert rows[0].value > 1.0  # squeezing hurts at high occupation
+
+
+def test_ratio_of_noise_level_exponents_is_nan():
+    # (N_S, N_B, kappa): the tmss exponent rounds to exactly 0; both
+    # exponents are a few eps; a coherent pair at N_B = 0 is flat in s but
+    # carries the exact exponent kappa N_S, so its ratio stays a number
+    points = {(1e-4, 0.0, 1e-12): "zero", (1e-8, 0.0, 1e-8): "eps", (1.0, 0.0, 1e-6): "real"}
+    rows = run_sweep(
+        small_plan(
+            transmitters=("coherent", "tmss"),
+            quantities=("chernoff", "ratio_vs_coherent"),
+            n_s_grid=(1e-8, 1e-4, 1.0),
+            n_b_grid=(0.0,),
+            kappa_grid=(1e-12, 1e-8, 1e-6),
+        )
+    )
+    by_key = {(r.transmitter, r.quantity, r.n_s, r.kappa): r for r in rows}
+    for (n_s, _, kappa), case in points.items():
+        tmss = by_key[("tmss", "chernoff", n_s, kappa)]
+        coherent = by_key[("coherent", "chernoff", n_s, kappa)]
+        ratio = by_key[("tmss", "ratio_vs_coherent", n_s, kappa)]
+        assert "flat" in coherent.flags
+        if case == "real":
+            assert ratio.value == pytest.approx(tmss.value / coherent.value, rel=1e-15)
+            assert ratio.flags == tmss.flags == ()
+            continue
+        if case == "zero":
+            assert tmss.value == 0.0 < coherent.value < FLAT_SPAN
+        else:
+            assert 0.0 < tmss.value < FLAT_SPAN and 0.0 < coherent.value < FLAT_SPAN
+        # both read the same: nan, the pair's flat flag kept, degenerate added
+        assert math.isnan(ratio.value)
+        assert ratio.flags == ("flat", "degenerate")
 
 
 def test_vacuum_sweep_detects_everywhere():

@@ -1,0 +1,145 @@
+"""Mutant catalogue: one-line text mutants of the source, each run against Tier-1.
+
+    python3 tools/mutants.py [--list] [INDEX ...]
+
+Each CATALOGUE entry (file, old, new, note) names a file relative to the
+repository root and a text `old` that occurs exactly once in it.  For each
+selected entry (all when no INDEX is given) the repository is copied to a
+temporary directory, `old` is replaced by `new` there, and the Tier-1 suite
+runs on the copy with `-x` and BLAS pinned to one thread, all of it but
+tests/test_mutants.py, which checks the catalogue.  A failing run kills
+the mutant; the first failing test is printed.  A mutant that
+survives is either a gap in the suite or equivalent on the tested domain;
+its note says which, where that is known.  `--list` prints the catalogue
+and checks that every entry still matches exactly once, without running
+anything.  Standard library only.  Exit status: 0 when every entry matches
+exactly once, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    note: str
+
+
+FOCK = "src/gaussqi/fock_oracle.py"
+CATALOGUE = (
+    Mutant(FOCK, "HERMITICITY_TOL = 1e-12", "HERMITICITY_TOL = 1e-5",
+           "Hermiticity check 10^7 looser: a 1e-6 asymmetry passes"),
+    Mutant(FOCK, "HERMITICITY_TOL = 1e-12", "HERMITICITY_TOL = 1e-16",
+           "Hermiticity check at the rounding of the blocks themselves"),
+    Mutant(FOCK, "NEGATIVITY_TOL = 1e-10", "NEGATIVITY_TOL = 1e-8",
+           "a -1e-9 eigenvalue is accepted as a zero"),
+    Mutant(FOCK, "NEGATIVITY_TOL = 1e-10", "NEGATIVITY_TOL = 1e-12",
+           "a -1e-11 eigenvalue is rejected"),
+    Mutant(FOCK, "0.0) * 1e-14", "0.0) * 1e-11",
+           "_eigen's zero cut 1000x higher: small true eigenvalues are dropped"),
+    Mutant(FOCK, "0.0) * 1e-14", "0.0) * 1e-17",
+           "_eigen's zero cut below rounding: pure-state noise is raised to powers"),
+    Mutant(FOCK, "\nMAX_CUTOFF = 128\n", "\nMAX_CUTOFF = 64\n",
+           "ceiling halved: no tested point needs more than 2 x 37 per mode"),
+    Mutant(FOCK, "\nMAX_CUTOFF = 128\n", "\nMAX_CUTOFF = 256\n",
+           "ceiling doubled: the out-of-reach test point starts above 256"),
+    Mutant(FOCK, "int(np.ceil(1.25 * d))", "int(np.ceil(1.5 * d))",
+           "choose_cutoff grows by 1.5: criterion 1's anchor cutoffs move"),
+    Mutant(FOCK, "np.array([1.0, 1.0, -1.0, -1.0])[diff]", "np.array([1.0, 1.0, 1.0, 1.0])[diff]",
+           "sign table without the i^2 = -1 entries: K is no longer unitary"),
+    Mutant(FOCK, "np.array([1.0, 1.0, -1.0, -1.0])[diff]", "np.array([1.0, -1.0, -1.0, 1.0])[diff]",
+           "sign table of exp(+theta G): rho1 is the same (the thermal environment "
+           "is phase-invariant), only the kernel test against expm sees it"),
+    Mutant(FOCK, "diff % 2 == 1, np.array", "diff % 2 == 0, np.array",
+           "C and S swapped: each entry read from the product that vanishes there"),
+    Mutant("src/gaussqi/sweeps.py", "noise = min(res.xi, ref.xi) < FLAT_SPAN",
+           "noise = min(res.xi, ref.xi) <= 0.0",
+           "ratio_vs_coherent of few-eps exponents written as a number again"),
+    Mutant("src/gaussqi/highprec.py", "anti[j][i] = -anti[i][j]", "anti[j][i] = anti[i][j]",
+           "K mirrored as symmetric: the symplectic eigenvalues are wrong"),
+    Mutant("src/gaussqi/divergence.py", "FLAT_SPAN = 1e-13", "FLAT_SPAN = 1e-12",
+           "flat threshold 10x higher"),
+    Mutant("src/gaussqi/divergence.py", "< 2.0 * FLAT_SPAN)", "< 0.5 * FLAT_SPAN)",
+           "flat pre-filter 4x narrower; survived when last measured"),
+    Mutant("src/gaussqi/divergence.py", "noise = 2.0 * np.finfo(float).eps * (a + m) ** 2",
+           "noise = 0.5 * np.finfo(float).eps * (a + m) ** 2",
+           "pure-mode band of the closed form 4x narrower; survived when last measured"),
+    Mutant("src/gaussqi/highprec.py", "_PURE_BAND = mp.mpf(10) ** (10 - DPS)",
+           "_PURE_BAND = mp.mpf(10) ** (30 - DPS)",
+           "mpmath pure-mode band 1e20x wider; survived when last measured"),
+)
+
+
+def matches(mutant: Mutant, root: str = ROOT) -> int:
+    """How often the mutant's `old` text occurs in its file under `root`."""
+    with open(os.path.join(root, mutant.file)) as fh:
+        return fh.read().count(mutant.old)
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """Tier-1 on a mutated copy: ("killed" | "survived" | "timeout", first failure)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as work:
+        tree = os.path.join(work, "tree")
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        path = os.path.join(tree, mutant.file)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text.replace(mutant.old, mutant.new, 1))
+        env = dict(os.environ)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        env["PYTHONPATH"] = os.path.join(tree, "src")
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        # the catalogue's own test fails on any mutated copy, so it is left out
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+               "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
+        try:
+            proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout", f"no result within {TIMEOUT_S} s"
+    if proc.returncode == 0:
+        return "survived", ""
+    failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return "killed", failed[0] if failed else proc.stdout.strip().splitlines()[-1]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--list", action="store_true", help="print the catalogue only")
+    parser.add_argument("index", nargs="*", type=int, help="catalogue entries to run")
+    args = parser.parse_args(argv)
+    picked = args.index or range(len(CATALOGUE))
+    ok = True
+    for k in picked:
+        mutant = CATALOGUE[k]
+        count = matches(mutant)
+        ok &= count == 1
+        head = f"[{k}] {mutant.file}: {mutant.old!r} -> {mutant.new!r} ({mutant.note})"
+        if count != 1 or args.list:
+            print(head + ("" if count == 1 else f"  MATCHES {count} PLACES"), flush=True)
+            continue
+        start = time.monotonic()
+        verdict, detail = run(mutant)
+        print(f"{head}\n    {verdict} in {time.monotonic() - start:.0f} s"
+              + (f": {detail}" if detail else ""), flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
