@@ -210,7 +210,8 @@ def _layout(label: np.ndarray):
     row, col = np.empty(label.size, dtype=int), np.empty(label.size, dtype=int)
     col[order] = pos
     row[order] = mstart[block] + sizes[block] * pos
-    groups = [order[starts[sizes == k][:, None] + np.arange(k)] for k in np.unique(sizes)]
+    groups = [order[starts[sizes == k][:, None] + np.arange(k)]
+              for k in np.flatnonzero(np.bincount(sizes))]
     return groups, row, col
 
 
@@ -328,7 +329,7 @@ def _beamsplitter_modes(d: int):
     lo = np.maximum(0, n_tot - (d - 1))
     sizes = np.minimum(d - 1, n_tot) - lo + 1
     modes = []
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):
         n = n_tot[sizes == size][:, None]
         n_a = lo[sizes == size][:, None] + np.arange(size)
         # a b^dag lowers n_a by one: amplitude sqrt(n_a (n_b + 1)).
@@ -345,22 +346,24 @@ def _beamsplitter_modes(d: int):
 def _beamsplitter_plan(d: int):
     """The theta-independent parts of _beamsplitter(theta, d, inputs).
 
-    Returns (stacks, all mu concatenated, odd, sign).  Per block size of
-    _beamsplitter_modes(d), stacks holds (Q, slots, n): entry (i, j) of the
-    block of total N maps |n, N - n> to |a, N - a> with n = n[b, 0, j] and
-    a = n[b, 0, i]; slots holds its int32 flat position [n, a - n + d - 1,
-    N - n] in a (d, 2d - 1, d) array.  odd and sign are (d, d) tables of j - k.
+    Returns (stacks, all mu concatenated, sign).  Per block size of
+    _beamsplitter_modes(d), stacks holds (Q, Q^T, slots, n, odd): entry
+    (i, j) of the block of total N maps |n, N - n> to |a, N - a> with
+    n = n[b, 0, j] and a = n[b, 0, i]; slots holds its int32 flat position
+    [n, a - n + d - 1, N - n] in a (d, 2d - 1, d) array, and odd marks odd
+    j - k.  sign is the (2d - 1, 1) column of i^t's sign on row t = j - k.
     """
     stacks = []
+    odd = np.subtract.outer(np.arange(d), np.arange(d)) % 2 == 1
     for q, _, index in _beamsplitter_modes(d):
         n_a, n_b = np.divmod(index, d)
         n, a = n_a[:, None, :], n_a[:, :, None]
         slots = (n * (2 * d - 1) + a - n + d - 1) * d + (n_a + n_b)[:, :1, None] - n
-        stacks.append((q, slots.astype(np.int32), n))
+        size = q.shape[-1]
+        stacks.append((q, q.transpose(0, 2, 1), slots.astype(np.int32), n, odd[:size, :size]))
     mu = np.concatenate([mu.ravel() for _, mu, _ in _beamsplitter_modes(d)])
-    diff = np.subtract.outer(np.arange(d), np.arange(d)) % 4
-    # entry (j, k) of D (C - iS) D^-1 by j - k mod 4: C, S, -C, -S
-    return stacks, mu, diff % 2 == 1, np.array([1.0, 1.0, -1.0, -1.0])[diff]
+    # entry (j, k) of D (C - iS) D^-1 by t = j - k mod 4: C, S, -C, -S
+    return stacks, mu, np.array([1.0, 1.0, -1.0, -1.0])[np.arange(1 - d, d) % 4, None]
 
 
 def _beamsplitter(theta: float, d: int, inputs: np.ndarray) -> np.ndarray:
@@ -369,23 +372,28 @@ def _beamsplitter(theta: float, d: int, inputs: np.ndarray) -> np.ndarray:
     Zero off the truncation; inputs ascending.  With C = Q cos(theta mu) Q^T
     and S = Q sin(theta mu) Q^T, a block is D (C - iS) D^-1, real because C
     vanishes where j - k is odd and S where it is even: one batched real
-    product per block size gives C and S, and a sign table picks each.  Input
-    n moves from row n to row pos[n]; one outside `inputs` to a spare last row.
+    product per block size gives C and S, and odd picks each.  The sign,
+    that of i^t, depends only on K's row t and is applied to K at the end.
+    Input n moves from row n to row pos[n]; one outside `inputs` to a spare
+    last row, and with every input present nothing moves.
     """
-    stacks, mu, odd, sign = _beamsplitter_plan(d)
-    pos = np.full(d, inputs.size)
-    pos[inputs] = np.arange(inputs.size)
-    move = (pos - np.arange(d)) * ((2 * d - 1) * d)
+    stacks, mu, sign = _beamsplitter_plan(d)
+    move = None
+    if inputs.size < d:
+        pos = np.full(d, inputs.size)
+        pos[inputs] = np.arange(inputs.size)
+        move = (pos - np.arange(d)) * ((2 * d - 1) * d)
     trig = np.stack([np.cos(theta * mu), np.sin(theta * mu)])
     k = np.zeros((inputs.size + 1) * (2 * d - 1) * d)
     start = 0
-    for q, slots, n in stacks:
+    for q, q_t, slots, n, odd in stacks:
         nb, _, size = q.shape
-        e = trig[:, start : start + nb * size].reshape(2, nb, 1, size)
-        cs = (q * e) @ q.transpose(0, 2, 1)
-        k[slots + move[n]] = np.where(odd[:size, :size], cs[1], cs[0]) * sign[:size, :size]
+        cs = (q * trig[:, start : start + nb * size].reshape(2, nb, 1, size)) @ q_t
+        k[slots if move is None else slots + move[n]] = np.where(odd, cs[1], cs[0])
         start += nb * size
-    return k.reshape(-1, 2 * d - 1, d)[:-1]
+    k = k.reshape(-1, 2 * d - 1, d)[:-1]
+    k *= sign
+    return k
 
 
 def _shifted_grams(idx, w, v, d: int, d_rest: int, theta: float, root_p: np.ndarray):
@@ -393,7 +401,7 @@ def _shifted_grams(idx, w, v, d: int, d_rest: int, theta: float, root_p: np.ndar
     b, j = np.nonzero(w)
     amp = np.sqrt(w[b, j])[:, None] * v[b, :, j]
     n, rest = np.divmod(idx[b], d_rest)
-    inputs = np.unique(n)
+    inputs = np.flatnonzero(np.bincount(n.ravel()))
     shift = _beamsplitter(theta, d, inputs)
     # F[eigenvector, (n, rest), t, m]; one eigenvector on distinct n scales K in place
     f = shift[None] if np.array_equal(n, inputs[None]) else shift[np.searchsorted(inputs, n)]

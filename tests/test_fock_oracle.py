@@ -271,6 +271,26 @@ def test_choose_cutoff():
         assert choose_cutoff(spec, anchor, tol=1e-8) == expected
 
 
+def test_choose_cutoff_tries_the_documented_ceiling_last(monkeypatch):
+    # No tested point verifies a cutoff near the ceiling, and building one
+    # would take hundreds of MB; a pair builder that always fails walks the
+    # whole growth sequence for free.  The ceiling is read from the docstring
+    # it documents, so a changed MAX_CUTOFF fails here until both agree.
+    tried = []
+
+    def refuse(spec, cfg, d, budget):
+        tried.append(d)
+        raise ValueError("no pair at this cutoff")
+
+    monkeypatch.setattr(fock_oracle, "hypothesis_pair_fock", refuse)
+    with pytest.raises(ValueError, match=r"exceeds the ceiling \d+ per mode") as err:
+        choose_cutoff(coherent(0.5), TargetConfig(kappa=0.3, n_b=0.5), tol=1e-8)
+    ceiling = tried[-1]
+    assert f"MAX_CUTOFF = {ceiling} per mode" in choose_cutoff.__doc__
+    assert f"ceiling {ceiling} per mode" in str(err.value)
+    assert tried == sorted(set(tried))  # the search grew at every step
+
+
 def test_fock_operator_validation():
     with pytest.raises(ValueError):
         FockOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)  # not Hermitian

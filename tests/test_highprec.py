@@ -213,27 +213,72 @@ def test_legacy_coherent_chernoff_matches_highprec_or_is_flagged(kappa):
     "kind,n_s,n_b,kappa", [MODERATE[3], MODERATE[4], ("coherent", 0.5, 1.0, 0.3)]
 )
 def test_cached_geometry_is_bit_identical(kind, n_s, n_b, kappa, monkeypatch):
-    eigsy_calls = []
-    real_eigsy = mp.eigsy
-    monkeypatch.setattr(mp, "eigsy", lambda a: eigsy_calls.append(a) or real_eigsy(a))
+    jacobi_calls = []
+    real_jacobi = highprec._jacobi
+    monkeypatch.setattr(highprec, "_jacobi", lambda a: jacobi_calls.append(a) or real_jacobi(a))
     highprec._pair_geometry.cache_clear()
     fresh = [highprec.log_q_s(kind, n_s, n_b, kappa, s) for s in (0.3, 0.5, 0.7)]
     assert highprec._pair_geometry.cache_info().misses == 1
     # one real eigendecomposition per state, none per s
-    assert len(eigsy_calls) == 2
+    assert len(jacobi_calls) == 2
     again = [highprec.log_q_s(kind, n_s, n_b, kappa, s) for s in (0.3, 0.5, 0.7)]
-    assert len(eigsy_calls) == 2
+    assert len(jacobi_calls) == 2
+    # The geometry holds mpf in plain lists, and neither it nor the per-s
+    # path uses mpmath's matrix type or its eigensolver.
+    for name in ("matrix", "eigsy"):
+        monkeypatch.setattr(mp, name, None)
+        monkeypatch.setattr(mp.mp, name, None)
     with mp.workdps(highprec.DPS):
         moments = pair_moments(kind, mp.mpf(n_s), mp.mpf(n_b), mp.mpf(kappa), "agnostic")
         geometry = highprec._geometry(*moments)
-        # The cached geometry holds mpf in plain lists, and the per-s path
-        # runs without mpmath's matrix type.
-        monkeypatch.setattr(mp, "matrix", None)
-        monkeypatch.setattr(mp.mp, "matrix", None)
         uncached = [highprec._log_q_at(geometry, mp.mpf(s)) for s in (0.3, 0.5, 0.7)]
     assert fresh == again == uncached
     with pytest.raises(ValueError, match="unknown model"):
         highprec.log_q_s(kind, n_s, n_b, kappa, 0.5, model="legcy")
+
+
+def _tmss_gram():
+    # K K^T of the tmss rho1, K = L^-1 Omega L^-T, through mpmath's own matrices
+    cov = mp.matrix(pair_moments("tmss", mp.mpf(0.8), mp.mpf(2.5), mp.mpf(0.15))[3])
+    inv = mp.cholesky(cov) ** -1
+    omega = mp.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    anti = inv * omega * inv.T
+    return anti * anti.T
+
+
+def _jacobi_cases():
+    rng = np.random.default_rng(23)
+    cases = []
+    for dim in range(2, 7):
+        b = mp.matrix(rng.standard_normal((dim, dim)).tolist())
+        cases.append((b + b.T) / 2)
+        cases.append(mp.diag(rng.standard_normal(dim).tolist()))
+        # eigenvalues 1, 1, 2, 2, ... in a random orthonormal basis
+        q = mp.qr(mp.matrix(rng.standard_normal((dim, dim)).tolist()))[0]
+        cases.append(q * mp.diag([1 + k // 2 for k in range(dim)]) * q.T)
+    # not diagonal, unlike K K^T of one mode or of the tmss rho0
+    gram = _tmss_gram()
+    assert abs(gram[0, 2]) > 0.01
+    cases.append(gram)
+    return cases
+
+
+def test_jacobi_matches_mpmath_eigsy():
+    with mp.workdps(highprec.DPS):
+        for a in _jacobi_cases():
+            dim = a.rows
+            evals, vecs = highprec._jacobi(a.tolist())
+            ref = mp.eigsy(a)[0]
+            scale = max(abs(x) for x in ref)
+            assert evals == sorted(evals)
+            for e, r in zip(evals, ref):
+                assert abs(e - r) <= 1e-55 * abs(r)
+            for i in range(dim):
+                for j in range(dim):
+                    back = mp.fsum(vecs[k][i] * evals[k] * vecs[k][j] for k in range(dim))
+                    assert abs(back - a[i, j]) <= 1e-55 * scale
+                    dot = mp.fdot(vecs[i], vecs[j])
+                    assert abs(dot - (i == j)) <= 1e-55
 
 
 def test_imports_only_mpmath_and_pair_moments():

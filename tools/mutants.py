@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 
 FOCK = "src/gaussqi/fock_oracle.py"
+HIGHPREC = "src/gaussqi/highprec.py"
 CATALOGUE = (
     Mutant(FOCK, "HERMITICITY_TOL = 1e-12", "HERMITICITY_TOL = 1e-5",
            "Hermiticity check 10^7 looser: a 1e-6 asymmetry passes"),
@@ -54,23 +55,33 @@ CATALOGUE = (
     Mutant(FOCK, "0.0) * 1e-14", "0.0) * 1e-17",
            "_eigen's zero cut below rounding: pure-state noise is raised to powers"),
     Mutant(FOCK, "\nMAX_CUTOFF = 128\n", "\nMAX_CUTOFF = 64\n",
-           "ceiling halved: no tested point needs more than 2 x 37 per mode"),
+           "ceiling halved: choose_cutoff no longer tries its documented ceiling last"),
     Mutant(FOCK, "\nMAX_CUTOFF = 128\n", "\nMAX_CUTOFF = 256\n",
-           "ceiling doubled: the out-of-reach test point starts above 256"),
+           "ceiling doubled: choose_cutoff no longer tries its documented ceiling last"),
     Mutant(FOCK, "int(np.ceil(1.25 * d))", "int(np.ceil(1.5 * d))",
            "choose_cutoff grows by 1.5: criterion 1's anchor cutoffs move"),
-    Mutant(FOCK, "np.array([1.0, 1.0, -1.0, -1.0])[diff]", "np.array([1.0, 1.0, 1.0, 1.0])[diff]",
+    Mutant(FOCK, "np.array([1.0, 1.0, -1.0, -1.0])[np.arange", "np.array([1.0, 1.0, 1.0, 1.0])[np.arange",
            "sign table without the i^2 = -1 entries: K is no longer unitary"),
-    Mutant(FOCK, "np.array([1.0, 1.0, -1.0, -1.0])[diff]", "np.array([1.0, -1.0, -1.0, 1.0])[diff]",
+    Mutant(FOCK, "np.array([1.0, 1.0, -1.0, -1.0])[np.arange", "np.array([1.0, -1.0, -1.0, 1.0])[np.arange",
            "sign table of exp(+theta G): rho1 is the same (the thermal environment "
            "is phase-invariant), only the kernel test against expm sees it"),
-    Mutant(FOCK, "diff % 2 == 1, np.array", "diff % 2 == 0, np.array",
+    Mutant(FOCK, "np.arange(d)) % 2 == 1", "np.arange(d)) % 2 == 0",
            "C and S swapped: each entry read from the product that vanishes there"),
     Mutant("src/gaussqi/sweeps.py", "noise = min(res.xi, ref.xi) < FLAT_SPAN",
            "noise = min(res.xi, ref.xi) <= 0.0",
            "ratio_vs_coherent of few-eps exponents written as a number again"),
-    Mutant("src/gaussqi/highprec.py", "anti[j][i] = -anti[i][j]", "anti[j][i] = anti[i][j]",
+    Mutant(HIGHPREC, "anti[j][i] = -anti[i][j]", "anti[j][i] = anti[i][j]",
            "K mirrored as symmetric: the symplectic eigenvalues are wrong"),
+    Mutant(HIGHPREC, "tol, rotated = mp.eps**2, True", "tol, rotated = mp.eps, True",
+           "Jacobi stops at |a_pq| ~ 1e-30 of the diagonal: eigenvectors good to 1e-30 only"),
+    Mutant(HIGHPREC, "for e in evals[::2]:", "for e in evals[1::2]:",
+           "the other copy of each 1/nu^2; equivalent: the two agree to rounding"),
+    Mutant(HIGHPREC, "for e in evals[::2]:", "for e in evals[: len(evals) // 2]:",
+           "pairs taken as the lower half of the spectrum: tmss reads one mode twice"),
+    Mutant(HIGHPREC, "2 * mp.fsum(log_hi)", "mp.fsum(log_hi)",
+           "log(2 nu + 1) counted once per mode, not once per eigenvector"),
+    Mutant(HIGHPREC, "row[2 * k : 2 * k + 2]", "row[2 * k : 2 * k + 1]",
+           "P_k from one column of its pair: a rank-one projector"),
     Mutant("src/gaussqi/divergence.py", "FLAT_SPAN = 1e-13", "FLAT_SPAN = 1e-12",
            "flat threshold 10x higher"),
     Mutant("src/gaussqi/divergence.py", "< 2.0 * FLAT_SPAN)", "< 0.5 * FLAT_SPAN)",
@@ -78,9 +89,10 @@ CATALOGUE = (
     Mutant("src/gaussqi/divergence.py", "noise = 2.0 * np.finfo(float).eps * (a + m) ** 2",
            "noise = 0.5 * np.finfo(float).eps * (a + m) ** 2",
            "pure-mode band of the closed form 4x narrower; survived when last measured"),
-    Mutant("src/gaussqi/highprec.py", "_PURE_BAND = mp.mpf(10) ** (10 - DPS)",
+    Mutant(HIGHPREC, "_PURE_BAND = mp.mpf(10) ** (10 - DPS)",
            "_PURE_BAND = mp.mpf(10) ** (30 - DPS)",
-           "mpmath pure-mode band 1e20x wider; survived when last measured"),
+           "mpmath pure-mode band 1e20x wider; survives, equivalent on the tested domain: "
+           "no tested state has a 2 nu - 1 between rounding and 1e-30"),
 )
 
 
