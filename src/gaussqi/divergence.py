@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -275,8 +276,13 @@ class _StandardGeometry:
         return log_q, slope, terms[:, 2] + trace * trace - (forms[:, 2, 0] + forms[:, 1, 1]) / det
 
 
+@lru_cache(maxsize=4)
 def _geometry(rho0: GaussianState, rho1: GaussianState) -> _StandardGeometry:
-    """The standard geometry of one pair of states, as a stack of one."""
+    """The standard geometry of one pair of states, as a stack of one.
+
+    Cached on the two states, which are frozen, read-only and hashed by
+    identity: a pair evaluated at several s is validated and built once.
+    """
     return _StandardGeometry(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])
 
 

@@ -16,13 +16,15 @@ overlaps run block by block; `matrix` is a dense view assembled on demand.
 
 Every amplitude, thermal weight and beamsplitter entry built here is real,
 so blocks are float64 and LAPACK runs its real symmetric solver; an
-operator given as complex stays complex.  The beamsplitter is formed in
-real arithmetic and only on the inputs the probe occupies: building a pair
-peaks at 1.4 to 4.0 arrays of (2d - 1) d^2 float64 (see MAX_CUTOFF).  Each
-operator is diagonalised at most once.  Every rho0 built here is diagonal
-in the number basis, so q_s_fock and fidelity_fock read rho0's diagonal p
-and rho1's own eigenpairs: tr rho0^s rho1^{1-s} = sum_i p_i^s
-<i|rho1^{1-s}|i>, a weighted sum over rho1's flat terms, cached on rho1.
+operator given as complex stays complex.  The beamsplitter U is formed in
+real arithmetic and only on the inputs the probe occupies, from a plan
+made once per cutoff and probe support that also lays out the merge of
+rho1's blocks; a pair peaks at 1.4 to 4.0 arrays of (2d - 1) d^2 float64
+(see MAX_CUTOFF).  Each operator is diagonalised at most once.  Every rho0
+built here is diagonal in the number basis, so q_s_fock and fidelity_fock
+read rho0's diagonal p and rho1's own eigenpairs: tr rho0^s rho1^{1-s} =
+sum_i p_i^s <i|rho1^{1-s}|i>, a weighted sum over rho1's flat terms,
+cached on rho1.
 
 Multi-mode operators use row-major mode ordering: the transmitted mode is
 the slowest index, matching numpy.kron(A_mode0, A_mode1).
@@ -46,7 +48,6 @@ DEFAULT_TRACE_BUDGET = 1e-6
 # at cutoff d peaks (tracemalloc, cached plans included) at about 1.4 (smsv),
 # 2.7 (coherent) and 3.7-4.0 (tmss) float64 arrays of (2d - 1) d^2 entries.
 MAX_CUTOFF = 128
-_MAX_JOINT_DIM = 70000
 
 
 class FockOperator:
@@ -266,11 +267,7 @@ def _smsv_amplitudes(r: float, cutoff: int) -> np.ndarray:
     return c
 
 
-def build_state(
-    spec: TransmitterSpec,
-    cutoff: int,
-    budget: float = DEFAULT_TRACE_BUDGET,
-) -> FockOperator:
+def build_state(spec: TransmitterSpec, cutoff: int, budget: float = DEFAULT_TRACE_BUDGET) -> FockOperator:
     """Probe density operator from exact truncated amplitudes.
 
     Amplitudes are not renormalized; the lost tail is reported through
@@ -321,10 +318,8 @@ def _beamsplitter_modes(d: int):
     block size, from one batched eigh per size; index[b] holds the
     joint-space indices n_a d + n_b of block b, in ascending order.
     """
-    if d * d > _MAX_JOINT_DIM:
-        raise ValueError(
-            f"joint beamsplitter dimension {d * d} exceeds the desk-scale cap {_MAX_JOINT_DIM}"
-        )
+    if d > 2 * MAX_CUTOFF:
+        raise ValueError(f"cutoff {d} exceeds 2 * MAX_CUTOFF, the largest pair choose_cutoff builds")
     n_tot = np.arange(2 * d - 1)
     lo = np.maximum(0, n_tot - (d - 1))
     sizes = np.minimum(d - 1, n_tot) - lo + 1
@@ -342,75 +337,88 @@ def _beamsplitter_modes(d: int):
     return modes
 
 
-@lru_cache(maxsize=4)
-def _beamsplitter_plan(d: int):
-    """The theta-independent parts of _beamsplitter(theta, d, inputs).
+def _beamsplitter_plan(d: int, inputs: np.ndarray):
+    """The theta-independent parts of _beamsplitter(theta, plan) on ascending inputs.
 
-    Returns (stacks, all mu concatenated, sign).  Per block size of
-    _beamsplitter_modes(d), stacks holds (Q, Q^T, slots, n, odd): entry
-    (i, j) of the block of total N maps |n, N - n> to |a, N - a> with
-    n = n[b, 0, j] and a = n[b, 0, i]; slots holds its int32 flat position
-    [n, a - n + d - 1, N - n] in a (d, 2d - 1, d) array, and odd marks odd
-    j - k.  sign is the (2d - 1, 1) column of i^t's sign on row t = j - k.
+    Returns (stacks, mu, sign, shape).  Per block size, over the blocks that hold
+    an input, stacks holds (Q, Q^T on the input columns, slots, odd): entry (i, j)
+    maps |n, N - n> to |a, N - a>, n the input of column j, at int32 flat slot
+    [pos(n), a - n + d - 1, N - n] of `shape` = (inputs + 1, 2d - 1, d), a row part
+    plus a column part; odd marks S's entries.  Non-input columns pad a block to the
+    widest and land on the spare last row; with every input present, Q^T is a view.
     """
-    stacks = []
-    odd = np.subtract.outer(np.arange(d), np.arange(d)) % 2 == 1
-    for q, _, index in _beamsplitter_modes(d):
+    pos = np.full(d, inputs.size)
+    pos[inputs] = np.arange(inputs.size)
+    stacks, mus = [], []
+    for q, mu, index in _beamsplitter_modes(d):
         n_a, n_b = np.divmod(index, d)
-        n, a = n_a[:, None, :], n_a[:, :, None]
-        slots = (n * (2 * d - 1) + a - n + d - 1) * d + (n_a + n_b)[:, :1, None] - n
+        hit = pos[n_a] < inputs.size
+        keep = hit.any(axis=1)
+        if not keep.all():
+            q, mu, n_a, n_b, hit = q[keep], mu[keep], n_a[keep], n_b[keep], hit[keep]
         size = q.shape[-1]
-        stacks.append((q, q.transpose(0, 2, 1), slots.astype(np.int32), n, odd[:size, :size]))
-    mu = np.concatenate([mu.ravel() for _, mu, _ in _beamsplitter_modes(d)])
+        if hit.all():
+            cols, n, q_t = np.arange(size)[None], n_a, q.transpose(0, 2, 1)
+        else:  # each block's input columns first, ascending, then padding
+            cols = np.argsort(~hit, axis=1, kind="stable")[:, : hit.sum(axis=1).max()]
+            rows = np.arange(len(q))[:, None]
+            n, q_t = n_a[rows, cols], q[rows, cols].transpose(0, 2, 1)
+        row_part = (d * n_a + (n_a + n_b)[:, :1] + d * (d - 1)).astype(np.int32)
+        col_part = (d * (2 * d - 1) * pos[n] - (d + 1) * n).astype(np.int32)
+        odd = np.arange(size)[:, None] % 2 != (cols % 2)[:, None, :]
+        stacks.append((q, q_t, row_part[:, :, None] + col_part[:, None, :], odd))
+        mus.append(mu.ravel())
     # entry (j, k) of D (C - iS) D^-1 by t = j - k mod 4: C, S, -C, -S
-    return stacks, mu, np.array([1.0, 1.0, -1.0, -1.0])[np.arange(1 - d, d) % 4, None]
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(1 - d, d) % 4, None]
+    return stacks, np.concatenate(mus), sign, (inputs.size + 1, 2 * d - 1, d)
 
 
-def _beamsplitter(theta: float, d: int, inputs: np.ndarray) -> np.ndarray:
-    """K[i, t + d - 1, m] = <n + t, m - t| exp(-theta G) |n, m> for n = inputs[i].
+def _beamsplitter(theta: float, plan) -> np.ndarray:
+    """K[i, t + d - 1, m] = <n + t, m - t| exp(-theta G) |n, m>, n = inputs[i] of the plan.
 
-    Zero off the truncation; inputs ascending.  With C = Q cos(theta mu) Q^T
-    and S = Q sin(theta mu) Q^T, a block is D (C - iS) D^-1, real because C
-    vanishes where j - k is odd and S where it is even: one batched real
-    product per block size gives C and S, and odd picks each.  The sign,
-    that of i^t, depends only on K's row t and is applied to K at the end.
-    Input n moves from row n to row pos[n]; one outside `inputs` to a spare
-    last row, and with every input present nothing moves.
+    Zero off the truncation.  With C = Q cos(theta mu) Q^T and S = Q sin(theta mu) Q^T,
+    a block is D (C - iS) D^-1, real because C vanishes where j - k is odd and S where
+    it is even: one batched real product per block size, on the input columns only,
+    gives C and S, and odd picks each.  The sign of i^t depends only on K's row t.
     """
-    stacks, mu, sign = _beamsplitter_plan(d)
-    move = None
-    if inputs.size < d:
-        pos = np.full(d, inputs.size)
-        pos[inputs] = np.arange(inputs.size)
-        move = (pos - np.arange(d)) * ((2 * d - 1) * d)
+    stacks, mu, sign, shape = plan
     trig = np.stack([np.cos(theta * mu), np.sin(theta * mu)])
-    k = np.zeros((inputs.size + 1) * (2 * d - 1) * d)
+    k = np.zeros(math.prod(shape))
     start = 0
-    for q, q_t, slots, n, odd in stacks:
+    for q, q_t, slots, odd in stacks:
         nb, _, size = q.shape
         cs = (q * trig[:, start : start + nb * size].reshape(2, nb, 1, size)) @ q_t
-        k[slots if move is None else slots + move[n]] = np.where(odd, cs[1], cs[0])
+        k[slots] = np.where(odd, cs[1], cs[0])
         start += nb * size
-    k = k.reshape(-1, 2 * d - 1, d)[:-1]
-    k *= sign
-    return k
+    k = k.reshape(shape)[:-1]
+    return np.multiply(k, sign, out=k)
 
 
-def _shifted_grams(idx, w, v, d: int, d_rest: int, theta: float, root_p: np.ndarray):
-    """(rows, F F^dag) of one stack, as in apply_target_fock; K and F are freed on return."""
-    b, j = np.nonzero(w)
-    amp = np.sqrt(w[b, j])[:, None] * v[b, :, j]
-    n, rest = np.divmod(idx[b], d_rest)
-    inputs = np.flatnonzero(np.bincount(n.ravel()))
-    shift = _beamsplitter(theta, d, inputs)
-    # F[eigenvector, (n, rest), t, m]; one eigenvector on distinct n scales K in place
-    f = shift[None] if np.array_equal(n, inputs[None]) else shift[np.searchsorted(inputs, n)]
-    scale = (amp[:, :, None] * root_p)[:, :, None, :]
-    f = f * scale if np.iscomplexobj(scale) else np.multiply(f, scale, out=f)
-    gram = f.swapaxes(1, 2) @ f.conj().transpose(0, 2, 3, 1)
-    a = n[:, None, :] + np.arange(2 * d - 1)[:, None] - (d - 1)
-    rows = np.where((a >= 0) & (a < d), a * d_rest + rest[:, None, :], -1)
-    return rows.reshape(-1, idx.shape[1]), gram.reshape((-1,) + gram.shape[-2:])
+@lru_cache(maxsize=4)
+def _target_plan(d: int, dim: int, support: tuple):
+    """What apply_target_fock does that depends only on the cutoff and the support.
+
+    `support` holds, per stack of eigenpairs, the block width k and the bytes
+    of the (eigenvectors, k) intp block indices of its kept eigenvectors.
+    Returns (groups, size, stacks): the merged layout of all Gram rows, its
+    flat size, and per stack the _beamsplitter plan of its inputs, K's rows
+    per eigenvector (None: K itself), and each Gram row's flat start and
+    offset, past the end for rows off the truncation.
+    """
+    d_rest = dim // d
+    plans, rows = [], []
+    for k, raw in support:
+        n, rest = np.divmod(np.frombuffer(raw, np.intp).reshape(-1, k), d_rest)
+        inputs = np.flatnonzero(np.bincount(n.ravel()))
+        gather = None if np.array_equal(n, inputs[None]) else np.searchsorted(inputs, n)
+        plans.append((_beamsplitter_plan(d, inputs), gather))
+        a = n[:, None, :] + np.arange(2 * d - 1)[:, None] - (d - 1)
+        rows.append(np.where((a >= 0) & (a < d), a * d_rest + rest[:, None, :], -1).reshape(-1, k))
+    groups, row, col = _layout(_labels(dim, rows))
+    size = sum(idx.size * idx.shape[1] for idx in groups)
+    stacks = [(*plan, np.where(r >= 0, row[r], size), np.where(r >= 0, col[r], size))
+              for plan, r in zip(plans, rows)]
+    return groups, size, stacks
 
 
 def apply_target_fock(state: FockOperator, cfg: TargetConfig) -> FockOperator:
@@ -425,22 +433,28 @@ def apply_target_fock(state: FockOperator, cfg: TargetConfig) -> FockOperator:
     the terms of one eigenvector and one shift t form a Gram matrix F F^dag
     on the rows (n + t, rest) of the eigenvector's support, with
     F[(n, rest), m] = sqrt(lam p_m) <n + t, m - t|U|n, m> psi[n, rest].
-    U is read only on the support's inputs n (smsv: even n; vacuum: n = 0).
-    Gram matrices on overlapping rows are summed into one block.  The tmss
-    probe lives on n = rest, so its shift t is the photon-number difference
-    of the block, and each of its 2d - 1 blocks is a single A A^T.
+    U is formed only on the support's inputs n (smsv: even n; vacuum: n = 0).
+    Gram matrices on overlapping rows are summed into one block, on a layout
+    planned once per cutoff and support (_target_plan).  The tmss probe lives
+    on n = rest, so each of its 2d - 1 blocks is a single A A^T.
     """
-    d, d_rest = state.cutoff, state.dim // state.cutoff
+    d = state.cutoff
     theta = float(np.arccos(np.sqrt(cfg.kappa)))
     root_p = np.sqrt(_geometric_weights(cfg.effective_n_b, d))
-    terms = [_shifted_grams(*stack, d, d_rest, theta, root_p) for stack in state._eigen]
-    groups, row, col = _layout(_labels(state.dim, [rows for rows, _ in terms]))
-    size = sum(idx.size * idx.shape[1] for idx in groups)
-    flat = np.zeros(size, np.result_type(*(gram for _, gram in terms)))
-    for rows, gram in terms:
+    eigen = [(idx, w, v, *np.nonzero(w)) for idx, w, v in state._eigen]
+    support = tuple((idx.shape[1], idx[b].astype(np.intp).tobytes()) for idx, _, _, b, _ in eigen)
+    groups, size, stacks = _target_plan(d, state.dim, support)
+    flat = np.zeros(size, state.dtype)
+    for (_, w, v, b, j), (plan, gather, start, offset) in zip(eigen, stacks):
+        amp = np.sqrt(w[b, j])[:, None] * v[b, :, j]
+        shift = _beamsplitter(theta, plan)
+        # F[eigenvector, (n, rest), t, m]; one eigenvector on distinct n scales K in place
+        f = shift[None] if gather is None else shift[gather]
+        scale = (amp[:, :, None] * root_p)[:, :, None, :]
+        f = f * scale if np.iscomplexobj(scale) else np.multiply(f, scale, out=f)
+        gram = f.swapaxes(1, 2) @ f.conj().transpose(0, 2, 3, 1)
+        del shift, f  # K and F are freed before the merge
         # entries on a row outside the truncation land past the end and are dropped
-        start = np.where(rows >= 0, row[rows], size)
-        offset = np.where(rows >= 0, col[rows], size)
         target = (start[:, :, None] + offset[:, None, :]).ravel()
         flat += np.bincount(target, gram.real.ravel(), size)[:size]
         if np.iscomplexobj(gram):
@@ -489,12 +503,8 @@ def _kron(a: FockOperator, b: FockOperator) -> FockOperator:
     return FockOperator._from_blocks(blocks, a.n_modes + b.n_modes, a.dim * b.dim)
 
 
-def hypothesis_pair_fock(
-    spec: TransmitterSpec,
-    cfg: TargetConfig,
-    cutoff: int,
-    budget: float = DEFAULT_TRACE_BUDGET,
-) -> tuple[FockOperator, FockOperator]:
+def hypothesis_pair_fock(spec: TransmitterSpec, cfg: TargetConfig, cutoff: int,
+                         budget: float = DEFAULT_TRACE_BUDGET) -> tuple[FockOperator, FockOperator]:
     """Truncated (rho0, rho1) for a transmitter/target configuration.
 
     The legacy model substitutes n_b/(1-kappa) into the reflection channel
@@ -523,10 +533,8 @@ def _diagonal(rho: FockOperator, sigma: FockOperator) -> np.ndarray:
     p = np.zeros(rho.dim)
     for idx, w, _ in rho._eigen:
         if idx.shape[1] > 1:
-            raise ValueError(
-                "the first operator must be diagonal in the number basis; "
-                f"it has a {idx.shape[1]}x{idx.shape[1]} block"
-            )
+            raise ValueError("the first operator must be diagonal in the number basis; "
+                             f"it has a {idx.shape[1]}x{idx.shape[1]} block")
         p[idx[:, 0]] = w[:, 0]
     return p
 
@@ -570,15 +578,6 @@ def mean_photon_number(op: FockOperator, mode: int) -> float:
     return float((diag.sum(axis=axes) if axes else diag) @ counts)
 
 
-def _heuristic_start(spec: TransmitterSpec, cfg: TargetConfig, tol: float) -> int:
-    d = 2
-    for occupancy in (cfg.effective_n_b, spec.n_signal):
-        if occupancy > 0.0:
-            ratio = occupancy / (occupancy + 1.0)
-            d = max(d, int(np.ceil(np.log(tol) / np.log(ratio))) + 1)
-    return d
-
-
 def choose_cutoff(spec: TransmitterSpec, cfg: TargetConfig, tol: float = 1e-8) -> int:
     """Smallest verified per-mode cutoff for oracle evaluations.
 
@@ -591,13 +590,14 @@ def choose_cutoff(spec: TransmitterSpec, cfg: TargetConfig, tol: float = 1e-8) -
             MAX_CUTOFF = 128 per mode, the same for every probe; shrink the
             occupancies instead.
     """
-    d = _heuristic_start(spec, cfg, tol)
+    d = 2
+    for occupancy in (cfg.effective_n_b, spec.n_signal):
+        if occupancy > 0.0:
+            d = max(d, int(np.ceil(np.log(tol) / np.log(occupancy / (occupancy + 1.0)))) + 1)
     while True:
         if d > MAX_CUTOFF:
-            raise ValueError(
-                f"required cutoff exceeds the ceiling {MAX_CUTOFF} per mode; "
-                "reduce n_b/n_signal or loosen tol"
-            )
+            raise ValueError(f"required cutoff exceeds the ceiling {MAX_CUTOFF} per mode; "
+                             "reduce n_b/n_signal or loosen tol")
         try:
             rho0, rho1 = hypothesis_pair_fock(spec, cfg, d, budget=tol)
             rho0_big, rho1_big = hypothesis_pair_fock(spec, cfg, 2 * d, budget=tol)

@@ -74,7 +74,7 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.array(self.mean, dtype=float).reshape(-1)  # a copy: no caller aliases it
         shape = np.shape(self.cov)
         if len(shape) != 2:
             raise ValueError(f"GaussianState: covariance must be one matrix, got {shape}")

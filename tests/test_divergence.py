@@ -208,6 +208,22 @@ def test_q_s_invariant_under_joint_unitary():
             )
 
 
+def test_pair_geometry_is_cached_with_the_same_bits():
+    # q_s_general at several s validates and builds a pair's geometry once
+    first = make_pair(tmss(0.4), TargetConfig(kappa=0.2, n_b=0.5))
+    second = make_pair(smsv(0.4), TargetConfig(kappa=0.2, n_b=0.5))
+    divergence._geometry.cache_clear()
+    for s in (0.3, 0.5, 0.7):
+        fresh = divergence._geometry.__wrapped__(first.rho0, first.rho1)
+        log_q = fresh.log_q_and_slope(np.array([s]))[0][0]
+        assert q_s_general(first.rho0, first.rho1, s) == min(np.exp(log_q), 1.0)
+    assert divergence._geometry.cache_info()[:2] == (2, 1)
+    q_s_general(first.rho0, first.rho1, 0.5)
+    assert divergence._geometry.cache_info()[:2] == (3, 1)
+    q_s_general(second.rho0, second.rho1, 0.5)
+    assert divergence._geometry.cache_info()[:2] == (3, 2)
+
+
 @pytest.mark.parametrize("kind", ["coherent", "tmss"])
 def test_q_s_general_rejects_a_pair_not_in_standard_form(kind):
     pair = make_pair(coherent(0.7) if kind == "coherent" else tmss(0.7),

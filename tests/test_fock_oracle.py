@@ -103,8 +103,9 @@ def test_beamsplitter_matches_expm_with_cached_modes(d, monkeypatch):
 
 @pytest.mark.parametrize("d", [5, 12])
 def test_beamsplitter_kernel_matches_expm(d):
-    # _beamsplitter's real blocks and sign table against scipy's expm, read
-    # on all inputs n, on the even ones (smsv) and on n = 0 (vacuum)
+    # _beamsplitter's real blocks and sign table against scipy's expm, formed
+    # on all inputs n, on the even ones (smsv), on n = 0 (vacuum) and on a
+    # non-contiguous set
     from scipy.linalg import expm
 
     lower = np.diag(np.sqrt(np.arange(1.0, d)), 1)
@@ -114,23 +115,52 @@ def test_beamsplitter_kernel_matches_expm(d):
     n, t, m = np.meshgrid(np.arange(d), np.arange(1 - d, d), np.arange(d), indexing="ij")
     inside = (n + t >= 0) & (n + t < d) & (m - t >= 0) & (m - t < d)
     dense = np.where(inside, u[np.clip(n + t, 0, d - 1), np.clip(m - t, 0, d - 1), n, m], 0.0)
-    for inputs in (np.arange(d), np.arange(0, d, 2), np.array([0])):
-        shift = fock_oracle._beamsplitter(theta, d, inputs)
+    # every third n leaves blocks with fewer inputs than the widest: padded
+    for inputs in (np.arange(d), np.arange(0, d, 2), np.array([0]), np.arange(1, d, 3)):
+        shift = fock_oracle._beamsplitter(theta, fock_oracle._beamsplitter_plan(d, inputs))
         assert shift.shape == (inputs.size, 2 * d - 1, d)
         assert np.abs(shift - dense[inputs]).max() < 1e-12
 
 
-def _dense_dilation(spec, cfg, d):
-    """rho1 from the dense beamsplitter: sum_m p_m sum_e <e|U|m> psi psi^T <m|U^T|e>."""
-    evals, evecs = build_state(spec, d, budget=1.0).spectrum
-    psi = (evecs[:, 0] * np.sqrt(evals[0])).reshape(d, -1)  # (n, rest)
+def test_target_plan_is_keyed_on_the_support():
+    # probes of different supports at one cutoff, a repeated one, then a
+    # mixed many-eigenvector input: each one's rho1 is the dense dilation's,
+    # and the same bits as when built with no plan cached
+    d, cfg = 16, TargetConfig(kappa=0.3, n_b=0.5)
+    probes = [build_state(coherent(0.5), d, budget=1.0), build_state(smsv(0.5), d, budget=1.0)]
+    for probe in probes + probes[:1] + [thermal_fock(0.4, d)]:
+        rho1 = apply_target_fock(probe, cfg)
+        assert np.abs(rho1.matrix - _dense_dilation(probe, cfg)).max() < 1e-14
+        fock_oracle._target_plan.cache_clear()
+        assert np.array_equal(rho1.matrix, apply_target_fock(probe, cfg).matrix)
+
+
+def test_pair_past_twice_the_ceiling_raises_before_any_eigh(monkeypatch):
+    # choose_cutoff builds pairs up to 2 * MAX_CUTOFF; a direct call past
+    # that is refused before the beamsplitter's modes are solved
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran past the ceiling")
+
+    monkeypatch.setattr(fock_oracle.np.linalg, "eigh", no_eigh)
+    d = 2 * fock_oracle.MAX_CUTOFF + 1
+    with pytest.raises(ValueError, match=r"exceeds 2 \* MAX_CUTOFF"):
+        hypothesis_pair_fock(coherent(0.5), TargetConfig(kappa=0.3, n_b=0.5), d)
+
+
+def _dense_dilation(state, cfg):
+    """rho1 from the dense beamsplitter: the sum over the state's eigenpairs
+    (lam, psi) and m of p_m sum_e <e|U|m> lam psi psi^T <m|U^T|e>."""
+    d = state.cutoff
+    evals, evecs = state.spectrum
     u = _dense_beamsplitter(np.arccos(np.sqrt(cfg.kappa)), d).reshape(d, d, d, d)  # (a, e, n, m)
     nbar, m = cfg.effective_n_b, np.arange(d)
     p = nbar**m / (nbar + 1.0) ** (m + 1)
     out = 0.0
-    for k in m:
-        phi = np.einsum("aen,nr->are", u[:, :, :, k], psi).reshape(-1, d)  # rows (a, rest)
-        out = out + p[k] * (phi @ phi.T)
+    for lam, vec in zip(evals, evecs.T):
+        psi = (vec * np.sqrt(lam)).reshape(d, -1)  # (n, rest)
+        for k in m:
+            phi = np.einsum("aen,nr->are", u[:, :, :, k], psi).reshape(-1, d)  # rows (a, rest)
+            out = out + p[k] * (phi @ phi.T)
     return out
 
 
@@ -140,8 +170,9 @@ def test_block_built_rho1_matches_dense_dilation(d):
         spec = TransmitterSpec(kind, 0.0 if kind == "vacuum" else 0.4)
         for model in ("agnostic", "legacy"):
             cfg = TargetConfig(kappa=0.2, n_b=0.3, model=model)
-            rho1 = apply_target_fock(build_state(spec, d, budget=1.0), cfg)
-            assert np.abs(rho1.matrix - _dense_dilation(spec, cfg, d)).max() <= 1e-15
+            probe = build_state(spec, d, budget=1.0)
+            rho1 = apply_target_fock(probe, cfg)
+            assert np.abs(rho1.matrix - _dense_dilation(probe, cfg)).max() <= 1e-15
     # the tmss rho1 is built as one block per photon-number difference
     sizes = sorted(idx.shape[1] for idx, _ in rho1.blocks for _ in idx)
     assert sizes == sorted(d - abs(delta) for delta in range(1 - d, d))
@@ -375,13 +406,17 @@ def _array_bytes(tree, seen):
 
 
 def test_beamsplitter_plans_are_real_and_small():
-    # 12.8 bytes per block entry: the real Q (8) and the int32 slots (4), plus
-    # O(d^2) of mu, indices and sign tables; complex P and P^dag took 40
+    # 13.6 bytes per block entry: the real Q (8), the int32 slots (4) and the
+    # parity tables (about 0.5), plus O(d^2) of mu, indices, sign tables and
+    # the merge layout; complex P and P^dag took 40
     d = 74
     entries = sum(q.size for q, _, _ in fock_oracle._beamsplitter_modes(d))
     seen = set()
-    total = sum(_array_bytes(cached(d), seen)
-                for cached in (fock_oracle._beamsplitter_modes, fock_oracle._beamsplitter_plan))
+    # the plan of a probe on every input n, as apply_target_fock keys it
+    support = ((d, np.arange(d, dtype=np.intp).tobytes()),)
+    total = sum(_array_bytes(cached, seen)
+                for cached in (fock_oracle._beamsplitter_modes(d),
+                               fock_oracle._target_plan(d, d, support)))
     assert total < 16 * entries
 
 
@@ -391,7 +426,7 @@ def test_smsv_pair_peak_in_arrays_of_the_cutoff():
     d, cfg = 64, TargetConfig(kappa=0.3, n_b=0.5)
     hypothesis_pair_fock(smsv(0.5), cfg, 8, budget=1.0)  # numpy's first-use allocations
     fock_oracle._beamsplitter_modes.cache_clear()
-    fock_oracle._beamsplitter_plan.cache_clear()
+    fock_oracle._target_plan.cache_clear()
     tracemalloc.start()
     try:
         hypothesis_pair_fock(smsv(0.5), cfg, d)

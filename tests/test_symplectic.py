@@ -134,6 +134,16 @@ def test_williamson_rejects_bad_input():
         williamson(np.diag([1.0, 1e-16]))  # near-singular
 
 
+def test_gaussian_state_owns_read_only_moments():
+    # divergence caches geometries on states, so a state must not change
+    # when the caller's arrays do
+    mean, cov = np.zeros(2), 0.5 * np.eye(2)
+    state = GaussianState(mean, cov)
+    mean[0], cov[0, 0] = 3.0, 2.0
+    assert np.array_equal(state.mean, [0.0, 0.0]) and state.cov[0, 0] == 0.5
+    assert not state.mean.flags.writeable and not state.cov.flags.writeable
+
+
 def test_gaussian_state_validation():
     with pytest.raises(ValueError):
         GaussianState(mean=np.zeros(2), cov=0.1 * np.eye(2))  # unphysical

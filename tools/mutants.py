@@ -65,8 +65,17 @@ CATALOGUE = (
     Mutant(FOCK, "np.array([1.0, 1.0, -1.0, -1.0])[np.arange", "np.array([1.0, -1.0, -1.0, 1.0])[np.arange",
            "sign table of exp(+theta G): rho1 is the same (the thermal environment "
            "is phase-invariant), only the kernel test against expm sees it"),
-    Mutant(FOCK, "np.arange(d)) % 2 == 1", "np.arange(d)) % 2 == 0",
+    Mutant(FOCK, "[:, None] % 2 != (cols % 2)", "[:, None] % 2 == (cols % 2)",
            "C and S swapped: each entry read from the product that vanishes there"),
+    Mutant(FOCK, "(2 * d - 1) * pos[n]", "(2 * d - 1) * np.minimum(pos[n], inputs.size - 1)",
+           "padding columns written on the last input's row, not the spare row"),
+    Mutant(FOCK, "groups, size, stacks = _target_plan(d, state.dim, support)",
+           "groups, size, stacks = apply_target_fock.__dict__.setdefault("
+           "d, _target_plan(d, state.dim, support))",
+           "plan looked up by the cutoff alone: a second support at one cutoff "
+           "reuses the first one's plan"),
+    Mutant(FOCK, "if d > 2 * MAX_CUTOFF:", "if d * d > 70000:",
+           "the old joint cap d^2 <= 70000: a direct pair at 2 * MAX_CUTOFF + 1 is built"),
     Mutant("src/gaussqi/sweeps.py", "noise = min(res.xi, ref.xi) < FLAT_SPAN",
            "noise = min(res.xi, ref.xi) <= 0.0",
            "ratio_vs_coherent of few-eps exponents written as a number again"),
