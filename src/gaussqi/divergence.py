@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,19 +90,47 @@ class _Factors:
         ratio = self._finite_ratio
         r = 1.0 / np.expm1(p * self.log_ratio)
         one_r, ratio_r = 1.0 + r, ratio * r
-        lam_slope = -2.0 * ratio_r * one_r
-        log_g = (np.log(one_r / self._half_sum**p), self._gap_slope - ratio_r)
-        lam = (1.0 + 2.0 * r, lam_slope)
+        shape = r.shape + (3 if curvature else 2,)
+        log_g, lam = np.empty(shape), np.empty(shape)
+        lam_slope = np.multiply(-2.0 * ratio_r, one_r, out=lam[..., 1])
+        np.log(one_r / self._half_sum**p, out=log_g[..., 0])
+        np.subtract(self._gap_slope, ratio_r, out=log_g[..., 1])
+        np.add(1.0, 2.0 * r, out=lam[..., 0])
         if curvature:
             ratio_slope = ratio * lam_slope
-            log_g += (-0.5 * ratio_slope,)
-            lam += (-lam[0] * ratio_slope,)
-        return np.stack(log_g, axis=-1), np.stack(lam, axis=-1)
+            np.multiply(-0.5, ratio_slope, out=log_g[..., 2])
+            np.multiply(-lam[..., 0], ratio_slope, out=lam[..., 2])
+        return log_g, lam
 
 
 def _orders(sign: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Factor orders per mode: s for the modes of rho0 (sign +1), 1 - s for rho1's."""
     return np.where(sign > 0.0, s[:, None], 1.0 - s[:, None])
+
+
+# The slots (x0a, x0m, x1a, x1m) of `_StandardGeometry`: the transmitted and
+# memory modes of rho0, at order s, then of rho1, at order 1 - s, so d/ds
+# is d/dp times this sign.
+_SLOT_SIGN = np.array((1.0, 1.0, -1.0, -1.0))
+
+
+# The entries a two-mode covariance must have 0 in its standard form.
+_OFF_ROWS, _OFF_COLS = np.array((0, 0, 1, 2)), np.array((1, 3, 2, 3))
+# A pair's (6, 4) coefficients in `_StandardGeometry` hold B in rows 0-3
+# and the sector variances (sigma_q, sigma_p) = coef[4:] @ l in rows 4-5.
+# One mode: B = _ONE_MODE_COEF + h _ONE_MODE_H, and the sector rows are the
+# pair's own.
+_ONE_MODE_COEF = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
+                           [0, 0, 0, 0], [0, 0, 0, 0]], dtype=float)
+_ONE_MODE_H = np.array([[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0],
+                        [0, 0, 0, 0], [0, 0, 0, 0]], dtype=float)
+# Two modes: B_jk = (0, 1, sh^2, ch^2)[j xor k] / 2 with ch^2 = 1 + sh^2, so
+# coef = _TWO_MODE_COEF + (sh^2 / 2) _TWO_MODE_SQUEEZE.  The means agree, so
+# the mean term is 0 on any positive sector variances; both rows read L0a.
+_TWO_MODE_COEF = np.array([[0, 0.5, 0, 0.5], [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5],
+                           [0.5, 0, 0.5, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+_TWO_MODE_SQUEEZE = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0],
+                              [0, 0, 0, 0], [0, 0, 0, 0]], dtype=float)
 
 
 class _StandardGeometry:
@@ -113,31 +141,46 @@ class _StandardGeometry:
     [[a I2, c Z], [c Z, m I2]] with Z = diag(1, -1), and the means of a
     two-mode pair agree.  The Williamson data and Sigma(s) of `q_s_general`
     then have closed forms (Serafini, Quantum Continuous
-    Variables, 2017; Pirandola & Lloyd, PRA 78, 012331 (2008)):
+    Variables, 2017; Pirandola & Lloyd, PRA 78, 012331 (2008)), and both
+    mode counts share one.  Every pair has four slots, the doubled
+    symplectic eigenvalues x = 2 nu of the transmitted and memory modes of
+    each state, and l = (L0a, L0m, L1a, L1m) holds Lambda(x) of each slot,
+    at order s for rho0 and 1 - s for rho1.  With a per-pair symmetric B
+    and weight w, the pair's mode count,
+
+        det Sigma(s) = (l^T B l)^w,   log Q_s = w log 2 + sum log G - (w/2) log(l^T B l) - quad/2
+
+    over the four slots, where quad = delta^T Sigma^-1 delta.
 
     - one mode: nu = sqrt(ab) and T = diag(t, 1/t) with t^2 = a / nu, so
-      Sigma(s) is diagonal: Lambda_s(x0) t0^2 + Lambda_{1-s}(x1) t1^2 in the
-      q-sector and the same with 1/t^2 in the p-sector.
+      Sigma(s) is diagonal, with sector variances
+      sigma_q = L0a t0^2 + L1a t1^2 and sigma_p = L0a / t0^2 + L1a / t1^2,
+      and det Sigma = sigma_q sigma_p = L0a^2 + L1a^2 + 2 h L0a L1a with
+      h = (a0 b1 + a1 b0) / (2 nu0 nu1).  The memory slots hold pure modes,
+      x = 1, where `_Factors` gives log G = 0, Lambda = 1 and a 0 for every
+      derivative, exactly, and B reads neither.  quad = sum delta^2 / sigma
+      over the two sectors.
     - two modes: with S = sqrt((a - m)^2 + 4 (am - c^2)) = nu_a + nu_m,
       nu_a, nu_m = (S +- (a - m)) / 2, and T is the two-mode squeezer
       [[ch, sh], [sh, ch]] on (q_a, q_m) and [[ch, -sh], [-sh, ch]] on
       (p_a, p_m), with ch sh = c / S and sh^2 = 2 c^2 / (S (a + m + S)).
       Both sectors of Sigma(s) have the determinant
 
-          det = L0a L0m + L1a L1m + L0a (sh^2 L1a + ch^2 L1m) + L0m (ch^2 L1a + sh^2 L1m)
-              = 1/2 l^T B l,   l = (L0a, L0m, L1a, L1m),   B_jk = (0, 1, sh^2, ch^2)[j xor k]
+          L0a L0m + L1a L1m + L0a (sh^2 L1a + ch^2 L1m) + L0m (ch^2 L1a + sh^2 L1m)
+              = l^T B l,   B_jk = (0, 1, sh^2, ch^2)[j xor k] / 2
 
-      with Lij = Lambda(x_ij) of state i, mode j, and (ch, sh) those of the
-      relative squeezer T0^-1 T1: a sum of positive terms.  B l is its
-      gradient, and the diagonal of T_i^T Sigma^-1 T_i, which the slope's
-      trace term weighs, is that gradient over det.
+      with (ch, sh) those of the relative squeezer T0^-1 T1: a sum of
+      positive terms.  The means agree, so quad = 0; it is read off the
+      same sector variances with delta = 0.
 
     Pairs are stacked along the first axis: means (N, 2n) and covariances
     (N, 2n, 2n); means of any other shape are rejected, not broadcast.
     Non-finite, non-symmetric and unphysical moments are rejected, and so
-    is a stack in any other form.  Every step is elementwise across the
-    stack or a product of one pair's small matrices, with no LAPACK call, so
-    a pair's numbers do not depend on the other pairs in its stack.
+    is a stack in any other form.  Stacks of either mode count join into
+    one with `concatenate`, and `take` picks a sub-stack.  Every step is
+    elementwise across the stack or a product of one pair's small
+    matrices, with no LAPACK call, so a pair's numbers do not depend on the
+    other pairs in its stack.
     """
 
     def __init__(self, mean0, cov0, mean1, cov1):
@@ -153,15 +196,15 @@ class _StandardGeometry:
         size = len(cov0)
         cov = _validated_cov(np.concatenate((cov0, cov1)), "overlap")
         delta = np.sqrt(2.0) * _mean_difference(mean0, mean1, "overlap")
-        self.n = cov.shape[-1] // 2
+        n = cov.shape[-1] // 2
         diag = np.diagonal(cov, axis1=-2, axis2=-1)
-        if self.n == 1:
+        if n == 1:
             standard = cov[:, 0, 1] == 0.0
             positive = (diag > 0.0).all(axis=-1)
-        elif self.n == 2:
+        elif n == 2:
             a, m, c = cov[:, 0, 0], cov[:, 2, 2], cov[:, 0, 2]
             standard = (
-                (cov[:, (0, 0, 1, 2), (1, 3, 2, 3)] == 0.0).all(axis=-1)
+                (cov[:, _OFF_ROWS, _OFF_COLS] == 0.0).all(axis=-1)
                 & (diag[:, 1] == a) & (diag[:, 3] == m) & (cov[:, 1, 3] == -c)
                 & np.tile((delta == 0.0).all(axis=-1), 2)
             )
@@ -177,13 +220,18 @@ class _StandardGeometry:
             )
         if not positive.all():
             raise ValueError("unphysical covariance: not positive definite")
-        if self.n == 1:
+        if n == 1:
             nu = np.sqrt(diag[:, 0] * diag[:, 1])
-            # Sigma's q- and p-entries per state: t^2 = a / nu and 1/t^2 = b / nu.
-            weights = diag / nu[:, None]
-            # (sector, state): Sigma's entries are this times the Lambdas.
-            self._coef = np.stack((weights[:size], weights[size:]), axis=-1)
-            nu = nu[:, None]
+            _check_physical(nu)
+            # t^2 = a / nu and 1/t^2 = b / nu, as (pair, sector, state).
+            weights = (diag / nu[:, None]).reshape(2, size, 2).transpose(1, 2, 0)
+            # h = (a0 b1 + a1 b0) / (2 nu0 nu1) = (t0^2 / t1^2 + t1^2 / t0^2) / 2
+            h = 0.5 * (weights[:, 0, 0] * weights[:, 1, 1] + weights[:, 0, 1] * weights[:, 1, 0])
+            coef = _ONE_MODE_COEF + h[:, None, None] * _ONE_MODE_H
+            coef[:, 4:, ::2] = weights
+            x = np.ones((size, 4))
+            x[:, ::2] = 2.0 * nu.reshape(2, size).T
+            half_delta2 = 0.5 * delta * delta
         else:
             # a = ch^2 nu_a + sh^2 nu_m and m = sh^2 nu_a + ch^2 nu_m, so each
             # nu is its diagonal entry less sh^2 S: exact where c = 0.
@@ -197,17 +245,45 @@ class _StandardGeometry:
             # so nu within that distance of 1/2 is set to 1/2.
             noise = 2.0 * np.finfo(float).eps * (a + m) ** 2 / total
             nu[np.abs(nu - 0.5) <= noise[:, None]] = 0.5
+            _check_physical(nu)
             ch = np.sqrt(1.0 + shift / total)
             sh = c / (total * ch)
             # sinh of the relative squeeze r1 - r0; only its square enters B.
             sh2 = (sh[size:] * ch[:size] - ch[size:] * sh[:size]) ** 2
-            # (0, 1, sh^2, ch^2), and B_jk = entries[j xor k].
-            entries = np.multiply.outer(sh2, (0.0, 0.0, 1.0, 1.0)) + (0.0, 1.0, 0.0, 1.0)
-            self._coef = entries[:, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]]
-        _check_physical(nu)
-        self.factors = _Factors(2.0 * np.concatenate((nu[:size], nu[size:]), axis=-1))
-        self._sign = np.repeat((1.0, -1.0), self.n)
-        self._delta = delta
+            coef = _TWO_MODE_COEF + (0.5 * sh2)[:, None, None] * _TWO_MODE_SQUEEZE
+            x = 2.0 * np.concatenate((nu[:size], nu[size:]), axis=-1)
+            half_delta2 = np.zeros((size, 2))
+        self._set(x, coef, np.full(size, float(n)), half_delta2)
+
+    def _set(self, x, coef, modes, half_delta2):
+        """Hold the per-pair slots x, coefficients, weight w and delta^2 / 2 per sector."""
+        self._x, self._coef, self._modes, self._half_delta2 = x, coef, modes, half_delta2
+        self._log_norm = modes * np.log(2.0)
+
+    @classmethod
+    def _of(cls, *fields) -> "_StandardGeometry":
+        geom = object.__new__(cls)
+        geom._set(*fields)
+        return geom
+
+    def _fields(self):
+        return self._x, self._coef, self._modes, self._half_delta2
+
+    @cached_property
+    def factors(self) -> _Factors:
+        """The factors of every slot; built on first use, so a stack that is only joined pays none."""
+        return _Factors(self._x)
+
+    @classmethod
+    def concatenate(cls, parts) -> "_StandardGeometry":
+        """One stack of the pairs of every geometry in `parts`, in order, of either mode count."""
+        return cls._of(*(np.concatenate(field) for field in zip(*(p._fields() for p in parts))))
+
+    def take(self, rows) -> "_StandardGeometry":
+        """The sub-stack of the pairs at the sorted indices `rows`: itself when that is every pair."""
+        if len(rows) == len(self._modes):
+            return self
+        return self._of(*(field[rows] for field in self._fields()))
 
     def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log Q_s of `q_s_general` and its slope d/ds log Q_s, at one s per pair.
@@ -219,7 +295,8 @@ class _StandardGeometry:
                          - sum_k d_p log G_p(x1_k)|_{p=1-s}
                          - tr(Sigma^-1 dSigma) / 2 + y^T dSigma y / 2
 
-        The sign of dSigma per state is carried by `_sign`.
+        The sign of d/ds per slot is carried by `_SLOT_SIGN`.  In the closed
+        form, tr(Sigma^-1 dSigma) / 2 = (w/2) (log l^T B l)' = w l'^T B l / l^T B l.
         """
         return self._derivatives(s, curvature=False)
 
@@ -227,53 +304,49 @@ class _StandardGeometry:
         """`log_q_and_slope` and the curvature d²/ds² log Q_s, at one s per pair.
 
         The value and slope are the same numbers as `log_q_and_slope`'s.
-        With the sector forms of `_StandardGeometry` the curvature reuses
+        With the closed form of `_StandardGeometry` the curvature reuses
         every factor of the slope:
 
-        - each mode adds d²/dp² log G_p, and each Lambda enters Sigma with
-          its own second derivative (`_Factors.at`; the sign of the order
+        - each slot adds d²/dp² log G_p, and each Lambda enters l with its
+          own second derivative (`_Factors.at`; the sign of the order
           1 - s squares away);
-        - a one-mode sector of the diagonal Sigma, with y = delta / sigma
-          and r = sigma' / sigma = (log sigma)', adds
-          -((1/sigma - y^2) sigma'' - r^2 (1 - 2 delta y)) / 2;
-        - the two-mode sectors add (det'/det)^2 - det''/det of their common
-          determinant det = l^T B l / 2, with det' = l'^T B l and
-          det'' = l''^T B l + l'^T B l'.
+        - the determinant adds -(w/2) (log l^T B l)'' =
+          w ((l''^T B l + l'^T B l') / l^T B l - 2 (l'^T B l / l^T B l)^2);
+        - the mean term of each sector, with y = delta / sigma, adds
+          -(delta^2 / sigma)'' / 2 = y^2 (sigma'' - 2 sigma'^2 / sigma) / 2.
 
         Only the Chernoff search asks for it.
         """
         return self._derivatives(s, curvature=True)
 
     def _derivatives(self, s, curvature):
-        log_g, lam = self.factors.at(_orders(self._sign, s), curvature)
+        log_g, lam = self.factors.at(_orders(_SLOT_SIGN, s), curvature)
         # d/ds = sign d/dp on the first derivatives; the second squares it away.
-        log_g[..., 1] *= self._sign
-        lam[..., 1] *= self._sign
-        # (log Q, slope, curvature) of the modes' G factors, then the sectors'.
+        log_g[..., 1] *= _SLOT_SIGN
+        lam[..., 1] *= _SLOT_SIGN
+        # (log Q, slope, curvature) of the slots' G factors.
         terms = log_g.sum(axis=-2)
-        terms[:, 0] += self.n * np.log(2.0)
-        if self.n == 1:
-            # (Sigma, Sigma', Sigma'') per sector (q, p) of the diagonal Sigma.
-            sigma = self._coef @ lam
-            y = self._delta / sigma[..., 0]
-            quad, weight = self._delta * y, 1.0 / sigma[..., 0] - y * y
-            log_q = terms[:, 0] - 0.5 * (np.log(sigma[..., 0]) + quad).sum(axis=-1)
-            slope = terms[:, 1] - 0.5 * (weight * sigma[..., 1]).sum(axis=-1)
-            if not curvature:
-                return log_q, slope
-            d_log_sigma = sigma[..., 1] / sigma[..., 0]
-            return log_q, slope, terms[:, 2] - 0.5 * (
-                weight * sigma[..., 2] - d_log_sigma**2 * (1.0 - 2.0 * quad)
-            ).sum(axis=-1)
+        # B l in rows 0-3, (sigma, sigma', sigma'') per sector in rows 4-5.
+        products = self._coef @ lam
         # forms[i, j] = l_i^T B l_j over the derivative orders i, j of l.
-        # tr(Sigma^-1 dSigma) over both sectors, halved, is det'/det.
-        forms = np.swapaxes(lam, -1, -2) @ (self._coef @ lam)
-        det = 0.5 * forms[:, 0, 0]
-        trace = forms[:, 1, 0] / det
-        log_q, slope = terms[:, 0] - np.log(det), terms[:, 1] - trace
+        forms = np.swapaxes(lam, -1, -2) @ products[:, :4]
+        det = forms[:, 0, 0]
+        ratio = forms[:, 1, 0] / det
+        # tr(Sigma^-1 dSigma) / 2, and each sector's delta^2 / (2 sigma) and sigma' / sigma.
+        trace = self._modes * ratio
+        sigma = products[:, 4:]
+        inverse = 1.0 / sigma[..., 0]
+        quad = self._half_delta2 * inverse
+        rate = sigma[..., 1] * inverse
+        log_q = terms[:, 0] + self._log_norm - 0.5 * self._modes * np.log(det) - quad.sum(axis=-1)
+        slope = terms[:, 1] - trace + (quad * rate).sum(axis=-1)
         if not curvature:
             return log_q, slope
-        return log_q, slope, terms[:, 2] + trace * trace - (forms[:, 2, 0] + forms[:, 1, 1]) / det
+        return log_q, slope, (
+            terms[:, 2] + trace * (2.0 * ratio)
+            - self._modes * ((forms[:, 2, 0] + forms[:, 1, 1]) / det)
+            + (quad * (sigma[..., 2] * inverse - 2.0 * rate * rate)).sum(axis=-1)
+        )
 
 
 @lru_cache(maxsize=4)
@@ -320,16 +393,16 @@ class ChernoffResult:
     n_evals: int = 0
 
 
-def _slope_root(evaluate, live, lo, hi, s, d, c, s_tol: float):
+def _slope_root(geom, live, lo, hi, s, d, c, s_tol: float, n_evals):
     """Lowest log Q_s seen by a safeguarded Newton search on the slope.
 
     Runs on a whole stack of pairs at once: lo, hi, s, d, c are arrays with
-    one entry per pair, and evaluate(s, live) returns log Q_s, its slope and
-    its curvature at s for every pair of the stack, counting an evaluation
-    for the pairs of the boolean mask `live`.  The pairs in `live` search,
-    each on its own; a pair leaves the mask once its bracket is closed, and
-    from then on its bracket and best point are not updated.  The entries
-    outside the mask are never read.
+    one entry per pair of the `_StandardGeometry` geom.  The pairs of the
+    boolean mask `live` search, each on its own; a pair leaves the search
+    once its bracket is closed.  Each pass evaluates log Q_s, its slope and
+    its curvature on the sub-stack of the pairs still searching, and adds
+    one to their entries of n_evals.  The entries outside `live` are never
+    read.
 
     Requires, for the live pairs, a bracket lo < hi whose slope is negative
     at lo and positive at hi, and the slope d and curvature c at s, one of
@@ -345,23 +418,44 @@ def _slope_root(evaluate, live, lo, hi, s, d, c, s_tol: float):
     the bracket is narrower than s_tol, or the slope was exactly 0.  Outside
     the mask they are (lo + hi) / 2, inf and True.
     """
-    live = np.array(live, dtype=bool)
     best_s, best_v, converged = 0.5 * (lo + hi), np.full(lo.shape, np.inf), ~live
-    for _ in range(MAX_ITER):
-        if not live.any():
-            break
+    # The searching pairs' indices, and their entries of every array.
+    rows = np.flatnonzero(live)
+    part = geom.take(rows)
+    state = [lo, hi, s, d, c, best_s, best_v]
+    if part is not geom:
+        state = [x[rows] for x in state]
+    passes = 0
+    while rows.size and passes < MAX_ITER:
+        passes += 1
+        lo, hi, s, d, c, low_s, low_v = state
         # A curvature that is not positive gives a nan step, which no bracket holds.
         newton = s - d / np.where(c > 0.0, c, np.nan)
         inside = (lo < newton) & (newton < hi)
         s = np.where(inside, np.clip(newton, lo + 0.5 * s_tol, hi - 0.5 * s_tol), 0.5 * (lo + hi))
-        v, d, c = evaluate(s, live)
-        better = live & (v < best_v)
-        best_s, best_v = np.where(better, s, best_s), np.where(better, v, best_v)
-        below, above = live & (d < 0.0), live & (d > 0.0)
+        v, d, c = part.log_q_slope_and_curvature(s)
+        better = v < low_v
+        low_s, low_v = np.where(better, s, low_s), np.where(better, v, low_v)
+        below, above = d < 0.0, d > 0.0
         lo, hi = np.where(below, s, lo), np.where(above, s, hi)
-        signed, wide = below | above, hi - lo > s_tol
-        converged |= (live & (d == 0.0)) | (signed & ~wide)
-        live = signed & wide
+        signed = below | above
+        searching = signed & (hi - lo > s_tol)
+        state = [lo, hi, s, d, c, low_s, low_v]
+        if not searching.all():
+            left = ~searching
+            done = rows[left]
+            n_evals[done] += passes
+            best_s[done], best_v[done] = low_s[left], low_v[left]
+            # A pair leaves on a closed bracket (its slope signed) or on a zero slope.
+            converged[done] = signed[left] | (d[left] == 0.0)
+            rows = rows[searching]
+            if rows.size:
+                state = [x[searching] for x in state]
+                part = part.take(np.flatnonzero(searching))
+    if rows.size:
+        # These pairs ran out of budget.
+        n_evals[rows] += passes
+        best_s[rows], best_v[rows] = state[5], state[6]
     return best_s, best_v, converged
 
 
@@ -401,8 +495,8 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
     (N, 2n, 2n), in the standard form `target.pair_stack` gives them (see
     `_StandardGeometry`), and `degenerate` holds one flag per pair, shape
     (N,).  Every pair, degenerate or not, is validated; the degenerate ones
-    are not searched.  The search runs on the whole stack under boolean
-    masks, and every pair takes the steps `chernoff` describes on its own,
+    are not searched.  The search is `_chernoff_search` on the stack's
+    geometry: every pair takes the steps `chernoff` describes on its own,
     so its result does not depend on the rest of the stack.
 
     Returns:
@@ -423,14 +517,31 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
             f"degenerate must hold one flag per pair, shape {np.shape(cov0)[:1]}, "
             f"got {degenerate.shape}"
         )
-    geom = _StandardGeometry(mean0, cov0, mean1, cov1)
+    return _chernoff_search(_StandardGeometry(mean0, cov0, mean1, cov1), degenerate, s_tol)
+
+
+def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray,
+                     s_tol: float = S_TOL) -> list[ChernoffResult]:
+    """The search of `chernoff_many` on a built geometry, of one or of both mode counts.
+
+    `degenerate` is a boolean array with one flag per pair of geom, and
+    s_tol is checked by the caller.  Every pass evaluates only the pairs
+    it counts in n_evals: the live pairs at s = 1/2, the pairs that moved
+    at their bracket end, the ones still searching in `_slope_root`, and
+    the near-flat ones at s = 0.05 and 0.95.  The other entries of a
+    pass's arrays are nan.
+    """
     n_evals = np.zeros(degenerate.shape, dtype=int)
 
     def evaluate(s, mask, curvature=True):
-        n_evals[mask] += 1
-        if curvature:
-            return geom.log_q_slope_and_curvature(s)
-        return geom.log_q_and_slope(s)
+        np.add(n_evals, mask, out=n_evals)
+        rows = np.flatnonzero(mask)
+        part = geom.take(rows)
+        if part is geom:
+            return part._derivatives(s, curvature)
+        out = np.full((3 if curvature else 2,) + mask.shape, np.nan)
+        out[:, rows] = part._derivatives(s[rows], curvature)
+        return out
 
     live = ~degenerate
     s_half = np.full(live.shape, 0.5)
@@ -443,8 +554,8 @@ def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
     # all the way to the end.
     at_end = moving & (d_end * d_half >= 0.0)
     s_star, log_q_star, converged = _slope_root(
-        evaluate, moving & ~at_end, np.minimum(end, s_half), np.maximum(end, s_half),
-        s_half, d_half, c_half, s_tol,
+        geom, moving & ~at_end, np.minimum(end, s_half), np.maximum(end, s_half),
+        s_half, d_half, c_half, s_tol, n_evals,
     )
     s_star, log_q_star = np.where(at_end, end, s_star), np.where(at_end, log_q_end, log_q_star)
     # A pair that did not move, and a noise-level non-minimum, fall back to

@@ -14,6 +14,7 @@ Quantities handled by sweeps:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -25,7 +26,14 @@ import numpy as np
 # limit study that evaluate it, so a sweep or a figure does not load it.
 # chernoff stays importable from here: the benchmark's tracer tests read
 # gaussqi.sweeps.chernoff.
-from .divergence import FLAT_SPAN, _Factors, chernoff, chernoff_many, fidelity_many  # noqa: F401
+from .divergence import (  # noqa: F401
+    FLAT_SPAN,
+    _chernoff_search,
+    _Factors,
+    _StandardGeometry,
+    chernoff,
+    fidelity_many,
+)
 from .symplectic import symplectic_eigenvalues
 from .target import _check_target, pair_stack
 from .transmitters import _check_kind, _check_nonnegative
@@ -114,8 +122,10 @@ def _plan_stacks(plan: SweepPlan) -> dict:
     """(ChernoffResult, fidelity, degenerate) per (kind, n_s, n_b, kappa) the rows read.
 
     The points of each transmitter kind, the coherent and vacuum reference
-    points included, form one pair_stack.  The result is None unless a row
-    reads an exponent, the fidelity None unless one reads it of a one-mode probe.
+    points included, form one pair_stack.  If a row reads an exponent, the
+    geometries of all the stacks join into one, of either mode count, and
+    one Chernoff search runs on it; otherwise the result is None.  The
+    fidelity is None unless a row reads it of a one-mode probe.
     """
     points: dict = {}
     for kind, n_s, n_b, kappa in _plan_points(plan):
@@ -124,18 +134,22 @@ def _plan_stacks(plan: SweepPlan) -> dict:
             points.setdefault("coherent", {})[(n_s, n_b, kappa)] = None
         if "ratio_vs_vacuum" in plan.quantities:
             points.setdefault("vacuum", {})[(0.0, n_b, kappa)] = None
-    needs_exponent = any(q != "fidelity" for q in plan.quantities)
+    stacks = [
+        pair_stack(kind, *np.array(list(keys), dtype=float).T, plan.model)
+        for kind, keys in points.items()
+    ]
+    results = itertools.repeat(None)
+    if any(q != "fidelity" for q in plan.quantities):
+        geom = _StandardGeometry.concatenate([_StandardGeometry(*stack[:4]) for stack in stacks])
+        results = iter(_chernoff_search(geom, np.concatenate([stack[4] for stack in stacks])))
     values = {}
-    for kind, keys in points.items():
-        n_s, n_b, kappa = np.array(list(keys), dtype=float).T
-        mean0, cov0, mean1, cov1, degenerate = pair_stack(kind, n_s, n_b, kappa, plan.model)
-        results = fids = [None] * len(keys)
-        if needs_exponent:
-            results = chernoff_many(mean0, cov0, mean1, cov1, degenerate)
+    for (kind, keys), (mean0, cov0, mean1, cov1, degenerate) in zip(points.items(), stacks):
+        fids = itertools.repeat(None)
         if "fidelity" in plan.quantities and cov0.shape[-1] == 2:
             fids = fidelity_many(mean0, cov0, mean1, cov1).tolist()
-        for key, point in zip(keys, zip(results, fids, degenerate.tolist())):
-            values[(kind,) + key] = point
+        found = itertools.islice(results, len(keys))
+        for key, res, fid, flag in zip(keys, found, fids, degenerate.tolist()):
+            values[(kind,) + key] = (res, fid, flag)
     return values
 
 
@@ -173,8 +187,10 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     Rows follow the lexicographic order of (transmitter, n_s, n_b, kappa,
     quantity) as listed in the plan, so identical plans produce identical
     tables.  Degenerate configurations yield flagged rows, not errors.
-    Every quantity is read from one pair_stack per transmitter kind; a
-    point's values do not depend on the other points of its stack.
+    Every quantity is read from one pair_stack per transmitter kind, and
+    every exponent from one Chernoff search over all of them (see
+    `_plan_stacks`); a point's values do not depend on the other points of
+    its stack or of its search.
     """
     values = _plan_stacks(plan)
     return [

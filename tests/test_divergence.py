@@ -4,6 +4,7 @@ import pytest
 from gaussqi import divergence
 from gaussqi.divergence import (
     _S_EDGE,
+    FLAT_SPAN,
     _Factors,
     bhattacharyya_error_bound,
     chernoff,
@@ -288,6 +289,21 @@ def test_chernoff_flat_pair():
     assert res.flags == ("flat",)
     assert res.s_star == 0.5
     assert res.xi == pytest.approx(0.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["agnostic", "legacy"])
+def test_chernoff_flat_pair_with_its_minimum_at_the_edge(model):
+    # Weak squeezed light with no background: log Q_s falls towards the
+    # edge, yet spans less than FLAT_SPAN over [0.05, 0.95], so the pair is
+    # flat.  Its edge value sits more than FLAT_SPAN / 2 below log Q_{1/2},
+    # which the pre-filter on log Q_{1/2} - log Q_{s*} must let through.
+    at = np.array([0.05, 0.5, 0.95, _S_EDGE, 1.0 - _S_EDGE])
+    copies = pair_stack("smsv", 1e-3, np.zeros(at.size), 1.05e-10, model)[:4]
+    log_q = divergence._StandardGeometry(*copies).log_q_and_slope(at)[0]
+    assert np.ptp(log_q[:3]) < FLAT_SPAN < 2.0 * (log_q[1] - log_q[3:].min())
+    res = chernoff(make_pair(smsv(1e-3), TargetConfig(kappa=1.05e-10, n_b=0.0, model=model)))
+    assert res.flags == ("flat",)
+    assert res.s_star == 0.5
 
 
 @pytest.mark.parametrize("spec", [coherent(1.0), tmss(1.0)], ids=["coherent", "tmss"])

@@ -197,15 +197,41 @@ def test_pure_tmss_pair_matches_highprec_on_both_float64_routes():
         assert abs(reference - exact) <= 1e-12 * abs(exact)
 
 
+def test_pure_mode_band_holds_the_rounding_of_the_closed_form():
+    # At N_B = 0 rho1's transmitted mode is pure, and the rounding of the
+    # entries moves its closed-form nu by up to about eps (a + m)^2 / S.  On
+    # 400000 draws with N_S in [1e-8, 1e4] and kappa in [1e-12, 0.999999] it
+    # moved by up to 0.71 of that unit, and past 0.5 in 65 draws, all at
+    # kappa > 0.5; these two are above 1/2 by 2.2e-16.  Left there, it
+    # would make Lambda_{1-s} - 1 about 2 at s = 0.999, and log Q_s wrong by
+    # 96%: the band of 2 units sets it to 1/2.
+    n_s, kappa = (0.09759729655705549, 0.12166155412598975), (0.9580719502777387,
+                                                                0.9957898932385046)
+    geometry = _StandardGeometry(*pair_stack("tmss", n_s, 0.0, kappa)[:4])
+    assert np.all(geometry.factors.x[:, (0, 2)] == 1.0)
+    production = geometry.log_q_and_slope(np.full(2, 0.999))[0]
+    for k, value in enumerate(production):
+        exact = float(highprec.log_q_s("tmss", n_s[k], 0.0, kappa[k], 0.999))
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
 # ROADMAP direction 2: the closed-form geometry sums O(log N_B) terms to a
 # constant that is exactly 0 for identical covariances, which leaves a few
-# eps against an xi of 1e-11 to 1e-13.  These rows miss by 3.2e-6 and 1.9e-3
-# with no flag; strict=True makes the fix remove this mark.
-@pytest.mark.xfail(strict=True, reason="direction 2: legacy coherent xi cancels, unflagged")
-@pytest.mark.parametrize("kappa", [1e-2, 1e-4])
-def test_legacy_coherent_chernoff_matches_highprec_or_is_flagged(kappa):
-    res = chernoff(make_pair(coherent(1e-4), TargetConfig(kappa=kappa, n_b=1e4, model="legacy")))
-    exact = -float(highprec.log_q_s("coherent", 1e-4, 1e4, kappa, res.s_star, model="legacy"))
+# eps against an xi of 1e-11 to 1e-13.  A legacy coherent pair's covariances
+# agree to rounding.  With det Sigma as L0^2 + L1^2 + 2 h L0 L1 (h = 1 for
+# equal covariances) the N_B = 1e4 rows match mpmath; as the product of the
+# two sector variances they missed by 3.2e-6 and 1.9e-3.  The N_B = 100 row
+# still misses by 3.6e-5, with no flag; strict=True makes the fix remove
+# its mark.
+@pytest.mark.parametrize("kappa, n_b", [
+    (1e-2, 1e4),
+    (1e-4, 1e4),
+    pytest.param(1e-4, 1e2, marks=pytest.mark.xfail(
+        strict=True, reason="direction 2: legacy coherent xi cancels, unflagged")),
+])
+def test_legacy_coherent_chernoff_matches_highprec_or_is_flagged(kappa, n_b):
+    res = chernoff(make_pair(coherent(1e-4), TargetConfig(kappa=kappa, n_b=n_b, model="legacy")))
+    exact = -float(highprec.log_q_s("coherent", 1e-4, n_b, kappa, res.s_star, model="legacy"))
     assert res.flags or abs(res.xi - exact) <= 1e-12 * exact, (res.xi, exact)
 
 

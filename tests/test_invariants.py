@@ -27,7 +27,7 @@ from gaussqi.divergence import (
 from gaussqi.fock_oracle import choose_cutoff, hypothesis_pair_fock, q_s_fock
 from gaussqi.reference import _PairGeometry, q_s_alt, random_symplectic, target_present
 from gaussqi.symplectic import symplectic_eigenvalues
-from gaussqi.sweeps import SweepPlan, run_sweep
+from gaussqi.sweeps import SweepPlan, _plan_stacks, run_sweep
 from gaussqi.target import MODELS, HypothesisPair, TargetConfig, make_pair, pair_stack
 from gaussqi.transmitters import KINDS, TransmitterSpec
 
@@ -223,6 +223,43 @@ def test_run_sweep_rows_equal_single_point_chernoff(model):
             assert row.value == expected
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_one_search_over_a_mixed_plan_equals_each_stack_and_each_point(model, monkeypatch):
+    """A plan's single search, over both mode counts, against each kind's stack and each point.
+
+    The plan reads both ratios, so coherent and vacuum reference points
+    join the stacks of all four kinds.  The tmss pairs at N_B = 0,
+    kappa = 3e-6 take 20 evaluations (at N_S = 2 the minimum sits in the
+    boundary layer next to s = 1; at N_S = 0.01 the pair is flat), the
+    others at most 7.  Every pass evaluates only the pairs it counts, so
+    more than ten passes of the search run on those two alone.
+    """
+    plan = SweepPlan(transmitters=KINDS, quantities=("ratio_vs_coherent", "ratio_vs_vacuum"),
+                     n_s_grid=(1e-2, 2.0), n_b_grid=(0.0, 3.0), kappa_grid=(3e-6, 0.05),
+                     model=model)
+    passes = []
+    derivatives = _StandardGeometry._derivatives
+    monkeypatch.setattr(_StandardGeometry, "_derivatives",
+                        lambda self, s, curvature: passes.append(s.size)
+                        or derivatives(self, s, curvature))
+    values = _plan_stacks(plan)
+    # 8 points per kind, 4 for vacuum, and vacuum's 4 again as coherent at N_S = 0.
+    assert len(values) == 8 * 3 + 4 + 4
+    assert sum(passes) == sum(res.n_evals for res, _, _ in values.values())
+    assert sum(size <= 2 for size in passes) > 10
+    slow = {key: res.n_evals for key, (res, _, _) in values.items() if res.n_evals > 7}
+    assert slow == {("tmss", 0.01, 0.0, 3e-6): 20, ("tmss", 2.0, 0.0, 3e-6): 20}
+    monkeypatch.undo()
+    for kind in KINDS:
+        keys = [key for key in values if key[0] == kind]
+        n_s, n_b, kappa = np.array([key[1:] for key in keys]).T
+        alone = chernoff_many(*pair_stack(kind, n_s, n_b, kappa, model))
+        for key, res in zip(keys, alone):
+            assert values[key][0] == res
+            spec, cfg = TransmitterSpec(kind, key[1]), TargetConfig(key[3], key[2], model)
+            assert chernoff(make_pair(spec, cfg)) == res
+
+
 @STACK_SETTINGS
 @given(s=st.floats(0.02, 0.98), seed=st.integers(0, 2**32 - 1), **STACK)
 def test_stacked_overlap_invariants(s, seed, kind, model, logs):
@@ -276,7 +313,13 @@ def _standard_draws(kind, model, seed, size=2000):
 def test_standard_geometry_nu_matches_symplectic_eigenvalues(kind, model):
     n_b, moments = _standard_draws(kind, model, seed=90)
     geom = _StandardGeometry(*moments)
-    nu = np.sort(0.5 * geom.factors.x.reshape(n_b.size, 2, -1), axis=-1)
+    # Slots (x0a, x0m, x1a, x1m): a one-mode pair's memory slots are padding
+    # at x = 1 exactly, and are left out.
+    modes = moments[1].shape[-1] // 2
+    slots = geom.factors.x.reshape(n_b.size, 2, 2)
+    if modes == 1:
+        assert np.all(slots[..., 1] == 1.0)
+    nu = np.sort(0.5 * slots[..., :modes], axis=-1)
     dense = np.stack([symplectic_eigenvalues(cov) for cov in moments[1::2]], axis=1)
     assert np.all(np.abs(nu - dense) <= 1e-13 * dense)
     if kind == "tmss":

@@ -156,9 +156,9 @@ def test_fidelity_quantity_tmss_flagged():
 
 def test_fidelity_only_plan_runs_no_chernoff_search(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("chernoff_many called for a fidelity-only plan")
+        raise AssertionError("Chernoff search run for a fidelity-only plan")
 
-    monkeypatch.setattr(gaussqi.sweeps, "chernoff_many", refuse)
+    monkeypatch.setattr(gaussqi.sweeps, "_chernoff_search", refuse)
     rows = run_sweep(small_plan(transmitters=("vacuum", "coherent", "smsv", "tmss"),
                                 quantities=("fidelity",)))
     assert len(rows) == (1 + 3) * 2

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
     note: str
 
 
+DIVERGENCE = "src/gaussqi/divergence.py"
 FOCK = "src/gaussqi/fock_oracle.py"
 HIGHPREC = "src/gaussqi/highprec.py"
 CATALOGUE = (
@@ -91,13 +92,24 @@ CATALOGUE = (
            "log(2 nu + 1) counted once per mode, not once per eigenvector"),
     Mutant(HIGHPREC, "row[2 * k : 2 * k + 2]", "row[2 * k : 2 * k + 1]",
            "P_k from one column of its pair: a rank-one projector"),
-    Mutant("src/gaussqi/divergence.py", "FLAT_SPAN = 1e-13", "FLAT_SPAN = 1e-12",
+    Mutant(DIVERGENCE, "FLAT_SPAN = 1e-13", "FLAT_SPAN = 1e-12",
            "flat threshold 10x higher"),
-    Mutant("src/gaussqi/divergence.py", "< 2.0 * FLAT_SPAN)", "< 0.5 * FLAT_SPAN)",
-           "flat pre-filter 4x narrower; survived when last measured"),
-    Mutant("src/gaussqi/divergence.py", "noise = 2.0 * np.finfo(float).eps * (a + m) ** 2",
+    Mutant(DIVERGENCE, "< 2.0 * FLAT_SPAN)", "< 0.5 * FLAT_SPAN)",
+           "flat pre-filter 4x narrower: weak smsv at N_B = 0 loses its flat flag"),
+    Mutant(DIVERGENCE, "noise = 2.0 * np.finfo(float).eps * (a + m) ** 2",
            "noise = 0.5 * np.finfo(float).eps * (a + m) ** 2",
-           "pure-mode band of the closed form 4x narrower; survived when last measured"),
+           "pure-mode band of the closed form 4x narrower: tmss at N_B = 0 and kappa > 0.5 "
+           "keeps a pure nu 2.2e-16 above 1/2"),
+    Mutant(DIVERGENCE, "h = 0.5 * (weights", "h = (weights",
+           "one-mode h without its 1/2: det Sigma gets 2 (t0^2/t1^2 + t1^2/t0^2) L0 L1"),
+    Mutant(DIVERGENCE, "np.full(size, float(n))", "np.full(size, 2.0)",
+           "one-mode weight w = 2: log det Sigma and the norm counted twice"),
+    Mutant(DIVERGENCE, "x = np.ones((size, 4))", "x = np.full((size, 4), 1.0 + 1e-9)",
+           "one-mode padding slots off x = 1: each adds log G and its derivatives"),
+    Mutant(DIVERGENCE, "if not searching.all():", "if not searching.any():",
+           "pairs leave the search only all at once: closed pairs are stepped on"),
+    Mutant(DIVERGENCE, "rows = np.flatnonzero(mask)", "rows = np.flatnonzero(mask | live)",
+           "the end pass and the flat check evaluate every live pair, not only those they count"),
     Mutant(HIGHPREC, "_PURE_BAND = mp.mpf(10) ** (10 - DPS)",
            "_PURE_BAND = mp.mpf(10) ** (30 - DPS)",
            "mpmath pure-mode band 1e20x wider; survives, equivalent on the tested domain: "
