@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .symplectic import GaussianState, _check_physical, _validated_cov
-from .target import HypothesisPair
+from .target import HypothesisPair, _degenerate
 
 # Minimizer defaults; chosen because log Q_s becomes exponentially flat in s
 # at small reflectivity, where a linear-scale objective would lose the minimum.
@@ -33,6 +33,8 @@ S_TOL = 1e-7
 MAX_ITER = 200
 FLAT_SPAN = 1e-13
 _S_EDGE = 1e-6
+# The flags of a Chernoff result, in order of precedence, and none.
+_FLAGS = np.fromiter([("degenerate",), ("flat",), ("edge",), ("maxiter",), ()], dtype=object)
 
 
 def _mean_difference(mean0, mean1, where: str) -> np.ndarray:
@@ -379,18 +381,27 @@ def q_s_general(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
 
 @dataclass(frozen=True)
 class ChernoffResult:
-    """Minimized overlap: s*, Q_{s*}, exponent xi = -log Q_{s*}, and Q_{1/2}.
+    """Minimized overlap: s*, exponent xi = -log Q_{s*}, Q_{1/2}, flags and n_evals.
 
-    n_evals counts the log Q_s evaluations the minimization spent.
+    n_evals counts the log Q_s evaluations the minimization spent.  Q_{s*}
+    and convergence are read off the stored fields.
     """
 
     s_star: float
-    q_star: float
     xi: float
     q_half: float
-    converged: bool
     flags: tuple = ()
     n_evals: int = 0
+
+    @property
+    def q_star(self) -> float:
+        """Q_{s*} = exp(-xi)."""
+        return float(np.exp(-self.xi))
+
+    @property
+    def converged(self) -> bool:
+        """False only when the search ran out of its MAX_ITER budget."""
+        return "maxiter" not in self.flags
 
 
 def _slope_root(geom, live, lo, hi, s, d, c, s_tol: float, n_evals):
@@ -481,55 +492,49 @@ def chernoff(pair: HypothesisPair, s_tol: float = S_TOL) -> ChernoffResult:
     the standard form `make_pair` builds, degenerate or not.
     """
     rho0, rho1 = pair.rho0, pair.rho1
-    return chernoff_many(
-        rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None],
-        [pair.degenerate], s_tol,
-    )[0]
+    return chernoff_many(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None], s_tol)[0]
 
 
-def chernoff_many(mean0, cov0, mean1, cov1, degenerate,
-                  s_tol: float = S_TOL) -> list[ChernoffResult]:
+def chernoff_many(mean0, cov0, mean1, cov1, s_tol: float = S_TOL) -> list[ChernoffResult]:
     """`chernoff` for every pair of a stack, one numpy pass per search step.
 
     Pairs are stacked along the first axis: means (N, 2n), covariances
     (N, 2n, 2n), in the standard form `target.pair_stack` gives them (see
-    `_StandardGeometry`), and `degenerate` holds one flag per pair, shape
-    (N,).  Every pair, degenerate or not, is validated; the degenerate ones
-    are not searched.  The search is `_chernoff_search` on the stack's
-    geometry: every pair takes the steps `chernoff` describes on its own,
-    so its result does not depend on the rest of the stack.
+    `_StandardGeometry`).  Every pair is validated; the degenerate ones
+    (`target._degenerate`) are not searched.  The search is
+    `_chernoff_search` on the stack's geometry: every pair takes the steps
+    `chernoff` describes on its own, so its result does not depend on the
+    rest of the stack.
 
     Returns:
         One ChernoffResult per pair, in stack order.
 
     Raises:
         ValueError: s_tol outside (0, 1/2 - _S_EDGE), the first bracket's
-            width; `degenerate` not of shape (N,); means not of shape
-            (N, 2n); a non-finite or non-symmetric covariance or mean; a
-            pair not in the standard form of `_StandardGeometry`; or an
-            unphysical covariance.
+            width; means not of shape (N, 2n); a non-finite or
+            non-symmetric covariance or mean; a pair not in the standard
+            form of `_StandardGeometry`; or an unphysical covariance.
     """
     if not 0.0 < s_tol < 0.5 - _S_EDGE:
         raise ValueError(f"s_tol must lie in (0, {0.5 - _S_EDGE}), got {s_tol}")
-    degenerate = np.asarray(degenerate, dtype=bool)
-    if degenerate.shape != np.shape(cov0)[:1]:
-        raise ValueError(
-            f"degenerate must hold one flag per pair, shape {np.shape(cov0)[:1]}, "
-            f"got {degenerate.shape}"
-        )
-    return _chernoff_search(_StandardGeometry(mean0, cov0, mean1, cov1), degenerate, s_tol)
+    geom = _StandardGeometry(mean0, cov0, mean1, cov1)
+    columns = _chernoff_search(geom, _degenerate(mean0, cov0, mean1, cov1), s_tol)
+    return [ChernoffResult(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
-def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray,
-                     s_tol: float = S_TOL) -> list[ChernoffResult]:
+def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray, s_tol: float = S_TOL):
     """The search of `chernoff_many` on a built geometry, of one or of both mode counts.
 
-    `degenerate` is a boolean array with one flag per pair of geom, and
+    `degenerate` is the `target._degenerate` mask of geom's pairs, and
     s_tol is checked by the caller.  Every pass evaluates only the pairs
     it counts in n_evals: the live pairs at s = 1/2, the pairs that moved
     at their bracket end, the ones still searching in `_slope_root`, and
     the near-flat ones at s = 0.05 and 0.95.  The other entries of a
     pass's arrays are nan.
+
+    Returns the fields of ChernoffResult as columns, in its field order:
+    one array per field, with an entry per pair; flags is an object array
+    of tuples.
     """
     n_evals = np.zeros(degenerate.shape, dtype=int)
 
@@ -573,24 +578,17 @@ def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray,
         low = np.where(inside, log_q_star, np.minimum(ends.min(axis=0), log_q_half))
         flat &= ends.max(axis=0) - low < FLAT_SPAN
 
-    # A flat pair reports the Bhattacharyya point; no pair reports xi < 0.
-    columns = zip(
-        degenerate.tolist(),
-        flat.tolist(),
-        (at_end & (s_star == end)).tolist(),
-        np.where(flat, 0.5, s_star).tolist(),
-        np.where(flat, q_half, np.minimum(np.exp(log_q_star), 1.0)).tolist(),
-        np.maximum(-np.where(flat, log_q_half, log_q_star), 0.0).tolist(),
-        q_half.tolist(),
-        (converged | flat).tolist(),
-        n_evals.tolist(),
+    # A flat pair reports the Bhattacharyya point, a degenerate one s = 1/2
+    # and xi = 0; no pair reports xi < 0.  An edge pair skipped _slope_root
+    # and is converged, so each pair has one flag at most.
+    flagged = [degenerate, flat, at_end & (s_star == end), ~converged, np.ones_like(flat)]
+    return (
+        np.where(degenerate | flat, 0.5, s_star),
+        np.where(degenerate, 0.0, np.maximum(-np.where(flat, log_q_half, log_q_star), 0.0)),
+        np.where(degenerate, 1.0, q_half),
+        _FLAGS[np.argmax(flagged, axis=0)],
+        n_evals,
     )
-    return [
-        ChernoffResult(0.5, 1.0, 0.0, 1.0, True, ("degenerate",)) if is_degenerate
-        else ChernoffResult(s, q, xi, q_mid, conv, ("flat",) if is_flat
-                            else ("edge",) * at_edge + ("maxiter",) * (not conv), count)
-        for is_degenerate, is_flat, at_edge, s, q, xi, q_mid, conv, count in columns
-    ]
 
 
 def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
@@ -603,9 +601,10 @@ def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
     # `% 1` is exact for integers of any size, and nan for inf.
     if not (n_copies >= 0 and n_copies % 1 == 0):
         raise ValueError(f"n_copies must be a non-negative integer, got {n_copies}")
+    geom = _geometry(pair.rho0, pair.rho1)
     if pair.degenerate:
         return 0.5
-    log_q_half = _geometry(pair.rho0, pair.rho1).log_q_and_slope(np.array([0.5]))[0][0]
+    log_q_half = geom.log_q_and_slope(np.array([0.5]))[0][0]
     if log_q_half >= 0.0:
         return 0.5
     copies = float(n_copies) if n_copies <= sys.float_info.max else np.inf

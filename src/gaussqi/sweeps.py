@@ -35,7 +35,7 @@ from .divergence import (  # noqa: F401
     fidelity_many,
 )
 from .symplectic import symplectic_eigenvalues
-from .target import _check_target, pair_stack
+from .target import _check_target, _degenerate, pair_stack
 from .transmitters import _check_kind, _check_nonnegative
 
 QUANTITIES = (
@@ -108,77 +108,39 @@ class SweepPlan:
         _check_target(self.kappa_grid, self.n_b_grid, self.model)
 
 
-def _plan_points(plan: SweepPlan):
-    """(kind, n_s, n_b, kappa) of the plan's grid points, in row order."""
-    for kind in plan.transmitters:
-        n_s_values = (0.0,) if kind == "vacuum" else plan.n_s_grid
-        for n_s in n_s_values:
-            for n_b in plan.n_b_grid:
-                for kappa in plan.kappa_grid:
-                    yield kind, float(n_s), float(n_b), float(kappa)
+def _quantity_columns(quantity, kind, stacks, degenerate, results):
+    """(values, s_star, flags) of one quantity over a kind's grid, each a list in grid order.
 
-
-def _plan_stacks(plan: SweepPlan) -> dict:
-    """(ChernoffResult, fidelity, degenerate) per (kind, n_s, n_b, kappa) the rows read.
-
-    The points of each transmitter kind, the coherent and vacuum reference
-    points included, form one pair_stack.  If a row reads an exponent, the
-    geometries of all the stacks join into one, of either mode count, and
-    one Chernoff search runs on it; otherwise the result is None.  The
-    fidelity is None unless a row reads it of a one-mode probe.
+    `results` holds each kind's Chernoff columns.  A ratio reads its
+    reference at the same grid position; the vacuum one, at n_s = 0 alone,
+    repeats over the kind's n_s grid.
     """
-    points: dict = {}
-    for kind, n_s, n_b, kappa in _plan_points(plan):
-        points.setdefault(kind, {})[(n_s, n_b, kappa)] = None
-        if "ratio_vs_coherent" in plan.quantities:
-            points.setdefault("coherent", {})[(n_s, n_b, kappa)] = None
-        if "ratio_vs_vacuum" in plan.quantities:
-            points.setdefault("vacuum", {})[(0.0, n_b, kappa)] = None
-    stacks = [
-        pair_stack(kind, *np.array(list(keys), dtype=float).T, plan.model)
-        for kind, keys in points.items()
-    ]
-    results = itertools.repeat(None)
-    if any(q != "fidelity" for q in plan.quantities):
-        geom = _StandardGeometry.concatenate([_StandardGeometry(*stack[:4]) for stack in stacks])
-        results = iter(_chernoff_search(geom, np.concatenate([stack[4] for stack in stacks])))
-    values = {}
-    for (kind, keys), (mean0, cov0, mean1, cov1, degenerate) in zip(points.items(), stacks):
-        fids = itertools.repeat(None)
-        if "fidelity" in plan.quantities and cov0.shape[-1] == 2:
-            fids = fidelity_many(mean0, cov0, mean1, cov1).tolist()
-        found = itertools.islice(results, len(keys))
-        for key, res, fid, flag in zip(keys, found, fids, degenerate.tolist()):
-            values[(kind,) + key] = (res, fid, flag)
-    return values
-
-
-def _evaluate(values: dict, kind: str, n_s: float, n_b: float,
-              kappa: float, model: str, quantity: str) -> SweepRow:
-    res, fid, degenerate = values[(kind, n_s, n_b, kappa)]
-    base = dict(transmitter=kind, model=model, n_s=n_s, n_b=n_b, kappa=kappa, quantity=quantity)
     if quantity == "fidelity":
-        flags = ("degenerate",) * degenerate + ("unsupported",) * (fid is None)
-        return SweepRow(value=float("nan") if fid is None else fid, flags=flags, **base)
-    base.update(s_star=res.s_star, flags=res.flags)
-    direct = {"chernoff": res.xi, "q_half": res.q_half, "s_star": res.s_star}
+        supported = stacks[kind][1].shape[-1] == 2
+        flags = [("degenerate",) * flag + ("unsupported",) * (not supported)
+                 for flag in degenerate[kind].tolist()]
+        values = fidelity_many(*stacks[kind]) if supported else np.full(len(flags), np.nan)
+        return values.tolist(), [None] * len(flags), flags
+    s_star, xi, q_half, flags, _ = results[kind]
+    direct = {"chernoff": xi, "q_half": q_half, "s_star": s_star}
     if quantity in direct:
-        return SweepRow(value=direct[quantity], **base)
+        return direct[quantity].tolist(), s_star.tolist(), flags.tolist()
     if quantity == "ratio_vs_coherent":
-        ref = values[("coherent", n_s, n_b, kappa)][0]
+        ref = results[kind if kind == "vacuum" else "coherent"][1]
         # An exponent below FLAT_SPAN, exactly 0 or a few eps, is rounding
         # noise either way.  Flat alone is no test: a coherent pair at N_B = 0
         # is flat in s with the exact exponent kappa N_S.
-        noise = min(res.xi, ref.xi) < FLAT_SPAN
-        value = None if noise else res.xi / ref.xi
+        noise = np.minimum(xi, ref) < FLAT_SPAN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = xi / ref
     else:
-        ref, _, ref_degenerate = values[("vacuum", 0.0, n_b, kappa)]
+        copies = len(xi) // len(degenerate["vacuum"])
+        noise = np.tile(degenerate["vacuum"], copies)
         # Q_{s*} ratio through the exponent difference, stable when both
         # overlaps sit within rounding of 1.
-        value = None if ref_degenerate else float(np.exp(ref.xi - res.xi))
-    if value is None:
-        return SweepRow(value=float("nan"), **{**base, "flags": res.flags + ("degenerate",)})
-    return SweepRow(value=value, **base)
+        values = np.exp(np.tile(results["vacuum"][1], copies) - xi)
+    flags = [f + ("degenerate",) if bad else f for f, bad in zip(flags.tolist(), noise.tolist())]
+    return np.where(noise, np.nan, values).tolist(), s_star.tolist(), flags
 
 
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
@@ -187,17 +149,46 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     Rows follow the lexicographic order of (transmitter, n_s, n_b, kappa,
     quantity) as listed in the plan, so identical plans produce identical
     tables.  Degenerate configurations yield flagged rows, not errors.
-    Every quantity is read from one pair_stack per transmitter kind, and
-    every exponent from one Chernoff search over all of them (see
-    `_plan_stacks`); a point's values do not depend on the other points of
-    its stack or of its search.
+
+    Each transmitter kind the rows read, the coherent and vacuum references
+    included, is one pair_stack over the mesh of the plan's grids (a
+    vacuum at n_s = 0 alone), and each quantity is one column per kind,
+    indexed by grid position.  If a row reads an exponent, the geometries
+    of all the stacks join into one, of either mode count, and one Chernoff
+    search runs on it.  A vacuum row's coherent reference is its own pair:
+    coherent at N_S = 0 has the same moments.  A point's values do not
+    depend on the other points of its stack or of its search.
     """
-    values = _plan_stacks(plan)
-    return [
-        _evaluate(values, kind, n_s, n_b, kappa, plan.model, quantity)
-        for kind, n_s, n_b, kappa in _plan_points(plan)
-        for quantity in plan.quantities
-    ]
+    kinds = dict.fromkeys(plan.transmitters)
+    if "ratio_vs_coherent" in plan.quantities and set(kinds) - {"vacuum"}:
+        kinds["coherent"] = None
+    if "ratio_vs_vacuum" in plan.quantities:
+        kinds["vacuum"] = None
+    n_s_grids = {kind: (0.0,) if kind == "vacuum" else plan.n_s_grid for kind in kinds}
+    stacks = {}
+    for kind in kinds:
+        # The points of the (n_s, n_b, kappa) mesh in row order, read off the grids by index.
+        grids = (n_s_grids[kind], plan.n_b_grid, plan.kappa_grid)
+        index = np.indices([len(grid) for grid in grids]).reshape(3, -1)
+        stacks[kind] = pair_stack(kind, *map(np.take, grids, index), plan.model)
+    degenerate = {kind: _degenerate(*stack) for kind, stack in stacks.items()}
+    results = {}
+    if any(q != "fidelity" for q in plan.quantities):
+        geom = _StandardGeometry.concatenate([_StandardGeometry(*st) for st in stacks.values()])
+        columns = _chernoff_search(geom, np.concatenate(list(degenerate.values())))
+        ends = [0, *itertools.accumulate(len(mask) for mask in degenerate.values())]
+        results = {kind: [column[start:end] for column in columns]
+                   for kind, start, end in zip(kinds, ends, ends[1:])}
+    rows = []
+    for kind in plan.transmitters:
+        by_quantity = [_quantity_columns(q, kind, stacks, degenerate, results)
+                       for q in plan.quantities]
+        points = itertools.product(n_s_grids[kind], plan.n_b_grid, plan.kappa_grid)
+        for p, (n_s, n_b, kappa) in enumerate(points):
+            for quantity, (values, s_star, flags) in zip(plan.quantities, by_quantity):
+                rows.append(SweepRow(kind, plan.model, float(n_s), float(n_b), float(kappa),
+                                     quantity, values[p], s_star[p], flags[p]))
+    return rows
 
 
 def _format_value(x) -> str:

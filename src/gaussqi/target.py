@@ -62,6 +62,18 @@ class TargetConfig:
         return _effective_n_b(self.n_b, self.kappa, self.model)
 
 
+def _degenerate(mean0, cov0, mean1, cov1) -> np.ndarray:
+    """The one definition of a degenerate pair, as a mask over a stack's leading axes.
+
+    Its two states agree moment by moment to 1e-13 times the largest
+    covariance entry (at least 1)."""
+    axes = (-2, -1)
+    scale = np.maximum(np.maximum(np.abs(cov0).max(axis=axes), np.abs(cov1).max(axis=axes)), 1.0)
+    return (np.abs(mean1 - mean0).max(axis=-1) <= 1e-13 * scale) & (
+        np.abs(cov1 - cov0).max(axis=axes) <= 1e-13 * scale
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class HypothesisPair:
     """The two hypotheses: rho0 = target absent, rho1 = target present."""
@@ -70,7 +82,13 @@ class HypothesisPair:
     rho1: GaussianState
     config: TargetConfig
     transmitter: TransmitterSpec
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the two states coincide (`_degenerate`), read off the moments."""
+        rho0, rho1 = self.rho0, self.rho1
+        same_modes = rho0.n_modes == rho1.n_modes
+        return same_modes and bool(_degenerate(rho0.mean, rho0.cov, rho1.mean, rho1.cov))
 
 
 def pair_moments(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
@@ -123,10 +141,8 @@ def pair_stack(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
     """Float64 moments of many pairs of one transmitter kind and model.
 
     n_s, n_b and kappa broadcast to a common shape P.  Returns
-    (mean0, cov0, mean1, cov1, degenerate) with means of shape P + (2n,),
-    covariances P + (2n, 2n) and the boolean mask `degenerate` of shape P:
-    a pair is degenerate when its two states agree moment by moment to
-    1e-13 times the largest covariance entry (at least 1).
+    (mean0, cov0, mean1, cov1) with means of shape P + (2n,) and
+    covariances P + (2n, 2n); `_degenerate` reads which pairs coincide.
 
     Raises:
         ValueError: as pair_moments.
@@ -144,28 +160,20 @@ def pair_stack(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
     mean0, mean1 = stack(mean0, (dim,)), stack(mean1, (dim,))
     cov0 = stack([v for row in cov0 for v in row], (dim, dim))
     cov1 = stack([v for row in cov1 for v in row], (dim, dim))
-    axes = (-2, -1)
-    scale = np.maximum(np.maximum(np.abs(cov0).max(axis=axes), np.abs(cov1).max(axis=axes)), 1.0)
-    degenerate = (np.abs(mean1 - mean0).max(axis=-1) <= 1e-13 * scale) & (
-        np.abs(cov1 - cov0).max(axis=axes) <= 1e-13 * scale
-    )
-    return mean0, cov0, mean1, cov1, degenerate
+    return mean0, cov0, mean1, cov1
 
 
 def make_pair(spec: TransmitterSpec, cfg: TargetConfig) -> HypothesisPair:
     """Build the hypothesis pair for a transmitter/target configuration.
 
     A legacy-model vacuum transmitter yields rho0 == rho1; the pair is
-    returned flagged as degenerate rather than rejected, so downstream code
-    can exhibit the ill-posedness instead of crashing.
+    returned, degenerate, rather than rejected, so downstream code can
+    exhibit the ill-posedness instead of crashing.
     """
-    mean0, cov0, mean1, cov1, degenerate = pair_stack(
-        spec.kind, spec.n_signal, cfg.n_b, cfg.kappa, cfg.model
-    )
+    mean0, cov0, mean1, cov1 = pair_stack(spec.kind, spec.n_signal, cfg.n_b, cfg.kappa, cfg.model)
     return HypothesisPair(
         rho0=GaussianState(mean=mean0, cov=cov0),
         rho1=GaussianState(mean=mean1, cov=cov1),
         config=cfg,
         transmitter=spec,
-        degenerate=bool(degenerate),
     )

@@ -21,7 +21,7 @@ from gaussqi.reference import (
     squeezer,
 )
 from gaussqi.symplectic import GaussianState
-from gaussqi.target import TargetConfig, make_pair, pair_stack
+from gaussqi.target import HypothesisPair, TargetConfig, make_pair, pair_stack
 from gaussqi.transmitters import coherent, smsv, thermal_state, tmss, vacuum
 
 
@@ -298,7 +298,7 @@ def test_chernoff_flat_pair_with_its_minimum_at_the_edge(model):
     # flat.  Its edge value sits more than FLAT_SPAN / 2 below log Q_{1/2},
     # which the pre-filter on log Q_{1/2} - log Q_{s*} must let through.
     at = np.array([0.05, 0.5, 0.95, _S_EDGE, 1.0 - _S_EDGE])
-    copies = pair_stack("smsv", 1e-3, np.zeros(at.size), 1.05e-10, model)[:4]
+    copies = pair_stack("smsv", 1e-3, np.zeros(at.size), 1.05e-10, model)
     log_q = divergence._StandardGeometry(*copies).log_q_and_slope(at)[0]
     assert np.ptp(log_q[:3]) < FLAT_SPAN < 2.0 * (log_q[1] - log_q[3:].min())
     res = chernoff(make_pair(smsv(1e-3), TargetConfig(kappa=1.05e-10, n_b=0.0, model=model)))
@@ -324,8 +324,8 @@ def test_chernoff_many_evaluations_on_a_map(kind, most):
     rng = np.random.default_rng(2)
     n_s = np.sort(10.0 ** rng.uniform(-3.0, 1.0, 4))
     n_b = np.sort(10.0 ** rng.uniform(-3.0, 2.0, 4))
-    *moments, degenerate = pair_stack(kind, *np.meshgrid(n_s, n_b, indexing="ij"), 1e-2)
-    results = chernoff_many(*(m.reshape(16, *m.shape[2:]) for m in moments), degenerate.ravel())
+    moments = pair_stack(kind, *np.meshgrid(n_s, n_b, indexing="ij"), 1e-2)
+    results = chernoff_many(*(m.reshape(16, *m.shape[2:]) for m in moments))
     assert all(not r.flags for r in results)
     assert max(r.n_evals for r in results) == most
 
@@ -346,6 +346,32 @@ def test_chernoff_rejects_bad_s_tol(s_tol):
     pair = make_pair(coherent(1.0), TargetConfig(kappa=1e-2, n_b=20.0))
     with pytest.raises(ValueError, match="s_tol must lie in"):
         chernoff(pair, s_tol=s_tol)
+
+
+def test_degenerate_is_read_off_the_moments():
+    # A legacy vacuum pair built by hand, not by make_pair, is degenerate
+    # and is not searched.
+    made = make_pair(vacuum(), TargetConfig(kappa=0.1, n_b=1.0, model="legacy"))
+    by_hand = HypothesisPair(made.rho0, made.rho1, made.config, made.transmitter)
+    assert by_hand.degenerate
+    res = chernoff(by_hand)
+    assert res.flags == ("degenerate",)
+    assert (res.n_evals, res.s_star, res.xi, res.q_star, res.q_half) == (0, 0.5, 0.0, 1.0, 1.0)
+    # No call marks a distinct coherent pair degenerate: the flag is no input.
+    cfg = TargetConfig(kappa=0.1, n_b=1.0)
+    pair = make_pair(coherent(1.0), cfg)
+    assert not pair.degenerate
+    with pytest.raises(TypeError):
+        HypothesisPair(pair.rho0, pair.rho1, cfg, pair.transmitter, degenerate=True)
+    with pytest.raises(AttributeError):
+        pair.degenerate = True
+    with pytest.raises(TypeError):
+        chernoff_many(*pair_stack("coherent", [1.0], 1.0, 0.1), degenerate=[True])
+    res = chernoff(pair)
+    assert res.flags == () and res.xi > 0.0 and res.n_evals > 0
+    # States of different mode counts are not a degenerate pair.
+    two_mode = make_pair(tmss(1.0), cfg).rho1
+    assert not HypothesisPair(pair.rho0, two_mode, cfg, pair.transmitter).degenerate
 
 
 def test_vacuum_detection_exponent_positive():

@@ -2,8 +2,8 @@
 with the same message, from the checks in transmitters and target; every
 entry point that takes moments rejects non-finite ones; and chernoff_many
 rejects, after that, a stack outside its standard form or unphysical.
-chernoff_many checks every pair it is given, flagged degenerate or not, and
-takes one flag per pair and means of its covariances' shape."""
+chernoff_many checks every pair it is given, degenerate or not, and takes
+means of its covariances' shape."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from gaussqi.fock_oracle import thermal_fock
 from gaussqi.reference import q_s_coherent_closed, williamson
 from gaussqi.sweeps import SweepPlan
 from gaussqi.symplectic import GaussianState, symplectic_eigenvalues
-from gaussqi.target import TargetConfig, pair_stack
+from gaussqi.target import TargetConfig, _degenerate, pair_stack
 from gaussqi.transmitters import TransmitterSpec
 
 NAN, INF = float("nan"), float("inf")
@@ -96,8 +96,14 @@ def test_every_entry_point_rejects_a_bad_probe(kind, n_s, message):
 
 
 def _coherent_pair_stack():
-    mean0, cov0, mean1, cov1, _ = pair_stack("coherent", [1.0], 1.0, 0.1)
-    return mean0, cov0, mean1, cov1
+    return pair_stack("coherent", [1.0], 1.0, 0.1)
+
+
+def _with_degenerate(m0, c0, m1, c1):
+    """The stack followed by a degenerate pair of its mode count (legacy, no signal)."""
+    kind = "coherent" if c0.shape[-1] == 2 else "tmss"
+    tail = pair_stack(kind, [0.0], 1.0, 0.1, "legacy")
+    return tuple(np.concatenate((head, extra)) for head, extra in zip((m0, c0, m1, c1), tail))
 
 
 def _spoil(array, value, entry):
@@ -111,9 +117,9 @@ MOMENT_ENTRY_POINTS = {
     "williamson": lambda m0, c0, m1, c1: williamson(c1),
     "symplectic_eigenvalues": lambda m0, c0, m1, c1: symplectic_eigenvalues(c1),
     "GaussianState": lambda m0, c0, m1, c1: GaussianState(m1[0], c1[0]),
-    "chernoff_many": lambda m0, c0, m1, c1: chernoff_many(m0, c0, m1, c1, [False]),
-    # a pair flagged degenerate is validated as well, though not searched
-    "chernoff_many flagged": lambda m0, c0, m1, c1: chernoff_many(m0, c0, m1, c1, [True]),
+    "chernoff_many": chernoff_many,
+    # stacked before a degenerate pair, which the search masks out
+    "chernoff_many flagged": lambda *stack: chernoff_many(*_with_degenerate(*stack)),
     "fidelity_many": lambda m0, c0, m1, c1: fidelity_many(m0, c0, m1, c1),
 }
 
@@ -141,8 +147,7 @@ def test_every_pair_entry_point_rejects_non_finite_mean(entry, value):
 
 
 def _tmss_pair_stack():
-    mean0, cov0, mean1, cov1, _ = pair_stack("tmss", [1.0], 1.0, 0.1)
-    return mean0, cov0, mean1, cov1
+    return pair_stack("tmss", [1.0], 1.0, 0.1)
 
 
 def _correlate(cov, i, j, value=0.1):
@@ -162,53 +167,48 @@ NOT_STANDARD = {
 
 @pytest.mark.parametrize("case", list(NOT_STANDARD))
 def test_chernoff_many_rejects_a_stack_not_in_standard_form(case):
-    stack = _coherent_pair_stack() if case.startswith("one") else _tmss_pair_stack()
-    for flag in (False, True):
+    stack = NOT_STANDARD[case](*(_coherent_pair_stack() if case.startswith("one")
+                                 else _tmss_pair_stack()))
+    for moments in (stack, _with_degenerate(*stack)):
         with pytest.raises(ValueError, match="pair 0 is not in standard form"):
-            chernoff_many(*NOT_STANDARD[case](*stack), [flag])
+            chernoff_many(*moments)
 
 
 def test_standard_form_error_names_the_callers_pair():
     # Pair 0 (no signal, legacy) is degenerate; the index counts it all the same.
-    m0, c0, m1, c1, degenerate = pair_stack("coherent", [0.0, 1.0], 1.0, 0.1, "legacy")
-    assert degenerate.tolist() == [True, False]
+    m0, c0, m1, c1 = pair_stack("coherent", [0.0, 1.0], 1.0, 0.1, "legacy")
+    assert _degenerate(m0, c0, m1, c1).tolist() == [True, False]
     c1[1, 0, 1] = c1[1, 1, 0] = 0.1
     with pytest.raises(ValueError, match="pair 1 is not in standard form"):
-        chernoff_many(m0, c0, m1, c1, degenerate)
+        chernoff_many(m0, c0, m1, c1)
 
 
 def test_chernoff_many_checks_finiteness_before_the_standard_form():
     m0, c0, m1, c1 = _tmss_pair_stack()
-    for flag in (False, True):
+    for wrap in (lambda *stack: stack, _with_degenerate):
         with pytest.raises(ValueError, match="covariance must be finite"):
-            chernoff_many(m0, c0, m1, _correlate(c1, 0, 1, NAN), [flag])
+            chernoff_many(*wrap(m0, c0, m1, _correlate(c1, 0, 1, NAN)))
         with pytest.raises(ValueError, match="means must be finite"):
-            chernoff_many(m0, c0, _spoil(m1, NAN, (0, 2)), c1, [flag])
+            chernoff_many(*wrap(m0, c0, _spoil(m1, NAN, (0, 2)), c1))
 
 
 @pytest.mark.parametrize("kind, scale", [("coherent", 0.1), ("coherent", -1.0), ("tmss", 0.1)])
 def test_chernoff_many_rejects_an_unphysical_standard_form(kind, scale):
     # 0.1 I has symplectic eigenvalues 0.1; -I is not positive definite.
-    stack = _coherent_pair_stack() if kind == "coherent" else _tmss_pair_stack()
-    m0, c0, m1, c1 = stack
-    for flag in (False, True):
+    m0, c0, m1, c1 = _coherent_pair_stack() if kind == "coherent" else _tmss_pair_stack()
+    bad = scale * np.eye(c1.shape[-1])[None]
+    # The last stack's pair is degenerate, one unphysical state twice, and
+    # is rejected all the same.
+    for moments in ((m0, c0, m1, bad), _with_degenerate(m0, c0, m1, bad), (m1, bad, m1, bad)):
         with pytest.raises(ValueError, match="unphysical covariance"):
-            chernoff_many(m0, c0, m1, scale * np.eye(c1.shape[-1])[None], [flag])
-
-
-@pytest.mark.parametrize("flags", [[True], [False, True, False], [[True, False]], True],
-                         ids=["short", "long", "2-d", "scalar"])
-def test_chernoff_many_takes_one_flag_per_pair(flags):
-    m0, c0, m1, c1, _ = pair_stack("coherent", [1.0, 2.0], 1.0, 0.1)
-    with pytest.raises(ValueError, match="one flag per pair"):
-        chernoff_many(m0, c0, m1, c1, flags)
+            chernoff_many(*moments)
 
 
 def test_chernoff_many_takes_means_of_its_covariances_shape():
     m0, c0, m1, c1 = _coherent_pair_stack()
-    assert chernoff_many(m0, c0, m1, c1, [False])[0].xi == pytest.approx(0.01847, rel=1e-3)
+    assert chernoff_many(m0, c0, m1, c1)[0].xi == pytest.approx(0.01847, rel=1e-3)
     # Length-1 means would broadcast over both quadratures (xi = 0.03626);
     # a 2-pair mean stack over 1 pair of covariances would give one result.
     for means in ((m0[:, 0], m1[:, 0]), (np.concatenate((m0, m0)), np.concatenate((m1, m1)))):
         with pytest.raises(ValueError, match="means of shapes .* do not match covariances"):
-            chernoff_many(means[0], c0, means[1], c1, [False])
+            chernoff_many(means[0], c0, means[1], c1)

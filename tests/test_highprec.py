@@ -174,7 +174,7 @@ def test_pure_pairs_at_zero_background(model):
 def test_tmss_at_zero_background_is_real_and_matches_production(model):
     # The transmitted mode of both states is pure; it once made log Q_s an
     # mpc with an imaginary part of 3.6e-20.
-    geometry = _StandardGeometry(*pair_stack("tmss", 0.7, [0.0], 0.2, model)[:4])
+    geometry = _StandardGeometry(*pair_stack("tmss", 0.7, [0.0], 0.2, model))
     for s in (0.1, 0.3, 0.5, 0.7, 0.9):
         value = highprec.log_q_s("tmss", 0.7, 0.0, 0.2, s, model=model)
         assert isinstance(value, mp.mpf)
@@ -188,7 +188,7 @@ def test_pure_tmss_pair_matches_highprec_on_both_float64_routes():
     # draws, and Lambda_p(1 + d) - 1 ~ 2 (d/2)^p then missed log Q_{0.9} by
     # 2.3e-2; both routes now set such a nu to 1/2.
     pair = make_pair(tmss(1.0), TargetConfig(kappa=0.05, n_b=0.0))
-    dense = _PairGeometry(*pair_stack("tmss", 1.0, [0.0], 0.05)[:4])
+    dense = _PairGeometry(*pair_stack("tmss", 1.0, [0.0], 0.05))
     for s in (0.1, 0.5, 0.9):
         exact = float(highprec.log_q_s("tmss", 1.0, 0.0, 0.05, s))
         production = np.log(q_s_general(pair.rho0, pair.rho1, s))
@@ -207,7 +207,7 @@ def test_pure_mode_band_holds_the_rounding_of_the_closed_form():
     # 96%: the band of 2 units sets it to 1/2.
     n_s, kappa = (0.09759729655705549, 0.12166155412598975), (0.9580719502777387,
                                                                 0.9957898932385046)
-    geometry = _StandardGeometry(*pair_stack("tmss", n_s, 0.0, kappa)[:4])
+    geometry = _StandardGeometry(*pair_stack("tmss", n_s, 0.0, kappa))
     assert np.all(geometry.factors.x[:, (0, 2)] == 1.0)
     production = geometry.log_q_and_slope(np.full(2, 0.999))[0]
     for k, value in enumerate(production):

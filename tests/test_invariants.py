@@ -9,15 +9,19 @@ cross-route tests at the end draw from their own boxes: CROSS_ROUTE_BOX
 for the float64 routes, criterion 1's box for the Fock oracle.
 """
 
+import itertools
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gaussqi.sweeps
 from gaussqi import highprec
 from gaussqi.divergence import (
     _S_EDGE,
+    ChernoffResult,
     _StandardGeometry,
     chernoff,
     chernoff_many,
@@ -27,8 +31,15 @@ from gaussqi.divergence import (
 from gaussqi.fock_oracle import choose_cutoff, hypothesis_pair_fock, q_s_fock
 from gaussqi.reference import _PairGeometry, q_s_alt, random_symplectic, target_present
 from gaussqi.symplectic import symplectic_eigenvalues
-from gaussqi.sweeps import SweepPlan, _plan_stacks, run_sweep
-from gaussqi.target import MODELS, HypothesisPair, TargetConfig, make_pair, pair_stack
+from gaussqi.sweeps import SweepPlan, run_sweep
+from gaussqi.target import (
+    MODELS,
+    HypothesisPair,
+    TargetConfig,
+    _degenerate,
+    make_pair,
+    pair_stack,
+)
 from gaussqi.transmitters import KINDS, TransmitterSpec
 
 BOX = dict(
@@ -227,35 +238,44 @@ def test_run_sweep_rows_equal_single_point_chernoff(model):
 def test_one_search_over_a_mixed_plan_equals_each_stack_and_each_point(model, monkeypatch):
     """A plan's single search, over both mode counts, against each kind's stack and each point.
 
-    The plan reads both ratios, so coherent and vacuum reference points
-    join the stacks of all four kinds.  The tmss pairs at N_B = 0,
-    kappa = 3e-6 take 20 evaluations (at N_S = 2 the minimum sits in the
-    boundary layer next to s = 1; at N_S = 0.01 the pair is flat), the
-    others at most 7.  Every pass evaluates only the pairs it counts, so
-    more than ten passes of the search run on those two alone.
+    The plan reads both ratios, so its search runs on the coherent and
+    vacuum references with the other kinds: one stack per kind, in plan
+    order, each over the mesh of the plan's grids.  The tmss pairs at
+    N_B = 0, kappa = 3e-6 take 20 evaluations (at N_S = 2 the minimum sits
+    in the boundary layer next to s = 1; at N_S = 0.01 the pair is flat),
+    the others at most 7.  Every pass evaluates only the pairs it counts,
+    so more than ten passes of the search run on those two alone.
     """
     plan = SweepPlan(transmitters=KINDS, quantities=("ratio_vs_coherent", "ratio_vs_vacuum"),
                      n_s_grid=(1e-2, 2.0), n_b_grid=(0.0, 3.0), kappa_grid=(3e-6, 0.05),
                      model=model)
-    passes = []
+    passes, searches = [], []
     derivatives = _StandardGeometry._derivatives
     monkeypatch.setattr(_StandardGeometry, "_derivatives",
                         lambda self, s, curvature: passes.append(s.size)
                         or derivatives(self, s, curvature))
-    values = _plan_stacks(plan)
-    # 8 points per kind, 4 for vacuum, and vacuum's 4 again as coherent at N_S = 0.
-    assert len(values) == 8 * 3 + 4 + 4
-    assert sum(passes) == sum(res.n_evals for res, _, _ in values.values())
+    search = gaussqi.sweeps._chernoff_search
+    monkeypatch.setattr(gaussqi.sweeps, "_chernoff_search",
+                        lambda *args: searches.append(search(*args)) or searches[-1])
+    run_sweep(plan)
+    (columns,) = searches
+    results = [ChernoffResult(*row) for row in zip(*(column.tolist() for column in columns))]
+    keys = [(kind, *point) for kind in KINDS
+            for point in itertools.product((0.0,) if kind == "vacuum" else plan.n_s_grid,
+                                           plan.n_b_grid, plan.kappa_grid)]
+    # 8 points per kind and 4 for vacuum, which is its own coherent reference.
+    assert len(results) == len(keys) == 8 * 3 + 4
+    assert sum(passes) == sum(res.n_evals for res in results)
     assert sum(size <= 2 for size in passes) > 10
-    slow = {key: res.n_evals for key, (res, _, _) in values.items() if res.n_evals > 7}
+    slow = {key: res.n_evals for key, res in zip(keys, results) if res.n_evals > 7}
     assert slow == {("tmss", 0.01, 0.0, 3e-6): 20, ("tmss", 2.0, 0.0, 3e-6): 20}
     monkeypatch.undo()
     for kind in KINDS:
-        keys = [key for key in values if key[0] == kind]
-        n_s, n_b, kappa = np.array([key[1:] for key in keys]).T
+        found = [(key, res) for key, res in zip(keys, results) if key[0] == kind]
+        n_s, n_b, kappa = np.array([key[1:] for key, _ in found]).T
         alone = chernoff_many(*pair_stack(kind, n_s, n_b, kappa, model))
-        for key, res in zip(keys, alone):
-            assert values[key][0] == res
+        for (key, res), res_alone in zip(found, alone, strict=True):
+            assert res == res_alone
             spec, cfg = TransmitterSpec(kind, key[1]), TargetConfig(key[3], key[2], model)
             assert chernoff(make_pair(spec, cfg)) == res
 
@@ -263,7 +283,7 @@ def test_one_search_over_a_mixed_plan_equals_each_stack_and_each_point(model, mo
 @STACK_SETTINGS
 @given(s=st.floats(0.02, 0.98), seed=st.integers(0, 2**32 - 1), **STACK)
 def test_stacked_overlap_invariants(s, seed, kind, model, logs):
-    _, _, n_b, (mean0, cov0, mean1, cov1, _) = _stack(kind, model, logs)
+    _, _, n_b, (mean0, cov0, mean1, cov1) = _stack(kind, model, logs)
     # log Q_s sums 4n + 1 terms, each carrying the floor of the module
     # docstring, so the absolute tolerance is ten times that floor.
     floor = 1e-14 * (1.0 + n_b)
@@ -304,8 +324,8 @@ def _standard_draws(kind, model, seed, size=2000):
     n_s = np.zeros(size) if kind == "vacuum" else 10.0 ** rng.uniform(-3.0, 1.0, size)
     n_b = 10.0 ** rng.uniform(-3.0, 2.0, size)
     n_b[:50] = 0.0
-    mean0, cov0, mean1, cov1, degenerate = pair_stack(kind, n_s, n_b, kappa, model)
-    live = ~degenerate
+    mean0, cov0, mean1, cov1 = pair_stack(kind, n_s, n_b, kappa, model)
+    live = ~_degenerate(mean0, cov0, mean1, cov1)
     return n_b[live], (mean0[live], cov0[live], mean1[live], cov1[live])
 
 

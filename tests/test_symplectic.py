@@ -153,6 +153,19 @@ def test_gaussian_state_validation():
         GaussianState(mean=np.zeros(4), cov=0.5 * np.eye(2))
 
 
+def test_validation_tolerances_at_their_boundaries():
+    # Just below the vacuum by 1e-8, 100 times PHYSICALITY_TOL: unphysical.
+    with pytest.raises(ValueError, match="unphysical covariance"):
+        GaussianState(np.zeros(2), (0.5 - 1e-8) * np.eye(2))
+    # Asymmetric by 1e-10 relative, 100 times SYMMETRY_TOL: rejected.
+    with pytest.raises(ValueError, match="not symmetric"):
+        symplectic_eigenvalues(np.array([[1.0, 0.0], [1e-10, 1.0]]))
+    # A pure squeezed vacuum with its smallest covariance eigenvalue at
+    # 1e-12, 100 times MIN_COV_EIGENVALUE: accepted, with nu = 1/2.
+    state = GaussianState(np.zeros(2), np.diag([1e-12, 0.25e12]))
+    assert symplectic_eigenvalues(state.cov) == pytest.approx([0.5], rel=1e-10)
+
+
 def test_gaussian_state_builds_no_williamson():
     # A state needs only nu to check physicality, never the symplectic S,
     # which only the reference route builds.

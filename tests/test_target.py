@@ -151,6 +151,15 @@ def test_make_pair_vacuum_legacy_degenerate():
     assert pair.rho0.isclose(pair.rho1)
 
 
+def test_pair_whose_means_differ_past_the_threshold_is_not_degenerate():
+    # Legacy coherent: the covariances agree to 1 ulp, and the means differ
+    # by sqrt(2 kappa N_S) = 1e-12, 6.7 times 1e-13 of the covariance scale 1.5.
+    pair = make_pair(coherent(5e-24), TargetConfig(kappa=0.1, n_b=1.0, model="legacy"))
+    assert np.abs(pair.rho1.cov - pair.rho0.cov).max() <= 2.3e-16
+    assert np.abs(pair.rho1.mean - pair.rho0.mean).max() == pytest.approx(1e-12)
+    assert not pair.degenerate
+
+
 def test_make_pair_perfect_reflection_limit():
     spec = coherent(2.0)
     pair = make_pair(spec, TargetConfig(kappa=1.0 - 1e-12, n_b=5.0))

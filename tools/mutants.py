@@ -42,6 +42,9 @@ class Mutant(NamedTuple):
 DIVERGENCE = "src/gaussqi/divergence.py"
 FOCK = "src/gaussqi/fock_oracle.py"
 HIGHPREC = "src/gaussqi/highprec.py"
+SWEEPS = "src/gaussqi/sweeps.py"
+SYMPLECTIC = "src/gaussqi/symplectic.py"
+TARGET = "src/gaussqi/target.py"
 CATALOGUE = (
     Mutant(FOCK, "HERMITICITY_TOL = 1e-12", "HERMITICITY_TOL = 1e-5",
            "Hermiticity check 10^7 looser: a 1e-6 asymmetry passes"),
@@ -77,9 +80,20 @@ CATALOGUE = (
            "reuses the first one's plan"),
     Mutant(FOCK, "if d > 2 * MAX_CUTOFF:", "if d * d > 70000:",
            "the old joint cap d^2 <= 70000: a direct pair at 2 * MAX_CUTOFF + 1 is built"),
-    Mutant("src/gaussqi/sweeps.py", "noise = min(res.xi, ref.xi) < FLAT_SPAN",
-           "noise = min(res.xi, ref.xi) <= 0.0",
+    Mutant(SWEEPS, "noise = np.minimum(xi, ref) < FLAT_SPAN",
+           "noise = np.minimum(xi, ref) <= 0.0",
            "ratio_vs_coherent of few-eps exponents written as a number again"),
+    Mutant(SWEEPS, "np.tile(results[\"vacuum\"][1], copies)",
+           "np.repeat(results[\"vacuum\"][1], copies)",
+           "ratio_vs_vacuum reads its reference at the wrong (n_b, kappa)"),
+    Mutant(SWEEPS, "results[kind if kind == \"vacuum\" else \"coherent\"][1]",
+           "results[\"coherent\"][1]",
+           "a vacuum row's coherent reference read off the coherent stack's first points"),
+    Mutant(TARGET, "max(axis=axes) <= 1e-13 * scale", "max(axis=axes) <= 1e-11 * scale",
+           "degenerate covariances 100x looser"),
+    Mutant(TARGET, "max(axis=-1) <= 1e-13 * scale", "max(axis=-1) <= 1e-11 * scale",
+           "degenerate means 100x looser: legacy coherent at N_S = 5e-24, whose "
+           "means differ by 1e-12, is taken for degenerate"),
     Mutant(HIGHPREC, "anti[j][i] = -anti[i][j]", "anti[j][i] = anti[i][j]",
            "K mirrored as symmetric: the symplectic eigenvalues are wrong"),
     Mutant(HIGHPREC, "tol, rotated = mp.eps**2, True", "tol, rotated = mp.eps, True",
@@ -110,6 +124,12 @@ CATALOGUE = (
            "pairs leave the search only all at once: closed pairs are stepped on"),
     Mutant(DIVERGENCE, "rows = np.flatnonzero(mask)", "rows = np.flatnonzero(mask | live)",
            "the end pass and the flat check evaluate every live pair, not only those they count"),
+    Mutant(SYMPLECTIC, "PHYSICALITY_TOL = 1e-10", "PHYSICALITY_TOL = 1e-6",
+           "physicality 10^4 looser: a covariance 1e-8 below the vacuum passes"),
+    Mutant(SYMPLECTIC, "SYMMETRY_TOL = 1e-12", "SYMMETRY_TOL = 1e-8",
+           "symmetry 10^4 looser: a 1e-10 relative asymmetry passes"),
+    Mutant(SYMPLECTIC, "MIN_COV_EIGENVALUE = 1e-14", "MIN_COV_EIGENVALUE = 1e-10",
+           "positivity floor 10^4 higher: a pure state squeezed to a 1e-12 variance is rejected"),
     Mutant(HIGHPREC, "_PURE_BAND = mp.mpf(10) ** (10 - DPS)",
            "_PURE_BAND = mp.mpf(10) ** (30 - DPS)",
            "mpmath pure-mode band 1e20x wider; survives, equivalent on the tested domain: "

@@ -8,6 +8,9 @@ each command in a fresh temporary directory with BLAS pinned to one thread:
 
 - `gaussqi figure NAME` for all five figures, as CSV and as JSON;
 - `gaussqi verify all` and `gaussqi limits agnostic|legacy`;
+- `gaussqi chernoff` at the single points of CHERNOFF_POINTS in both
+  models: one unflagged, one at the bracket edge, one flat and one
+  degenerate, so that the printed s_star, q_star, xi and flags are diffed;
 - demos 01-05;
 - `gaussqi sweep` on the wide plan (WIDE_PLAN: every kind and quantity on
   grids from 0 and 1e-12 to 1e6) in both models.
@@ -49,6 +52,13 @@ WIDE_PLAN = (
     "grid_nb = 0, 1e-8, 1e-4, 1e-2, 1, 100, 1e4, 1e6\n"
     "grid_kappa = 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.3, 0.9, 0.999999\n"
 )
+# (label, chernoff arguments): the flags each point has in both models.
+CHERNOFF_POINTS = (
+    ("unflagged", ["--transmitter", "tmss", "--ns", "1", "--nb", "20", "--kappa", "0.01"]),
+    ("edge", ["--transmitter", "tmss", "--ns", "1", "--nb", "0", "--kappa", "0.1"]),
+    ("flat", ["--transmitter", "smsv", "--ns", "1e-3", "--nb", "0", "--kappa", "1.05e-10"]),
+    ("degenerate", ["--transmitter", "vacuum", "--nb", "1", "--kappa", "1e-14"]),
+)
 # Columns that identify a sweep row, and the numeric ones compared.
 KEY = ("transmitter", "model", "n_s", "n_b", "kappa", "quantity")
 NUMERIC = ("value", "s_star")
@@ -67,6 +77,9 @@ def commands():
     out.append(("verify all", cli + ["verify", "all"], None, []))
     for model in ("agnostic", "legacy"):
         out.append((f"limits {model}", cli + ["limits", model, "--out", "out.csv"], None, ["out.csv"]))
+        for label, args in CHERNOFF_POINTS:
+            out.append((f"chernoff {model} {label}", cli + ["chernoff", "--model", model] + args,
+                        None, []))
     for demo in DEMOS:
         out.append((f"demo {demo}", [os.path.join("{tree}", "demos", demo)], None, []))
     for model in ("agnostic", "legacy"):
