@@ -302,12 +302,12 @@ class _StandardGeometry:
         """
         return self._derivatives(s, curvature=False)
 
-    def log_q_slope_and_curvature(self, s: np.ndarray) -> tuple[np.ndarray, ...]:
-        """`log_q_and_slope` and the curvature d²/ds² log Q_s, at one s per pair.
+    def _derivatives(self, s, curvature):
+        """`log_q_and_slope`, and with `curvature` also d²/ds² log Q_s, at one s per pair.
 
-        The value and slope are the same numbers as `log_q_and_slope`'s.
-        With the closed form of `_StandardGeometry` the curvature reuses
-        every factor of the slope:
+        The value and slope are the same numbers either way.  With the
+        closed form of `_StandardGeometry` the curvature reuses every
+        factor of the slope:
 
         - each slot adds d²/dp² log G_p, and each Lambda enters l with its
           own second derivative (`_Factors.at`; the sign of the order
@@ -317,11 +317,8 @@ class _StandardGeometry:
         - the mean term of each sector, with y = delta / sigma, adds
           -(delta^2 / sigma)'' / 2 = y^2 (sigma'' - 2 sigma'^2 / sigma) / 2.
 
-        Only the Chernoff search asks for it.
+        Only the Chernoff search asks for the curvature.
         """
-        return self._derivatives(s, curvature=True)
-
-    def _derivatives(self, s, curvature):
         log_g, lam = self.factors.at(_orders(_SLOT_SIGN, s), curvature)
         # d/ds = sign d/dp on the first derivatives; the second squares it away.
         log_g[..., 1] *= _SLOT_SIGN
@@ -404,69 +401,50 @@ class ChernoffResult:
         return "maxiter" not in self.flags
 
 
-def _slope_root(geom, live, lo, hi, s, d, c, s_tol: float, n_evals):
+def _slope_root(evaluate, searching, lo, hi, s, d, c, s_tol: float):
     """Lowest log Q_s seen by a safeguarded Newton search on the slope.
 
     Runs on a whole stack of pairs at once: lo, hi, s, d, c are arrays with
-    one entry per pair of the `_StandardGeometry` geom.  The pairs of the
-    boolean mask `live` search, each on its own; a pair leaves the search
-    once its bracket is closed.  Each pass evaluates log Q_s, its slope and
-    its curvature on the sub-stack of the pairs still searching, and adds
-    one to their entries of n_evals.  The entries outside `live` are never
-    read.
+    one entry per pair.  The pairs of the boolean mask `searching` search,
+    each on its own, and a pair leaves once the mask drops it.  Each pass
+    calls `evaluate(s, searching)` of `_chernoff_search`, which returns
+    log Q_s, its slope and its curvature for the pairs of the mask and nan
+    for every other, so a pair that has left is never moved again.
 
-    Requires, for the live pairs, a bracket lo < hi whose slope is negative
-    at lo and positive at hi, and the slope d and curvature c at s, one of
-    its ends.  Each step is a Newton step s - d / c from the latest point
-    s (rtsafe in Numerical Recipes).  It is taken when c > 0 and it lands
-    inside the bracket, and it is then kept s_tol/2 inside: a root estimate
-    within s_tol/2 of an end is stepped just past, so the bracket closes as
-    soon as the estimate is that close.  Otherwise the step bisects the
-    bracket.  The trial point replaces the end whose slope has its sign and
-    becomes the latest point.  log Q_s is convex, so c > 0 except where
-    rounding hides the curvature; there the search falls back on bisection.
-    Returns arrays (s, log Q_s, converged) over the stack; converged means
-    the bracket is narrower than s_tol, or the slope was exactly 0.  Outside
-    the mask they are (lo + hi) / 2, inf and True.
+    Requires, for the searching pairs, a bracket lo < hi whose slope is
+    negative at lo and positive at hi, and the slope d and curvature c at
+    s, one of its ends.  Each step is a Newton step s - d / c from the
+    latest point s (rtsafe in Numerical Recipes).  It is taken when c > 0
+    and it lands inside the bracket, and it is then kept s_tol/2 inside: a
+    root estimate within s_tol/2 of an end is stepped just past, so the
+    bracket closes as soon as the estimate is that close.  Otherwise the
+    step bisects the bracket.  The trial point replaces the end whose slope
+    has its sign and becomes the latest point.  log Q_s is convex, so c > 0
+    except where rounding hides the curvature; there the search falls back
+    on bisection.  A pair leaves on a closed bracket or an exactly zero
+    slope, both converged, or on a slope that is nan, not converged; a pair
+    still searching after MAX_ITER passes is not converged either.  Returns
+    arrays (s, log Q_s, converged) over the stack; outside the first mask
+    they are (lo + hi) / 2, inf and True.
     """
-    best_s, best_v, converged = 0.5 * (lo + hi), np.full(lo.shape, np.inf), ~live
-    # The searching pairs' indices, and their entries of every array.
-    rows = np.flatnonzero(live)
-    part = geom.take(rows)
-    state = [lo, hi, s, d, c, best_s, best_v]
-    if part is not geom:
-        state = [x[rows] for x in state]
-    passes = 0
-    while rows.size and passes < MAX_ITER:
-        passes += 1
-        lo, hi, s, d, c, low_s, low_v = state
+    best_s, best_v, converged = 0.5 * (lo + hi), np.full(lo.shape, np.inf), ~searching
+    for _ in range(MAX_ITER):
+        if not searching.any():
+            break
         # A curvature that is not positive gives a nan step, which no bracket holds.
         newton = s - d / np.where(c > 0.0, c, np.nan)
         inside = (lo < newton) & (newton < hi)
         s = np.where(inside, np.clip(newton, lo + 0.5 * s_tol, hi - 0.5 * s_tol), 0.5 * (lo + hi))
-        v, d, c = part.log_q_slope_and_curvature(s)
-        better = v < low_v
-        low_s, low_v = np.where(better, s, low_s), np.where(better, v, low_v)
+        v, d, c = evaluate(s, searching)
+        # Every comparison with the nan of a pair outside the mask is False.
+        better = v < best_v
+        best_s, best_v = np.where(better, s, best_s), np.where(better, v, best_v)
         below, above = d < 0.0, d > 0.0
         lo, hi = np.where(below, s, lo), np.where(above, s, hi)
         signed = below | above
-        searching = signed & (hi - lo > s_tol)
-        state = [lo, hi, s, d, c, low_s, low_v]
-        if not searching.all():
-            left = ~searching
-            done = rows[left]
-            n_evals[done] += passes
-            best_s[done], best_v[done] = low_s[left], low_v[left]
-            # A pair leaves on a closed bracket (its slope signed) or on a zero slope.
-            converged[done] = signed[left] | (d[left] == 0.0)
-            rows = rows[searching]
-            if rows.size:
-                state = [x[searching] for x in state]
-                part = part.take(np.flatnonzero(searching))
-    if rows.size:
-        # These pairs ran out of budget.
-        n_evals[rows] += passes
-        best_s[rows], best_v[rows] = state[5], state[6]
+        closed = signed & (hi - lo <= s_tol) | (d == 0.0)
+        converged |= closed
+        searching = searching & signed & ~closed
     return best_s, best_v, converged
 
 
@@ -526,11 +504,16 @@ def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray, s_tol: flo
     """The search of `chernoff_many` on a built geometry, of one or of both mode counts.
 
     `degenerate` is the `target._degenerate` mask of geom's pairs, and
-    s_tol is checked by the caller.  Every pass evaluates only the pairs
-    it counts in n_evals: the live pairs at s = 1/2, the pairs that moved
-    at their bracket end, the ones still searching in `_slope_root`, and
-    the near-flat ones at s = 0.05 and 0.95.  The other entries of a
-    pass's arrays are nan.
+    s_tol is checked by the caller.  Every pass goes through `evaluate`,
+    the one place that takes a sub-stack (`_StandardGeometry.take`) and
+    counts n_evals: it evaluates only the pairs of its mask, adds one to
+    their n_evals, and leaves nan in every other entry.  The passes, and
+    so what n_evals counts, are:
+
+    - s = 1/2, on the pairs that are not degenerate;
+    - the bracket end, on those whose slope at 1/2 is not 0;
+    - one per step of `_slope_root`, on the pairs still searching;
+    - s = 0.05 and 0.95, on the near-flat pairs only.
 
     Returns the fields of ChernoffResult as columns, in its field order:
     one array per field, with an entry per pair; flags is an object array
@@ -559,8 +542,8 @@ def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray, s_tol: flo
     # all the way to the end.
     at_end = moving & (d_end * d_half >= 0.0)
     s_star, log_q_star, converged = _slope_root(
-        geom, moving & ~at_end, np.minimum(end, s_half), np.maximum(end, s_half),
-        s_half, d_half, c_half, s_tol, n_evals,
+        evaluate, moving & ~at_end, np.minimum(end, s_half), np.maximum(end, s_half),
+        s_half, d_half, c_half, s_tol,
     )
     s_star, log_q_star = np.where(at_end, end, s_star), np.where(at_end, log_q_end, log_q_star)
     # A pair that did not move, and a noise-level non-minimum, fall back to

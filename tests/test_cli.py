@@ -1,7 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from gaussqi.cli import main, parse_grid, read_plan
+from gaussqi.cli import _CliError, main, parse_grid, read_plan
 from gaussqi.sweeps import CHECKS
 from sweep_csv import parse_csv
 
@@ -14,6 +17,10 @@ def test_parse_grid_forms():
     assert log[-1] == pytest.approx(10.0)
     lin = parse_grid("lin:0:1:3")
     assert lin == (0.0, 0.5, 1.0)
+    with pytest.raises(_CliError, match="grid 'log:1:10:0' needs at least one point"):
+        parse_grid("log:1:10:0")
+    with pytest.raises(_CliError, match="cannot parse grid '0.1,x'"):
+        parse_grid("0.1,x")
 
 
 def test_chernoff_command(capsys):
@@ -153,6 +160,28 @@ def test_chernoff_command_prints_edge_flag(capsys):
     out = capsys.readouterr().out
     assert "s_star   = 0.999999\n" in out
     assert "flags    = edge\n" in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_chernoff_command_writes_the_printed_values(tmp_path, capsys, fmt):
+    # --out holds a chernoff and a q_half row of the edge point above, each
+    # with the printed value (17 digits), s* (12 digits) and flags.
+    out = tmp_path / f"point.{fmt}"
+    argv = ["chernoff", "--transmitter", "tmss", "--ns", "1", "--nb", "0", "--kappa", "0.1",
+            "--out", str(out), "--format", fmt]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    printed = dict(map(str.strip, line.split("=")) for line in lines)
+    text = out.read_text()
+    records = ([dataclasses.asdict(row) for row in parse_csv(text)] if fmt == "csv"
+               else json.loads(text))
+    point = dict(transmitter="tmss", model="agnostic", n_s=1.0, n_b=0.0, kappa=0.1)
+    assert [record["quantity"] for record in records] == ["chernoff", "q_half"]
+    for record, key in zip(records, ("xi", "q_half")):
+        assert {name: record[name] for name in point} == point
+        assert record["value"] == float(printed[key])
+        assert record["s_star"] == pytest.approx(float(printed["s_star"]), abs=1e-12)
+        assert tuple(record["flags"]) == (printed["flags"],) == ("edge",)
 
 
 def test_verify_command_exit_codes(capsys):

@@ -212,3 +212,19 @@ def test_chernoff_many_takes_means_of_its_covariances_shape():
     for means in ((m0[:, 0], m1[:, 0]), (np.concatenate((m0, m0)), np.concatenate((m1, m1)))):
         with pytest.raises(ValueError, match="means of shapes .* do not match covariances"):
             chernoff_many(means[0], c0, means[1], c1)
+
+
+def test_chernoff_many_rejects_a_mode_mismatch():
+    m0, c0, _, _ = _coherent_pair_stack()
+    _, _, m1, c1 = _tmss_pair_stack()
+    with pytest.raises(ValueError, match="mode mismatch: 1 vs 2"):
+        chernoff_many(m0, c0, m1, c1)
+
+
+def test_chernoff_many_rejects_a_three_mode_stack():
+    # Finite, symmetric and physical, but no standard form has three modes;
+    # the degenerate pair (vacuum twice) is rejected all the same.
+    mean, vacuum = np.zeros((1, 6)), 0.5 * np.eye(6)[None]
+    for cov1 in (vacuum, 2.0 * vacuum):
+        with pytest.raises(ValueError, match="pair 0 is not in standard form"):
+            chernoff_many(mean, vacuum, mean, cov1)

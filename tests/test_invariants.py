@@ -92,7 +92,7 @@ def test_slope_matches_central_difference(s, kind, model, log_kappa, log_n_s, lo
 def test_curvature_matches_central_difference(s, kind, model, log_kappa, log_n_s, log_n_b):
     pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
     geom = _standard(pair)
-    curvature = geom.log_q_slope_and_curvature(np.array([s]))[2][0]
+    curvature = geom._derivatives(np.array([s]), curvature=True)[2][0]
 
     def slope(t):
         return geom.log_q_and_slope(np.array([t]))[1][0]
@@ -107,7 +107,7 @@ def test_curvature_matches_central_difference(s, kind, model, log_kappa, log_n_s
 def test_curvature_is_not_negative(s, kind, model, log_kappa, log_n_s, log_n_b):
     # The convexity of log Q_s, now read off the closed form.
     pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
-    assert _standard(pair).log_q_slope_and_curvature(np.array([s]))[2][0] >= -_floor(pair)
+    assert _standard(pair)._derivatives(np.array([s]), curvature=True)[2][0] >= -_floor(pair)
 
 
 @SETTINGS
@@ -119,7 +119,7 @@ def test_value_and_slope_do_not_depend_on_the_curvature(s, kind, model, log_kapp
     at = np.array([s, _S_EDGE, 0.05, 0.5, 0.95, 1.0 - _S_EDGE])
     geom = _standard(pair, at.size)
     value, slope = geom.log_q_and_slope(at)
-    full_value, full_slope, _ = geom.log_q_slope_and_curvature(at)
+    full_value, full_slope, _ = geom._derivatives(at, curvature=True)
     assert np.array_equal(value, full_value) and np.array_equal(slope, full_slope)
 
 

@@ -11,6 +11,9 @@ from gaussqi.divergence import FLAT_SPAN, fidelity
 from gaussqi.symplectic import GaussianState
 from gaussqi.sweeps import (
     CHECKS,
+    MAP_KAPPA,
+    MAP_NB_GRID,
+    MAP_NS_GRID,
     SweepPlan,
     SweepRow,
     emit,
@@ -280,6 +283,10 @@ def test_emit_empty_and_json(tmp_path):
     path = tmp_path / "empty.csv"
     emit([], str(path), "csv")
     assert path.read_text() == "transmitter,model,n_s,n_b,kappa,quantity,value,s_star,flags\n"
+    # an unknown format is refused before the file is opened
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit([], str(tmp_path / "rows.xml"), "xml")
+    assert not (tmp_path / "rows.xml").exists()
     jpath = tmp_path / "rows.json"
     emit(run_sweep(small_plan()), str(jpath), "json")
     import json
@@ -358,6 +365,18 @@ def test_limit_order_study_rows():
 def test_reproduce_figure_unknown():
     with pytest.raises(ValueError):
         reproduce_figure("nope")
+
+
+@pytest.mark.parametrize("kind", ["coherent", "tmss"])
+def test_s_map_figure_summary(kind):
+    rows, summary = reproduce_figure(f"s-map-{kind}")
+    values = np.array([row.value for row in rows])
+    assert len(rows) == len(MAP_NS_GRID) * len(MAP_NB_GRID) == 1681
+    assert {(row.transmitter, row.quantity, row.kappa) for row in rows} == {
+        (kind, "s_star", MAP_KAPPA)}
+    assert ((0.0 < values) & (values < 1.0)).all()
+    assert (summary["s_star_min"], summary["s_star_max"]) == (values.min(), values.max())
+    assert summary["all_interior"] and summary["passed"]
 
 
 def test_smsv_ratio_figure_summary():

@@ -120,10 +120,11 @@ CATALOGUE = (
            "one-mode weight w = 2: log det Sigma and the norm counted twice"),
     Mutant(DIVERGENCE, "x = np.ones((size, 4))", "x = np.full((size, 4), 1.0 + 1e-9)",
            "one-mode padding slots off x = 1: each adds log G and its derivatives"),
-    Mutant(DIVERGENCE, "if not searching.all():", "if not searching.any():",
+    Mutant(DIVERGENCE, "searching = searching & signed & ~closed",
+           "searching = searching & (signed & ~closed).any()",
            "pairs leave the search only all at once: closed pairs are stepped on"),
     Mutant(DIVERGENCE, "rows = np.flatnonzero(mask)", "rows = np.flatnonzero(mask | live)",
-           "the end pass and the flat check evaluate every live pair, not only those they count"),
+           "every pass of the search evaluates every live pair, not only those it counts"),
     Mutant(SYMPLECTIC, "PHYSICALITY_TOL = 1e-10", "PHYSICALITY_TOL = 1e-6",
            "physicality 10^4 looser: a covariance 1e-8 below the vacuum passes"),
     Mutant(SYMPLECTIC, "SYMMETRY_TOL = 1e-12", "SYMMETRY_TOL = 1e-8",
@@ -134,6 +135,12 @@ CATALOGUE = (
            "_PURE_BAND = mp.mpf(10) ** (30 - DPS)",
            "mpmath pure-mode band 1e20x wider; survives, equivalent on the tested domain: "
            "no tested state has a 2 nu - 1 between rounding and 1e-30"),
+    Mutant(DIVERGENCE, "_S_EDGE = 1e-6", "_S_EDGE = 1e-5",
+           "bracket ends 10x further from 0 and 1: an edge pair reports s* = 1 - 1e-5"),
+    Mutant(DIVERGENCE, "S_TOL = 1e-7", "S_TOL = 1e-6",
+           "default final bracket 10x wider: the searches take fewer evaluations"),
+    Mutant(HIGHPREC, "DPS = 60", "DPS = 30",
+           "mpmath at 30 digits: log Q_s misses its pinned 50-digit values"),
 )
 
 
