@@ -7,8 +7,8 @@ symplectic eigenvalues enter as x = 2 nu and mean vectors pick up a factor
 sqrt(2) relative to the package's vacuum = I/2 convention.
 
 Production evaluates it in one way, `_StandardGeometry`: the Williamson
-data of the standard form every `target.pair_stack` pair is in, in closed
-form, with no matrix routine.  The dense route through a numerical
+data of the standard form every `target.pair_parameters` pair is in, in
+closed form, with no matrix routine.  The dense route through a numerical
 Williamson decomposition, which takes any pair of states, is the tests'
 reference and lives in `reference`.
 """
@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .symplectic import GaussianState, _check_physical, _validated_cov
-from .target import HypothesisPair, _degenerate
+from .target import HypothesisPair, _degenerate, _dense
 
 # Minimizer defaults; chosen because log Q_s becomes exponentially flat in s
 # at small reflectivity, where a linear-scale objective would lose the minimum.
@@ -116,8 +116,6 @@ def _orders(sign: np.ndarray, s: np.ndarray) -> np.ndarray:
 _SLOT_SIGN = np.array((1.0, 1.0, -1.0, -1.0))
 
 
-# The entries a two-mode covariance must have 0 in its standard form.
-_OFF_ROWS, _OFF_COLS = np.array((0, 0, 1, 2)), np.array((1, 3, 2, 3))
 # A pair's (6, 4) coefficients in `_StandardGeometry` hold B in rows 0-3
 # and the sector variances (sigma_q, sigma_p) = coef[4:] @ l in rows 4-5.
 # One mode: B = _ONE_MODE_COEF + h _ONE_MODE_H, and the sector rows are the
@@ -138,17 +136,15 @@ _TWO_MODE_SQUEEZE = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0
 class _StandardGeometry:
     """The geometry of a stack of pairs in standard form, in closed form.
 
-    `target.pair_stack` writes every pair in this form: each covariance has
-    no q-p correlations and is either one mode, diag(a, b), or two modes,
-    [[a I2, c Z], [c Z, m I2]] with Z = diag(1, -1), and the means of a
-    two-mode pair agree.  The Williamson data and Sigma(s) of `q_s_general`
-    then have closed forms (Serafini, Quantum Continuous
-    Variables, 2017; Pirandola & Lloyd, PRA 78, 012331 (2008)), and both
-    mode counts share one.  Every pair has four slots, the doubled
-    symplectic eigenvalues x = 2 nu of the transmitted and memory modes of
-    each state, and l = (L0a, L0m, L1a, L1m) holds Lambda(x) of each slot,
-    at order s for rho0 and 1 - s for rho1.  With a per-pair symmetric B
-    and weight w, the pair's mode count,
+    Every pair is in the standard form of `transmitters._standard_form`,
+    diag(a, b) or [[a I2, c Z], [c Z, m I2]], and a two-mode pair's means
+    agree.  The Williamson data and Sigma(s) of `q_s_general` then have
+    closed forms (Serafini, Quantum Continuous Variables, 2017; Pirandola &
+    Lloyd, PRA 78, 012331 (2008)), and both mode counts share one.  Every
+    pair has four slots, the doubled symplectic eigenvalues x = 2 nu of the
+    transmitted and memory modes of each state, and l = (L0a, L0m, L1a, L1m)
+    holds Lambda(x) of each slot, at order s for rho0 and 1 - s for rho1.
+    With a per-pair symmetric B and weight w, the pair's mode count,
 
         det Sigma(s) = (l^T B l)^w,   log Q_s = w log 2 + sum log G - (w/2) log(l^T B l) - quad/2
 
@@ -175,64 +171,72 @@ class _StandardGeometry:
       positive terms.  The means agree, so quad = 0; it is read off the
       same sector variances with delta = 0.
 
-    Pairs are stacked along the first axis: means (N, 2n) and covariances
-    (N, 2n, 2n); means of any other shape are rejected, not broadcast.
-    Non-finite, non-symmetric and unphysical moments are rejected, and so
-    is a stack in any other form.  Stacks of either mode count join into
-    one with `concatenate`, and `take` picks a sub-stack.  Every step is
-    elementwise across the stack or a product of one pair's small
-    matrices, with no LAPACK call, so a pair's numbers do not depend on the
-    other pairs in its stack.
+    A sweep builds it from the pairs' parameters (`from_parameters`).  The
+    public boundary takes means (N, 2n) and covariances (N, 2n, 2n) (other
+    mean shapes are rejected, not broadcast), rejects non-finite and
+    non-symmetric moments, and accepts a pair only if `target._dense` writes
+    its moments back exactly from the parameters read off them.  Stacks of
+    either mode count join with `concatenate`; `take` picks a sub-stack.
+    Every step is elementwise across the stack or a product of one pair's
+    small matrices, so a pair's numbers do not depend on the rest.
     """
 
     def __init__(self, mean0, cov0, mean1, cov1):
         if np.shape(cov0) != np.shape(cov1):
-            raise ValueError(
-                f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}"
-            )
+            raise ValueError(f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}")
         if not np.shape(mean0) == np.shape(mean1) == np.shape(cov0)[:-1]:
             raise ValueError(
                 f"overlap: means of shapes {np.shape(mean0)} and {np.shape(mean1)} "
                 f"do not match covariances of shape {np.shape(cov0)}"
             )
-        size = len(cov0)
         cov = _validated_cov(np.concatenate((cov0, cov1)), "overlap")
-        delta = np.sqrt(2.0) * _mean_difference(mean0, mean1, "overlap")
-        n = cov.shape[-1] // 2
-        diag = np.diagonal(cov, axis1=-2, axis2=-1)
-        if n == 1:
-            standard = cov[:, 0, 1] == 0.0
-            positive = (diag > 0.0).all(axis=-1)
-        elif n == 2:
-            a, m, c = cov[:, 0, 0], cov[:, 2, 2], cov[:, 0, 2]
-            standard = (
-                (cov[:, _OFF_ROWS, _OFF_COLS] == 0.0).all(axis=-1)
-                & (diag[:, 1] == a) & (diag[:, 3] == m) & (cov[:, 1, 3] == -c)
-                & np.tile((delta == 0.0).all(axis=-1), 2)
+        _mean_difference(mean0, mean1, "overlap")  # finite means come before the form
+        size, n = len(cov0), cov.shape[-1] // 2
+        read = {1: ((0, 1), (0, 1)), 2: ((0, 0, 2), (0, 2, 2))}.get(n)  # (a, b) or (a, c, m)
+        standard = np.zeros(len(cov), dtype=bool)
+        if read is not None:
+            variances = cov[:, read[0], read[1]]
+            # The two states of a two-mode pair are written with rho0's mean.
+            means = np.concatenate((mean0, mean1 if n == 1 else mean0))
+            mean, dense = _dense((len(cov),), list(means.T), tuple(variances.T))
+            standard = ((mean == np.concatenate((mean0, mean1))).all(axis=-1)
+                        & (dense == cov).all(axis=(-2, -1)))
+        if not standard.all():
+            raise ValueError(
+                f"overlap: pair {int(np.argmin(standard)) % size} is not in standard form "
+                "(diag(a, b) for one mode; [[a I, c Z], [c Z, m I]] and equal means for two)"
             )
+        self._set(*self.from_parameters(mean0, variances[:size], mean1, variances[size:])._fields())
+
+    @classmethod
+    def from_parameters(cls, mean0, variances0, mean1, variances1) -> "_StandardGeometry":
+        """The one builder, from stacked `target.pair_parameters`: means (N, 2n), variances (N, 2)
+        or (N, 3).  Moments that overflowed from finite inputs get the boundary's errors."""
+        variances = np.concatenate((variances0, variances1))
+        if not np.isfinite(variances).all():
+            raise ValueError("overlap: covariance must be finite")
+        diff = _mean_difference(mean0, mean1, "overlap")
+        size, n = len(diff), diff.shape[-1] // 2
+        if n == 1:
+            positive = (variances > 0.0).all(axis=-1)
+        else:
+            a, c, m = variances.T
             det = a * m - c * c
             positive = (a > 0.0) & (m > 0.0) & (det > 0.0)
-        else:
-            standard = np.zeros(len(cov), dtype=bool)
-        if not standard.all():
-            k = int(np.argmin(standard)) % size
-            raise ValueError(
-                f"overlap: pair {k} is not in standard form (diag(a, b) for one mode; "
-                "[[a I, c Z], [c Z, m I]] and equal means for two)"
-            )
         if not positive.all():
             raise ValueError("unphysical covariance: not positive definite")
         if n == 1:
-            nu = np.sqrt(diag[:, 0] * diag[:, 1])
+            nu = np.sqrt(variances[:, 0] * variances[:, 1])
             _check_physical(nu)
             # t^2 = a / nu and 1/t^2 = b / nu, as (pair, sector, state).
-            weights = (diag / nu[:, None]).reshape(2, size, 2).transpose(1, 2, 0)
+            weights = (variances / nu[:, None]).reshape(2, size, 2).transpose(1, 2, 0)
             # h = (a0 b1 + a1 b0) / (2 nu0 nu1) = (t0^2 / t1^2 + t1^2 / t0^2) / 2
             h = 0.5 * (weights[:, 0, 0] * weights[:, 1, 1] + weights[:, 0, 1] * weights[:, 1, 0])
             coef = _ONE_MODE_COEF + h[:, None, None] * _ONE_MODE_H
             coef[:, 4:, ::2] = weights
             x = np.ones((size, 4))
             x[:, ::2] = 2.0 * nu.reshape(2, size).T
+            delta = np.sqrt(2.0) * diff
             half_delta2 = 0.5 * delta * delta
         else:
             # a = ch^2 nu_a + sh^2 nu_m and m = sh^2 nu_a + ch^2 nu_m, so each
@@ -255,7 +259,7 @@ class _StandardGeometry:
             coef = _TWO_MODE_COEF + (0.5 * sh2)[:, None, None] * _TWO_MODE_SQUEEZE
             x = 2.0 * np.concatenate((nu[:size], nu[size:]), axis=-1)
             half_delta2 = np.zeros((size, 2))
-        self._set(x, coef, np.full(size, float(n)), half_delta2)
+        return cls._of(x, coef, np.full(size, float(n)), half_delta2)
 
     def _set(self, x, coef, modes, half_delta2):
         """Hold the per-pair slots x, coefficients, weight w and delta^2 / 2 per sector."""

@@ -35,7 +35,7 @@ from .divergence import (  # noqa: F401
     fidelity_many,
 )
 from .symplectic import symplectic_eigenvalues
-from .target import _check_target, _degenerate, pair_stack
+from .target import _check_target, _degenerate, _stack, pair_parameters, pair_stack
 from .transmitters import _check_kind, _check_nonnegative
 
 QUANTITIES = (
@@ -108,18 +108,19 @@ class SweepPlan:
         _check_target(self.kappa_grid, self.n_b_grid, self.model)
 
 
-def _quantity_columns(quantity, kind, stacks, degenerate, results):
+def _quantity_columns(quantity, kind, pairs, degenerate, results):
     """(values, s_star, flags) of one quantity over a kind's grid, each a list in grid order.
 
-    `results` holds each kind's Chernoff columns.  A ratio reads its
-    reference at the same grid position; the vacuum one, at n_s = 0 alone,
-    repeats over the kind's n_s grid.
+    `pairs` holds each kind's `pair_stack` arguments and stacked parameters,
+    `results` its Chernoff columns.  A ratio reads its reference at the same
+    grid position; the vacuum one, at n_s = 0 alone, repeats over n_s.
     """
     if quantity == "fidelity":
-        supported = stacks[kind][1].shape[-1] == 2
+        args, (mean0, *_) = pairs[kind]
+        supported = mean0.shape[-1] == 2
         flags = [("degenerate",) * flag + ("unsupported",) * (not supported)
                  for flag in degenerate[kind].tolist()]
-        values = fidelity_many(*stacks[kind]) if supported else np.full(len(flags), np.nan)
+        values = fidelity_many(*pair_stack(*args)) if supported else np.full(len(flags), np.nan)
         return values.tolist(), [None] * len(flags), flags
     s_star, xi, q_half, flags, _ = results[kind]
     direct = {"chernoff": xi, "q_half": q_half, "s_star": s_star}
@@ -151,13 +152,13 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     tables.  Degenerate configurations yield flagged rows, not errors.
 
     Each transmitter kind the rows read, the coherent and vacuum references
-    included, is one pair_stack over the mesh of the plan's grids (a
-    vacuum at n_s = 0 alone), and each quantity is one column per kind,
-    indexed by grid position.  If a row reads an exponent, the geometries
-    of all the stacks join into one, of either mode count, and one Chernoff
-    search runs on it.  A vacuum row's coherent reference is its own pair:
-    coherent at N_S = 0 has the same moments.  A point's values do not
-    depend on the other points of its stack or of its search.
+    included, is one `pair_parameters` over the mesh of the plan's grids (a
+    vacuum at n_s = 0 alone); only `fidelity` writes a dense `pair_stack`.
+    Each quantity is one column per kind, indexed by grid position.  If a
+    row reads an exponent, the kinds' geometries join into one, of either
+    mode count, and one Chernoff search runs on it.  A vacuum row's coherent
+    reference is its own pair: coherent at N_S = 0 has the same moments.  A
+    point's values do not depend on the other points of its stack or search.
     """
     kinds = dict.fromkeys(plan.transmitters)
     if "ratio_vs_coherent" in plan.quantities and set(kinds) - {"vacuum"}:
@@ -165,23 +166,25 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     if "ratio_vs_vacuum" in plan.quantities:
         kinds["vacuum"] = None
     n_s_grids = {kind: (0.0,) if kind == "vacuum" else plan.n_s_grid for kind in kinds}
-    stacks = {}
+    pairs = {}
     for kind in kinds:
         # The points of the (n_s, n_b, kappa) mesh in row order, read off the grids by index.
         grids = (n_s_grids[kind], plan.n_b_grid, plan.kappa_grid)
         index = np.indices([len(grid) for grid in grids]).reshape(3, -1)
-        stacks[kind] = pair_stack(kind, *map(np.take, grids, index), plan.model)
-    degenerate = {kind: _degenerate(*stack) for kind, stack in stacks.items()}
+        args = (kind, *map(np.take, grids, index), plan.model)
+        pairs[kind] = args, [_stack(index.shape[1:], p) for p in pair_parameters(*args)]
+    degenerate = {kind: _degenerate(*stacked) for kind, (_, stacked) in pairs.items()}
     results = {}
     if any(q != "fidelity" for q in plan.quantities):
-        geom = _StandardGeometry.concatenate([_StandardGeometry(*st) for st in stacks.values()])
+        geom = _StandardGeometry.concatenate(
+            [_StandardGeometry.from_parameters(*stacked) for _, stacked in pairs.values()])
         columns = _chernoff_search(geom, np.concatenate(list(degenerate.values())))
         ends = [0, *itertools.accumulate(len(mask) for mask in degenerate.values())]
         results = {kind: [column[start:end] for column in columns]
                    for kind, start, end in zip(kinds, ends, ends[1:])}
     rows = []
     for kind in plan.transmitters:
-        by_quantity = [_quantity_columns(q, kind, stacks, degenerate, results)
+        by_quantity = [_quantity_columns(q, kind, pairs, degenerate, results)
                        for q in plan.quantities]
         points = itertools.product(n_s_grids[kind], plan.n_b_grid, plan.kappa_grid)
         for p, (n_s, n_b, kappa) in enumerate(points):

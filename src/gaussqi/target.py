@@ -7,11 +7,11 @@ transmitted mode with a bare thermal mode.  The "legacy" model substitutes
 N_B -> N_B / (1 - kappa) so that the reflected noise is kappa-independent,
 which makes a vacuum transmitter unable to see the target at all.
 
-`pair_moments` writes the hypothesis-pair moments once, in closed form and
-plain arithmetic; `make_pair` (float64) and `highprec` (mpmath) both build
-on it.  `reference.target_present` constructs the same channel
-independently, through the beamsplitter dilation, as the route the closed
-form is tested against.
+`pair_parameters` writes the hypothesis pair once, as the standard-form parameters
+of its two states, in closed form and plain arithmetic: a sweep reads them directly,
+`pair_moments` (for `highprec`) and `pair_stack` (for `make_pair`) as matrices.
+`reference.target_present` builds the same channel independently, through the
+beamsplitter dilation, as the route the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .symplectic import GaussianState
-from .transmitters import TransmitterSpec, _check_nonnegative, _check_probe, probe_moments
+from .transmitters import TransmitterSpec, _check_nonnegative, _check_probe
+from .transmitters import _standard_form, probe_parameters
 
 MODELS = ("agnostic", "legacy")
 
@@ -63,14 +64,15 @@ class TargetConfig:
 
 
 def _degenerate(mean0, cov0, mean1, cov1) -> np.ndarray:
-    """The one definition of a degenerate pair, as a mask over a stack's leading axes.
+    """The one definition of a degenerate pair, as a mask over the means' leading axes.
 
     Its two states agree moment by moment to 1e-13 times the largest
-    covariance entry (at least 1)."""
-    axes = (-2, -1)
-    scale = np.maximum(np.maximum(np.abs(cov0).max(axis=axes), np.abs(cov1).max(axis=axes)), 1.0)
+    covariance entry (at least 1).  Standard-form variances give the mask of
+    their matrix: they are its nonzero entries, up to sign and repetition."""
+    cov0, cov1 = (np.reshape(cov, np.shape(mean0)[:-1] + (-1,)) for cov in (cov0, cov1))
+    scale = np.maximum(np.maximum(np.abs(cov0).max(axis=-1), np.abs(cov1).max(axis=-1)), 1.0)
     return (np.abs(mean1 - mean0).max(axis=-1) <= 1e-13 * scale) & (
-        np.abs(cov1 - cov0).max(axis=axes) <= 1e-13 * scale
+        np.abs(cov1 - cov0).max(axis=-1) <= 1e-13 * scale
     )
 
 
@@ -91,76 +93,65 @@ class HypothesisPair:
         return same_modes and bool(_degenerate(rho0.mean, rho0.cov, rho1.mean, rho1.cov))
 
 
-def pair_moments(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
-    """Moments (mean0, cov0, mean1, cov1) of the hypothesis pair, as nested lists.
+def pair_parameters(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
+    """Standard-form parameters (mean0, variances0, mean1, variances1) of the hypothesis pair.
 
-    rho1 is the probe after the thermal loss channel on its transmitted mode
-    (Serafini, Quantum Continuous Variables, 2017): that mode's mean scales
-    by sqrt(kappa), its covariance block maps to
-    kappa cov + (1 - kappa)(N_eff + 1/2) I, its cross blocks with the memory
-    scale by sqrt(kappa), and the memory block is unchanged.  N_eff is n_b,
-    or n_b / (1 - kappa) in the legacy model.  rho0 replaces the transmitted
-    mode by the bare background (n_b + 1/2) I and keeps the memory's reduced
-    state; it is the same in both models.
-
-    Only + - * / and ** appear, so every entry that depends on the inputs
-    is a float for float inputs, an array for numpy array inputs (element
-    for element the same float), and an mpf (at the working precision) for
-    mpmath.mpf inputs; structural zeros are exact floats.
-
-    Raises:
-        ValueError: a probe or target outside its domain (_check_probe,
-            _check_target).
+    As `transmitters._standard_form` takes them.  rho1 is the probe after
+    the thermal loss channel on its transmitted mode (Serafini, Quantum
+    Continuous Variables, 2017): that mode's mean scales by sqrt(kappa),
+    each of its variances v maps to kappa v + (1 - kappa)(N_eff + 1/2),
+    the cross term c scales by sqrt(kappa), and the memory variance m is
+    unchanged.  N_eff is n_b, or n_b / (1 - kappa) in the legacy model.
+    rho0 replaces the transmitted mode by the bare background n_b + 1/2
+    and keeps the memory's reduced state; it is the same in both models.
+    Plain arithmetic, as in `transmitters.probe_parameters`: float, array
+    or mpf inputs give parameters of their type, and zeros are exact floats.
+    Raises ValueError on a probe or target outside its domain (_check_probe,
+    _check_target).
     """
     _check_probe(kind, n_s)
     _check_target(kappa, n_b, model)
-    mean, cov = probe_moments(kind, n_s)
+    mean, variances = probe_parameters(kind, n_s)
     noise = (1 - kappa) * (_effective_n_b(n_b, kappa, model) + 0.5)
     amp = kappa ** 0.5
+    mean0, mean1 = [0.0, 0.0] + mean[2:], [amp * mean[0], amp * mean[1]] + mean[2:]
+    if len(variances) == 2:
+        return mean0, (n_b + 0.5,) * 2, mean1, tuple(kappa * v + noise for v in variances)
+    a, c, m = variances
+    return mean0, (n_b + 0.5, 0.0, m), mean1, (kappa * a + noise, amp * c, m)
 
-    # Indices 0 and 1 are the transmitted mode's quadratures.
-    def present(i, j):
-        if i < 2 and j < 2:
-            return kappa * cov[i][j] + (noise if i == j else 0.0)
-        return amp * cov[i][j] if i < 2 or j < 2 else cov[i][j]
 
-    def absent(i, j):
-        if i < 2 or j < 2:
-            return n_b + 0.5 if i == j else 0.0
-        return cov[i][j]
+def pair_moments(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
+    """Moments (mean0, cov0, mean1, cov1) of the hypothesis pair, as nested lists:
+    `pair_parameters` written out by `transmitters._standard_form`."""
+    mean0, variances0, mean1, variances1 = pair_parameters(kind, n_s, n_b, kappa, model)
+    return (*_standard_form(mean0, variances0), *_standard_form(mean1, variances1))
 
-    idx = range(len(mean))
-    mean0 = [0.0, 0.0] + mean[2:]
-    mean1 = [amp * mean[0], amp * mean[1]] + mean[2:]
-    cov0 = [[absent(i, j) for j in idx] for i in idx]
-    cov1 = [[present(i, j) for j in idx] for i in idx]
-    return mean0, cov0, mean1, cov1
+
+def _stack(shape, entries) -> np.ndarray:
+    """Entries, each a float or an array of `shape`, stacked on a last axis in float64."""
+    out = np.empty(shape + (len(entries),))
+    for k, v in enumerate(entries):
+        out[..., k] = v
+    return out
+
+
+def _dense(shape, mean, variances):
+    """Float64 means and covariances that `_standard_form` writes for states of `shape`."""
+    mean, cov = _standard_form(mean, variances)
+    return _stack(shape, mean), _stack(shape, sum(cov, [])).reshape(shape + (len(mean),) * 2)
 
 
 def pair_stack(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
     """Float64 moments of many pairs of one transmitter kind and model.
 
-    n_s, n_b and kappa broadcast to a common shape P.  Returns
-    (mean0, cov0, mean1, cov1) with means of shape P + (2n,) and
-    covariances P + (2n, 2n); `_degenerate` reads which pairs coincide.
-
-    Raises:
-        ValueError: as pair_moments.
+    n_s, n_b and kappa broadcast to a common shape P.  Returns `_dense`'s
+    (mean0, cov0, mean1, cov1), means P + (2n,) and covariances
+    P + (2n, 2n).  Raises ValueError as pair_parameters.
     """
     n_s, n_b, kappa = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n_s, n_b, kappa)))
-    mean0, cov0, mean1, cov1 = pair_moments(kind, n_s, n_b, kappa, model)
-    dim = len(mean0)
-
-    def stack(entries, tail):
-        out = np.empty(n_s.shape + (len(entries),))
-        for k, v in enumerate(entries):
-            out[..., k] = v
-        return out.reshape(n_s.shape + tail)
-
-    mean0, mean1 = stack(mean0, (dim,)), stack(mean1, (dim,))
-    cov0 = stack([v for row in cov0 for v in row], (dim, dim))
-    cov1 = stack([v for row in cov1 for v in row], (dim, dim))
-    return mean0, cov0, mean1, cov1
+    mean0, variances0, mean1, variances1 = pair_parameters(kind, n_s, n_b, kappa, model)
+    return (*_dense(n_s.shape, mean0, variances0), *_dense(n_s.shape, mean1, variances1))
 
 
 def make_pair(spec: TransmitterSpec, cfg: TargetConfig) -> HypothesisPair:

@@ -79,44 +79,45 @@ def tmss(n_signal: float) -> TransmitterSpec:
 def thermal_state(n_b: float) -> GaussianState:
     """Single-mode thermal state with mean photon number n_b: cov (n_b + 1/2) I."""
     _check_nonnegative("n_b", n_b)
-    return GaussianState(mean=np.zeros(2), cov=(n_b + 0.5) * np.eye(2))
+    return GaussianState(*_standard_form([0.0, 0.0], (n_b + 0.5,) * 2))
 
 
-def probe_moments(kind: str, n_s):
-    """Mean vector and covariance matrix of the probe, as nested lists.
+def _standard_form(mean, variances):
+    """The one writer of the standard form: a state's mean and covariance, as nested lists.
 
-    vacuum: mean 0, cov I/2.
-    coherent: mean (sqrt(2 N_S), 0) (zero phase), cov I/2.
+    `variances` is (a, b) for diag(a, b), or (a, c, m) for [[a I2, c Z], [c Z, m I2]],
+    Z = diag(1, -1).  Entries are given values or exact 0.0, and -c is 0.0 - c, so that
+    c = 0 writes +0.0; floats, arrays and mpmath.mpf values are written alike."""
+    if len(variances) == 2:
+        a, b = variances
+        return list(mean), [[a, 0.0], [0.0, b]]
+    a, c, m = variances
+    neg = 0.0 - c
+    return list(mean), [[a, 0.0, c, 0.0], [0.0, a, 0.0, neg], [c, 0.0, m, 0.0], [0.0, neg, 0.0, m]]
+
+
+def probe_parameters(kind: str, n_s):
+    """Standard-form parameters (mean, variances) of the probe (see `_standard_form`).
+
+    coherent, and vacuum at N_S = 0: mean (sqrt(2 N_S), 0) (zero phase), cov I/2.
     smsv: mean 0, cov diag(e^{-2r}, e^{2r})/2 with sinh^2 r = N_S, so
         e^{2r} = (sqrt(N_S) + sqrt(N_S + 1))^2; the q quadrature carries
         the reduced noise.
-    tmss: mean 0, diagonal blocks (N_S + 1/2) I2 and off-diagonal blocks
-        sqrt(N_S (N_S + 1)) diag(1, -1), transmitted mode first.
+    tmss: mean 0, a = m = N_S + 1/2 and c = sqrt(N_S (N_S + 1)).
 
-    Only + - * / and ** appear, so every entry that depends on n_s is a
-    float for a float n_s and an mpf (at the working precision) for an
-    mpmath.mpf n_s; structural zeros and 1/2 are exact floats.
+    Only + - * / and ** appear, so a parameter that depends on n_s is a
+    float, an array or an mpf (at the working precision) as n_s is; the
+    zeros and 1/2 are exact floats.  Callers check the kind (`_check_probe`).
     """
-    if kind == "vacuum":
-        return [0.0, 0.0], [[0.5, 0.0], [0.0, 0.5]]
-    if kind == "coherent":
-        return [(2 * n_s) ** 0.5, 0.0], [[0.5, 0.0], [0.0, 0.5]]
+    if kind in ("vacuum", "coherent"):
+        return [(2 * n_s) ** 0.5, 0.0], (0.5, 0.5)
     if kind == "smsv":
         e2r = (n_s ** 0.5 + (n_s + 1) ** 0.5) ** 2
-        return [0.0, 0.0], [[0.5 / e2r, 0.0], [0.0, 0.5 * e2r]]
-    if kind == "tmss":
-        a = n_s + 0.5
-        c = (n_s * (n_s + 1)) ** 0.5
-        cov = [
-            [a, 0.0, c, 0.0],
-            [0.0, a, 0.0, -c],
-            [c, 0.0, a, 0.0],
-            [0.0, -c, 0.0, a],
-        ]
-        return [0.0] * 4, cov
-    _check_kind(kind)  # raises: kind is none of KINDS
+        return [0.0, 0.0], (0.5 / e2r, 0.5 * e2r)
+    a = n_s + 0.5
+    return [0.0] * 4, (a, (n_s * (n_s + 1)) ** 0.5, a)
 
 
 def probe_state(spec: TransmitterSpec) -> GaussianState:
     """Gaussian moments of the probe before it reaches the target."""
-    return GaussianState(*probe_moments(spec.kind, spec.n_signal))
+    return GaussianState(*_standard_form(*probe_parameters(spec.kind, spec.n_signal)))

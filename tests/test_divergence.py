@@ -405,6 +405,15 @@ def test_bhattacharyya_bound_of_more_copies_than_a_float_holds():
         bhattacharyya_error_bound(pair, -(10**400))
 
 
+def test_bhattacharyya_bound_of_an_overlap_that_rounds_above_one():
+    # Legacy coherent at N_S = 5e-24 is not degenerate (its means differ by
+    # 1e-12), but its float64 log Q_1/2 rounds to +1.1e-16.  Raised to 10**6
+    # copies, that would bound the error by 0.5 + 5.6e-11.
+    pair = make_pair(coherent(5e-24), TargetConfig(kappa=0.1, n_b=1e-8, model="legacy"))
+    assert not pair.degenerate
+    assert bhattacharyya_error_bound(pair, 10**6) == 0.5
+
+
 def test_bhattacharyya_matches_bright_model_exponent():
     # exponent of (1/2) Q_{1/2}^N against the large-background two-term model
     n_b, n_s, kappa, n = 100.0, 1.0, 1e-2, 1000

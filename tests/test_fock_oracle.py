@@ -50,6 +50,21 @@ def test_tmss_build():
 def test_build_rejects_small_cutoff():
     with pytest.raises(ValueError):
         build_state(coherent(5.0), 4, budget=1e-10)
+    for build in (lambda d: build_state(vacuum(), d), lambda d: thermal_fock(1.0, d)):
+        with pytest.raises(ValueError, match="cutoff must be at least 2, got 1"):
+            build(1)
+
+
+def test_oracle_argument_errors():
+    probe, background = build_state(coherent(0.5), 12), thermal_fock(1.0, 12)
+    with pytest.raises(ValueError, match=r"invalid keep set \[1\] for 1 modes"):
+        partial_trace_fock(probe, keep=[1])
+    with pytest.raises(ValueError, match="invalid mode 1 for 1 modes"):
+        mean_photon_number(probe, 1)
+    with pytest.raises(ValueError, match="operators must share dimensions"):
+        q_s_fock(background, thermal_fock(1.0, 13), 0.5)
+    with pytest.raises(ValueError, match=r"s must lie in \(0, 1\), got 1.0"):
+        q_s_fock(background, probe, 1.0)
 
 
 def _dense_beamsplitter(theta, d):

@@ -1,13 +1,15 @@
 import dataclasses
+import importlib.util
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 
 import gaussqi.sweeps
-from gaussqi.cli import main
-from gaussqi.divergence import FLAT_SPAN, fidelity
+from gaussqi.cli import main, read_plan
+from gaussqi.divergence import FLAT_SPAN, _StandardGeometry, fidelity
 from gaussqi.symplectic import GaussianState
 from gaussqi.sweeps import (
     CHECKS,
@@ -22,8 +24,15 @@ from gaussqi.sweeps import (
     run_sweep,
     verify_expansion,
 )
-from gaussqi.target import TargetConfig, make_pair
-from gaussqi.transmitters import TransmitterSpec
+from gaussqi.target import (
+    TargetConfig,
+    _degenerate,
+    _stack,
+    make_pair,
+    pair_parameters,
+    pair_stack,
+)
+from gaussqi.transmitters import KINDS, TransmitterSpec
 from sweep_csv import parse_csv
 
 
@@ -193,6 +202,65 @@ def test_run_sweep_exponents_take_no_matrix_routine(monkeypatch, model):
                       quantities=tuple(q for q in gaussqi.sweeps.QUANTITIES if q != "fidelity"),
                       n_b_grid=(0.0, 2.0), model=model)
     assert len(run_sweep(plan)) == (1 + 3) * 2 * 5
+
+
+def _wide_plan(model, tmp_path):
+    """tools/outdiff.py's wide plan: every kind and quantity on grids from 0 to 1e6."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "outdiff.py")
+    spec = importlib.util.spec_from_file_location("outdiff", path)
+    outdiff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outdiff)
+    plan_file = tmp_path / f"{model}.txt"
+    plan_file.write_text(outdiff.WIDE_PLAN + f"model = {model}\n")
+    return read_plan(str(plan_file))[0]
+
+
+@pytest.mark.parametrize("model", ["agnostic", "legacy"])
+def test_geometry_from_parameters_equals_the_dense_boundary(model, tmp_path):
+    # The sweep's route (pair_parameters, stacked, then from_parameters) and
+    # the public boundary's (pair_stack, then the dense constructor, which
+    # reads the parameters back off) agree bit for bit on the wide grid,
+    # and so do the two degenerate masks.
+    plan = _wide_plan(model, tmp_path)
+    for kind in KINDS:
+        n_s_grid = (0.0,) if kind == "vacuum" else plan.n_s_grid
+        mesh = [g.ravel() for g in np.meshgrid(n_s_grid, plan.n_b_grid, plan.kappa_grid,
+                                               indexing="ij")]
+        parameters = [_stack(mesh[0].shape, p) for p in pair_parameters(kind, *mesh, model)]
+        dense = pair_stack(kind, *mesh, model)
+        built = _StandardGeometry.from_parameters(*parameters)
+        read = _StandardGeometry(*dense)
+        for field, other in zip(built._fields(), read._fields(), strict=True):
+            assert field.dtype == other.dtype and field.shape == other.shape
+            assert field.tobytes() == other.tobytes(), kind
+        assert np.array_equal(_degenerate(*parameters), _degenerate(*dense))
+
+
+@pytest.mark.parametrize("model", ["agnostic", "legacy"])
+def test_exponent_plan_writes_no_dense_stack(model, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gaussqi.sweeps, "pair_stack",
+                        lambda *args: calls.append(args[0]) or pair_stack(*args))
+    plan = _wide_plan(model, tmp_path)
+    run_sweep(dataclasses.replace(plan, quantities=tuple(q for q in plan.quantities
+                                                         if q != "fidelity")))
+    assert calls == []
+    # Fidelity rows do write one, for each single-mode kind they read.
+    run_sweep(dataclasses.replace(plan, quantities=("fidelity",)))
+    assert calls == ["vacuum", "coherent", "smsv"]
+
+
+# N_S = 1e308 is finite, but the moments it gives are not: sqrt(2 N_S) of the
+# coherent mean, e^{2r} of smsv, and sqrt(N_S (N_S + 1)) of tmss overflow.
+@pytest.mark.parametrize("kind, message", [
+    ("coherent", "overlap: means must be finite"),
+    ("smsv", "overlap: covariance must be finite"),
+    ("tmss", "overlap: covariance must be finite"),
+])
+def test_sweep_rejects_moments_that_overflow_from_finite_inputs(kind, message):
+    plan = small_plan(transmitters=(kind,), quantities=("chernoff",), n_s_grid=(1e308,))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        run_sweep(plan)
 
 
 @pytest.mark.parametrize("model", ["agnostic", "legacy"])

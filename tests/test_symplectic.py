@@ -151,6 +151,11 @@ def test_gaussian_state_validation():
         GaussianState(mean=np.array([np.inf, 0.0]), cov=0.5 * np.eye(2))
     with pytest.raises(ValueError):
         GaussianState(mean=np.zeros(4), cov=0.5 * np.eye(2))
+    with pytest.raises(ValueError, match=r"covariance must be one matrix, got \(2, 2, 2\)"):
+        GaussianState(mean=np.zeros(2), cov=0.5 * np.ones((2, 2, 2)))
+    for shape in ((2, 4), (3, 3), (2,)):
+        with pytest.raises(ValueError, match="covariance must be square with even size"):
+            symplectic_eigenvalues(np.ones(shape))
 
 
 def test_validation_tolerances_at_their_boundaries():
