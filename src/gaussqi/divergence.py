@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,8 @@ def _check_s(s: float) -> float:
     return s
 
 
-class _Factors:
-    """log G_p(x), Lambda_p(x) and their first and second p-derivatives, for 0 < p < 1.
+def _factors(x, p):
+    """(log G_p(x), Lambda_p(x)) for 0 < p < 1, each as (value, d/dp, d²/dp²) on a last axis.
 
     x holds doubled symplectic eigenvalues.  The caller checks physicality;
     x is only clamped to x >= 1, so a pure mode that rounding put just
@@ -70,39 +71,26 @@ class _Factors:
     The ratio form of log G keeps (x+1)/2 inside the log: split as
     log1p(r) - p log((x+1)/2), its two terms cancel at large x.  At a pure
     mode (x = 1) L is inf and r = 0, which gives G_p = Lambda_p = 1 and
-    every derivative 0, exactly.  p may be a scalar or an array matching x.
+    every derivative 0, exactly.  x and p are scalars or arrays that
+    broadcast together.
     """
-
-    def __init__(self, x):
-        self.x = np.maximum(np.asarray(x, dtype=float), 1.0)
-        gap = self.x - 1.0
-        with np.errstate(divide="ignore"):
-            self.log_ratio = np.log1p(2.0 / gap)
-        # L with a finite stand-in at pure modes, where it only multiplies r = 0.
-        self._finite_ratio = np.where(gap == 0.0, 1.0, self.log_ratio)
-        self._half_sum = 0.5 * (self.x + 1.0)
-        self._gap_slope = -np.log1p(0.5 * gap)
-
-    def at(self, p, curvature=True):
-        """(log G, Lambda) at order p, each stacked on a last axis as (value, d/dp, d²/dp²).
-
-        Without `curvature` the second derivatives are left out, and the
-        value and first derivative are the same numbers.
-        """
-        ratio = self._finite_ratio
-        r = 1.0 / np.expm1(p * self.log_ratio)
-        one_r, ratio_r = 1.0 + r, ratio * r
-        shape = r.shape + (3 if curvature else 2,)
-        log_g, lam = np.empty(shape), np.empty(shape)
-        lam_slope = np.multiply(-2.0 * ratio_r, one_r, out=lam[..., 1])
-        np.log(one_r / self._half_sum**p, out=log_g[..., 0])
-        np.subtract(self._gap_slope, ratio_r, out=log_g[..., 1])
-        np.add(1.0, 2.0 * r, out=lam[..., 0])
-        if curvature:
-            ratio_slope = ratio * lam_slope
-            np.multiply(-0.5, ratio_slope, out=log_g[..., 2])
-            np.multiply(-lam[..., 0], ratio_slope, out=lam[..., 2])
-        return log_g, lam
+    x = np.maximum(np.asarray(x, dtype=float), 1.0)
+    gap = x - 1.0
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log1p(2.0 / gap)
+    # L with a finite stand-in at pure modes, where it only multiplies r = 0.
+    ratio = np.where(gap == 0.0, 1.0, log_ratio)
+    r = 1.0 / np.expm1(p * log_ratio)
+    one_r, ratio_r = 1.0 + r, ratio * r
+    log_g, lam = np.empty(r.shape + (3,)), np.empty(r.shape + (3,))
+    lam_slope = np.multiply(-2.0 * ratio_r, one_r, out=lam[..., 1])
+    np.log(one_r / (0.5 * (x + 1.0))**p, out=log_g[..., 0])
+    np.subtract(-np.log1p(0.5 * gap), ratio_r, out=log_g[..., 1])
+    np.add(1.0, 2.0 * r, out=lam[..., 0])
+    ratio_slope = ratio * lam_slope
+    np.multiply(-0.5, ratio_slope, out=log_g[..., 2])
+    np.multiply(-lam[..., 0], ratio_slope, out=lam[..., 2])
+    return log_g, lam
 
 
 def _orders(sign: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -133,7 +121,7 @@ _TWO_MODE_SQUEEZE = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0
                               [0, 0, 0, 0], [0, 0, 0, 0]], dtype=float)
 
 
-class _StandardGeometry:
+class _StandardGeometry(NamedTuple):
     """The geometry of a stack of pairs in standard form, in closed form.
 
     Every pair is in the standard form of `transmitters._standard_form`,
@@ -155,7 +143,7 @@ class _StandardGeometry:
       sigma_q = L0a t0^2 + L1a t1^2 and sigma_p = L0a / t0^2 + L1a / t1^2,
       and det Sigma = sigma_q sigma_p = L0a^2 + L1a^2 + 2 h L0a L1a with
       h = (a0 b1 + a1 b0) / (2 nu0 nu1).  The memory slots hold pure modes,
-      x = 1, where `_Factors` gives log G = 0, Lambda = 1 and a 0 for every
+      x = 1, where `_factors` gives log G = 0, Lambda = 1 and a 0 for every
       derivative, exactly, and B reads neither.  quad = sum delta^2 / sigma
       over the two sectors.
     - two modes: with S = sqrt((a - m)^2 + 4 (am - c^2)) = nu_a + nu_m,
@@ -171,17 +159,27 @@ class _StandardGeometry:
       positive terms.  The means agree, so quad = 0; it is read off the
       same sector variances with delta = 0.
 
-    A sweep builds it from the pairs' parameters (`from_parameters`).  The
-    public boundary takes means (N, 2n) and covariances (N, 2n, 2n) (other
-    mean shapes are rejected, not broadcast), rejects non-finite and
-    non-symmetric moments, and accepts a pair only if `target._dense` writes
-    its moments back exactly from the parameters read off them.  Stacks of
-    either mode count join with `concatenate`; `take` picks a sub-stack.
-    Every step is elementwise across the stack or a product of one pair's
-    small matrices, so a pair's numbers do not depend on the rest.
+    The geometry is its four per-pair arrays: the slots x (N, 4), coef
+    (N, 6, 4), the weight w as modes (N,) and delta^2 / 2 per sector as
+    half_delta2 (N, 2).  A sweep builds it from the pairs' parameters
+    (`from_parameters`).  The dense boundary, `from_moments`, takes means
+    (N, 2n) and covariances (N, 2n, 2n) (other mean shapes are rejected,
+    not broadcast), rejects non-finite and non-symmetric moments, and
+    accepts a pair only if `target._dense` writes its moments back exactly
+    from the parameters read off them.  Stacks of either mode count join
+    with `concatenate`; `take` picks a sub-stack.  Every step is elementwise
+    across the stack or a product of one pair's small matrices, so a pair's
+    numbers do not depend on the rest.
     """
 
-    def __init__(self, mean0, cov0, mean1, cov1):
+    x: np.ndarray
+    coef: np.ndarray
+    modes: np.ndarray
+    half_delta2: np.ndarray
+
+    @classmethod
+    def from_moments(cls, mean0, cov0, mean1, cov1) -> "_StandardGeometry":
+        """The geometry of a stack of dense moments, accepted only in standard form."""
         if np.shape(cov0) != np.shape(cov1):
             raise ValueError(f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}")
         if not np.shape(mean0) == np.shape(mean1) == np.shape(cov0)[:-1]:
@@ -206,7 +204,7 @@ class _StandardGeometry:
                 f"overlap: pair {int(np.argmin(standard)) % size} is not in standard form "
                 "(diag(a, b) for one mode; [[a I, c Z], [c Z, m I]] and equal means for two)"
             )
-        self._set(*self.from_parameters(mean0, variances[:size], mean1, variances[size:])._fields())
+        return cls.from_parameters(mean0, variances[:size], mean1, variances[size:])
 
     @classmethod
     def from_parameters(cls, mean0, variances0, mean1, variances1) -> "_StandardGeometry":
@@ -259,40 +257,19 @@ class _StandardGeometry:
             coef = _TWO_MODE_COEF + (0.5 * sh2)[:, None, None] * _TWO_MODE_SQUEEZE
             x = 2.0 * np.concatenate((nu[:size], nu[size:]), axis=-1)
             half_delta2 = np.zeros((size, 2))
-        return cls._of(x, coef, np.full(size, float(n)), half_delta2)
-
-    def _set(self, x, coef, modes, half_delta2):
-        """Hold the per-pair slots x, coefficients, weight w and delta^2 / 2 per sector."""
-        self._x, self._coef, self._modes, self._half_delta2 = x, coef, modes, half_delta2
-        self._log_norm = modes * np.log(2.0)
-
-    @classmethod
-    def _of(cls, *fields) -> "_StandardGeometry":
-        geom = object.__new__(cls)
-        geom._set(*fields)
-        return geom
-
-    def _fields(self):
-        return self._x, self._coef, self._modes, self._half_delta2
-
-    @cached_property
-    def factors(self) -> _Factors:
-        """The factors of every slot; built on first use, so a stack that is only joined pays none."""
-        return _Factors(self._x)
+        return cls(x, coef, np.full(size, float(n)), half_delta2)
 
     @classmethod
     def concatenate(cls, parts) -> "_StandardGeometry":
         """One stack of the pairs of every geometry in `parts`, in order, of either mode count."""
-        return cls._of(*(np.concatenate(field) for field in zip(*(p._fields() for p in parts))))
+        return cls(*map(np.concatenate, zip(*parts)))
 
     def take(self, rows) -> "_StandardGeometry":
         """The sub-stack of the pairs at the sorted indices `rows`: itself when that is every pair."""
-        if len(rows) == len(self._modes):
-            return self
-        return self._of(*(field[rows] for field in self._fields()))
+        return self if len(rows) == len(self.modes) else self._make(f[rows] for f in self)
 
-    def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log Q_s of `q_s_general` and its slope d/ds log Q_s, at one s per pair.
+    def derivatives(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log Q_s of `q_s_general`, its slope d/ds and its curvature d²/ds², at one s per pair.
 
         With dSigma = T0 [⊕ dLambda_s(x0) I2] T0^T - T1 [⊕ dLambda_{1-s}(x1) I2] T1^T
         and y = Sigma^-1 delta:
@@ -302,52 +279,41 @@ class _StandardGeometry:
                          - tr(Sigma^-1 dSigma) / 2 + y^T dSigma y / 2
 
         The sign of d/ds per slot is carried by `_SLOT_SIGN`.  In the closed
-        form, tr(Sigma^-1 dSigma) / 2 = (w/2) (log l^T B l)' = w l'^T B l / l^T B l.
-        """
-        return self._derivatives(s, curvature=False)
-
-    def _derivatives(self, s, curvature):
-        """`log_q_and_slope`, and with `curvature` also d²/ds² log Q_s, at one s per pair.
-
-        The value and slope are the same numbers either way.  With the
-        closed form of `_StandardGeometry` the curvature reuses every
-        factor of the slope:
+        form, tr(Sigma^-1 dSigma) / 2 = (w/2) (log l^T B l)' = w l'^T B l / l^T B l,
+        and the curvature reuses every factor of the slope:
 
         - each slot adds d²/dp² log G_p, and each Lambda enters l with its
-          own second derivative (`_Factors.at`; the sign of the order
-          1 - s squares away);
+          own second derivative (`_factors`; the sign of the order 1 - s
+          squares away);
         - the determinant adds -(w/2) (log l^T B l)'' =
           w ((l''^T B l + l'^T B l') / l^T B l - 2 (l'^T B l / l^T B l)^2);
         - the mean term of each sector, with y = delta / sigma, adds
           -(delta^2 / sigma)'' / 2 = y^2 (sigma'' - 2 sigma'^2 / sigma) / 2.
-
-        Only the Chernoff search asks for the curvature.
         """
-        log_g, lam = self.factors.at(_orders(_SLOT_SIGN, s), curvature)
+        log_g, lam = _factors(self.x, _orders(_SLOT_SIGN, s))
         # d/ds = sign d/dp on the first derivatives; the second squares it away.
         log_g[..., 1] *= _SLOT_SIGN
         lam[..., 1] *= _SLOT_SIGN
         # (log Q, slope, curvature) of the slots' G factors.
         terms = log_g.sum(axis=-2)
         # B l in rows 0-3, (sigma, sigma', sigma'') per sector in rows 4-5.
-        products = self._coef @ lam
+        products = self.coef @ lam
         # forms[i, j] = l_i^T B l_j over the derivative orders i, j of l.
         forms = np.swapaxes(lam, -1, -2) @ products[:, :4]
         det = forms[:, 0, 0]
         ratio = forms[:, 1, 0] / det
         # tr(Sigma^-1 dSigma) / 2, and each sector's delta^2 / (2 sigma) and sigma' / sigma.
-        trace = self._modes * ratio
+        trace = self.modes * ratio
         sigma = products[:, 4:]
         inverse = 1.0 / sigma[..., 0]
-        quad = self._half_delta2 * inverse
+        quad = self.half_delta2 * inverse
         rate = sigma[..., 1] * inverse
-        log_q = terms[:, 0] + self._log_norm - 0.5 * self._modes * np.log(det) - quad.sum(axis=-1)
+        log_q = (terms[:, 0] + self.modes * np.log(2.0) - 0.5 * self.modes * np.log(det)
+                 - quad.sum(axis=-1))
         slope = terms[:, 1] - trace + (quad * rate).sum(axis=-1)
-        if not curvature:
-            return log_q, slope
         return log_q, slope, (
             terms[:, 2] + trace * (2.0 * ratio)
-            - self._modes * ((forms[:, 2, 0] + forms[:, 1, 1]) / det)
+            - self.modes * ((forms[:, 2, 0] + forms[:, 1, 1]) / det)
             + (quad * (sigma[..., 2] * inverse - 2.0 * rate * rate)).sum(axis=-1)
         )
 
@@ -359,7 +325,8 @@ def _geometry(rho0: GaussianState, rho1: GaussianState) -> _StandardGeometry:
     Cached on the two states, which are frozen, read-only and hashed by
     identity: a pair evaluated at several s is validated and built once.
     """
-    return _StandardGeometry(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])
+    return _StandardGeometry.from_moments(rho0.mean[None], rho0.cov[None], rho1.mean[None],
+                                          rho1.cov[None])
 
 
 def q_s_general(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
@@ -376,7 +343,7 @@ def q_s_general(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
     This is `_StandardGeometry` on a stack of one, so the pair must be in
     the standard form `make_pair` builds; any other pair raises ValueError.
     """
-    log_q = _geometry(rho0, rho1).log_q_and_slope(np.array([_check_s(s)]))[0][0]
+    log_q = _geometry(rho0, rho1).derivatives(np.array([_check_s(s)]))[0][0]
     return float(min(np.exp(log_q), 1.0))
 
 
@@ -499,7 +466,7 @@ def chernoff_many(mean0, cov0, mean1, cov1, s_tol: float = S_TOL) -> list[Cherno
     """
     if not 0.0 < s_tol < 0.5 - _S_EDGE:
         raise ValueError(f"s_tol must lie in (0, {0.5 - _S_EDGE}), got {s_tol}")
-    geom = _StandardGeometry(mean0, cov0, mean1, cov1)
+    geom = _StandardGeometry.from_moments(mean0, cov0, mean1, cov1)
     columns = _chernoff_search(geom, _degenerate(mean0, cov0, mean1, cov1), s_tol)
     return [ChernoffResult(*row) for row in zip(*(column.tolist() for column in columns))]
 
@@ -525,14 +492,14 @@ def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray, s_tol: flo
     """
     n_evals = np.zeros(degenerate.shape, dtype=int)
 
-    def evaluate(s, mask, curvature=True):
+    def evaluate(s, mask):
         np.add(n_evals, mask, out=n_evals)
         rows = np.flatnonzero(mask)
         part = geom.take(rows)
         if part is geom:
-            return part._derivatives(s, curvature)
-        out = np.full((3 if curvature else 2,) + mask.shape, np.nan)
-        out[:, rows] = part._derivatives(s[rows], curvature)
+            return part.derivatives(s)
+        out = np.full((3,) + mask.shape, np.nan)
+        out[:, rows] = part.derivatives(s[rows])
         return out
 
     live = ~degenerate
@@ -541,7 +508,7 @@ def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray, s_tol: flo
     q_half = np.minimum(np.exp(log_q_half), 1.0)
     moving = live & (d_half != 0.0)
     end = np.where(d_half > 0.0, _S_EDGE, 1.0 - _S_EDGE)
-    log_q_end, d_end = evaluate(end, moving, curvature=False)
+    log_q_end, d_end, _ = evaluate(end, moving)
     # No sign change between the end and 1/2: by convexity log Q_s falls
     # all the way to the end.
     at_end = moving & (d_end * d_half >= 0.0)
@@ -559,7 +526,7 @@ def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray, s_tol: flo
     # log Q_{s*}), so only a pair this close to flat needs its two ends.
     flat = live & (log_q_half - log_q_star < 2.0 * FLAT_SPAN)
     if flat.any():
-        ends = np.stack([evaluate(np.full(live.shape, s), flat, curvature=False)[0]
+        ends = np.stack([evaluate(np.full(live.shape, s), flat)[0]
                          for s in (0.05, 0.95)])
         inside = (0.05 <= s_star) & (s_star <= 0.95)
         low = np.where(inside, log_q_star, np.minimum(ends.min(axis=0), log_q_half))
@@ -591,7 +558,7 @@ def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
     geom = _geometry(pair.rho0, pair.rho1)
     if pair.degenerate:
         return 0.5
-    log_q_half = geom.log_q_and_slope(np.array([0.5]))[0][0]
+    log_q_half = geom.derivatives(np.array([0.5]))[0][0]
     if log_q_half >= 0.0:
         return 0.5
     copies = float(n_copies) if n_copies <= sys.float_info.max else np.inf

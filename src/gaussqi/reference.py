@@ -12,9 +12,10 @@ the mpmath route (`highprec`):
 - the beamsplitter dilation of the target channel (`dilated_present`,
   `target_present`), which the closed-form moments are tested against;
 - the dense overlap route for any pair of states: a numerical Williamson
-  decomposition (`williamson`) and Sigma(s) as a matrix (`_PairGeometry`),
-  which shares the factors G, Lambda of `divergence._Factors` with
-  production but none of its closed-form geometry;
+  decomposition (`williamson`) and Sigma(s) as a matrix (`_PairGeometry`,
+  log Q_s and its slope), which shares the factors G, Lambda of
+  `divergence._factors` with production but none of its closed-form
+  geometry;
 - two closed forms of Q_s that share no overlap arithmetic with
   `divergence`: the coherent-transmitter form (`q_s_coherent_closed`) and
   the single-mode zero-mean determinant form (`q_s_alt`).  Of `divergence`
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _check_s, _Factors, _mean_difference, _orders
+from .divergence import _check_s, _factors, _mean_difference, _orders
 from .symplectic import (
     GaussianState,
     _check_physical,
@@ -318,7 +319,7 @@ class _PairGeometry:
 
         log Q_s = n log 2 + sum log G - sum_j log L_jj - z^T z / 2,
 
-    and the slope of `_StandardGeometry.log_q_and_slope` runs through
+    and the slope of `_StandardGeometry.derivatives` runs through
     A = L^-1 [T0 T1]: for a diagonal D in those frames, tr(Sigma^-1 T D T^T)
     is sum_jk A_jk^2 D_k, and T^T y is A^T z.  Every step is elementwise or
     a LAPACK call per pair, so a pair's numbers do not depend on its stack.
@@ -345,7 +346,7 @@ class _PairGeometry:
         self.n = nu.shape[-1]
         # Both states side by side: eigenvalues (x0, x1) taken at orders
         # (s, 1-s), whose s-derivatives carry the signs (+1, -1).
-        self.factors = _Factors(2.0 * np.concatenate((nu[:size], nu[size:]), axis=-1))
+        self.x = 2.0 * np.concatenate((nu[:size], nu[size:]), axis=-1)
         self._sign = np.repeat((1.0, -1.0), self.n)
         # The symplectics mapping the diagonal form back to the covariance,
         # side by side: t is [T0 T1].
@@ -356,7 +357,7 @@ class _PairGeometry:
 
     def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log Q_s and d/ds log Q_s at one s per pair."""
-        log_g, lam = self.factors.at(_orders(self._sign, s), curvature=False)
+        log_g, lam = _factors(self.x, _orders(self._sign, s))
         d_sigma = (self._sign * lam[..., 1]).repeat(2, axis=-1)
         lam = lam[..., 0].repeat(2, axis=-1)
         chol = np.linalg.cholesky((self.t * lam[:, None, :]) @ np.swapaxes(self.t, -1, -2))

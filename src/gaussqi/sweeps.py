@@ -29,7 +29,7 @@ import numpy as np
 from .divergence import (  # noqa: F401
     FLAT_SPAN,
     _chernoff_search,
-    _Factors,
+    _factors,
     _StandardGeometry,
     chernoff,
     fidelity_many,
@@ -428,8 +428,8 @@ def _order_check(name, parameters, xs, residuals, expected, details=None,
 
 def _lambda_sum(s: float, n_b: float, kappa: float) -> float:
     """Lambda_s(2N_B+1) + Lambda_{1-s}(2(1-k)N_B+1), which both Lambda-sum checks expand."""
-    lam_0 = _Factors(2 * n_b + 1).at(s, curvature=False)[1][0]
-    return float(lam_0 + _Factors(2 * (1 - kappa) * n_b + 1).at(1 - s, curvature=False)[1][0])
+    lam_0 = _factors(2 * n_b + 1, s)[1][0]
+    return float(lam_0 + _factors(2 * (1 - kappa) * n_b + 1, 1 - s)[1][0])
 
 
 def _check_bright_lambda_sum(name: str) -> ExpansionCheck:

@@ -174,11 +174,11 @@ def test_pure_pairs_at_zero_background(model):
 def test_tmss_at_zero_background_is_real_and_matches_production(model):
     # The transmitted mode of both states is pure; it once made log Q_s an
     # mpc with an imaginary part of 3.6e-20.
-    geometry = _StandardGeometry(*pair_stack("tmss", 0.7, [0.0], 0.2, model))
+    geometry = _StandardGeometry.from_moments(*pair_stack("tmss", 0.7, [0.0], 0.2, model))
     for s in (0.1, 0.3, 0.5, 0.7, 0.9):
         value = highprec.log_q_s("tmss", 0.7, 0.0, 0.2, s, model=model)
         assert isinstance(value, mp.mpf)
-        production = geometry.log_q_and_slope(np.array([s]))[0][0]
+        production = geometry.derivatives(np.array([s]))[0][0]
         assert abs(float(value) - production) <= 1e-10 * abs(production)
 
 
@@ -207,9 +207,9 @@ def test_pure_mode_band_holds_the_rounding_of_the_closed_form():
     # 96%: the band of 2 units sets it to 1/2.
     n_s, kappa = (0.09759729655705549, 0.12166155412598975), (0.9580719502777387,
                                                                 0.9957898932385046)
-    geometry = _StandardGeometry(*pair_stack("tmss", n_s, 0.0, kappa))
-    assert np.all(geometry.factors.x[:, (0, 2)] == 1.0)
-    production = geometry.log_q_and_slope(np.full(2, 0.999))[0]
+    geometry = _StandardGeometry.from_moments(*pair_stack("tmss", n_s, 0.0, kappa))
+    assert np.all(geometry.x[:, (0, 2)] == 1.0)
+    production = geometry.derivatives(np.full(2, 0.999))[0]
     for k, value in enumerate(production):
         exact = float(highprec.log_q_s("tmss", n_s[k], 0.0, kappa[k], 0.999))
         assert abs(value - exact) <= 1e-12 * abs(exact)

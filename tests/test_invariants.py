@@ -68,7 +68,7 @@ def _standard(pair, size: int = 1) -> _StandardGeometry:
     """The production geometry of one pair, as a stack of `size` copies."""
     rho0, rho1 = pair.rho0, pair.rho1
     moments = (rho0.mean, rho0.cov, rho1.mean, rho1.cov)
-    return _StandardGeometry(*(np.repeat(x[None], size, axis=0) for x in moments))
+    return _StandardGeometry.from_moments(*(np.repeat(x[None], size, axis=0) for x in moments))
 
 
 @SETTINGS
@@ -76,10 +76,10 @@ def _standard(pair, size: int = 1) -> _StandardGeometry:
 def test_slope_matches_central_difference(s, kind, model, log_kappa, log_n_s, log_n_b):
     pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
     geom = _standard(pair)
-    slope = geom.log_q_and_slope(np.array([s]))[1][0]
+    slope = geom.derivatives(np.array([s]))[1][0]
 
     def log_q(t):
-        return geom.log_q_and_slope(np.array([t]))[0][0]
+        return geom.derivatives(np.array([t]))[0][0]
 
     h = 1e-5
     central = (log_q(s + h) - log_q(s - h)) / (2.0 * h)
@@ -92,10 +92,10 @@ def test_slope_matches_central_difference(s, kind, model, log_kappa, log_n_s, lo
 def test_curvature_matches_central_difference(s, kind, model, log_kappa, log_n_s, log_n_b):
     pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
     geom = _standard(pair)
-    curvature = geom._derivatives(np.array([s]), curvature=True)[2][0]
+    curvature = geom.derivatives(np.array([s]))[2][0]
 
     def slope(t):
-        return geom.log_q_and_slope(np.array([t]))[1][0]
+        return geom.derivatives(np.array([t]))[1][0]
 
     h = 1e-5
     central = (slope(s + h) - slope(s - h)) / (2.0 * h)
@@ -107,20 +107,7 @@ def test_curvature_matches_central_difference(s, kind, model, log_kappa, log_n_s
 def test_curvature_is_not_negative(s, kind, model, log_kappa, log_n_s, log_n_b):
     # The convexity of log Q_s, now read off the closed form.
     pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
-    assert _standard(pair)._derivatives(np.array([s]), curvature=True)[2][0] >= -_floor(pair)
-
-
-@SETTINGS
-@given(s=st.floats(0.02, 0.98), **BOX)
-def test_value_and_slope_do_not_depend_on_the_curvature(s, kind, model, log_kappa, log_n_s,
-                                                        log_n_b):
-    # The Chernoff search mixes the two entry points, so they must agree bit for bit.
-    pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
-    at = np.array([s, _S_EDGE, 0.05, 0.5, 0.95, 1.0 - _S_EDGE])
-    geom = _standard(pair, at.size)
-    value, slope = geom.log_q_and_slope(at)
-    full_value, full_slope, _ = geom._derivatives(at, curvature=True)
-    assert np.array_equal(value, full_value) and np.array_equal(slope, full_slope)
+    assert _standard(pair).derivatives(np.array([s]))[2][0] >= -_floor(pair)
 
 
 @SETTINGS
@@ -129,7 +116,7 @@ def test_log_q_is_convex_in_s(kind, model, log_kappa, log_n_s, log_n_b):
     # log Q_s is convex in s (Audenaert et al., PRL 98, 160501 (2007)).
     pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
     grid = np.linspace(0.02, 0.98, 49)
-    values = _standard(pair, grid.size).log_q_and_slope(grid)[0]
+    values = _standard(pair, grid.size).derivatives(grid)[0]
     assert np.diff(values, 2).min() >= -_floor(pair)
 
 
@@ -250,10 +237,9 @@ def test_one_search_over_a_mixed_plan_equals_each_stack_and_each_point(model, mo
                      n_s_grid=(1e-2, 2.0), n_b_grid=(0.0, 3.0), kappa_grid=(3e-6, 0.05),
                      model=model)
     passes, searches = [], []
-    derivatives = _StandardGeometry._derivatives
-    monkeypatch.setattr(_StandardGeometry, "_derivatives",
-                        lambda self, s, curvature: passes.append(s.size)
-                        or derivatives(self, s, curvature))
+    derivatives = _StandardGeometry.derivatives
+    monkeypatch.setattr(_StandardGeometry, "derivatives",
+                        lambda self, s: passes.append(s.size) or derivatives(self, s))
     search = gaussqi.sweeps._chernoff_search
     monkeypatch.setattr(gaussqi.sweeps, "_chernoff_search",
                         lambda *args: searches.append(search(*args)) or searches[-1])
@@ -289,8 +275,8 @@ def test_stacked_overlap_invariants(s, seed, kind, model, logs):
     floor = 1e-14 * (1.0 + n_b)
     s = np.full(n_b.size, s)
 
-    def log_q(m0, c0, m1, c1, at=s, geometry=_StandardGeometry):
-        return geometry(m0, c0, m1, c1).log_q_and_slope(at)[0]
+    def log_q(m0, c0, m1, c1, at=s):
+        return _StandardGeometry.from_moments(m0, c0, m1, c1).derivatives(at)[0]
 
     value = log_q(mean0, cov0, mean1, cov1)
     # 0 < Q_s <= 1
@@ -304,8 +290,8 @@ def test_stacked_overlap_invariants(s, seed, kind, model, logs):
     # The same symplectic transformation of both states leaves Q_s alone.
     # Moved states leave the standard form, so this runs on the dense route.
     sym = random_symplectic(mean0.shape[-1] // 2, np.random.default_rng(seed), scale=0.3)
-    moved = log_q(mean0 @ sym.T, sym @ cov0 @ sym.T, mean1 @ sym.T, sym @ cov1 @ sym.T,
-                  geometry=_PairGeometry)
+    moved = _PairGeometry(mean0 @ sym.T, sym @ cov0 @ sym.T, mean1 @ sym.T,
+                          sym @ cov1 @ sym.T).log_q_and_slope(s)[0]
     assert np.all(np.abs(moved - value) <= 1e-9 * np.abs(value) + floor)
 
 
@@ -332,11 +318,11 @@ def _standard_draws(kind, model, seed, size=2000):
 @pytest.mark.parametrize("kind, model", LIVE)
 def test_standard_geometry_nu_matches_symplectic_eigenvalues(kind, model):
     n_b, moments = _standard_draws(kind, model, seed=90)
-    geom = _StandardGeometry(*moments)
+    geom = _StandardGeometry.from_moments(*moments)
     # Slots (x0a, x0m, x1a, x1m): a one-mode pair's memory slots are padding
     # at x = 1 exactly, and are left out.
     modes = moments[1].shape[-1] // 2
-    slots = geom.factors.x.reshape(n_b.size, 2, 2)
+    slots = geom.x.reshape(n_b.size, 2, 2)
     if modes == 1:
         assert np.all(slots[..., 1] == 1.0)
     nu = np.sort(0.5 * slots[..., :modes], axis=-1)
@@ -346,7 +332,7 @@ def test_standard_geometry_nu_matches_symplectic_eigenvalues(kind, model):
         # At N_B = 0 the transmitted mode of both states is pure, and the
         # closed form puts it at x = 1 exactly, where rounding of the
         # entries would leave it on either side.
-        assert np.all(geom.factors.x[n_b == 0.0][:, (0, 2)] == 1.0)
+        assert np.all(geom.x[n_b == 0.0][:, (0, 2)] == 1.0)
 
 
 @pytest.mark.parametrize("kind, model", LIVE)
@@ -366,7 +352,7 @@ def test_standard_geometry_matches_dense_route(kind, model):
     s = np.random.default_rng(92).uniform(0.05, 0.95, n_b.size)
     floor = 1e-14 * (1.0 + n_b)
     for states, at in (((mean0, cov0, mean1, cov1), s), ((mean1, cov1, mean0, cov0), 1.0 - s)):
-        value, slope = _StandardGeometry(*states).log_q_and_slope(at)
+        value, slope, _ = _StandardGeometry.from_moments(*states).derivatives(at)
         dense_value, dense_slope = _PairGeometry(*states).log_q_and_slope(at)
         assert np.all(np.abs(value - dense_value) <= 1e-9 * np.abs(dense_value) + floor)
         slope_floor = floor / (2.0 * np.minimum(at, 1.0 - at))

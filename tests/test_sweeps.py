@@ -218,7 +218,7 @@ def _wide_plan(model, tmp_path):
 @pytest.mark.parametrize("model", ["agnostic", "legacy"])
 def test_geometry_from_parameters_equals_the_dense_boundary(model, tmp_path):
     # The sweep's route (pair_parameters, stacked, then from_parameters) and
-    # the public boundary's (pair_stack, then the dense constructor, which
+    # the public boundary's (pair_stack, then from_moments, which
     # reads the parameters back off) agree bit for bit on the wide grid,
     # and so do the two degenerate masks.
     plan = _wide_plan(model, tmp_path)
@@ -229,8 +229,8 @@ def test_geometry_from_parameters_equals_the_dense_boundary(model, tmp_path):
         parameters = [_stack(mesh[0].shape, p) for p in pair_parameters(kind, *mesh, model)]
         dense = pair_stack(kind, *mesh, model)
         built = _StandardGeometry.from_parameters(*parameters)
-        read = _StandardGeometry(*dense)
-        for field, other in zip(built._fields(), read._fields(), strict=True):
+        read = _StandardGeometry.from_moments(*dense)
+        for field, other in zip(built, read, strict=True):
             assert field.dtype == other.dtype and field.shape == other.shape
             assert field.tobytes() == other.tobytes(), kind
         assert np.array_equal(_degenerate(*parameters), _degenerate(*dense))

@@ -159,6 +159,17 @@ CATALOGUE = (
            "N_B 0 or 1e-8 to 1e6) no pair takes more than 28 steps"),
     Mutant(HIGHPREC, "DPS = 60", "DPS = 30",
            "mpmath at 30 digits: log Q_s misses its pinned 50-digit values"),
+    Mutant(DIVERGENCE, "half = log_q_half < log_q_star\n", "half = log_q_half < log_q_star + 1e-15\n",
+           "the Bhattacharyya fallback taken 1e-15 early: a pair reports log Q_1/2 above the "
+           "lowest value its search saw"),
+    Mutant(DIVERGENCE, "half = log_q_half < log_q_star\n", "half = log_q_half < log_q_star - 1e-15\n",
+           "the Bhattacharyya fallback taken 1e-15 late: a search point above log Q_1/2 is "
+           "reported"),
+    Mutant(DIVERGENCE, "np.where(gap == 0.0, 1.0, log_ratio)", "log_ratio",
+           "no finite stand-in for L at pure modes: inf * 0 makes every derivative there nan"),
+    Mutant(DIVERGENCE, "len(rows) == len(self.modes)", "False",
+           "take copies the full stack instead of returning it; survives, equivalent: the "
+           "same numbers, one extra copy per full-stack pass"),
 )
 
 

@@ -11,6 +11,10 @@ each command in a fresh temporary directory with BLAS pinned to one thread:
 - `gaussqi chernoff` at the single points of CHERNOFF_POINTS in both
   models: one unflagged, one at the bracket edge, one flat and one
   degenerate, so that the printed s_star, q_star, xi and flags are diffed;
+- the one-pair API table (API_TABLE): `q_s_general` at s = 0.1, 0.5 and
+  0.9, `bhattacharyya_error_bound` at 1 and 10**6 copies and every field
+  of `chernoff_many`'s result, n_evals included, printed with repr, for
+  every kind in both models at the parameters of CHERNOFF_POINTS;
 - demos 01-05;
 - `gaussqi sweep` on the wide plan (WIDE_PLAN: every kind and quantity on
   grids from 0 and 1e-12 to 1e6) in both models.
@@ -59,6 +63,25 @@ CHERNOFF_POINTS = (
     ("flat", ["--transmitter", "smsv", "--ns", "1e-3", "--nb", "0", "--kappa", "1.05e-10"]),
     ("degenerate", ["--transmitter", "vacuum", "--nb", "1", "--kappa", "1e-14"]),
 )
+# The one-pair API table, run with `python -c` after a line that sets POINTS
+# to the (N_S, N_B, kappa) of CHERNOFF_POINTS.
+API_TABLE = """
+import dataclasses
+from gaussqi.divergence import bhattacharyya_error_bound, chernoff_many, q_s_general
+from gaussqi.target import TargetConfig, make_pair
+from gaussqi.transmitters import TransmitterSpec
+for model in ("agnostic", "legacy"):
+    for n_s, n_b, kappa in POINTS:
+        for kind in ("vacuum", "coherent", "smsv", "tmss"):
+            spec = TransmitterSpec(kind, 0.0 if kind == "vacuum" else n_s)
+            pair = make_pair(spec, TargetConfig(kappa, n_b, model))
+            r0, r1 = pair.rho0, pair.rho1
+            (res,) = chernoff_many(r0.mean[None], r0.cov[None], r1.mean[None], r1.cov[None])
+            values = [q_s_general(r0, r1, s) for s in (0.1, 0.5, 0.9)]
+            values += [bhattacharyya_error_bound(pair, n) for n in (1, 10**6)]
+            values += [getattr(res, field.name) for field in dataclasses.fields(res)]
+            print(model, kind, spec.n_signal, n_b, kappa, *map(repr, values))
+"""
 # Columns that identify a sweep row, and the numeric ones compared.
 KEY = ("transmitter", "model", "n_s", "n_b", "kappa", "quantity")
 NUMERIC = ("value", "s_star")
@@ -80,6 +103,11 @@ def commands():
         for label, args in CHERNOFF_POINTS:
             out.append((f"chernoff {model} {label}", cli + ["chernoff", "--model", model] + args,
                         None, []))
+    points = []
+    for _, args in CHERNOFF_POINTS:
+        given = dict(zip(args[::2], args[1::2]))
+        points.append(tuple(float(given.get(k, 0.0)) for k in ("--ns", "--nb", "--kappa")))
+    out.append(("api table", ["-c", f"POINTS = {tuple(points)!r}\n" + API_TABLE], None, []))
     for demo in DEMOS:
         out.append((f"demo {demo}", [os.path.join("{tree}", "demos", demo)], None, []))
     for model in ("agnostic", "legacy"):
