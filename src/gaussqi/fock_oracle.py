@@ -6,25 +6,26 @@ overlaps tr rho^s sigma^{1-s} come from Hermitian eigendecompositions.
 Nothing here touches the Gaussian covariance machinery; agreement between
 the two routes is the package's core acceptance check.
 
-Operators stay in block form from construction to overlap: dense Hermitian
-blocks on disjoint sets of basis indices, zero elsewhere.  The thermal rho0
-and the tmss memory are diagonals, a pure probe is one block on the support
-of its amplitude vector, and the tmss rho1 has one block per photon-number
-difference.  A dense matrix given to FockOperator is split once over the
-connected components of its non-zero pattern.  Validation, spectra and
-overlaps run block by block; `matrix` is a dense view assembled on demand.
+Operators stay in block form from construction to overlap: real symmetric
+blocks on disjoint sets of basis indices, zero elsewhere, on one mode or
+two, and FockOperator has one constructor, which takes the blocks.  The
+thermal rho0 is a diagonal, and so is the tmss rho0: the background's
+weights times the memory's reduced-state diagonal, read off the probe.  A
+pure probe is one block on the support of its amplitude vector, and the
+tmss rho1 has one block per photon-number difference.  Validation, spectra
+and overlaps run block by block; `matrix` is a dense view assembled on
+demand.
 
 Every amplitude, thermal weight and beamsplitter entry built here is real,
-so blocks are float64 and LAPACK runs its real symmetric solver; an
-operator given as complex stays complex.  The beamsplitter U is formed in
-real arithmetic and only on the inputs the probe occupies, from a plan
-made once per cutoff and probe support that also lays out the merge of
-rho1's blocks; a pair peaks at 1.4 to 4.0 arrays of (2d - 1) d^2 float64
-(see MAX_CUTOFF).  Each operator is diagonalised at most once.  Every rho0
-built here is diagonal in the number basis, so q_s_fock and fidelity_fock
-read rho0's diagonal p and rho1's own eigenpairs: tr rho0^s rho1^{1-s} =
-sum_i p_i^s <i|rho1^{1-s}|i>, a weighted sum over rho1's flat terms,
-cached on rho1.
+so blocks are float64 and LAPACK runs its real symmetric solver; a complex
+block is rejected.  The beamsplitter U is formed in real arithmetic and
+only on the inputs the probe occupies, from a plan made once per cutoff and
+probe support that also lays out the merge of rho1's blocks; a pair peaks
+at 1.4 to 4.0 arrays of (2d - 1) d^2 float64 (see MAX_CUTOFF).  Each
+operator is diagonalised at most once.  Every rho0 built here is diagonal
+in the number basis, so q_s_fock and fidelity_fock read rho0's diagonal p
+and rho1's own eigenpairs: tr rho0^s rho1^{1-s} = sum_i p_i^s
+<i|rho1^{1-s}|i>, a weighted sum over rho1's flat terms, cached on rho1.
 
 Multi-mode operators use row-major mode ordering: the transmitted mode is
 the slowest index, matching numpy.kron(A_mode0, A_mode1).
@@ -51,47 +52,32 @@ MAX_CUTOFF = 128
 
 
 class FockOperator:
-    """Hermitian operator on a truncated n-mode Fock space, in block form.
+    """Real symmetric operator on a truncated n-mode Fock space, in block form.
 
-    `blocks` is a tuple of (idx, mats) stacks: mats[b] is the block on the
-    basis indices idx[b], the blocks are disjoint, and the operator is zero
-    outside them.  FockOperator(matrix, n_modes) splits a dense matrix over
-    the connected components of its non-zero pattern; the builders below
-    pass their blocks directly.  Either way the dimension must be
-    cutoff**n_modes, every block is checked for Hermiticity and
-    symmetrised, and blocks are stored read-only, as float64 when the input
-    is real and as complex128 when it is complex.  The spectrum is computed
-    block by block on first use and cached.
+    `blocks` is a sequence of (idx, mats) stacks: mats[b] is the real block
+    on the basis indices idx[b], the blocks are disjoint, and the operator is
+    zero outside them.  The dimension must be cutoff**n_modes, a complex
+    block is rejected, every block is checked for Hermiticity to
+    HERMITICITY_TOL times max(1, the largest entry of any block) and
+    symmetrised, and blocks are stored read-only as float64.  The spectrum is computed block by block
+    on first use and cached.
     """
 
-    def __init__(self, matrix, n_modes: int):
-        m = np.asarray(matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix shape {m.shape} is not square")
-        groups = _layout(_components(m != 0))[0]
-        blocks = [(idx, m[idx[:, :, None], idx[:, None, :]]) for idx in groups]
-        self._store(blocks, n_modes, m.shape[0])
-
-    @classmethod
-    def _from_blocks(cls, blocks, n_modes: int, dim: int) -> FockOperator:
-        op = cls.__new__(cls)
-        op._store(blocks, n_modes, dim)
-        return op
-
-    def _store(self, blocks, n_modes: int, dim: int) -> None:
+    def __init__(self, blocks, n_modes: int, dim: int):
         if round(dim ** (1.0 / n_modes)) ** n_modes != dim:
             raise ValueError(f"dimension {dim} is not cutoff**n_modes for n_modes = {n_modes}")
-        dtype = complex if any(np.iscomplexobj(m) for _, m in blocks) else float
-        blocks = [(idx, np.asarray(m, dtype)) for idx, m in blocks]
+        if any(np.iscomplexobj(m) for _, m in blocks):
+            raise ValueError("FockOperator blocks must be real")
+        blocks = [(idx, np.asarray(m, float)) for idx, m in blocks]
         scale = max([1.0] + [np.abs(m).max() for _, m in blocks])
         stored = []
         for idx, m in blocks:
-            adjoint = m.conj().swapaxes(1, 2)
+            adjoint = m.swapaxes(1, 2)
             if np.abs(m - adjoint).max() > HERMITICITY_TOL * scale:
                 raise ValueError("matrix is not Hermitian within tolerance")
             stored.append(_read_only(np.asarray(idx), 0.5 * (m + adjoint)))
         self.blocks = tuple(stored)
-        self.n_modes, self.dim, self.dtype = n_modes, dim, np.dtype(dtype)
+        self.n_modes, self.dim = n_modes, dim
 
     @property
     def cutoff(self) -> int:
@@ -101,12 +87,12 @@ class FockOperator:
     @property
     def trace_deficit(self) -> float:
         """1 - tr: for a density operator, what the cutoff discarded."""
-        return float(1.0 - sum(np.trace(m, axis1=1, axis2=2).real.sum() for _, m in self.blocks))
+        return float(1.0 - sum(np.trace(m, axis1=1, axis2=2).sum() for _, m in self.blocks))
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense matrix, assembled from the blocks on each access."""
-        out = np.zeros((self.dim, self.dim), self.dtype)
+        out = np.zeros((self.dim, self.dim))
         for idx, m in self.blocks:
             out[idx[:, :, None], idx[:, None, :]] = m
         return out
@@ -138,7 +124,7 @@ class FockOperator:
         """Read-only (eigenvalues, eigenvectors) on the support, as dense columns."""
         kept = [np.nonzero(w) for _, w, _ in self._eigen]
         evals = np.concatenate([w[k] for (_, w, _), k in zip(self._eigen, kept)])
-        evecs = np.zeros((self.dim, evals.size), self.dtype)
+        evecs = np.zeros((self.dim, evals.size))
         col = 0
         for (idx, _, v), (b, j) in zip(self._eigen, kept):
             # column col + i holds eigenvector j[i] of block b[i] on its rows
@@ -183,11 +169,6 @@ def _labels(n: int, groups) -> np.ndarray:
         if np.array_equal(new, label):
             return label
         label = new
-
-
-def _components(nonzero: np.ndarray) -> np.ndarray:
-    """Connected-component label of each index of a square non-zero pattern."""
-    return _labels(nonzero.shape[0], [np.argwhere(nonzero)])
 
 
 def _layout(label: np.ndarray):
@@ -245,7 +226,7 @@ def thermal_fock(n_b: float, cutoff: int) -> FockOperator:
     if cutoff < 2:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
     diagonal = [(np.arange(cutoff)[:, None], _geometric_weights(n_b, cutoff)[:, None, None])]
-    return FockOperator._from_blocks(diagonal, 1, cutoff)
+    return FockOperator(diagonal, 1, cutoff)
 
 
 def _coherent_amplitudes(alpha: float, cutoff: int) -> np.ndarray:
@@ -296,7 +277,7 @@ def build_state(spec: TransmitterSpec, cutoff: int, budget: float = DEFAULT_TRAC
         )
     support = np.flatnonzero(vec)[None]
     amp = vec[support]
-    state = FockOperator._from_blocks(
+    state = FockOperator(
         [(support, amp[:, :, None] * amp[:, None, :])], spec.n_modes, vec.size
     )
     # Fill the cached_property slot so the probe is never diagonalised.
@@ -444,63 +425,21 @@ def apply_target_fock(state: FockOperator, cfg: TargetConfig) -> FockOperator:
     eigen = [(idx, w, v, *np.nonzero(w)) for idx, w, v in state._eigen]
     support = tuple((idx.shape[1], idx[b].astype(np.intp).tobytes()) for idx, _, _, b, _ in eigen)
     groups, size, stacks = _target_plan(d, state.dim, support)
-    flat = np.zeros(size, state.dtype)
+    flat = np.zeros(size)
     for (_, w, v, b, j), (plan, gather, start, offset) in zip(eigen, stacks):
         amp = np.sqrt(w[b, j])[:, None] * v[b, :, j]
         shift = _beamsplitter(theta, plan)
         # F[eigenvector, (n, rest), t, m]; one eigenvector on distinct n scales K in place
         f = shift[None] if gather is None else shift[gather]
         scale = (amp[:, :, None] * root_p)[:, :, None, :]
-        f = f * scale if np.iscomplexobj(scale) else np.multiply(f, scale, out=f)
-        gram = f.swapaxes(1, 2) @ f.conj().transpose(0, 2, 3, 1)
+        np.multiply(f, scale, out=f)
+        gram = f.swapaxes(1, 2) @ f.transpose(0, 2, 3, 1)
         del shift, f  # K and F are freed before the merge
         # entries on a row outside the truncation land past the end and are dropped
         target = (start[:, :, None] + offset[:, None, :]).ravel()
-        flat += np.bincount(target, gram.real.ravel(), size)[:size]
-        if np.iscomplexobj(gram):
-            flat += 1j * np.bincount(target, gram.imag.ravel(), size)[:size]
+        flat += np.bincount(target, gram.ravel(), size)[:size]
     blocks = list(zip(groups, _stacks(flat, groups)))
-    return FockOperator._from_blocks(blocks, state.n_modes, state.dim)
-
-
-def _mode_index(digits, modes, d: int) -> np.ndarray:
-    """Joint index of a subset of modes from per-mode digits."""
-    index = np.zeros_like(digits[0])
-    for k in modes:
-        index = index * d + digits[k]
-    return index
-
-
-def partial_trace_fock(state: FockOperator, keep) -> FockOperator:
-    """Reduced operator on a subset of modes (sorted index order).
-
-    Sums, block by block, the entries whose traced modes agree.
-    """
-    keep = sorted(set(int(k) for k in keep))
-    if not keep or keep[0] < 0 or keep[-1] >= state.n_modes:
-        raise ValueError(f"invalid keep set {keep} for {state.n_modes} modes")
-    n, d = state.n_modes, state.cutoff
-    traced = [k for k in range(n) if k not in keep]
-    out = np.zeros((d ** len(keep),) * 2, state.dtype)
-    for idx, m in state.blocks:
-        digits = np.unravel_index(idx, (d,) * n)
-        kept, gone = (_mode_index(digits, modes, d) for modes in (keep, traced))
-        same = gone[:, :, None] == gone[:, None, :]
-        i, j = np.broadcast_arrays(kept[:, :, None], kept[:, None, :])
-        np.add.at(out, (i[same], j[same]), m[same])
-    return FockOperator(out, len(keep))
-
-
-def _kron(a: FockOperator, b: FockOperator) -> FockOperator:
-    """a (x) b in block form: one block per pair of blocks."""
-    blocks = []
-    for ia, ma in a.blocks:
-        for ib, mb in b.blocks:
-            idx = ia[:, None, :, None] * b.dim + ib[None, :, None, :]
-            idx = idx.reshape(len(ia) * len(ib), -1)
-            mats = np.einsum("aij,bkl->abikjl", ma, mb).reshape(idx.shape + idx.shape[1:])
-            blocks.append((idx, mats))
-    return FockOperator._from_blocks(blocks, a.n_modes + b.n_modes, a.dim * b.dim)
+    return FockOperator(blocks, state.n_modes, state.dim)
 
 
 def hypothesis_pair_fock(spec: TransmitterSpec, cfg: TargetConfig, cutoff: int,
@@ -513,11 +452,14 @@ def hypothesis_pair_fock(spec: TransmitterSpec, cfg: TargetConfig, cutoff: int,
     """
     probe = build_state(spec, cutoff, budget=budget)
     rho1 = apply_target_fock(probe, cfg)
-    background = thermal_fock(cfg.n_b, cutoff)
     if spec.n_modes == 1:
-        rho0 = background
-    else:
-        rho0 = _kron(background, partial_trace_fock(probe, keep=range(1, spec.n_modes)))
+        return thermal_fock(cfg.n_b, cutoff), rho1
+    # The memory's reduced state is diagonal (the tmss amplitudes psi[n, m]
+    # vanish off n = m): sum_n psi[n, m]^2, read off the probe's one block.
+    ((idx, block),) = probe.blocks
+    memory = np.bincount(idx[0] % cutoff, np.diagonal(block[0]), cutoff)
+    diagonal = np.outer(_geometric_weights(cfg.n_b, cutoff), memory).reshape(-1, 1, 1)
+    rho0 = FockOperator([(np.arange(cutoff**2)[:, None], diagonal)], 2, cutoff**2)
     return rho0, rho1
 
 
@@ -571,7 +513,7 @@ def mean_photon_number(op: FockOperator, mode: int) -> float:
     d, n = op.cutoff, op.n_modes
     diag = np.zeros(op.dim)
     for idx, m in op.blocks:
-        diag[idx] = np.diagonal(m, axis1=1, axis2=2).real
+        diag[idx] = np.diagonal(m, axis1=1, axis2=2)
     diag = diag.reshape((d,) * n)
     counts = np.arange(d)
     axes = tuple(k for k in range(n) if k != mode)

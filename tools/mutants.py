@@ -81,6 +81,13 @@ CATALOGUE = (
            "reuses the first one's plan"),
     Mutant(FOCK, "if d > 2 * MAX_CUTOFF:", "if d * d > 70000:",
            "the old joint cap d^2 <= 70000: a direct pair at 2 * MAX_CUTOFF + 1 is built"),
+    Mutant(FOCK, "np.outer(_geometric_weights(cfg.n_b, cutoff), memory)",
+           "np.outer(memory, _geometric_weights(cfg.n_b, cutoff))",
+           "the two-mode rho0's factors swapped: the memory's weights on the transmitted mode"),
+    Mutant(FOCK, "        if any(np.iscomplexobj(m) for _, m in blocks):\n"
+           "            raise ValueError(\"FockOperator blocks must be real\")\n", "",
+           "a complex block is cast to float64, its imaginary part dropped with numpy's "
+           "ComplexWarning, not refused"),
     Mutant(SWEEPS, "noise = np.minimum(xi, ref) < FLAT_SPAN",
            "noise = np.minimum(xi, ref) <= 0.0",
            "ratio_vs_coherent of few-eps exponents written as a number again"),

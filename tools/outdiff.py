@@ -15,6 +15,11 @@ each command in a fresh temporary directory with BLAS pinned to one thread:
   0.9, `bhattacharyya_error_bound` at 1 and 10**6 copies and every field
   of `chernoff_many`'s result, n_evals included, printed with repr, for
   every kind in both models at the parameters of CHERNOFF_POINTS;
+- the Fock table (FOCK_TABLE): `q_s_fock` at s = 0.3, 0.5 and 0.7,
+  `fidelity_fock` and both operators' `trace_deficit`, printed with repr,
+  for every kind in both models at the `fock-gate` anchor (N_S = 0.5,
+  kappa = 0.3, N_B = 0.5), at the cutoff `choose_cutoff` picks (tmss at
+  24, as in `fock-gate`);
 - demos 01-05;
 - `gaussqi sweep` on the wide plan (WIDE_PLAN: every kind and quantity on
   grids from 0 and 1e-12 to 1e6) in both models.
@@ -82,6 +87,21 @@ for model in ("agnostic", "legacy"):
             values += [getattr(res, field.name) for field in dataclasses.fields(res)]
             print(model, kind, spec.n_signal, n_b, kappa, *map(repr, values))
 """
+# The Fock table, run with `python -c`.
+FOCK_TABLE = """
+from gaussqi.fock_oracle import choose_cutoff, fidelity_fock, hypothesis_pair_fock, q_s_fock
+from gaussqi.target import TargetConfig
+from gaussqi.transmitters import TransmitterSpec
+for model in ("agnostic", "legacy"):
+    cfg = TargetConfig(kappa=0.3, n_b=0.5, model=model)
+    for kind in ("vacuum", "coherent", "smsv", "tmss"):
+        spec = TransmitterSpec(kind, 0.0 if kind == "vacuum" else 0.5)
+        d = 24 if kind == "tmss" else choose_cutoff(spec, cfg, tol=1e-8)
+        rho0, rho1 = hypothesis_pair_fock(spec, cfg, d)
+        values = [q_s_fock(rho0, rho1, s) for s in (0.3, 0.5, 0.7)]
+        values += [fidelity_fock(rho0, rho1), rho0.trace_deficit, rho1.trace_deficit]
+        print(model, kind, d, *map(repr, values))
+"""
 # Columns that identify a sweep row, and the numeric ones compared.
 KEY = ("transmitter", "model", "n_s", "n_b", "kappa", "quantity")
 NUMERIC = ("value", "s_star")
@@ -108,6 +128,7 @@ def commands():
         given = dict(zip(args[::2], args[1::2]))
         points.append(tuple(float(given.get(k, 0.0)) for k in ("--ns", "--nb", "--kappa")))
     out.append(("api table", ["-c", f"POINTS = {tuple(points)!r}\n" + API_TABLE], None, []))
+    out.append(("fock table", ["-c", FOCK_TABLE], None, []))
     for demo in DEMOS:
         out.append((f"demo {demo}", [os.path.join("{tree}", "demos", demo)], None, []))
     for model in ("agnostic", "legacy"):
