@@ -38,12 +38,50 @@ _S_EDGE = 1e-6
 _FLAGS = np.fromiter([("degenerate",), ("flat",), ("edge",), ("maxiter",), ()], dtype=object)
 
 
-def _mean_difference(mean0, mean1, where: str) -> np.ndarray:
-    """mean1 - mean0 of a stack of pairs; it is finite exactly when both means are."""
+def _finite(mean0, cov0, mean1, cov1, where: str):
+    """(mean1 - mean0, both states' covariances or variances joined) of a stack of pairs,
+    checked finite; the difference is finite exactly when both means are."""
+    if np.shape(mean0) != np.shape(mean1):
+        raise ValueError(f"mode mismatch: {np.shape(mean0)[-1] // 2} vs {np.shape(mean1)[-1] // 2}")
+    joined = np.concatenate((cov0, cov1))
+    if not np.isfinite(joined).all():
+        raise ValueError(f"{where}: covariance must be finite")
     diff = np.asarray(mean1, dtype=float) - np.asarray(mean0, dtype=float)
     if not np.isfinite(diff).all():
         raise ValueError(f"{where}: means must be finite")
-    return diff
+    return diff, joined
+
+
+def _standard_parameters(mean0, cov0, mean1, cov1):
+    """The one reader of the dense boundary: standard-form parameters (mean0, variances0,
+    mean1, variances1) of means (N, 2n) and covariances (N, 2n, 2n), never broadcast.
+    Rejects non-finite, then non-symmetric moments, and accepts a pair only if
+    `target._dense` writes its moments back exactly from the parameters read off them."""
+    if np.shape(cov0) != np.shape(cov1):
+        raise ValueError(f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}")
+    if not np.shape(mean0) == np.shape(mean1) == np.shape(cov0)[:-1]:
+        raise ValueError(
+            f"overlap: means of shapes {np.shape(mean0)} and {np.shape(mean1)} "
+            f"do not match covariances of shape {np.shape(cov0)}"
+        )
+    # Finite means come before the form.
+    cov = _validated_cov(_finite(mean0, cov0, mean1, cov1, "overlap")[1], "overlap")
+    size, n = len(cov0), cov.shape[-1] // 2
+    read = {1: ((0, 1), (0, 1)), 2: ((0, 0, 2), (0, 2, 2))}.get(n)  # (a, b) or (a, c, m)
+    standard = np.zeros(len(cov), dtype=bool)
+    if read is not None:
+        variances = cov[:, read[0], read[1]]
+        # The two states of a two-mode pair are written with rho0's mean.
+        means = np.concatenate((mean0, mean1 if n == 1 else mean0))
+        mean, dense = _dense(means, variances)
+        standard = ((mean == np.concatenate((mean0, mean1))).all(axis=-1)
+                    & (dense == cov).all(axis=(-2, -1)))
+    if not standard.all():
+        raise ValueError(
+            f"overlap: pair {int(np.argmin(standard)) % size} is not in standard form "
+            "(diag(a, b) for one mode; [[a I, c Z], [c Z, m I]] and equal means for two)"
+        )
+    return mean0, variances[:size], mean1, variances[size:]
 
 
 def _check_s(s: float) -> float:
@@ -161,15 +199,11 @@ class _StandardGeometry(NamedTuple):
 
     The geometry is its four per-pair arrays: the slots x (N, 4), coef
     (N, 6, 4), the weight w as modes (N,) and delta^2 / 2 per sector as
-    half_delta2 (N, 2).  A sweep builds it from the pairs' parameters
-    (`from_parameters`).  The dense boundary, `from_moments`, takes means
-    (N, 2n) and covariances (N, 2n, 2n) (other mean shapes are rejected,
-    not broadcast), rejects non-finite and non-symmetric moments, and
-    accepts a pair only if `target._dense` writes its moments back exactly
-    from the parameters read off them.  Stacks of either mode count join
-    with `concatenate`; `take` picks a sub-stack.  Every step is elementwise
-    across the stack or a product of one pair's small matrices, so a pair's
-    numbers do not depend on the rest.
+    half_delta2 (N, 2), built from the pairs' parameters (`from_parameters`),
+    which the dense boundary reads off moments first (`_standard_parameters`).
+    Stacks of either mode count join with `concatenate`; `take` picks a
+    sub-stack.  Every step is elementwise across the stack or a product of
+    one pair's small matrices, so a pair's numbers do not depend on the rest.
     """
 
     x: np.ndarray
@@ -178,42 +212,10 @@ class _StandardGeometry(NamedTuple):
     half_delta2: np.ndarray
 
     @classmethod
-    def from_moments(cls, mean0, cov0, mean1, cov1) -> "_StandardGeometry":
-        """The geometry of a stack of dense moments, accepted only in standard form."""
-        if np.shape(cov0) != np.shape(cov1):
-            raise ValueError(f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}")
-        if not np.shape(mean0) == np.shape(mean1) == np.shape(cov0)[:-1]:
-            raise ValueError(
-                f"overlap: means of shapes {np.shape(mean0)} and {np.shape(mean1)} "
-                f"do not match covariances of shape {np.shape(cov0)}"
-            )
-        cov = _validated_cov(np.concatenate((cov0, cov1)), "overlap")
-        _mean_difference(mean0, mean1, "overlap")  # finite means come before the form
-        size, n = len(cov0), cov.shape[-1] // 2
-        read = {1: ((0, 1), (0, 1)), 2: ((0, 0, 2), (0, 2, 2))}.get(n)  # (a, b) or (a, c, m)
-        standard = np.zeros(len(cov), dtype=bool)
-        if read is not None:
-            variances = cov[:, read[0], read[1]]
-            # The two states of a two-mode pair are written with rho0's mean.
-            means = np.concatenate((mean0, mean1 if n == 1 else mean0))
-            mean, dense = _dense((len(cov),), list(means.T), tuple(variances.T))
-            standard = ((mean == np.concatenate((mean0, mean1))).all(axis=-1)
-                        & (dense == cov).all(axis=(-2, -1)))
-        if not standard.all():
-            raise ValueError(
-                f"overlap: pair {int(np.argmin(standard)) % size} is not in standard form "
-                "(diag(a, b) for one mode; [[a I, c Z], [c Z, m I]] and equal means for two)"
-            )
-        return cls.from_parameters(mean0, variances[:size], mean1, variances[size:])
-
-    @classmethod
     def from_parameters(cls, mean0, variances0, mean1, variances1) -> "_StandardGeometry":
         """The one builder, from stacked `target.pair_parameters`: means (N, 2n), variances (N, 2)
         or (N, 3).  Moments that overflowed from finite inputs get the boundary's errors."""
-        variances = np.concatenate((variances0, variances1))
-        if not np.isfinite(variances).all():
-            raise ValueError("overlap: covariance must be finite")
-        diff = _mean_difference(mean0, mean1, "overlap")
+        diff, variances = _finite(mean0, variances0, mean1, variances1, "overlap")
         size, n = len(diff), diff.shape[-1] // 2
         if n == 1:
             positive = (variances > 0.0).all(axis=-1)
@@ -325,8 +327,8 @@ def _geometry(rho0: GaussianState, rho1: GaussianState) -> _StandardGeometry:
     Cached on the two states, which are frozen, read-only and hashed by
     identity: a pair evaluated at several s is validated and built once.
     """
-    return _StandardGeometry.from_moments(rho0.mean[None], rho0.cov[None], rho1.mean[None],
-                                          rho1.cov[None])
+    stack = _standard_parameters(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])
+    return _StandardGeometry.from_parameters(*stack)
 
 
 def q_s_general(rho0: GaussianState, rho1: GaussianState, s: float) -> float:
@@ -437,11 +439,10 @@ def chernoff(pair: HypothesisPair, s_tol: float = S_TOL) -> ChernoffResult:
     max(-log Q, 0): rounding can push log Q_s of a near-identical pair just
     above 0.
 
-    This is `chernoff_many` on a stack of one pair, so the pair must be in
-    the standard form `make_pair` builds, degenerate or not.
+    This is `chernoff_many` on the pair's parameters, a stack of one.
     """
-    rho0, rho1 = pair.rho0, pair.rho1
-    return chernoff_many(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None], s_tol)[0]
+    stack = pair.mean0[None], pair.variances0[None], pair.mean1[None], pair.variances1[None]
+    return _chernoff_parameters(*stack, s_tol)[0]
 
 
 def chernoff_many(mean0, cov0, mean1, cov1, s_tol: float = S_TOL) -> list[ChernoffResult]:
@@ -459,15 +460,20 @@ def chernoff_many(mean0, cov0, mean1, cov1, s_tol: float = S_TOL) -> list[Cherno
         One ChernoffResult per pair, in stack order.
 
     Raises:
-        ValueError: s_tol outside (0, 1/2 - _S_EDGE), the first bracket's
-            width; means not of shape (N, 2n); a non-finite or
+        ValueError: means not of shape (N, 2n); a non-finite or
             non-symmetric covariance or mean; a pair not in the standard
-            form of `_StandardGeometry`; or an unphysical covariance.
+            form of `_StandardGeometry`; an unphysical covariance; or
+            s_tol outside (0, 1/2 - _S_EDGE), the first bracket's width.
     """
+    return _chernoff_parameters(*_standard_parameters(mean0, cov0, mean1, cov1), s_tol)
+
+
+def _chernoff_parameters(mean0, variances0, mean1, variances1, s_tol: float):
+    """The ChernoffResults of stacked standard-form parameters, after checking s_tol."""
     if not 0.0 < s_tol < 0.5 - _S_EDGE:
         raise ValueError(f"s_tol must lie in (0, {0.5 - _S_EDGE}), got {s_tol}")
-    geom = _StandardGeometry.from_moments(mean0, cov0, mean1, cov1)
-    columns = _chernoff_search(geom, _degenerate(mean0, cov0, mean1, cov1), s_tol)
+    geom = _StandardGeometry.from_parameters(mean0, variances0, mean1, variances1)
+    columns = _chernoff_search(geom, _degenerate(mean0, variances0, mean1, variances1), s_tol)
     return [ChernoffResult(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
@@ -548,14 +554,15 @@ def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray, s_tol: flo
 def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
     """Upper bound (1/2) Q_{1/2}^N on the N-copy symmetric error probability.
 
-    The pair must be in the standard form `make_pair` builds (see
-    `_StandardGeometry`).  N may be an integer of any size: a count past
-    the float range bounds the error by 0 whenever Q_{1/2} < 1.
+    Read off the pair's parameters (`_StandardGeometry.from_parameters`).
+    N may be an integer of any size: a count past the float range bounds
+    the error by 0 whenever Q_{1/2} < 1.
     """
     # `% 1` is exact for integers of any size, and nan for inf.
     if not (n_copies >= 0 and n_copies % 1 == 0):
         raise ValueError(f"n_copies must be a non-negative integer, got {n_copies}")
-    geom = _geometry(pair.rho0, pair.rho1)
+    geom = _StandardGeometry.from_parameters(
+        pair.mean0[None], pair.variances0[None], pair.mean1[None], pair.variances1[None])
     if pair.degenerate:
         return 0.5
     log_q_half = geom.derivatives(np.array([0.5]))[0][0]
@@ -565,33 +572,33 @@ def bhattacharyya_error_bound(pair: HypothesisPair, n_copies: int) -> float:
     return float(0.5 * np.exp(copies * log_q_half))
 
 
-def fidelity_many(mean0, cov0, mean1, cov1) -> np.ndarray:
+def fidelity_many(mean0, variances0, mean1, variances1) -> np.ndarray:
     """Uhlmann fidelity tr sqrt(sqrt(rho0) rho1 sqrt(rho0)) of every single-mode pair of a stack.
 
-    Pairs are stacked as for `chernoff_many`: means (N, 2), covariances
-    (N, 2, 2).  Uses the closed single-mode form with D = det(cov0 + cov1)
-    and L = 4 (det cov0 - 1/4)(det cov1 - 1/4):
+    Pairs are stacked parameters as for `_StandardGeometry.from_parameters`,
+    each state diag(a, b).  The closed form, with D = det(cov0 + cov1) =
+    (a0 + a1)(b0 + b1), L = 4 (a0 b0 - 1/4)(a1 b1 - 1/4) and the mean term
+    d^T (cov0 + cov1)^{-1} d = dq^2 / (a0 + a1) + dp^2 / (b0 + b1):
 
         F = exp(-d^T (cov0+cov1)^{-1} d / 4) / sqrt(sqrt(D + L) - sqrt(L))
 
-    evaluated through D / (sqrt(D+L) + sqrt(L)) to avoid cancellation.
-    Every step is elementwise or a LAPACK call per pair, so a pair's value
-    does not depend on the rest of the stack.
+    evaluated through D / (sqrt(D+L) + sqrt(L)) to avoid cancellation, is
+    elementwise, so a pair's value does not depend on the rest of the stack.
     """
-    if np.shape(cov0)[-1] != 2 or np.shape(cov1)[-1] != 2:
+    if np.shape(mean0)[-1] != 2 or np.shape(mean1)[-1] != 2:
         raise ValueError("fidelity supports single-mode states only")
-    cov0, cov1 = _validated_cov(cov0, "fidelity"), _validated_cov(cov1, "fidelity")
-    total = cov0 + cov1
-    d = _mean_difference(mean0, mean1, "fidelity")
-    big_d = np.linalg.det(total)
-    big_l = 4.0 * np.maximum(np.linalg.det(cov0) - 0.25, 0.0) * np.maximum(
-        np.linalg.det(cov1) - 0.25, 0.0
-    )
+    d, variances = _finite(mean0, variances0, mean1, variances1, "fidelity")
+    (a0, a1), (b0, b1) = variances.T.reshape(2, 2, -1)
+    total_a, total_b = a0 + a1, b0 + b1
+    big_d = total_a * total_b
+    big_l = 4.0 * np.maximum(a0 * b0 - 0.25, 0.0) * np.maximum(a1 * b1 - 0.25, 0.0)
     denom_sq = big_d / (np.sqrt(big_d + big_l) + np.sqrt(big_l))
-    quad = (d * np.linalg.solve(total, d[..., None])[..., 0]).sum(axis=-1)
+    quad = d[:, 0] ** 2 / total_a + d[:, 1] ** 2 / total_b
     return np.minimum(np.exp(-0.25 * quad) / np.sqrt(denom_sq), 1.0)
 
 
 def fidelity(rho0: GaussianState, rho1: GaussianState) -> float:
-    """Uhlmann fidelity of two single-mode states: `fidelity_many` on a stack of one."""
-    return float(fidelity_many(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])[0])
+    """Uhlmann fidelity of two single-mode states diag(a, b): `fidelity_many` on the
+    parameters `_standard_parameters` reads off them (any other pair raises ValueError)."""
+    stack = _standard_parameters(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])
+    return float(fidelity_many(*stack)[0])

@@ -154,7 +154,7 @@ def _weights(p, modes):
     Lambda_p = (1 + r) / (1 - r) and hi - lo = hi (1 - r)."""
     weights, spread = [], mp.mpf(1)
     for inv_nu, log_ratio in modes:
-        t = 1 if log_ratio is None else 1 - mp.exp(p * log_ratio)
+        t = 1 if log_ratio is None else -mp.expm1(p * log_ratio)
         weights.append((2 - t) / t * inv_nu)
         spread *= t
     return weights, spread

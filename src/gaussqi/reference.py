@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _check_s, _factors, _mean_difference, _orders
+from .divergence import _check_s, _factors, _finite, _orders
 from .symplectic import (
     GaussianState,
     _check_physical,
@@ -352,7 +352,7 @@ class _PairGeometry:
         # side by side: t is [T0 T1].
         t = symplectic_inverse(w.S)
         self.t = np.concatenate((t[:size], t[size:]), axis=-1)
-        delta = np.sqrt(2.0) * _mean_difference(mean0, mean1, "overlap")
+        delta = np.sqrt(2.0) * _finite(mean0, cov0, mean1, cov1, "overlap")[0]
         self._rhs = np.concatenate((delta[..., None], self.t), axis=-1)
 
     def log_q_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

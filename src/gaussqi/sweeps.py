@@ -35,8 +35,8 @@ from .divergence import (  # noqa: F401
     fidelity_many,
 )
 from .symplectic import symplectic_eigenvalues
-from .target import _check_target, _degenerate, _stack, pair_parameters, pair_stack
-from .transmitters import _check_kind, _check_nonnegative
+from .target import TargetConfig, _check_target, _degenerate, _parameter_stack, make_pair
+from .transmitters import _check_kind, _check_nonnegative, tmss
 
 QUANTITIES = (
     "chernoff",
@@ -111,16 +111,15 @@ class SweepPlan:
 def _quantity_columns(quantity, kind, pairs, degenerate, results):
     """(values, s_star, flags) of one quantity over a kind's grid, each a list in grid order.
 
-    `pairs` holds each kind's `pair_stack` arguments and stacked parameters,
-    `results` its Chernoff columns.  A ratio reads its reference at the same
-    grid position; the vacuum one, at n_s = 0 alone, repeats over n_s.
+    `pairs` holds each kind's stacked parameters, `results` its Chernoff
+    columns.  A ratio reads its reference at the same grid position; the
+    vacuum one, at n_s = 0 alone, repeats over n_s.
     """
     if quantity == "fidelity":
-        args, (mean0, *_) = pairs[kind]
-        supported = mean0.shape[-1] == 2
+        supported = pairs[kind][0].shape[-1] == 2
         flags = [("degenerate",) * flag + ("unsupported",) * (not supported)
                  for flag in degenerate[kind].tolist()]
-        values = fidelity_many(*pair_stack(*args)) if supported else np.full(len(flags), np.nan)
+        values = fidelity_many(*pairs[kind]) if supported else np.full(len(flags), np.nan)
         return values.tolist(), [None] * len(flags), flags
     s_star, xi, q_half, flags, _ = results[kind]
     direct = {"chernoff": xi, "q_half": q_half, "s_star": s_star}
@@ -153,12 +152,13 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
 
     Each transmitter kind the rows read, the coherent and vacuum references
     included, is one `pair_parameters` over the mesh of the plan's grids (a
-    vacuum at n_s = 0 alone); only `fidelity` writes a dense `pair_stack`.
-    Each quantity is one column per kind, indexed by grid position.  If a
-    row reads an exponent, the kinds' geometries join into one, of either
-    mode count, and one Chernoff search runs on it.  A vacuum row's coherent
-    reference is its own pair: coherent at N_S = 0 has the same moments.  A
-    point's values do not depend on the other points of its stack or search.
+    vacuum at n_s = 0 alone), stacked in float64; no quantity writes a dense
+    moment stack.  Each quantity is one column per kind, indexed by grid
+    position.  If a row reads an exponent, the kinds' geometries join into
+    one, of either mode count, and one Chernoff search runs on it.  A vacuum
+    row's coherent reference is its own pair: coherent at N_S = 0 has the
+    same moments.  A point's values do not depend on the other points of its
+    stack or search.
     """
     kinds = dict.fromkeys(plan.transmitters)
     if "ratio_vs_coherent" in plan.quantities and set(kinds) - {"vacuum"}:
@@ -171,13 +171,12 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
         # The points of the (n_s, n_b, kappa) mesh in row order, read off the grids by index.
         grids = (n_s_grids[kind], plan.n_b_grid, plan.kappa_grid)
         index = np.indices([len(grid) for grid in grids]).reshape(3, -1)
-        args = (kind, *map(np.take, grids, index), plan.model)
-        pairs[kind] = args, [_stack(index.shape[1:], p) for p in pair_parameters(*args)]
-    degenerate = {kind: _degenerate(*stacked) for kind, (_, stacked) in pairs.items()}
+        pairs[kind] = _parameter_stack(kind, *map(np.take, grids, index), plan.model)
+    degenerate = {kind: _degenerate(*stacked) for kind, stacked in pairs.items()}
     results = {}
     if any(q != "fidelity" for q in plan.quantities):
         geom = _StandardGeometry.concatenate(
-            [_StandardGeometry.from_parameters(*stacked) for _, stacked in pairs.values()])
+            [_StandardGeometry.from_parameters(*stacked) for stacked in pairs.values()])
         columns = _chernoff_search(geom, np.concatenate(list(degenerate.values())))
         ends = [0, *itertools.accumulate(len(mask) for mask in degenerate.values())]
         results = {kind: [column[start:end] for column in columns]
@@ -505,7 +504,7 @@ def _check_tmss_eigenvalues(name: str) -> ExpansionCheck:
     kappas = np.logspace(-5, -2, 4)
     resid1, resid2 = [], []
     for kappa in kappas:
-        cov1 = pair_stack("tmss", n_s, n_b, kappa)[3]
+        cov1 = make_pair(tmss(n_s), TargetConfig(kappa, n_b)).rho1.cov
         gammas = 2.0 * np.sort(symplectic_eigenvalues(cov1))[::-1]
         model1 = (1 + 2 * n_b) - 2 * n_b * (1 + n_b) * kappa / (1 + n_s + n_b)
         model2 = (1 + 2 * n_s) - 2 * n_s * (1 + n_s) * kappa / (1 + n_s + n_b)

@@ -44,7 +44,8 @@ def _check_physical(nu) -> None:
 
 
 def _validated_cov(cov: np.ndarray, where: str) -> np.ndarray:
-    """Symmetrised covariance, or stack of covariances along the leading axes.
+    """Symmetrised covariance, or stack of covariances along the leading axes, as
+    0.5 cov + 0.5 cov^T: (cov + cov^T) would overflow past 8.99e307.
 
     Finiteness is checked before symmetry: a comparison with nan is false,
     so a nan would pass every later test."""
@@ -58,7 +59,7 @@ def _validated_cov(cov: np.ndarray, where: str) -> np.ndarray:
     scale = np.abs(cov).max(axis=axes, initial=1.0)
     if (np.abs(cov - cov_t).max(axis=axes, initial=0.0) > SYMMETRY_TOL * scale).any():
         raise ValueError(f"{where}: covariance is not symmetric within {SYMMETRY_TOL} (relative)")
-    return 0.5 * (cov + cov_t)
+    return 0.5 * cov + 0.5 * cov_t
 
 
 @dataclass(frozen=True, eq=False)

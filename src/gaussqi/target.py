@@ -8,8 +8,8 @@ N_B -> N_B / (1 - kappa) so that the reflected noise is kappa-independent,
 which makes a vacuum transmitter unable to see the target at all.
 
 `pair_parameters` writes the hypothesis pair once, as the standard-form parameters
-of its two states, in closed form and plain arithmetic: a sweep reads them directly,
-`pair_moments` (for `highprec`) and `pair_stack` (for `make_pair`) as matrices.
+of its two states, in closed form and plain arithmetic: `make_pair` and a sweep keep
+them in float64, `pair_moments` (for `highprec`) and `pair_stack` write matrices.
 `reference.target_present` builds the same channel independently, through the
 beamsplitter dilation, as the route the closed form is tested against.
 """
@@ -17,6 +17,7 @@ beamsplitter dilation, as the route the closed form is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,34 +64,40 @@ class TargetConfig:
         return _effective_n_b(self.n_b, self.kappa, self.model)
 
 
-def _degenerate(mean0, cov0, mean1, cov1) -> np.ndarray:
-    """The one definition of a degenerate pair, as a mask over the means' leading axes.
+def _degenerate(mean0, variances0, mean1, variances1) -> np.ndarray:
+    """The one definition of a degenerate pair, as a mask over a stack of standard-form parameters.
 
     Its two states agree moment by moment to 1e-13 times the largest
-    covariance entry (at least 1).  Standard-form variances give the mask of
-    their matrix: they are its nonzero entries, up to sign and repetition."""
-    cov0, cov1 = (np.reshape(cov, np.shape(mean0)[:-1] + (-1,)) for cov in (cov0, cov1))
-    scale = np.maximum(np.maximum(np.abs(cov0).max(axis=-1), np.abs(cov1).max(axis=-1)), 1.0)
+    covariance entry (at least 1): the variances are the covariance's
+    nonzero entries, up to sign and repetition."""
+    scale = np.maximum(np.maximum(np.abs(variances0).max(-1), np.abs(variances1).max(-1)), 1.0)
     return (np.abs(mean1 - mean0).max(axis=-1) <= 1e-13 * scale) & (
-        np.abs(cov1 - cov0).max(axis=-1) <= 1e-13 * scale
+        np.abs(variances1 - variances0).max(axis=-1) <= 1e-13 * scale
     )
 
 
 @dataclass(frozen=True, eq=False)
 class HypothesisPair:
-    """The two hypotheses: rho0 = target absent, rho1 = target present."""
+    """The two hypotheses, rho0 = target absent and rho1 = target present, as the float64
+    standard-form parameters of their states (`pair_parameters`).  rho0 and rho1 are
+    written from them (`transmitters._standard_form`) when first read, validated and
+    cached, so each read returns the same state."""
 
-    rho0: GaussianState
-    rho1: GaussianState
+    mean0: np.ndarray
+    variances0: np.ndarray
+    mean1: np.ndarray
+    variances1: np.ndarray
     config: TargetConfig
     transmitter: TransmitterSpec
 
+    rho0 = cached_property(lambda self: GaussianState(*_standard_form(self.mean0, self.variances0)))
+    rho1 = cached_property(lambda self: GaussianState(*_standard_form(self.mean1, self.variances1)))
+
     @property
     def degenerate(self) -> bool:
-        """Whether the two states coincide (`_degenerate`), read off the moments."""
-        rho0, rho1 = self.rho0, self.rho1
-        same_modes = rho0.n_modes == rho1.n_modes
-        return same_modes and bool(_degenerate(rho0.mean, rho0.cov, rho1.mean, rho1.cov))
+        """Whether the two states coincide (`_degenerate`), read off the parameters."""
+        return len(self.mean0) == len(self.mean1) and bool(
+            _degenerate(self.mean0, self.variances0, self.mean1, self.variances1))
 
 
 def pair_parameters(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
@@ -136,35 +143,35 @@ def _stack(shape, entries) -> np.ndarray:
     return out
 
 
-def _dense(shape, mean, variances):
-    """Float64 means and covariances that `_standard_form` writes for states of `shape`."""
-    mean, cov = _standard_form(mean, variances)
+def _dense(mean, variances):
+    """Float64 means and covariances that `_standard_form` writes from stacked float64
+    parameters: means P + (2n,), variances P + (2,) or P + (3,)."""
+    shape = np.shape(mean)[:-1]
+    mean, cov = _standard_form(np.moveaxis(mean, -1, 0), tuple(np.moveaxis(variances, -1, 0)))
     return _stack(shape, mean), _stack(shape, sum(cov, [])).reshape(shape + (len(mean),) * 2)
 
 
-def pair_stack(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
-    """Float64 moments of many pairs of one transmitter kind and model.
-
-    n_s, n_b and kappa broadcast to a common shape P.  Returns `_dense`'s
-    (mean0, cov0, mean1, cov1), means P + (2n,) and covariances
-    P + (2n, 2n).  Raises ValueError as pair_parameters.
-    """
+def _parameter_stack(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
+    """`pair_parameters` in float64, stacked over the shape P that n_s, n_b and kappa broadcast
+    to: means P + (2n,), variances P + (2,) or P + (3,).  Raises ValueError as pair_parameters."""
     n_s, n_b, kappa = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n_s, n_b, kappa)))
-    mean0, variances0, mean1, variances1 = pair_parameters(kind, n_s, n_b, kappa, model)
-    return (*_dense(n_s.shape, mean0, variances0), *_dense(n_s.shape, mean1, variances1))
+    return [_stack(n_s.shape, p) for p in pair_parameters(kind, n_s, n_b, kappa, model)]
+
+
+def pair_stack(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
+    """Float64 moments (mean0, cov0, mean1, cov1) of many pairs of one transmitter kind and
+    model: `_parameter_stack` written out by `_dense`, covariances P + (2n, 2n)."""
+    mean0, variances0, mean1, variances1 = _parameter_stack(kind, n_s, n_b, kappa, model)
+    return (*_dense(mean0, variances0), *_dense(mean1, variances1))
 
 
 def make_pair(spec: TransmitterSpec, cfg: TargetConfig) -> HypothesisPair:
     """Build the hypothesis pair for a transmitter/target configuration.
 
-    A legacy-model vacuum transmitter yields rho0 == rho1; the pair is
-    returned, degenerate, rather than rejected, so downstream code can
-    exhibit the ill-posedness instead of crashing.
+    The pair holds the parameters of `_parameter_stack`, and writes no state
+    until one is read.  A legacy-model vacuum transmitter yields rho0 == rho1;
+    the pair is returned, degenerate, rather than rejected, so downstream code
+    can exhibit the ill-posedness instead of crashing.
     """
-    mean0, cov0, mean1, cov1 = pair_stack(spec.kind, spec.n_signal, cfg.n_b, cfg.kappa, cfg.model)
-    return HypothesisPair(
-        rho0=GaussianState(mean=mean0, cov=cov0),
-        rho1=GaussianState(mean=mean1, cov=cov1),
-        config=cfg,
-        transmitter=spec,
-    )
+    parameters = _parameter_stack(spec.kind, spec.n_signal, cfg.n_b, cfg.kappa, cfg.model)
+    return HypothesisPair(*parameters, cfg, spec)

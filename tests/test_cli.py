@@ -234,3 +234,13 @@ def test_read_plan_defaults(tmp_path):
     assert parsed.n_b_grid == (3.0,)
     assert out_path is None
     assert out_format == "csv"
+
+
+@pytest.mark.parametrize("n_b", ["1e18", "1e20"])
+def test_chernoff_command_takes_tmss_at_a_large_background(n_b, capsys):
+    # The pair's dense states would fail their eigenvalue check here; the
+    # command reads the pair's parameters, as a sweep of the point does.
+    code = main(["chernoff", "--transmitter", "tmss", "--ns", "1", "--nb", n_b, "--kappa", "0.1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "xi       = 0.0013873908966672843" in out and "flags" not in out

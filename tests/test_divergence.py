@@ -294,7 +294,9 @@ def test_chernoff_flat_pair_with_its_minimum_at_the_edge(model):
     # which the pre-filter on log Q_{1/2} - log Q_{s*} must let through.
     at = np.array([0.05, 0.5, 0.95, _S_EDGE, 1.0 - _S_EDGE])
     copies = pair_stack("smsv", 1e-3, np.zeros(at.size), 1.05e-10, model)
-    log_q = divergence._StandardGeometry.from_moments(*copies).derivatives(at)[0]
+    parameters = divergence._standard_parameters(*copies)
+    geometry = divergence._StandardGeometry.from_parameters(*parameters)
+    log_q = geometry.derivatives(at)[0]
     assert np.ptp(log_q[:3]) < FLAT_SPAN < 2.0 * (log_q[1] - log_q[3:].min())
     res = chernoff(make_pair(smsv(1e-3), TargetConfig(kappa=1.05e-10, n_b=0.0, model=model)))
     assert res.flags == ("flat",)
@@ -379,10 +381,11 @@ def test_chernoff_rejects_bad_s_tol(s_tol):
 
 
 def test_degenerate_is_read_off_the_moments():
-    # A legacy vacuum pair built by hand, not by make_pair, is degenerate
-    # and is not searched.
+    # A legacy vacuum pair built by hand from its parameters, not by
+    # make_pair, is degenerate and is not searched.
     made = make_pair(vacuum(), TargetConfig(kappa=0.1, n_b=1.0, model="legacy"))
-    by_hand = HypothesisPair(made.rho0, made.rho1, made.config, made.transmitter)
+    by_hand = HypothesisPair(made.mean0, made.variances0, made.mean1, made.variances1,
+                             made.config, made.transmitter)
     assert by_hand.degenerate
     res = chernoff(by_hand)
     assert res.flags == ("degenerate",)
@@ -392,7 +395,8 @@ def test_degenerate_is_read_off_the_moments():
     pair = make_pair(coherent(1.0), cfg)
     assert not pair.degenerate
     with pytest.raises(TypeError):
-        HypothesisPair(pair.rho0, pair.rho1, cfg, pair.transmitter, degenerate=True)
+        HypothesisPair(pair.mean0, pair.variances0, pair.mean1, pair.variances1, cfg,
+                       pair.transmitter, degenerate=True)
     with pytest.raises(AttributeError):
         pair.degenerate = True
     with pytest.raises(TypeError):
@@ -400,8 +404,13 @@ def test_degenerate_is_read_off_the_moments():
     res = chernoff(pair)
     assert res.flags == () and res.xi > 0.0 and res.n_evals > 0
     # States of different mode counts are not a degenerate pair.
-    two_mode = make_pair(tmss(1.0), cfg).rho1
-    assert not HypothesisPair(pair.rho0, two_mode, cfg, pair.transmitter).degenerate
+    two_mode = make_pair(tmss(1.0), cfg)
+    mixed = HypothesisPair(pair.mean0, pair.variances0, two_mode.mean1, two_mode.variances1,
+                           cfg, pair.transmitter)
+    assert not mixed.degenerate
+    for read in (chernoff, lambda p: bhattacharyya_error_bound(p, 1)):
+        with pytest.raises(ValueError, match="mode mismatch: 1 vs 2"):
+            read(mixed)
 
 
 def test_vacuum_detection_exponent_positive():
@@ -469,6 +478,21 @@ def test_fidelity_coherent_overlap():
     assert fidelity(a, b) == pytest.approx(np.exp(-0.25 * d @ d), rel=1e-12)
 
 
+def test_fidelity_of_pure_states_is_the_root_of_their_overlap(monkeypatch):
+    # For pure states F^2 = tr rho0 rho1 = Q_s at any s.  Squeezed and
+    # displaced in both quadratures, each sector's displacement meets its
+    # own variance sum; the closed form takes no matrix routine.
+    states = [(GaussianState([0.3, -0.4], 0.5 * np.diag([np.exp(-2 * r0), np.exp(2 * r0)])),
+               GaussianState([1.1, 0.5], 0.5 * np.diag([np.exp(-2 * r1), np.exp(2 * r1)])))
+              for r0, r1 in ((0.3, 0.3), (0.4, -0.2))]
+    for name in ("det", "eigh", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, None)
+    for rho0, rho1 in states:
+        f = fidelity(rho0, rho1)
+        assert f**2 == pytest.approx(q_s_general(rho0, rho1, 0.5), rel=1e-12)
+        assert f**2 == pytest.approx(q_s_general(rho0, rho1, 0.2), rel=1e-12)
+
+
 def test_fidelity_rejects_multimode():
     pair = make_pair(tmss(1.0), TargetConfig(kappa=0.2, n_b=1.0))
     with pytest.raises(ValueError):
@@ -485,10 +509,11 @@ def test_fidelity_symmetry_and_invariance():
         f = fidelity(pair.rho0, pair.rho1)
         assert 0.0 < f <= 1.0
         assert f == pytest.approx(fidelity(pair.rho1, pair.rho0), rel=1e-12)
-        u = phase_rotation(rng.uniform(0, 2 * np.pi))
-        assert f == pytest.approx(
-            fidelity(apply_unitary(pair.rho0, u), apply_unitary(pair.rho1, u)), rel=1e-11
-        )
+    # fidelity reads its states through the standard-form reader: a rotated
+    # state is refused, as by q_s_general.
+    u = phase_rotation(0.9)
+    with pytest.raises(ValueError, match="pair 0 is not in standard form"):
+        fidelity(apply_unitary(pair.rho0, u), apply_unitary(pair.rho1, u))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gaussqi import highprec
-from gaussqi.divergence import chernoff_many, fidelity_many
+from gaussqi.divergence import _standard_parameters, chernoff_many, fidelity_many
 from gaussqi.fock_oracle import thermal_fock
 from gaussqi.reference import q_s_coherent_closed, williamson
 from gaussqi.sweeps import SweepPlan
@@ -120,7 +120,9 @@ MOMENT_ENTRY_POINTS = {
     "chernoff_many": chernoff_many,
     # stacked before a degenerate pair, which the search masks out
     "chernoff_many flagged": lambda *stack: chernoff_many(*_with_degenerate(*stack)),
-    "fidelity_many": lambda m0, c0, m1, c1: fidelity_many(m0, c0, m1, c1),
+    # takes the parameters (a, b), the diagonal of a one-mode standard form
+    "fidelity_many": lambda m0, c0, m1, c1: fidelity_many(
+        m0, np.diagonal(c0, axis1=1, axis2=2), m1, np.diagonal(c1, axis1=1, axis2=2)),
 }
 
 
@@ -177,7 +179,7 @@ def test_chernoff_many_rejects_a_stack_not_in_standard_form(case):
 def test_standard_form_error_names_the_callers_pair():
     # Pair 0 (no signal, legacy) is degenerate; the index counts it all the same.
     m0, c0, m1, c1 = pair_stack("coherent", [0.0, 1.0], 1.0, 0.1, "legacy")
-    assert _degenerate(m0, c0, m1, c1).tolist() == [True, False]
+    assert _degenerate(*_standard_parameters(m0, c0, m1, c1)).tolist() == [True, False]
     c1[1, 0, 1] = c1[1, 1, 0] = 0.1
     with pytest.raises(ValueError, match="pair 1 is not in standard form"):
         chernoff_many(m0, c0, m1, c1)

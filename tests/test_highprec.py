@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaussqi import highprec
-from gaussqi.divergence import _StandardGeometry, chernoff, q_s_general
+from gaussqi.divergence import _standard_parameters, _StandardGeometry, chernoff, q_s_general
 from gaussqi.reference import _PairGeometry
 from gaussqi.target import TargetConfig, make_pair, pair_moments, pair_stack
 from gaussqi.transmitters import TransmitterSpec, coherent, tmss
@@ -174,7 +174,8 @@ def test_pure_pairs_at_zero_background(model):
 def test_tmss_at_zero_background_is_real_and_matches_production(model):
     # The transmitted mode of both states is pure; it once made log Q_s an
     # mpc with an imaginary part of 3.6e-20.
-    geometry = _StandardGeometry.from_moments(*pair_stack("tmss", 0.7, [0.0], 0.2, model))
+    moments = pair_stack("tmss", 0.7, [0.0], 0.2, model)
+    geometry = _StandardGeometry.from_parameters(*_standard_parameters(*moments))
     for s in (0.1, 0.3, 0.5, 0.7, 0.9):
         value = highprec.log_q_s("tmss", 0.7, 0.0, 0.2, s, model=model)
         assert isinstance(value, mp.mpf)
@@ -207,7 +208,8 @@ def test_pure_mode_band_holds_the_rounding_of_the_closed_form():
     # 96%: the band of 2 units sets it to 1/2.
     n_s, kappa = (0.09759729655705549, 0.12166155412598975), (0.9580719502777387,
                                                                 0.9957898932385046)
-    geometry = _StandardGeometry.from_moments(*pair_stack("tmss", n_s, 0.0, kappa))
+    moments = pair_stack("tmss", n_s, 0.0, kappa)
+    geometry = _StandardGeometry.from_parameters(*_standard_parameters(*moments))
     assert np.all(geometry.x[:, (0, 2)] == 1.0)
     production = geometry.derivatives(np.full(2, 0.999))[0]
     for k, value in enumerate(production):
@@ -327,3 +329,21 @@ def test_log_q_s_rejects_s_outside_unit_interval(s):
     # s = 1.5 used to return a complex mpc, s = 0 to divide by zero
     with pytest.raises(ValueError, match=r"s must lie in \(0, 1\), got "):
         highprec.log_q_s("coherent", 1.0, 1.0, 0.1, s)
+
+
+@pytest.mark.parametrize("kind", ["coherent", "tmss"])
+@pytest.mark.parametrize("n_b", [1e58, 1e100])
+def test_log_q_half_at_a_huge_background_matches_twice_the_digits(kind, n_b, monkeypatch):
+    # With log_ratio ~ -1/nu, 1 - exp(p log_ratio) lost log10(nu) of the DPS
+    # digits: coherent at N_B = 1e58 came out 1.6% off, and from 1e62 on it
+    # divided by zero.  expm1 keeps them all.
+    dps = highprec.DPS
+    value = highprec.log_q_half(kind, 1.0, n_b, 0.1)
+    monkeypatch.setattr(highprec, "DPS", 2 * dps)
+    highprec._pair_geometry.cache_clear()
+    try:
+        doubled = highprec.log_q_half(kind, 1.0, n_b, 0.1)
+    finally:
+        highprec._pair_geometry.cache_clear()
+    with mp.workdps(2 * dps):
+        assert abs(value / doubled - 1) < mp.mpf(10) ** -40

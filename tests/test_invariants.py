@@ -22,6 +22,7 @@ from gaussqi import highprec
 from gaussqi.divergence import (
     _S_EDGE,
     ChernoffResult,
+    _standard_parameters,
     _StandardGeometry,
     chernoff,
     chernoff_many,
@@ -64,11 +65,16 @@ def _floor(pair) -> float:
     return 1e-15 * (1.0 + pair.config.n_b)
 
 
+def _from_moments(*moments) -> _StandardGeometry:
+    """The production geometry of a dense stack, through the dense boundary's reader."""
+    return _StandardGeometry.from_parameters(*_standard_parameters(*moments))
+
+
 def _standard(pair, size: int = 1) -> _StandardGeometry:
     """The production geometry of one pair, as a stack of `size` copies."""
     rho0, rho1 = pair.rho0, pair.rho1
     moments = (rho0.mean, rho0.cov, rho1.mean, rho1.cov)
-    return _StandardGeometry.from_moments(*(np.repeat(x[None], size, axis=0) for x in moments))
+    return _from_moments(*(np.repeat(x[None], size, axis=0) for x in moments))
 
 
 @SETTINGS
@@ -136,7 +142,8 @@ def test_minimum_is_global_and_below_bhattacharyya(kind, model, log_kappa, log_n
 def test_swapped_hypotheses_mirror_s_star(kind, model, log_kappa, log_n_s, log_n_b):
     pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
     res = chernoff(pair)
-    swapped = chernoff(HypothesisPair(pair.rho1, pair.rho0, pair.config, pair.transmitter))
+    swapped = chernoff(HypothesisPair(pair.mean1, pair.variances1, pair.mean0, pair.variances0,
+                                      pair.config, pair.transmitter))
     floor = _floor(pair)
     assert swapped.xi == pytest.approx(res.xi, rel=1e-9, abs=floor)
     assume(not {"edge", "flat"} & set(res.flags + swapped.flags))
@@ -276,7 +283,7 @@ def test_stacked_overlap_invariants(s, seed, kind, model, logs):
     s = np.full(n_b.size, s)
 
     def log_q(m0, c0, m1, c1, at=s):
-        return _StandardGeometry.from_moments(m0, c0, m1, c1).derivatives(at)[0]
+        return _from_moments(m0, c0, m1, c1).derivatives(at)[0]
 
     value = log_q(mean0, cov0, mean1, cov1)
     # 0 < Q_s <= 1
@@ -311,14 +318,14 @@ def _standard_draws(kind, model, seed, size=2000):
     n_b = 10.0 ** rng.uniform(-3.0, 2.0, size)
     n_b[:50] = 0.0
     mean0, cov0, mean1, cov1 = pair_stack(kind, n_s, n_b, kappa, model)
-    live = ~_degenerate(mean0, cov0, mean1, cov1)
+    live = ~_degenerate(*_standard_parameters(mean0, cov0, mean1, cov1))
     return n_b[live], (mean0[live], cov0[live], mean1[live], cov1[live])
 
 
 @pytest.mark.parametrize("kind, model", LIVE)
 def test_standard_geometry_nu_matches_symplectic_eigenvalues(kind, model):
     n_b, moments = _standard_draws(kind, model, seed=90)
-    geom = _StandardGeometry.from_moments(*moments)
+    geom = _from_moments(*moments)
     # Slots (x0a, x0m, x1a, x1m): a one-mode pair's memory slots are padding
     # at x = 1 exactly, and are left out.
     modes = moments[1].shape[-1] // 2
@@ -352,7 +359,7 @@ def test_standard_geometry_matches_dense_route(kind, model):
     s = np.random.default_rng(92).uniform(0.05, 0.95, n_b.size)
     floor = 1e-14 * (1.0 + n_b)
     for states, at in (((mean0, cov0, mean1, cov1), s), ((mean1, cov1, mean0, cov0), 1.0 - s)):
-        value, slope, _ = _StandardGeometry.from_moments(*states).derivatives(at)
+        value, slope, _ = _from_moments(*states).derivatives(at)
         dense_value, dense_slope = _PairGeometry(*states).log_q_and_slope(at)
         assert np.all(np.abs(value - dense_value) <= 1e-9 * np.abs(dense_value) + floor)
         slope_floor = floor / (2.0 * np.minimum(at, 1.0 - at))
@@ -366,9 +373,9 @@ def test_bhattacharyya_overlap_below_fidelity(kind, model, log_kappa, log_n_s, l
     # with equality for commuting states (the vacuum transmitter's pair).
     assume(kind != "tmss")
     pair = _pair(kind, model, log_kappa, log_n_s, log_n_b)
-    rho0, rho1 = pair.rho0, pair.rho1
-    f = fidelity_many(rho0.mean[None], rho0.cov[None], rho1.mean[None], rho1.cov[None])[0]
-    assert q_s_general(rho0, rho1, 0.5) <= f + _floor(pair)
+    f = fidelity_many(pair.mean0[None], pair.variances0[None], pair.mean1[None],
+                      pair.variances1[None])[0]
+    assert q_s_general(pair.rho0, pair.rho1, 0.5) <= f + _floor(pair)
 
 
 @SETTINGS

@@ -7,9 +7,17 @@ import os
 import numpy as np
 import pytest
 
+import gaussqi.divergence
 import gaussqi.sweeps
+import gaussqi.target
 from gaussqi.cli import main, read_plan
-from gaussqi.divergence import FLAT_SPAN, _StandardGeometry, fidelity
+from gaussqi.divergence import (
+    FLAT_SPAN,
+    _standard_parameters,
+    _StandardGeometry,
+    chernoff,
+    fidelity,
+)
 from gaussqi.symplectic import GaussianState
 from gaussqi.sweeps import (
     CHECKS,
@@ -191,17 +199,16 @@ def test_run_sweep_builds_no_state_or_spec(monkeypatch):
 
 @pytest.mark.parametrize("model", ["agnostic", "legacy"])
 def test_run_sweep_exponents_take_no_matrix_routine(monkeypatch, model):
-    # Every exponent comes from the closed-form standard geometry, with no
-    # LAPACK routine per pair.
+    # Every exponent comes from the closed-form standard geometry, and every
+    # fidelity from its closed form in (a, b), with no LAPACK routine per pair.
     def refuse(*args, **kwargs):
         raise AssertionError("matrix routine called during run_sweep")
 
-    for name in ("cholesky", "eigh", "solve"):
+    for name in ("cholesky", "det", "eigh", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
     plan = small_plan(transmitters=("vacuum", "coherent", "smsv", "tmss"),
-                      quantities=tuple(q for q in gaussqi.sweeps.QUANTITIES if q != "fidelity"),
-                      n_b_grid=(0.0, 2.0), model=model)
-    assert len(run_sweep(plan)) == (1 + 3) * 2 * 5
+                      quantities=gaussqi.sweeps.QUANTITIES, n_b_grid=(0.0, 2.0), model=model)
+    assert len(run_sweep(plan)) == (1 + 3) * 2 * 6
 
 
 def _wide_plan(model, tmp_path):
@@ -217,10 +224,9 @@ def _wide_plan(model, tmp_path):
 
 @pytest.mark.parametrize("model", ["agnostic", "legacy"])
 def test_geometry_from_parameters_equals_the_dense_boundary(model, tmp_path):
-    # The sweep's route (pair_parameters, stacked, then from_parameters) and
-    # the public boundary's (pair_stack, then from_moments, which
-    # reads the parameters back off) agree bit for bit on the wide grid,
-    # and so do the two degenerate masks.
+    # The sweep's parameters (pair_parameters, stacked) and the ones the
+    # public boundary reads back off pair_stack's moments agree bit for bit
+    # on the wide grid, and so do their geometries and degenerate masks.
     plan = _wide_plan(model, tmp_path)
     for kind in KINDS:
         n_s_grid = (0.0,) if kind == "vacuum" else plan.n_s_grid
@@ -229,25 +235,47 @@ def test_geometry_from_parameters_equals_the_dense_boundary(model, tmp_path):
         parameters = [_stack(mesh[0].shape, p) for p in pair_parameters(kind, *mesh, model)]
         dense = pair_stack(kind, *mesh, model)
         built = _StandardGeometry.from_parameters(*parameters)
-        read = _StandardGeometry.from_moments(*dense)
-        for field, other in zip(built, read, strict=True):
+        read = _standard_parameters(*dense)
+        for field, other in zip(parameters, read, strict=True):
             assert field.dtype == other.dtype and field.shape == other.shape
             assert field.tobytes() == other.tobytes(), kind
-        assert np.array_equal(_degenerate(*parameters), _degenerate(*dense))
+        for field, other in zip(built, _StandardGeometry.from_parameters(*read), strict=True):
+            assert field.dtype == other.dtype and field.shape == other.shape
+            assert field.tobytes() == other.tobytes(), kind
+        assert np.array_equal(_degenerate(*parameters), _degenerate(*read))
 
 
 @pytest.mark.parametrize("model", ["agnostic", "legacy"])
 def test_exponent_plan_writes_no_dense_stack(model, tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(gaussqi.sweeps, "pair_stack",
-                        lambda *args: calls.append(args[0]) or pair_stack(*args))
+    # Every quantity, fidelity included, reads the stacked parameters: no
+    # dense moment stack is written and no state is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense moments written during run_sweep")
+
+    assert not hasattr(gaussqi.sweeps, "pair_stack")
+    for module in (gaussqi.target, gaussqi.divergence):
+        monkeypatch.setattr(module, "_dense", refuse)
+    monkeypatch.setattr(gaussqi.target, "pair_stack", refuse)
+    monkeypatch.setattr(gaussqi.divergence, "_standard_parameters", refuse)
     plan = _wide_plan(model, tmp_path)
-    run_sweep(dataclasses.replace(plan, quantities=tuple(q for q in plan.quantities
-                                                         if q != "fidelity")))
-    assert calls == []
-    # Fidelity rows do write one, for each single-mode kind they read.
-    run_sweep(dataclasses.replace(plan, quantities=("fidelity",)))
-    assert calls == ["vacuum", "coherent", "smsv"]
+    rows = run_sweep(plan)
+    assert {row.quantity for row in rows} == set(gaussqi.sweeps.QUANTITIES)
+
+
+@pytest.mark.parametrize("model", ["agnostic", "legacy"])
+def test_one_pair_and_one_point_sweep_agree_at_large_backgrounds(model):
+    # Both read the same float64 parameters.  The one-pair path used to
+    # write dense states first, whose eigenvalue check refused tmss from
+    # N_B = 1e18 on ("covariance not positive definite").
+    for kind in KINDS:
+        n_s = 0.0 if kind == "vacuum" else 1.0
+        for n_b in (1e12, 1e16, 1e18, 1e20):
+            res = chernoff(make_pair(TransmitterSpec(kind, n_s), TargetConfig(0.1, n_b, model)))
+            (row,) = run_sweep(SweepPlan(transmitters=(kind,), n_s_grid=(n_s,), n_b_grid=(n_b,),
+                                         kappa_grid=(0.1,), model=model))
+            assert (row.value, row.s_star, row.flags) == (res.xi, res.s_star, res.flags)
+            # Agnostic pairs see the target; legacy ones at this N_B are noise.
+            assert res.flags in ({()} if model == "agnostic" else {("flat",), ("degenerate",)})
 
 
 # N_S = 1e308 is finite, but the moments it gives are not: sqrt(2 N_S) of the

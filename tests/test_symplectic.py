@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,3 +274,12 @@ def test_partial_trace_commutes_with_unitary_on_traced_modes():
     a = partial_trace(apply_unitary(st, u), keep={0})
     b = partial_trace(st, keep={0})
     assert a.isclose(b)
+
+
+def test_a_finite_covariance_near_the_float_limit_is_kept():
+    # Symmetrising as 0.5 (cov + cov^T) overflowed past 8.99e307, stored inf
+    # with a RuntimeWarning, and a later check called the state non-finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = GaussianState([0.0, 0.0], np.diag([1e308, 1e308]))
+    assert state.cov.tolist() == [[1e308, 0.0], [0.0, 1e308]]

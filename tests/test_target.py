@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussqi.divergence
+import gaussqi.target
+from gaussqi.divergence import bhattacharyya_error_bound, chernoff
 from gaussqi.reference import dilated_present, target_present
 from gaussqi.symplectic import GaussianState, symplectic_eigenvalues
-from gaussqi.target import TargetConfig, make_pair, pair_moments
+from gaussqi.target import TargetConfig, make_pair, pair_moments, pair_stack
 from gaussqi.transmitters import (
     KINDS,
     TransmitterSpec,
@@ -207,3 +210,34 @@ def test_pair_moments_keep_the_number_type():
             assert np.allclose(np.array(mpf, dtype=float), f64, rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError):
         pair_moments("laser", 1.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("model", ["agnostic", "legacy"])
+def test_one_pair_path_reads_parameters_only(model, monkeypatch):
+    # make_pair, chernoff(pair), bhattacharyya_error_bound(pair) and
+    # degenerate neither write nor read dense moments (the dense boundary's
+    # reader, behind every from-moments geometry), and build no state.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense moments or a state built on the one-pair path")
+
+    monkeypatch.setattr(gaussqi.divergence, "_standard_parameters", refuse)
+    for module in (gaussqi.target, gaussqi.divergence):
+        monkeypatch.setattr(module, "_dense", refuse)
+    monkeypatch.setattr(GaussianState, "__post_init__", refuse)
+    for kind in KINDS:
+        spec = TransmitterSpec(kind, 0.0 if kind == "vacuum" else 0.7)
+        pair = make_pair(spec, TargetConfig(kappa=0.2, n_b=1.5, model=model))
+        assert pair.degenerate == (kind == "vacuum" and model == "legacy")
+        assert chernoff(pair).xi >= 0.0
+        assert 0.0 < bhattacharyya_error_bound(pair, 10) <= 0.5
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pair_states_are_written_once_from_the_parameters(kind):
+    # Each read returns the same state, and its moments are pair_stack's.
+    spec = TransmitterSpec(kind, 0.0 if kind == "vacuum" else 0.7)
+    pair = make_pair(spec, TargetConfig(kappa=0.2, n_b=1.5))
+    assert pair.rho0 is pair.rho0 and pair.rho1 is pair.rho1
+    moments = pair_stack(kind, spec.n_signal, 1.5, 0.2)
+    for state, (mean, cov) in zip((pair.rho0, pair.rho1), (moments[:2], moments[2:])):
+        assert state.mean.tobytes() == mean.tobytes() and state.cov.tobytes() == cov.tobytes()

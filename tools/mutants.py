@@ -97,8 +97,8 @@ CATALOGUE = (
     Mutant(SWEEPS, "results[kind if kind == \"vacuum\" else \"coherent\"][1]",
            "results[\"coherent\"][1]",
            "a vacuum row's coherent reference read off the coherent stack's first points"),
-    Mutant(TARGET, "(cov1 - cov0).max(axis=-1) <= 1e-13 * scale",
-           "(cov1 - cov0).max(axis=-1) <= 1e-11 * scale",
+    Mutant(TARGET, "(variances1 - variances0).max(axis=-1) <= 1e-13 * scale",
+           "(variances1 - variances0).max(axis=-1) <= 1e-11 * scale",
            "degenerate covariances 100x looser"),
     Mutant(TARGET, "(mean1 - mean0).max(axis=-1) <= 1e-13 * scale",
            "(mean1 - mean0).max(axis=-1) <= 1e-11 * scale",
@@ -157,7 +157,7 @@ CATALOGUE = (
     Mutant(DIVERGENCE, "    if log_q_half >= 0.0:\n        return 0.5\n", "",
            "no Bhattacharyya guard: a pair whose log Q_1/2 rounds above 0 bounds the "
            "error above 1/2"),
-    Mutant(DIVERGENCE, "if not np.isfinite(variances).all():", "if False:",
+    Mutant(DIVERGENCE, "if not np.isfinite(joined).all():", "if False:",
            "a sweep's parameters are not checked: moments that overflowed from a finite "
            "N_S reach the closed form"),
     Mutant(DIVERGENCE, "MAX_ITER = 200", "MAX_ITER = 30",
@@ -177,6 +177,24 @@ CATALOGUE = (
     Mutant(DIVERGENCE, "len(rows) == len(self.modes)", "False",
            "take copies the full stack instead of returning it; survives, equivalent: the "
            "same numbers, one extra copy per full-stack pass"),
+    Mutant(TARGET, "_standard_form(self.mean1, self.variances1)",
+           "_standard_form(self.mean0, self.variances0)",
+           "the pair's rho1 written from rho0's parameters"),
+    Mutant(TARGET, "rho0 = cached_property(", "rho0 = property(",
+           "rho0 written afresh on every read: q_s_general's geometry cache, keyed on the "
+           "states, misses on every call"),
+    Mutant(TARGET, "rho1 = cached_property(", "rho1 = property(",
+           "rho1 written afresh on every read"),
+    Mutant(DIVERGENCE, "d[:, 0] ** 2 / total_a + d[:, 1] ** 2 / total_b",
+           "d[:, 0] ** 2 / total_b + d[:, 1] ** 2 / total_a",
+           "fidelity's two sector sums swapped: a displacement in q is weighed by the p "
+           "variances; make_pair's displaced probes are isotropic, so only a squeezed "
+           "displaced state shows it"),
+    Mutant(HIGHPREC, "-mp.expm1(p * log_ratio)", "1 - mp.exp(p * log_ratio)",
+           "the cancelling 1 - exp: log_q_half 1.6% off at N_B = 1e58, ZeroDivisionError "
+           "from 1e62 on"),
+    Mutant(SYMPLECTIC, "0.5 * cov + 0.5 * cov_t", "0.5 * (cov + cov_t)",
+           "symmetrised after the sum, which overflows past 8.99e307"),
 )
 
 

@@ -20,6 +20,11 @@ each command in a fresh temporary directory with BLAS pinned to one thread:
   for every kind in both models at the `fock-gate` anchor (N_S = 0.5,
   kappa = 0.3, N_B = 0.5), at the cutoff `choose_cutoff` picks (tmss at
   24, as in `fock-gate`);
+- the domain-edge table (EDGE_TABLE): `gaussqi chernoff` and a one-point
+  `gaussqi sweep` of `chernoff`, run in-process through `cli.main` with
+  JSON output, for every kind in both models at N_S = 1 (0 for vacuum),
+  kappa = 0.1 and N_B = 1e12, 1e16, 1e18 and 1e20, printing xi, s_star
+  and the flags with repr, or the exit code and the error line;
 - demos 01-05;
 - `gaussqi sweep` on the wide plan (WIDE_PLAN: every kind and quantity on
   grids from 0 and 1e-12 to 1e6) in both models.
@@ -102,6 +107,36 @@ for model in ("agnostic", "legacy"):
         values += [fidelity_fock(rho0, rho1), rho0.trace_deficit, rho1.trace_deficit]
         print(model, kind, d, *map(repr, values))
 """
+# The domain-edge table, run with `python -c`: one line per command, so the
+# two routes to one point sit next to each other.
+EDGE_TABLE = """
+import contextlib, io, json, os, tempfile
+from gaussqi.cli import main
+with tempfile.TemporaryDirectory() as work:
+    plan, out = os.path.join(work, "plan.txt"), os.path.join(work, "out.json")
+    for model in ("agnostic", "legacy"):
+        for kind in ("vacuum", "coherent", "smsv", "tmss"):
+            n_s = "0" if kind == "vacuum" else "1"
+            for n_b in ("1e12", "1e16", "1e18", "1e20"):
+                with open(plan, "w") as fh:
+                    fh.write(f"transmitter = {kind}\\nns = {n_s}\\nnb = {n_b}\\n"
+                             f"kappa = 0.1\\nmodel = {model}\\n")
+                point = ["--transmitter", kind, "--ns", n_s, "--nb", n_b, "--kappa", "0.1",
+                         "--model", model]
+                for route, argv in (("chernoff", ["chernoff", *point]), ("sweep", ["sweep", plan])):
+                    err = io.StringIO()
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        with contextlib.redirect_stderr(err):
+                            code = main(argv + ["--out", out, "--format", "json"])
+                    head = f"{model} {kind} {n_b} {route}:"
+                    if code:
+                        print(head, "exit", code, err.getvalue().strip().splitlines()[-1])
+                        continue
+                    with open(out) as fh:
+                        (row,) = [r for r in json.load(fh) if r["quantity"] == "chernoff"]
+                    flags = tuple(row["flags"])
+                    print(head, repr(row["value"]), repr(row["s_star"]), repr(flags))
+"""
 # Columns that identify a sweep row, and the numeric ones compared.
 KEY = ("transmitter", "model", "n_s", "n_b", "kappa", "quantity")
 NUMERIC = ("value", "s_star")
@@ -129,6 +164,7 @@ def commands():
         points.append(tuple(float(given.get(k, 0.0)) for k in ("--ns", "--nb", "--kappa")))
     out.append(("api table", ["-c", f"POINTS = {tuple(points)!r}\n" + API_TABLE], None, []))
     out.append(("fock table", ["-c", FOCK_TABLE], None, []))
+    out.append(("domain-edge table", ["-c", EDGE_TABLE], None, []))
     for demo in DEMOS:
         out.append((f"demo {demo}", [os.path.join("{tree}", "demos", demo)], None, []))
     for model in ("agnostic", "legacy"):
