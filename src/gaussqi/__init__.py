@@ -11,12 +11,11 @@ from .divergence import (
     ChernoffResult,
     bhattacharyya_error_bound,
     chernoff,
-    chernoff_many,
     fidelity,
     q_s_general,
 )
 from .symplectic import GaussianState
-from .target import HypothesisPair, TargetConfig, make_pair, pair_stack
+from .target import HypothesisPair, TargetConfig, make_pair
 from .transmitters import (
     TransmitterSpec,
     coherent,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symplectic import GaussianState, _check_physical, _validated_cov
+from .symplectic import GaussianState, _check_physical
 from .target import HypothesisPair, _degenerate, _dense
 
 # Minimizer defaults; chosen because log Q_s becomes exponentially flat in s
@@ -54,18 +54,12 @@ def _finite(mean0, cov0, mean1, cov1, where: str):
 
 def _standard_parameters(mean0, cov0, mean1, cov1):
     """The one reader of the dense boundary: standard-form parameters (mean0, variances0,
-    mean1, variances1) of means (N, 2n) and covariances (N, 2n, 2n), never broadcast.
-    Rejects non-finite, then non-symmetric moments, and accepts a pair only if
-    `target._dense` writes its moments back exactly from the parameters read off them."""
+    mean1, variances1) of means (N, 2n) and covariances (N, 2n, 2n) of states that
+    `GaussianState` has checked.  Accepts a pair only if `target._dense` writes its
+    moments back exactly from the parameters read off them."""
     if np.shape(cov0) != np.shape(cov1):
         raise ValueError(f"mode mismatch: {np.shape(cov0)[-1] // 2} vs {np.shape(cov1)[-1] // 2}")
-    if not np.shape(mean0) == np.shape(mean1) == np.shape(cov0)[:-1]:
-        raise ValueError(
-            f"overlap: means of shapes {np.shape(mean0)} and {np.shape(mean1)} "
-            f"do not match covariances of shape {np.shape(cov0)}"
-        )
-    # Finite means come before the form.
-    cov = _validated_cov(_finite(mean0, cov0, mean1, cov1, "overlap")[1], "overlap")
+    cov = np.concatenate((cov0, cov1))
     size, n = len(cov0), cov.shape[-1] // 2
     read = {1: ((0, 1), (0, 1)), 2: ((0, 0, 2), (0, 2, 2))}.get(n)  # (a, b) or (a, c, m)
     standard = np.zeros(len(cov), dtype=bool)
@@ -214,7 +208,7 @@ class _StandardGeometry(NamedTuple):
     @classmethod
     def from_parameters(cls, mean0, variances0, mean1, variances1) -> "_StandardGeometry":
         """The one builder, from stacked `target.pair_parameters`: means (N, 2n), variances (N, 2)
-        or (N, 3).  Moments that overflowed from finite inputs get the boundary's errors."""
+        or (N, 3).  Parameters that overflowed from finite inputs are refused (`_finite`)."""
         diff, variances = _finite(mean0, variances0, mean1, variances1, "overlap")
         size, n = len(diff), diff.shape[-1] // 2
         if n == 1:
@@ -439,37 +433,16 @@ def chernoff(pair: HypothesisPair, s_tol: float = S_TOL) -> ChernoffResult:
     max(-log Q, 0): rounding can push log Q_s of a near-identical pair just
     above 0.
 
-    This is `chernoff_many` on the pair's parameters, a stack of one.
+    This is `_chernoff_parameters` on the pair's parameters, a stack of one.
     """
     stack = pair.mean0[None], pair.variances0[None], pair.mean1[None], pair.variances1[None]
     return _chernoff_parameters(*stack, s_tol)[0]
 
 
-def chernoff_many(mean0, cov0, mean1, cov1, s_tol: float = S_TOL) -> list[ChernoffResult]:
-    """`chernoff` for every pair of a stack, one numpy pass per search step.
-
-    Pairs are stacked along the first axis: means (N, 2n), covariances
-    (N, 2n, 2n), in the standard form `target.pair_stack` gives them (see
-    `_StandardGeometry`).  Every pair is validated; the degenerate ones
-    (`target._degenerate`) are not searched.  The search is
-    `_chernoff_search` on the stack's geometry: every pair takes the steps
-    `chernoff` describes on its own, so its result does not depend on the
-    rest of the stack.
-
-    Returns:
-        One ChernoffResult per pair, in stack order.
-
-    Raises:
-        ValueError: means not of shape (N, 2n); a non-finite or
-            non-symmetric covariance or mean; a pair not in the standard
-            form of `_StandardGeometry`; an unphysical covariance; or
-            s_tol outside (0, 1/2 - _S_EDGE), the first bracket's width.
-    """
-    return _chernoff_parameters(*_standard_parameters(mean0, cov0, mean1, cov1), s_tol)
-
-
 def _chernoff_parameters(mean0, variances0, mean1, variances1, s_tol: float):
-    """The ChernoffResults of stacked standard-form parameters, after checking s_tol."""
+    """One ChernoffResult per pair of stacked parameters (as `_StandardGeometry.from_parameters`
+    takes them), in stack order, after checking s_tol.  Every pair is validated; the
+    degenerate ones are not searched, and no pair's result depends on the rest."""
     if not 0.0 < s_tol < 0.5 - _S_EDGE:
         raise ValueError(f"s_tol must lie in (0, {0.5 - _S_EDGE}), got {s_tol}")
     geom = _StandardGeometry.from_parameters(mean0, variances0, mean1, variances1)
@@ -478,7 +451,7 @@ def _chernoff_parameters(mean0, variances0, mean1, variances1, s_tol: float):
 
 
 def _chernoff_search(geom: _StandardGeometry, degenerate: np.ndarray, s_tol: float = S_TOL):
-    """The search of `chernoff_many` on a built geometry, of one or of both mode counts.
+    """The search of `chernoff` on a built geometry, of one or of both mode counts.
 
     `degenerate` is the `target._degenerate` mask of geom's pairs, and
     s_tol is checked by the caller.  Every pass goes through `evaluate`,

@@ -151,10 +151,16 @@ def _geometry(mean0, cov0, mean1, cov1):
 def _weights(p, modes):
     """Per mode Lambda_p(nu) / nu, and the product over modes of 1 - r,
     where with hi, lo = (2 nu + 1)**p, (2 nu - 1)**p and r = lo / hi,
-    Lambda_p = (1 + r) / (1 - r) and hi - lo = hi (1 - r)."""
+    Lambda_p = (1 + r) / (1 - r) and hi - lo = hi (1 - r).  1 - r = 1 - e^y
+    loses about -mag(y) bits to cancellation, so it is formed with that many
+    more."""
     weights, spread = [], mp.mpf(1)
     for inv_nu, log_ratio in modes:
-        t = 1 if log_ratio is None else -mp.expm1(p * log_ratio)
+        t = 1
+        if log_ratio is not None:
+            y = p * log_ratio
+            with mp.extraprec(max(0, -mp.mag(y))):
+                t = 1 - mp.exp(y)
         weights.append((2 - t) / t * inv_nu)
         spread *= t
     return weights, spread

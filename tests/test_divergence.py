@@ -5,10 +5,11 @@ from gaussqi import divergence
 from gaussqi.divergence import (
     _S_EDGE,
     FLAT_SPAN,
+    S_TOL,
+    _chernoff_parameters,
     _factors,
     bhattacharyya_error_bound,
     chernoff,
-    chernoff_many,
     fidelity,
     q_s_general,
 )
@@ -21,7 +22,7 @@ from gaussqi.reference import (
     squeezer,
 )
 from gaussqi.symplectic import GaussianState
-from gaussqi.target import HypothesisPair, TargetConfig, make_pair, pair_stack
+from gaussqi.target import HypothesisPair, TargetConfig, _parameter_stack, make_pair
 from gaussqi.transmitters import coherent, smsv, thermal_state, tmss, vacuum
 
 
@@ -293,9 +294,8 @@ def test_chernoff_flat_pair_with_its_minimum_at_the_edge(model):
     # flat.  Its edge value sits more than FLAT_SPAN / 2 below log Q_{1/2},
     # which the pre-filter on log Q_{1/2} - log Q_{s*} must let through.
     at = np.array([0.05, 0.5, 0.95, _S_EDGE, 1.0 - _S_EDGE])
-    copies = pair_stack("smsv", 1e-3, np.zeros(at.size), 1.05e-10, model)
-    parameters = divergence._standard_parameters(*copies)
-    geometry = divergence._StandardGeometry.from_parameters(*parameters)
+    copies = _parameter_stack("smsv", 1e-3, np.zeros(at.size), 1.05e-10, model)
+    geometry = divergence._StandardGeometry.from_parameters(*copies)
     log_q = geometry.derivatives(at)[0]
     assert np.ptp(log_q[:3]) < FLAT_SPAN < 2.0 * (log_q[1] - log_q[3:].min())
     res = chernoff(make_pair(smsv(1e-3), TargetConfig(kappa=1.05e-10, n_b=0.0, model=model)))
@@ -314,15 +314,15 @@ def test_chernoff_evaluation_count(spec):
 
 
 @pytest.mark.parametrize("kind, most", [("tmss", 5), ("coherent", 4)])
-def test_chernoff_many_evaluations_on_a_map(kind, most):
+def test_stacked_chernoff_evaluations_on_a_map(kind, most):
     # A seeded 4 x 4 map shaped like `gaussqi sweep`'s advantage map:
     # log-uniform N_S in [1e-3, 10] and N_B in [1e-3, 100] at kappa = 1e-2.
     # Its slowest pair sets the number of passes over the stack.
     rng = np.random.default_rng(2)
     n_s = np.sort(10.0 ** rng.uniform(-3.0, 1.0, 4))
     n_b = np.sort(10.0 ** rng.uniform(-3.0, 2.0, 4))
-    moments = pair_stack(kind, *np.meshgrid(n_s, n_b, indexing="ij"), 1e-2)
-    results = chernoff_many(*(m.reshape(16, *m.shape[2:]) for m in moments))
+    stack = _parameter_stack(kind, *np.meshgrid(n_s, n_b, indexing="ij"), 1e-2)
+    results = _chernoff_parameters(*(p.reshape(16, p.shape[-1]) for p in stack), S_TOL)
     assert all(not r.flags for r in results)
     assert max(r.n_evals for r in results) == most
 
@@ -363,7 +363,7 @@ def test_chernoff_reports_the_lowest_value_it_evaluated(monkeypatch):
             n_s = np.zeros(size) if kind == "vacuum" else 10.0 ** rng.uniform(-8.0, 4.0, size)
             n_b = np.where(rng.random(size) < 0.25, 0.0, 10.0 ** rng.uniform(-8.0, 6.0, size))
             lowest = np.full(size, np.inf)
-            results = chernoff_many(*pair_stack(kind, n_s, n_b, kappa, model))
+            results = _chernoff_parameters(*_parameter_stack(kind, n_s, n_b, kappa, model), S_TOL)
             assert not pending
             for k, res in enumerate(results):
                 if not res.flags:
@@ -400,7 +400,7 @@ def test_degenerate_is_read_off_the_moments():
     with pytest.raises(AttributeError):
         pair.degenerate = True
     with pytest.raises(TypeError):
-        chernoff_many(*pair_stack("coherent", [1.0], 1.0, 0.1), degenerate=[True])
+        chernoff(pair, degenerate=True)
     res = chernoff(pair)
     assert res.flags == () and res.xi > 0.0 and res.n_evals > 0
     # States of different mode counts are not a degenerate pair.

@@ -1,20 +1,27 @@
 """One parameter domain: every entry point rejects a bad n_s, n_b or kappa
 with the same message, from the checks in transmitters and target; every
-entry point that takes moments rejects non-finite ones; and chernoff_many
-rejects, after that, a stack outside its standard form or unphysical.
-chernoff_many checks every pair it is given, degenerate or not, and takes
-means of its covariances' shape."""
+entry point that takes moments or parameters rejects non-finite ones; the
+parameter path then rejects unphysical ones, checking every pair of a stack,
+degenerate or not; and q_s_general and fidelity refuse states outside the
+standard form."""
 
 import numpy as np
 import pytest
 
 from gaussqi import highprec
-from gaussqi.divergence import _standard_parameters, chernoff_many, fidelity_many
+from gaussqi.divergence import (
+    S_TOL,
+    _chernoff_parameters,
+    _standard_parameters,
+    fidelity,
+    fidelity_many,
+    q_s_general,
+)
 from gaussqi.fock_oracle import thermal_fock
 from gaussqi.reference import q_s_coherent_closed, williamson
 from gaussqi.sweeps import SweepPlan
 from gaussqi.symplectic import GaussianState, symplectic_eigenvalues
-from gaussqi.target import TargetConfig, _degenerate, pair_stack
+from gaussqi.target import TargetConfig, _degenerate, _parameter_stack, pair_stack
 from gaussqi.transmitters import TransmitterSpec
 
 NAN, INF = float("nan"), float("inf")
@@ -112,17 +119,22 @@ def _spoil(array, value, entry):
     return array
 
 
+def _parameters(m0, c0, m1, c1):
+    """The parameters (a, b) of one-mode stacks, the diagonal of their standard form."""
+    return m0, np.diagonal(c0, axis1=1, axis2=2), m1, np.diagonal(c1, axis1=1, axis2=2)
+
+
 # Moment entry point -> call taking (mean0, cov0, mean1, cov1) stacks of one pair.
 MOMENT_ENTRY_POINTS = {
     "williamson": lambda m0, c0, m1, c1: williamson(c1),
     "symplectic_eigenvalues": lambda m0, c0, m1, c1: symplectic_eigenvalues(c1),
     "GaussianState": lambda m0, c0, m1, c1: GaussianState(m1[0], c1[0]),
-    "chernoff_many": chernoff_many,
+    # the search's parameter path, as `chernoff` and a sweep take it
+    "search": lambda *stack: _chernoff_parameters(*_parameters(*stack), S_TOL),
     # stacked before a degenerate pair, which the search masks out
-    "chernoff_many flagged": lambda *stack: chernoff_many(*_with_degenerate(*stack)),
-    # takes the parameters (a, b), the diagonal of a one-mode standard form
-    "fidelity_many": lambda m0, c0, m1, c1: fidelity_many(
-        m0, np.diagonal(c0, axis1=1, axis2=2), m1, np.diagonal(c1, axis1=1, axis2=2)),
+    "search flagged": lambda *stack: _chernoff_parameters(
+        *_parameters(*_with_degenerate(*stack)), S_TOL),
+    "fidelity_many": lambda *stack: fidelity_many(*_parameters(*stack)),
 }
 
 
@@ -135,9 +147,7 @@ def test_every_moment_entry_point_rejects_non_finite_covariance(entry, value):
 
 
 @pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
-@pytest.mark.parametrize(
-    "entry", ["GaussianState", "chernoff_many", "chernoff_many flagged", "fidelity_many"]
-)
+@pytest.mark.parametrize("entry", ["GaussianState", "search", "search flagged", "fidelity_many"])
 def test_every_pair_entry_point_rejects_non_finite_mean(entry, value):
     m0, c0, m1, c1 = _coherent_pair_stack()
     with pytest.raises(ValueError, match="must be finite"):
@@ -146,6 +156,29 @@ def test_every_pair_entry_point_rejects_non_finite_mean(entry, value):
     if entry != "GaussianState":
         with pytest.raises(ValueError, match="means must be finite"):
             MOMENT_ENTRY_POINTS[entry](_spoil(m0, value, (0, 0)), c0, m1, c1)
+
+
+def test_gaussian_state_takes_a_mean_of_its_covariances_size():
+    # A length-1 mean would broadcast over both quadratures.
+    m0, c0, _, _ = _coherent_pair_stack()
+    for mean in (m0[0, :1], np.concatenate((m0[0], m0[0]))):
+        with pytest.raises(ValueError, match="does not match covariance size 2"):
+            GaussianState(mean, c0[0])
+
+
+@pytest.mark.parametrize("kind, scale", [("coherent", 0.1), ("coherent", -1.0), ("tmss", 0.1)])
+def test_chernoff_parameters_rejects_an_unphysical_standard_form(kind, scale):
+    # 0.1 I has symplectic eigenvalues 0.1; -I is not positive definite.
+    m0, v0, m1, v1 = _parameter_stack(kind, [1.0], 1.0, 0.1)
+    bad = scale * np.array([[1.0, 1.0]] if kind == "coherent" else [[1.0, 0.0, 1.0]])
+    tail = _parameter_stack(kind, [0.0], 1.0, 0.1, "legacy")
+    flagged = [np.concatenate(pair) for pair in zip((m0, v0, m1, bad), tail)]
+    assert _degenerate(*tail).tolist() == [True]
+    # The last stack's pair is degenerate, one unphysical state twice, and
+    # is rejected all the same.
+    for stack in ((m0, v0, m1, bad), flagged, (m1, bad, m1, bad)):
+        with pytest.raises(ValueError, match="unphysical covariance"):
+            _chernoff_parameters(*stack, S_TOL)
 
 
 def _tmss_pair_stack():
@@ -158,7 +191,15 @@ def _correlate(cov, i, j, value=0.1):
     return cov
 
 
-# Stacks that break the standard form of chernoff_many, as (mean0, cov0, mean1, cov1).
+def _states(m0, c0, m1, c1):
+    """The states of a stack of one pair, checked by GaussianState."""
+    return GaussianState(m0[0], c0[0]), GaussianState(m1[0], c1[0])
+
+
+# The readers of states: each takes the pair through the standard-form reader.
+READERS = {"q_s_general": lambda rho0, rho1: q_s_general(rho0, rho1, 0.5), "fidelity": fidelity}
+
+# Physical stacks of one pair outside the standard form, as (mean0, cov0, mean1, cov1).
 NOT_STANDARD = {
     "one-mode q-p correlation": lambda m0, c0, m1, c1: (m0, c0, m1, _correlate(c1, 0, 1)),
     "two-mode q-p correlation": lambda m0, c0, m1, c1: (m0, c0, m1, _correlate(c1, 0, 3)),
@@ -168,65 +209,37 @@ NOT_STANDARD = {
 
 
 @pytest.mark.parametrize("case", list(NOT_STANDARD))
-def test_chernoff_many_rejects_a_stack_not_in_standard_form(case):
+def test_readers_reject_states_not_in_standard_form(case):
     stack = NOT_STANDARD[case](*(_coherent_pair_stack() if case.startswith("one")
                                  else _tmss_pair_stack()))
-    for moments in (stack, _with_degenerate(*stack)):
+    for read in READERS.values():
         with pytest.raises(ValueError, match="pair 0 is not in standard form"):
-            chernoff_many(*moments)
+            read(*_states(*stack))
 
 
 def test_standard_form_error_names_the_callers_pair():
-    # Pair 0 (no signal, legacy) is degenerate; the index counts it all the same.
+    # The reader takes a stack.  Pair 0 (no signal, legacy) is degenerate;
+    # the index counts it all the same.
     m0, c0, m1, c1 = pair_stack("coherent", [0.0, 1.0], 1.0, 0.1, "legacy")
     assert _degenerate(*_standard_parameters(m0, c0, m1, c1)).tolist() == [True, False]
     c1[1, 0, 1] = c1[1, 1, 0] = 0.1
     with pytest.raises(ValueError, match="pair 1 is not in standard form"):
-        chernoff_many(m0, c0, m1, c1)
+        _standard_parameters(m0, c0, m1, c1)
 
 
-def test_chernoff_many_checks_finiteness_before_the_standard_form():
-    m0, c0, m1, c1 = _tmss_pair_stack()
-    for wrap in (lambda *stack: stack, _with_degenerate):
-        with pytest.raises(ValueError, match="covariance must be finite"):
-            chernoff_many(*wrap(m0, c0, m1, _correlate(c1, 0, 1, NAN)))
-        with pytest.raises(ValueError, match="means must be finite"):
-            chernoff_many(*wrap(m0, c0, _spoil(m1, NAN, (0, 2)), c1))
+def test_q_s_general_and_fidelity_reject_a_mode_mismatch():
+    rho0, _ = _states(*_coherent_pair_stack())
+    _, rho1 = _states(*_tmss_pair_stack())
+    for read in READERS.values():
+        with pytest.raises(ValueError, match="mode mismatch: 1 vs 2"):
+            read(rho0, rho1)
 
 
-@pytest.mark.parametrize("kind, scale", [("coherent", 0.1), ("coherent", -1.0), ("tmss", 0.1)])
-def test_chernoff_many_rejects_an_unphysical_standard_form(kind, scale):
-    # 0.1 I has symplectic eigenvalues 0.1; -I is not positive definite.
-    m0, c0, m1, c1 = _coherent_pair_stack() if kind == "coherent" else _tmss_pair_stack()
-    bad = scale * np.eye(c1.shape[-1])[None]
-    # The last stack's pair is degenerate, one unphysical state twice, and
-    # is rejected all the same.
-    for moments in ((m0, c0, m1, bad), _with_degenerate(m0, c0, m1, bad), (m1, bad, m1, bad)):
-        with pytest.raises(ValueError, match="unphysical covariance"):
-            chernoff_many(*moments)
-
-
-def test_chernoff_many_takes_means_of_its_covariances_shape():
-    m0, c0, m1, c1 = _coherent_pair_stack()
-    assert chernoff_many(m0, c0, m1, c1)[0].xi == pytest.approx(0.01847, rel=1e-3)
-    # Length-1 means would broadcast over both quadratures (xi = 0.03626);
-    # a 2-pair mean stack over 1 pair of covariances would give one result.
-    for means in ((m0[:, 0], m1[:, 0]), (np.concatenate((m0, m0)), np.concatenate((m1, m1)))):
-        with pytest.raises(ValueError, match="means of shapes .* do not match covariances"):
-            chernoff_many(means[0], c0, means[1], c1)
-
-
-def test_chernoff_many_rejects_a_mode_mismatch():
-    m0, c0, _, _ = _coherent_pair_stack()
-    _, _, m1, c1 = _tmss_pair_stack()
-    with pytest.raises(ValueError, match="mode mismatch: 1 vs 2"):
-        chernoff_many(m0, c0, m1, c1)
-
-
-def test_chernoff_many_rejects_a_three_mode_stack():
-    # Finite, symmetric and physical, but no standard form has three modes;
-    # the degenerate pair (vacuum twice) is rejected all the same.
-    mean, vacuum = np.zeros((1, 6)), 0.5 * np.eye(6)[None]
-    for cov1 in (vacuum, 2.0 * vacuum):
-        with pytest.raises(ValueError, match="pair 0 is not in standard form"):
-            chernoff_many(mean, vacuum, mean, cov1)
+def test_q_s_general_and_fidelity_reject_three_modes():
+    # Physical, but no standard form has three modes; the degenerate pair
+    # (vacuum twice) is rejected all the same.
+    vacuum = GaussianState(np.zeros(6), 0.5 * np.eye(6))
+    for rho1 in (vacuum, GaussianState(np.zeros(6), np.eye(6))):
+        for read in READERS.values():
+            with pytest.raises(ValueError, match="pair 0 is not in standard form"):
+                read(vacuum, rho1)

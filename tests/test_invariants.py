@@ -21,11 +21,12 @@ import gaussqi.sweeps
 from gaussqi import highprec
 from gaussqi.divergence import (
     _S_EDGE,
+    S_TOL,
     ChernoffResult,
+    _chernoff_parameters,
     _standard_parameters,
     _StandardGeometry,
     chernoff,
-    chernoff_many,
     fidelity_many,
     q_s_general,
 )
@@ -38,6 +39,7 @@ from gaussqi.target import (
     HypothesisPair,
     TargetConfig,
     _degenerate,
+    _parameter_stack,
     make_pair,
     pair_stack,
 )
@@ -184,9 +186,9 @@ def _stack(kind, model, logs):
 
 @STACK_SETTINGS
 @given(**STACK)
-def test_chernoff_many_equals_each_pair_alone(kind, model, logs):
-    kappa, n_s, n_b, stack = _stack(kind, model, logs)
-    results = chernoff_many(*stack)
+def test_stacked_chernoff_equals_each_pair_alone(kind, model, logs):
+    kappa, n_s, n_b, _ = _stack(kind, model, logs)
+    results = _chernoff_parameters(*_parameter_stack(kind, n_s, n_b, kappa, model), S_TOL)
     for k, res in enumerate(results):
         pair = make_pair(TransmitterSpec(kind, n_s[k]), TargetConfig(kappa[k], n_b[k], model))
         assert res == chernoff(pair)
@@ -266,7 +268,7 @@ def test_one_search_over_a_mixed_plan_equals_each_stack_and_each_point(model, mo
     for kind in KINDS:
         found = [(key, res) for key, res in zip(keys, results) if key[0] == kind]
         n_s, n_b, kappa = np.array([key[1:] for key, _ in found]).T
-        alone = chernoff_many(*pair_stack(kind, n_s, n_b, kappa, model))
+        alone = _chernoff_parameters(*_parameter_stack(kind, n_s, n_b, kappa, model), S_TOL)
         for (key, res), res_alone in zip(found, alone, strict=True):
             assert res == res_alone
             spec, cfg = TransmitterSpec(kind, key[1]), TargetConfig(key[3], key[2], model)
@@ -438,10 +440,12 @@ def _cross_route_misses() -> list:
 
 # float64 log Q_s carries an absolute error of a few eps, so where -log Q_s
 # is small (low kappa, low N_S or N_B) its relative error passes 1e-10.
-# Of this test's points, vacuum at kappa = N_B = 0.01, s = 0.1 misses by
-# 4.4e-9 (q_s_general) and 3.1e-9 (q_s_alt); the worst point found on the
-# box, legacy smsv at N_S = kappa = 0.01, N_B = 20, s = 0.1, misses by
-# 4.5e-6.  That is ROADMAP direction 2's cancellation defect: once it is
+# This test's points give 15 misses, 4 from q_s_general and 11 from
+# q_s_alt; the worst, agnostic vacuum at kappa = N_B = 0.01, s = 0.1, miss
+# by 5.57e-9 (q_s_general) and 3.09e-9 (q_s_alt), and log Q_s read off the
+# geometry, not through Q_s, misses there by 5.59e-9.  The worst point
+# found on the box, legacy smsv at N_S = kappa = 0.01, N_B = 20, s = 0.1,
+# misses by 4.5e-6.  That is ROADMAP direction 2's cancellation defect: once it is
 # fixed this test passes, and strict=True makes that fail until the mark goes.
 @pytest.mark.xfail(strict=True, reason="float64 -log Q_s cancels where it is small")
 def test_float64_routes_match_highprec():

@@ -190,11 +190,15 @@ CATALOGUE = (
            "fidelity's two sector sums swapped: a displacement in q is weighed by the p "
            "variances; make_pair's displaced probes are isotropic, so only a squeezed "
            "displaced state shows it"),
-    Mutant(HIGHPREC, "-mp.expm1(p * log_ratio)", "1 - mp.exp(p * log_ratio)",
-           "the cancelling 1 - exp: log_q_half 1.6% off at N_B = 1e58, ZeroDivisionError "
-           "from 1e62 on"),
+    Mutant(HIGHPREC, "mp.extraprec(max(0, -mp.mag(y)))", "mp.extraprec(0)",
+           "1 - e^y without its extra bits, so it cancels: log_q_half 1.6% off at "
+           "N_B = 1e58, ZeroDivisionError from 1e62 on"),
     Mutant(SYMPLECTIC, "0.5 * cov + 0.5 * cov_t", "0.5 * (cov + cov_t)",
            "symmetrised after the sum, which overflows past 8.99e307"),
+    Mutant(DIVERGENCE, "(mean == np.concatenate((mean0, mean1))).all(axis=-1)\n"
+           "                    & (dense == cov).all(axis=(-2, -1))",
+           "np.ones(len(cov), dtype=bool)",
+           "the reader's write-back not compared: a rotated state is read as its diagonal"),
 )
 
 

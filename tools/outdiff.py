@@ -13,7 +13,7 @@ each command in a fresh temporary directory with BLAS pinned to one thread:
   degenerate, so that the printed s_star, q_star, xi and flags are diffed;
 - the one-pair API table (API_TABLE): `q_s_general` at s = 0.1, 0.5 and
   0.9, `bhattacharyya_error_bound` at 1 and 10**6 copies and every field
-  of `chernoff_many`'s result, n_evals included, printed with repr, for
+  of `chernoff`'s result, n_evals included, printed with repr, for
   every kind in both models at the parameters of CHERNOFF_POINTS;
 - the Fock table (FOCK_TABLE): `q_s_fock` at s = 0.3, 0.5 and 0.7,
   `fidelity_fock` and both operators' `trace_deficit`, printed with repr,
@@ -77,7 +77,7 @@ CHERNOFF_POINTS = (
 # to the (N_S, N_B, kappa) of CHERNOFF_POINTS.
 API_TABLE = """
 import dataclasses
-from gaussqi.divergence import bhattacharyya_error_bound, chernoff_many, q_s_general
+from gaussqi.divergence import bhattacharyya_error_bound, chernoff, q_s_general
 from gaussqi.target import TargetConfig, make_pair
 from gaussqi.transmitters import TransmitterSpec
 for model in ("agnostic", "legacy"):
@@ -85,9 +85,8 @@ for model in ("agnostic", "legacy"):
         for kind in ("vacuum", "coherent", "smsv", "tmss"):
             spec = TransmitterSpec(kind, 0.0 if kind == "vacuum" else n_s)
             pair = make_pair(spec, TargetConfig(kappa, n_b, model))
-            r0, r1 = pair.rho0, pair.rho1
-            (res,) = chernoff_many(r0.mean[None], r0.cov[None], r1.mean[None], r1.cov[None])
-            values = [q_s_general(r0, r1, s) for s in (0.1, 0.5, 0.9)]
+            res = chernoff(pair)
+            values = [q_s_general(pair.rho0, pair.rho1, s) for s in (0.1, 0.5, 0.9)]
             values += [bhattacharyya_error_bound(pair, n) for n in (1, 10**6)]
             values += [getattr(res, field.name) for field in dataclasses.fields(res)]
             print(model, kind, spec.n_signal, n_b, kappa, *map(repr, values))
