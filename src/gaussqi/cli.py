@@ -28,8 +28,8 @@ from .sweeps import (
     emit,
     limit_order_study,
     reproduce_figure,
-    run_sweep,
     verify_expansion,
+    write_sweep,
 )
 from .target import MODELS, TargetConfig, make_pair
 from .transmitters import KINDS, TransmitterSpec
@@ -174,8 +174,7 @@ def _cmd_chernoff(args) -> int:
 def _cmd_sweep(args) -> int:
     plan, out_path, out_format = read_plan(args.plan, out_override=args.out,
                                            format_override=args.format)
-    rows = run_sweep(plan)
-    emit(rows, out_path or sys.stdout, out_format)
+    write_sweep(plan, out_path or sys.stdout, out_format)
     return 0
 
 

@@ -13,12 +13,16 @@ Quantities handled by sweeps:
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
+import math
 import operator
+import os
+import stat
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +55,10 @@ QUANTITIES = (
 CSV_HEADER = ("transmitter", "model", "n_s", "n_b", "kappa", "quantity", "value", "s_star", "flags")
 
 FORMATS = ("csv", "json")
+
+# Grid points per chunk.  A sweep evaluates, holds and writes one chunk at a
+# time, so its memory does not grow with the plan.
+CHUNK_POINTS = 4096
 
 # Documented reproduction grids: the advantage-map summary statistic is
 # grid-dependent, hence the wide acceptance window [2.1, 2.4] around the
@@ -108,25 +116,52 @@ class SweepPlan:
         _check_target(self.kappa_grid, self.n_b_grid, self.model)
 
 
-def _quantity_columns(quantity, kind, pairs, degenerate, results):
-    """(values, s_star, flags) of one quantity over a kind's grid, each a list in grid order.
+class _Block(NamedTuple):
+    """Rows of one kind at consecutive grid points, as columns.
 
-    `pairs` holds each kind's stacked parameters, `results` its Chernoff
-    columns.  A ratio reads its reference at the same grid position; the
-    vacuum one, at n_s = 0 alone, repeats over n_s.
+    Point p of the block is (grids[0][i], grids[1][j], grids[2][k]) with
+    (i, j, k) its entries of the three lists in `index`; `columns` holds one
+    (values, s_star, flags) per quantity, each a sequence in point order.
+    A point's rows are its quantities, in order.
     """
+
+    kind: str
+    model: str
+    grids: tuple
+    index: list
+    quantities: tuple
+    columns: list
+
+
+def _quantity_columns(quantity, kind, points, vacuum_points, stacks):
+    """(values, s_star, flags) of one quantity at a kind's mesh points, each a list in point order.
+
+    `stacks` maps every kind the chunk evaluated to (the sorted mesh points
+    it holds, their parameters, degenerate mask and Chernoff columns).  A
+    ratio reads its reference at the same point, the vacuum one at
+    `vacuum_points`, the points of its own mesh at the same (n_b, kappa).
+    """
+    def at(kind, points):
+        """The kind's (parameters, degenerate mask, Chernoff columns) at its mesh `points`."""
+        mesh, parameters, degenerate, results = stacks[kind]
+        if mesh is points:
+            return parameters, degenerate, results
+        rows = np.searchsorted(mesh, points)
+        return [p[rows] for p in parameters], degenerate[rows], [c[rows] for c in results]
+
+    parameters, degenerate, results = at(kind, points)
     if quantity == "fidelity":
-        supported = pairs[kind][0].shape[-1] == 2
+        supported = parameters[0].shape[-1] == 2
         flags = [("degenerate",) * flag + ("unsupported",) * (not supported)
-                 for flag in degenerate[kind].tolist()]
-        values = fidelity_many(*pairs[kind]) if supported else np.full(len(flags), np.nan)
+                 for flag in degenerate.tolist()]
+        values = fidelity_many(*parameters) if supported else np.full(len(flags), np.nan)
         return values.tolist(), [None] * len(flags), flags
-    s_star, xi, q_half, flags, _ = results[kind]
+    s_star, xi, q_half, flags, _ = results
     direct = {"chernoff": xi, "q_half": q_half, "s_star": s_star}
     if quantity in direct:
         return direct[quantity].tolist(), s_star.tolist(), flags.tolist()
     if quantity == "ratio_vs_coherent":
-        ref = results[kind if kind == "vacuum" else "coherent"][1]
+        ref = at(kind if kind == "vacuum" else "coherent", points)[2][1]
         # An exponent below FLAT_SPAN, exactly 0 or a few eps, is rounding
         # noise either way.  Flat alone is no test: a coherent pair at N_B = 0
         # is flat in s with the exact exponent kappa N_S.
@@ -134,13 +169,81 @@ def _quantity_columns(quantity, kind, pairs, degenerate, results):
         with np.errstate(divide="ignore", invalid="ignore"):
             values = xi / ref
     else:
-        copies = len(xi) // len(degenerate["vacuum"])
-        noise = np.tile(degenerate["vacuum"], copies)
+        _, noise, (_, ref, *_) = at("vacuum", vacuum_points)
         # Q_{s*} ratio through the exponent difference, stable when both
         # overlaps sit within rounding of 1.
-        values = np.exp(np.tile(results["vacuum"][1], copies) - xi)
+        values = np.exp(ref - xi)
     flags = [f + ("degenerate",) if bad else f for f, bad in zip(flags.tolist(), noise.tolist())]
     return np.where(noise, np.nan, values).tolist(), s_star.tolist(), flags
+
+
+def _chunks(plan: SweepPlan):
+    """The plan's rows, CHUNK_POINTS grid points at a time: one list of `_Block`s per chunk.
+
+    A kind's points are the mesh of its (n_s, n_b, kappa) grids (a vacuum
+    at n_s = 0 alone), numbered in row order, and the plan's kinds lay
+    theirs end to end; each chunk takes the next CHUNK_POINTS of them.
+    Every kind the chunk's rows read, the coherent and vacuum references
+    included, is one `pair_parameters` over the points it needs there,
+    stacked in float64.  If a row reads an exponent, the kinds' geometries
+    join into one, of either mode count, and one Chernoff search runs on it.
+    """
+    def grids(kind):
+        """The kind's (n_s, n_b, kappa) grids: a vacuum reads n_s = 0 alone."""
+        return ((0.0,) if kind == "vacuum" else plan.n_s_grid, plan.n_b_grid, plan.kappa_grid)
+
+    def index(kind, points):
+        """The grid indices (i_s, i_b, i_k) of the kind's mesh points."""
+        return np.unravel_index(points, tuple(map(len, grids(kind))))
+
+    n_s, n_b, kappa = (np.asarray(grid, dtype=float)
+                       for grid in (plan.n_s_grid, plan.n_b_grid, plan.kappa_grid))
+
+    def values(kind, points):
+        """The kind's (n_s, n_b, kappa) at its mesh points."""
+        i_s, i_b, i_k = index(kind, points)
+        return 0.0 if kind == "vacuum" else n_s[i_s], n_b[i_b], kappa[i_k]
+
+    vacuum_size = len(plan.n_b_grid) * len(plan.kappa_grid)
+    ends = list(itertools.accumulate(math.prod(map(len, grids(kind))) for kind in plan.transmitters))
+    spans = list(zip(plan.transmitters, [0, *ends], ends))
+    total = ends[-1] if ends else 0
+    for start in range(0, total, CHUNK_POINTS):
+        end = min(start + CHUNK_POINTS, total)
+        segments = []
+        needed = {}
+        for kind, lo, hi in spans:
+            if lo < end and start < hi:
+                points = np.arange(max(start, lo) - lo, min(end, hi) - lo)
+                vacuum_points = None
+                needed.setdefault(kind, []).append(points)
+                if "ratio_vs_coherent" in plan.quantities and kind != "vacuum":
+                    needed.setdefault("coherent", []).append(points)
+                if "ratio_vs_vacuum" in plan.quantities:
+                    vacuum_points = points % vacuum_size
+                    needed.setdefault("vacuum", []).append(np.unique(vacuum_points))
+                segments.append((kind, points, vacuum_points))
+        # Each part is sorted and unique already; a lone part is the stack's mesh itself.
+        mesh = {kind: parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+                for kind, parts in needed.items()}
+        pairs = {kind: _parameter_stack(kind, *values(kind, points), plan.model)
+                 for kind, points in mesh.items()}
+        degenerate = {kind: _degenerate(*stacked) for kind, stacked in pairs.items()}
+        results = dict.fromkeys(mesh, ())
+        if any(q != "fidelity" for q in plan.quantities):
+            geom = _StandardGeometry.concatenate(
+                [_StandardGeometry.from_parameters(*stacked) for stacked in pairs.values()])
+            columns = _chernoff_search(geom, np.concatenate(list(degenerate.values())))
+            bounds = [0, *itertools.accumulate(map(len, mesh.values()))]
+            results = {kind: [column[lo:hi] for column in columns]
+                       for kind, lo, hi in zip(mesh, bounds, bounds[1:])}
+        stacks = {kind: (mesh[kind], pairs[kind], degenerate[kind], results[kind])
+                  for kind in mesh}
+        yield [_Block(kind, plan.model, grids(kind), [i.tolist() for i in index(kind, points)],
+                      plan.quantities,
+                      [_quantity_columns(q, kind, points, vacuum_points, stacks)
+                       for q in plan.quantities])
+               for kind, points, vacuum_points in segments]
 
 
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
@@ -150,89 +253,159 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     quantity) as listed in the plan, so identical plans produce identical
     tables.  Degenerate configurations yield flagged rows, not errors.
 
-    Each transmitter kind the rows read, the coherent and vacuum references
-    included, is one `pair_parameters` over the mesh of the plan's grids (a
-    vacuum at n_s = 0 alone), stacked in float64; no quantity writes a dense
-    moment stack.  Each quantity is one column per kind, indexed by grid
-    position.  If a row reads an exponent, the kinds' geometries join into
-    one, of either mode count, and one Chernoff search runs on it.  A vacuum
-    row's coherent reference is its own pair: coherent at N_S = 0 has the
-    same moments.  A point's values do not depend on the other points of its
-    stack or search.
+    The rows are `write_sweep`'s, made into `SweepRow`s: the plan is
+    evaluated CHUNK_POINTS grid points at a time (`_chunks`), and no
+    quantity writes a dense moment stack.  A vacuum row's coherent reference
+    is its own pair: coherent at N_S = 0 has the same moments.  A point's
+    values do not depend on the other points of its stack or search, so they
+    do not depend on the chunk either.
     """
-    kinds = dict.fromkeys(plan.transmitters)
-    if "ratio_vs_coherent" in plan.quantities and set(kinds) - {"vacuum"}:
-        kinds["coherent"] = None
-    if "ratio_vs_vacuum" in plan.quantities:
-        kinds["vacuum"] = None
-    n_s_grids = {kind: (0.0,) if kind == "vacuum" else plan.n_s_grid for kind in kinds}
-    pairs = {}
-    for kind in kinds:
-        # The points of the (n_s, n_b, kappa) mesh in row order, read off the grids by index.
-        grids = (n_s_grids[kind], plan.n_b_grid, plan.kappa_grid)
-        index = np.indices([len(grid) for grid in grids]).reshape(3, -1)
-        pairs[kind] = _parameter_stack(kind, *map(np.take, grids, index), plan.model)
-    degenerate = {kind: _degenerate(*stacked) for kind, stacked in pairs.items()}
-    results = {}
-    if any(q != "fidelity" for q in plan.quantities):
-        geom = _StandardGeometry.concatenate(
-            [_StandardGeometry.from_parameters(*stacked) for stacked in pairs.values()])
-        columns = _chernoff_search(geom, np.concatenate(list(degenerate.values())))
-        ends = [0, *itertools.accumulate(len(mask) for mask in degenerate.values())]
-        results = {kind: [column[start:end] for column in columns]
-                   for kind, start, end in zip(kinds, ends, ends[1:])}
     rows = []
-    for kind in plan.transmitters:
-        by_quantity = [_quantity_columns(q, kind, pairs, degenerate, results)
-                       for q in plan.quantities]
-        points = itertools.product(n_s_grids[kind], plan.n_b_grid, plan.kappa_grid)
-        for p, (n_s, n_b, kappa) in enumerate(points):
-            for quantity, (values, s_star, flags) in zip(plan.quantities, by_quantity):
-                rows.append(SweepRow(kind, plan.model, float(n_s), float(n_b), float(kappa),
-                                     quantity, values[p], s_star[p], flags[p]))
+    for chunk in _chunks(plan):
+        for kind, model, grids, index, quantities, columns in chunk:
+            for p, (i, j, k) in enumerate(zip(*index)):
+                point = float(grids[0][i]), float(grids[1][j]), float(grids[2][k])
+                for quantity, (values, s_star, flags) in zip(quantities, columns):
+                    rows.append(SweepRow(kind, model, *point, quantity,
+                                         values[p], s_star[p], flags[p]))
     return rows
 
 
-def _format_value(x) -> str:
-    if x is None:
-        return ""
-    return "%.17g" % float(x)
+def _csv_numbers(column) -> list[str]:
+    """Each number of `column` to 17 significant digits, None as an empty field."""
+    return ["" if x is None else "%.17g" % x for x in column]
+
+
+def _json_numbers(column) -> list[str]:
+    """Each number (or None) of `column` as json.dump writes it."""
+    return list(map(json.dumps, column))
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer quotes a field: only if it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_flags(flags) -> str:
+    """A flags tuple as json.dump(..., indent=1) writes it inside a record."""
+    return "[\n   " + ",\n   ".join(map(json.dumps, flags)) + "\n  ]" if flags else "[]"
+
+
+class _Style(NamedTuple):
+    """An output format: how it writes a column of numbers (None included), a
+    name and a flags tuple; the text before each of a row's nine fields and
+    after the last; and the text before, between and after the rows, or in
+    their place when there are none."""
+
+    numbers: Callable
+    name: Callable
+    flags: Callable
+    glue: tuple
+    first: str
+    between: str
+    last: str
+    empty: str
+
+
+_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+_STYLES = {
+    "csv": _Style(_csv_numbers, _csv_field, lambda flags: _csv_field(";".join(flags)),
+                  ("", *(",",) * 8, ""), _HEADER_LINE, "\n", "\n", _HEADER_LINE),
+    # The layout of json.dump(records, indent=1).
+    "json": _Style(_json_numbers, json.dumps, _json_flags,
+                   (*(f'{"," if i else " {"}\n  "{key}": ' for i, key in enumerate(CSV_HEADER)),
+                    "\n }"),
+                   "[\n", ",\n", "\n]\n", "[]\n"),
+}
+
+
+def _block_rows(block: _Block, style: _Style, grids: dict, flag_text) -> list[str]:
+    """One string per row of the block, in row order.
+
+    `grids` holds each grid written so far with its texts, by id: a grid is
+    known by identity, since 0.0 == -0.0 and 1 == 1.0, and is held so that
+    no other object takes its id.  `flag_text` gives a flags tuple's text.
+    """
+    for grid in block.grids:
+        if id(grid) not in grids:
+            grids[id(grid)] = grid, style.numbers(grid)
+    n_s, n_b, kappa = (grids[id(grid)][1] for grid in block.grids)
+    g = style.glue
+    head = f"{g[0]}{style.name(block.kind)}{g[1]}{style.name(block.model)}{g[2]}"
+    points = [f"{head}{n_s[i]}{g[3]}{n_b[j]}{g[4]}{kappa[k]}" for i, j, k in zip(*block.index)]
+    by_quantity = []
+    for quantity, (values, s_star, flags) in zip(block.quantities, block.columns):
+        mid = f"{g[5]}{style.name(quantity)}{g[6]}"
+        by_quantity.append([
+            f"{point}{mid}{value}{g[7]}{s}{g[8]}{flag}{g[9]}"
+            for point, value, s, flag in zip(points, style.numbers(values), style.numbers(s_star),
+                                              map(flag_text, flags))])
+    return [row for rows in zip(*by_quantity) for row in rows]
+
+
+def _write(chunks, path, out_format: str) -> None:
+    """Write the rows of `chunks` (lists of `_Block`s) as CSV or JSON, one write per chunk.
+
+    `path` may be a filesystem path or an open text stream.  Each grid
+    value and each distinct flags tuple is formatted once.  If a chunk
+    fails, the regular file this opened at `path` is removed, so no partial
+    table stays behind; a stream keeps the chunks written before.
+    """
+    if out_format not in FORMATS:
+        raise ValueError(f"unknown format {out_format!r}; expected one of {FORMATS}")
+    if not hasattr(path, "write"):
+        # The file is opened only after the first chunk is evaluated: a plan
+        # that fails there leaves any file at `path` as it was, and a small
+        # sweep measured faster in this order.
+        chunks = iter(chunks)
+        first = list(itertools.islice(chunks, 1))
+        with open(path, "w", newline="") as stream:
+            try:
+                return _write(itertools.chain(first, chunks), stream, out_format)
+            except BaseException:
+                stream.close()
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
+                raise
+    style = _STYLES[out_format]
+    grids, flag_text = {}, cache(style.flags)
+    lead = None
+    for chunk in chunks:
+        rows = [row for block in chunk for row in _block_rows(block, style, grids, flag_text)]
+        if rows:
+            # What goes before the chunk rides on its first row: one write.
+            rows[0] = (style.first if lead is None else lead) + rows[0]
+            path.write(style.between.join(rows))
+            lead = style.between
+    path.write(style.empty if lead is None else style.last)
+
+
+def write_sweep(plan: SweepPlan, path, out_format: str = "csv") -> None:
+    """Evaluate the plan and write `run_sweep`'s rows as `emit` does, chunk by chunk.
+
+    Memory does not grow with the plan: one chunk of CHUNK_POINTS grid
+    points is evaluated, written and dropped before the next.
+    """
+    _write(_chunks(plan), path, out_format)
 
 
 def emit(rows: list[SweepRow], path, out_format: str = "csv") -> None:
     """Write rows as CSV (17 significant digits) or JSON.
 
-    `path` may be a filesystem path or an open text stream.
+    `path` may be a filesystem path or an open text stream.  Consecutive
+    rows of one transmitter, model and quantity go to the writer as one block.
     """
-    if out_format not in FORMATS:
-        raise ValueError(f"unknown format {out_format!r}; expected one of {FORMATS}")
-    owns = not hasattr(path, "write")
-    stream = open(path, "w", newline="") if owns else path
-    try:
-        if out_format == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.transmitter,
-                        row.model,
-                        _format_value(row.n_s),
-                        _format_value(row.n_b),
-                        _format_value(row.kappa),
-                        row.quantity,
-                        _format_value(row.value),
-                        _format_value(row.s_star),
-                        ";".join(row.flags),
-                    ]
-                )
-        else:
-            records = [{key: getattr(row, key) for key in CSV_HEADER} for row in rows]
-            json.dump(records, stream, indent=1)
-            stream.write("\n")
-    finally:
-        if owns:
-            stream.close()
+    key = operator.attrgetter("transmitter", "model", "quantity")
+    blocks = []
+    for (kind, model, quantity), run in itertools.groupby(rows, key):
+        n_s, n_b, kappa, values, s_star, flags = zip(
+            *((r.n_s, r.n_b, r.kappa, r.value, r.s_star, r.flags) for r in run))
+        index = range(len(values))
+        blocks.append(_Block(kind, model, (n_s, n_b, kappa), [index] * 3, (quantity,),
+                             [(values, s_star, flags)]))
+    _write([blocks], path, out_format)
 
 
 # --------------------------------------------------------------------------

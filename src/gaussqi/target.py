@@ -118,6 +118,11 @@ def pair_parameters(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
     """
     _check_probe(kind, n_s)
     _check_target(kappa, n_b, model)
+    return _pair_parameters(kind, n_s, n_b, kappa, model)
+
+
+def _pair_parameters(kind: str, n_s, n_b, kappa, model: str):
+    """`pair_parameters` on values that are checked already."""
     mean, variances = probe_parameters(kind, n_s)
     noise = (1 - kappa) * (_effective_n_b(n_b, kappa, model) + 0.5)
     amp = kappa ** 0.5
@@ -153,14 +158,18 @@ def _dense(mean, variances):
 
 def _parameter_stack(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
     """`pair_parameters` in float64, stacked over the shape P that n_s, n_b and kappa broadcast
-    to: means P + (2n,), variances P + (2,) or P + (3,).  Raises ValueError as pair_parameters."""
+    to: means P + (2n,), variances P + (2,) or P + (3,).  The values are checked already:
+    `make_pair`'s by its spec and config, a sweep's by its `SweepPlan`."""
     n_s, n_b, kappa = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n_s, n_b, kappa)))
-    return [_stack(n_s.shape, p) for p in pair_parameters(kind, n_s, n_b, kappa, model)]
+    return [_stack(n_s.shape, p) for p in _pair_parameters(kind, n_s, n_b, kappa, model)]
 
 
 def pair_stack(kind: str, n_s, n_b, kappa, model: str = "agnostic"):
     """Float64 moments (mean0, cov0, mean1, cov1) of many pairs of one transmitter kind and
-    model: `_parameter_stack` written out by `_dense`, covariances P + (2n, 2n)."""
+    model: `_parameter_stack` written out by `_dense`, covariances P + (2n, 2n).  Raises
+    ValueError as pair_parameters."""
+    _check_probe(kind, n_s)
+    _check_target(kappa, n_b, model)
     mean0, variances0, mean1, variances1 = _parameter_stack(kind, n_s, n_b, kappa, model)
     return (*_dense(mean0, variances0), *_dense(mean1, variances1))
 

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
+import runpy
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gaussqi.cli import _CliError, main, parse_grid, read_plan
-from gaussqi.sweeps import CHECKS
+from gaussqi.sweeps import CHECKS, CHUNK_POINTS, CSV_HEADER, FORMATS
 from sweep_csv import parse_csv
 
 
@@ -87,6 +92,63 @@ def test_sweep_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("out_format", FORMATS)
+def test_sweep_failing_in_its_last_chunk_leaves_no_output_file(tmp_path, capsys, monkeypatch,
+                                                               out_format):
+    # N_S = 1e308 is finite, but the tmss moments it gives overflow
+    # (test_sweep_rejects_moments_that_overflow_from_finite_inputs).  Here it
+    # is the last n_s of a two-chunk plan, so the first chunk is written
+    # before the second fails; the file is then removed.
+    n_b = 1 + CHUNK_POINTS // 5
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"transmitter = tmss\nns = 0.01,0.1,1,10,100,1e308\nnb = lin:0:100:{n_b}\n")
+    out = tmp_path / f"rows.{out_format}"
+    removed = []
+
+    def remove(path, remove=os.remove):
+        removed.append(os.path.getsize(path))
+        remove(path)
+
+    monkeypatch.setattr(os, "remove", remove)
+    with np.errstate(over="ignore"):
+        assert main(["sweep", str(plan), "--out", str(out), "--format", out_format]) == 1
+    assert "error: overlap: covariance must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    (size,) = removed
+    assert size > CHUNK_POINTS * 40
+
+
+def test_cli_runs_as_a_module(tmp_path, monkeypatch, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("ns = 0.5\n")
+    monkeypatch.setattr(sys, "argv", ["gaussqi", "sweep", str(plan)])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exited:
+        # runpy warns that the module it runs as __main__ is imported already.
+        warnings.filterwarnings("ignore", "'gaussqi.cli' found in sys.modules", RuntimeWarning)
+        runpy.run_module("gaussqi.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == ",".join(CSV_HEADER)
+
+
+def test_sweep_memory_does_not_grow_with_the_plan(tmp_path):
+    # A plan of 8 chunks peaks no higher than about one chunk: each chunk is
+    # evaluated, written and dropped before the next.
+    def peak(n_s):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"transmitter = tmss\nquantity = ratio_vs_coherent\n"
+                        f"ns = log:1e-3:10:{n_s}\nnb = log:1e-3:100:64\n")
+        tracemalloc.start()
+        try:
+            assert main(["sweep", str(plan), "--out", str(tmp_path / "rows.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, eight = CHUNK_POINTS // 64, 8 * CHUNK_POINTS // 64
+    peak(one)  # the first call also builds what a process builds once
+    assert peak(eight) <= 2 * peak(one)
+
+
 def test_plan_parse_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("transmitter coherent\n")
@@ -147,7 +209,7 @@ def test_plan_rejects_unknown_format_before_any_point(tmp_path, capsys, monkeypa
     def refuse(plan):
         raise AssertionError("a plan with a bad format must not be evaluated")
 
-    monkeypatch.setattr("gaussqi.cli.run_sweep", refuse)
+    monkeypatch.setattr("gaussqi.sweeps._chunks", refuse)
     plan = tmp_path / "plan.txt"
     plan.write_text("ns = 0.5\nformat = xml\n")
     assert main(["sweep", str(plan)]) == 1

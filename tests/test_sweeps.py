@@ -1,6 +1,9 @@
+import collections
+import csv
 import dataclasses
 import importlib.util
 import io
+import json
 import math
 import os
 
@@ -21,6 +24,8 @@ from gaussqi.divergence import (
 from gaussqi.symplectic import GaussianState
 from gaussqi.sweeps import (
     CHECKS,
+    CSV_HEADER,
+    FORMATS,
     MAP_KAPPA,
     MAP_NB_GRID,
     MAP_NS_GRID,
@@ -31,6 +36,7 @@ from gaussqi.sweeps import (
     reproduce_figure,
     run_sweep,
     verify_expansion,
+    write_sweep,
 )
 from gaussqi.target import (
     TargetConfig,
@@ -223,6 +229,75 @@ def _wide_plan(model, tmp_path):
 
 
 @pytest.mark.parametrize("model", ["agnostic", "legacy"])
+def test_chunk_boundaries_change_no_byte(model, tmp_path, monkeypatch):
+    # The wide plan written 7 grid points at a time, so that chunks end inside
+    # every kind's mesh and across kinds, against the plan as one chunk.
+    plan = _wide_plan(model, tmp_path)
+
+    def outputs():
+        texts = []
+        for out_format in FORMATS:
+            stream = io.StringIO()
+            write_sweep(plan, stream, out_format)
+            texts.append(stream.getvalue())
+        return texts, run_sweep(plan)
+
+    monkeypatch.setattr(gaussqi.sweeps, "CHUNK_POINTS", 10**6)
+    whole_texts, whole_rows = outputs()
+    monkeypatch.setattr(gaussqi.sweeps, "CHUNK_POINTS", 7)
+    (csv_text, json_text), rows = outputs()
+    assert [csv_text, json_text] == whole_texts
+    # Compared by repr, where nan equals nan.
+    assert list(map(repr, rows)) == list(map(repr, whole_rows))
+    # The CSV reads back as the rows, every grid value on its own axis.
+    assert list(map(repr, parse_csv(csv_text))) == list(map(repr, rows))
+    # Each ratio reads its reference at its own point, the vacuum's at its (n_b, kappa).
+    xi = {(r.transmitter, r.n_s, r.n_b, r.kappa): r.value for r in rows if r.quantity == "chernoff"}
+    checked = collections.Counter()
+    for r in rows:
+        if r.quantity.startswith("ratio") and not math.isnan(r.value):
+            own = xi[r.transmitter, r.n_s, r.n_b, r.kappa]
+            if r.quantity == "ratio_vs_coherent":
+                ref = "vacuum" if r.transmitter == "vacuum" else "coherent"
+                assert r.value == own / xi[ref, r.n_s, r.n_b, r.kappa]
+            else:
+                assert math.isclose(r.value, math.exp(xi["vacuum", 0.0, r.n_b, r.kappa] - own),
+                                    rel_tol=1e-12)
+            checked[r.quantity] += 1
+    assert checked["ratio_vs_coherent"] > 500
+    # A legacy vacuum pair is degenerate, so its ratios are all nan.
+    if model == "agnostic":
+        assert checked["ratio_vs_vacuum"] > 500
+
+
+def test_writer_writes_what_csv_writer_and_json_dump_wrote():
+    # The column writer against the per-row writers it replaced, on a
+    # sweep's rows and on rows whose text fields need CSV quoting or JSON
+    # escapes and whose numbers are ints, None or not finite.
+    rows = run_sweep(small_plan(quantities=gaussqi.sweeps.QUANTITIES)) + [
+        SweepRow("a,b", 'say "x"', 1, 2.5, 0.1, "line\nbreak", None, None, ("p;q", "r,s")),
+        SweepRow("tmss", "é", -0.0, float("inf"), 1e-300, "q", float("nan"), 0.5, ("flat",)),
+    ]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow([row.transmitter, row.model,
+                         *("" if x is None else "%.17g" % float(x)
+                           for x in (row.n_s, row.n_b, row.kappa)),
+                         row.quantity,
+                         *("" if x is None else "%.17g" % float(x) for x in (row.value, row.s_star)),
+                         ";".join(row.flags)])
+    written = io.StringIO()
+    emit(rows, written, "csv")
+    assert written.getvalue() == expected.getvalue()
+    written = io.StringIO()
+    emit(rows, written, "json")
+    records = [{key: getattr(row, key) for key in CSV_HEADER} for row in rows]
+    assert written.getvalue() == json.dumps(records, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("model", ["agnostic", "legacy"])
 def test_geometry_from_parameters_equals_the_dense_boundary(model, tmp_path):
     # The sweep's parameters (pair_parameters, stacked) and the ones the
     # public boundary reads back off pair_stack's moments agree bit for bit
@@ -385,8 +460,6 @@ def test_emit_empty_and_json(tmp_path):
     assert not (tmp_path / "rows.xml").exists()
     jpath = tmp_path / "rows.json"
     emit(run_sweep(small_plan()), str(jpath), "json")
-    import json
-
     records = json.loads(jpath.read_text())
     assert records and set(records[0]) == {
         "transmitter", "model", "n_s", "n_b", "kappa", "quantity", "value", "s_star", "flags",

@@ -91,11 +91,12 @@ CATALOGUE = (
     Mutant(SWEEPS, "noise = np.minimum(xi, ref) < FLAT_SPAN",
            "noise = np.minimum(xi, ref) <= 0.0",
            "ratio_vs_coherent of few-eps exponents written as a number again"),
-    Mutant(SWEEPS, "np.tile(results[\"vacuum\"][1], copies)",
-           "np.repeat(results[\"vacuum\"][1], copies)",
-           "ratio_vs_vacuum reads its reference at the wrong (n_b, kappa)"),
-    Mutant(SWEEPS, "results[kind if kind == \"vacuum\" else \"coherent\"][1]",
-           "results[\"coherent\"][1]",
+    Mutant(SWEEPS, "vacuum_size = len(plan.n_b_grid) * len(plan.kappa_grid)",
+           "vacuum_size = len(plan.n_b_grid)",
+           "the vacuum reference indexed with the wrong modulus: ratio_vs_vacuum reads its "
+           "reference at the wrong (n_b, kappa)"),
+    Mutant(SWEEPS, "at(kind if kind == \"vacuum\" else \"coherent\", points)",
+           "at(\"coherent\", points)",
            "a vacuum row's coherent reference read off the coherent stack's first points"),
     Mutant(TARGET, "(variances1 - variances0).max(axis=-1) <= 1e-13 * scale",
            "(variances1 - variances0).max(axis=-1) <= 1e-11 * scale",
@@ -199,6 +200,11 @@ CATALOGUE = (
            "                    & (dense == cov).all(axis=(-2, -1))",
            "np.ones(len(cov), dtype=bool)",
            "the reader's write-back not compared: a rotated state is read as its diagonal"),
+    Mutant(SWEEPS, "end = min(start + CHUNK_POINTS, total)",
+           "end = min(start + CHUNK_POINTS + 1, total)",
+           "chunk end off by one: the first point of each next chunk is written twice"),
+    Mutant(SWEEPS, "{n_b[j]}", "{kappa[j]}",
+           "a grid string reused on the wrong axis: the n_b field written from the kappa grid"),
 )
 
 
