@@ -13,16 +13,15 @@ Quantities handled by sweeps:
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
 import operator
 import os
 import stat
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import NamedTuple
+from functools import partial
 
 import numpy as np
 
@@ -53,6 +52,8 @@ QUANTITIES = (
 
 # The SweepRow fields in column order; the JSON records use the same keys.
 CSV_HEADER = ("transmitter", "model", "n_s", "n_b", "kappa", "quantity", "value", "s_star", "flags")
+# The places of n_s, n_b, kappa, value and s_star in CSV_HEADER.
+_NUMBER_COLUMNS = (2, 3, 4, 6, 7)
 
 FORMATS = ("csv", "json")
 
@@ -85,10 +86,11 @@ class SweepRow:
 class SweepPlan:
     """Grid specification for run_sweep.
 
-    Grids are explicit tuples; the CLI layer parses range expressions into
-    them.  A vacuum transmitter ignores the n_s grid (single point at 0).
-    The grids are validated here, once, by the checks TransmitterSpec and
-    TargetConfig make on a single point.
+    Grids are explicit sequences; the CLI layer parses range expressions
+    into them.  A vacuum transmitter ignores the n_s grid (single point at
+    0).  Each grid is stored as a tuple of Python floats, whatever numbers
+    it was given as, and validated here, once, by the checks
+    TransmitterSpec and TargetConfig make on a single point.
     """
 
     transmitters: tuple = ("coherent",)
@@ -104,33 +106,14 @@ class SweepPlan:
         for q in self.quantities:
             if q not in QUANTITIES:
                 raise ValueError(f"unknown quantity {q!r}")
-        for name, grid in (
-            ("n_s", self.n_s_grid),
-            ("n_b", self.n_b_grid),
-            ("kappa", self.kappa_grid),
-        ):
-            if np.asarray(grid, dtype=float).size == 0:
+        for name in ("n_s", "n_b", "kappa"):
+            grid = tuple(map(float, getattr(self, f"{name}_grid")))
+            if not grid:
                 raise ValueError(f"{name} grid must be non-empty")
+            object.__setattr__(self, f"{name}_grid", grid)
         if set(self.transmitters) - {"vacuum"}:
             _check_nonnegative("n_signal", self.n_s_grid)
         _check_target(self.kappa_grid, self.n_b_grid, self.model)
-
-
-class _Block(NamedTuple):
-    """Rows of one kind at consecutive grid points, as columns.
-
-    Point p of the block is (grids[0][i], grids[1][j], grids[2][k]) with
-    (i, j, k) its entries of the three lists in `index`; `columns` holds one
-    (values, s_star, flags) per quantity, each a sequence in point order.
-    A point's rows are its quantities, in order.
-    """
-
-    kind: str
-    model: str
-    grids: tuple
-    index: list
-    quantities: tuple
-    columns: list
 
 
 def _quantity_columns(quantity, kind, points, vacuum_points, stacks):
@@ -178,31 +161,25 @@ def _quantity_columns(quantity, kind, points, vacuum_points, stacks):
 
 
 def _chunks(plan: SweepPlan):
-    """The plan's rows, CHUNK_POINTS grid points at a time: one list of `_Block`s per chunk.
+    """The plan's rows, CHUNK_POINTS grid points at a time: one list of rows per chunk.
 
-    A kind's points are the mesh of its (n_s, n_b, kappa) grids (a vacuum
-    at n_s = 0 alone), numbered in row order, and the plan's kinds lay
-    theirs end to end; each chunk takes the next CHUNK_POINTS of them.
-    Every kind the chunk's rows read, the coherent and vacuum references
-    included, is one `pair_parameters` over the points it needs there,
-    stacked in float64.  If a row reads an exponent, the kinds' geometries
-    join into one, of either mode count, and one Chernoff search runs on it.
+    A row is a tuple of the SweepRow fields, in CSV_HEADER order.  A kind's
+    points are the mesh of its (n_s, n_b, kappa) grids (a vacuum at n_s = 0
+    alone), numbered in row order, and the plan's kinds lay theirs end to
+    end; each chunk takes the next CHUNK_POINTS of them.  Every kind the
+    chunk's rows read, the coherent and vacuum references included, is one
+    `pair_parameters` over the points it needs there, stacked in float64.
+    If a row reads an exponent, the kinds' geometries join into one, of
+    either mode count, and one Chernoff search runs on it.
     """
     def grids(kind):
         """The kind's (n_s, n_b, kappa) grids: a vacuum reads n_s = 0 alone."""
         return ((0.0,) if kind == "vacuum" else plan.n_s_grid, plan.n_b_grid, plan.kappa_grid)
 
-    def index(kind, points):
-        """The grid indices (i_s, i_b, i_k) of the kind's mesh points."""
-        return np.unravel_index(points, tuple(map(len, grids(kind))))
-
-    n_s, n_b, kappa = (np.asarray(grid, dtype=float)
-                       for grid in (plan.n_s_grid, plan.n_b_grid, plan.kappa_grid))
-
     def values(kind, points):
-        """The kind's (n_s, n_b, kappa) at its mesh points."""
-        i_s, i_b, i_k = index(kind, points)
-        return 0.0 if kind == "vacuum" else n_s[i_s], n_b[i_b], kappa[i_k]
+        """The kind's (n_s, n_b, kappa) at its mesh points, each a list of the grid's floats."""
+        index = np.unravel_index(points, tuple(map(len, grids(kind))))
+        return [list(map(grid.__getitem__, i.tolist())) for grid, i in zip(grids(kind), index)]
 
     vacuum_size = len(plan.n_b_grid) * len(plan.kappa_grid)
     ends = list(itertools.accumulate(math.prod(map(len, grids(kind))) for kind in plan.transmitters))
@@ -239,11 +216,16 @@ def _chunks(plan: SweepPlan):
                        for kind, lo, hi in zip(mesh, bounds, bounds[1:])}
         stacks = {kind: (mesh[kind], pairs[kind], degenerate[kind], results[kind])
                   for kind in mesh}
-        yield [_Block(kind, plan.model, grids(kind), [i.tolist() for i in index(kind, points)],
-                      plan.quantities,
-                      [_quantity_columns(q, kind, points, vacuum_points, stacks)
-                       for q in plan.quantities])
-               for kind, points, vacuum_points in segments]
+        rows = []
+        for kind, points, vacuum_points in segments:
+            n_s, n_b, kappa = values(kind, points)
+            by_quantity = [zip(itertools.repeat(kind), itertools.repeat(plan.model), n_s, n_b, kappa,
+                               itertools.repeat(q),
+                               *_quantity_columns(q, kind, points, vacuum_points, stacks))
+                           for q in plan.quantities]
+            # A point's rows are its quantities, in order.
+            rows += itertools.chain.from_iterable(zip(*by_quantity))
+        yield rows
 
 
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
@@ -260,126 +242,54 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     values do not depend on the other points of its stack or search, so they
     do not depend on the chunk either.
     """
-    rows = []
-    for chunk in _chunks(plan):
-        for kind, model, grids, index, quantities, columns in chunk:
-            for p, (i, j, k) in enumerate(zip(*index)):
-                point = float(grids[0][i]), float(grids[1][j]), float(grids[2][k])
-                for quantity, (values, s_star, flags) in zip(quantities, columns):
-                    rows.append(SweepRow(kind, model, *point, quantity,
-                                         values[p], s_star[p], flags[p]))
-    return rows
-
-
-def _csv_numbers(column) -> list[str]:
-    """Each number of `column` to 17 significant digits, None as an empty field."""
-    return ["" if x is None else "%.17g" % x for x in column]
-
-
-def _json_numbers(column) -> list[str]:
-    """Each number (or None) of `column` as json.dump writes it."""
-    return list(map(json.dumps, column))
-
-
-def _csv_field(text: str) -> str:
-    """`text` as csv.writer quotes a field: only if it holds a comma, a quote or a line break."""
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _json_flags(flags) -> str:
-    """A flags tuple as json.dump(..., indent=1) writes it inside a record."""
-    return "[\n   " + ",\n   ".join(map(json.dumps, flags)) + "\n  ]" if flags else "[]"
-
-
-class _Style(NamedTuple):
-    """An output format: how it writes a column of numbers (None included), a
-    name and a flags tuple; the text before each of a row's nine fields and
-    after the last; and the text before, between and after the rows, or in
-    their place when there are none."""
-
-    numbers: Callable
-    name: Callable
-    flags: Callable
-    glue: tuple
-    first: str
-    between: str
-    last: str
-    empty: str
-
-
-_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
-_STYLES = {
-    "csv": _Style(_csv_numbers, _csv_field, lambda flags: _csv_field(";".join(flags)),
-                  ("", *(",",) * 8, ""), _HEADER_LINE, "\n", "\n", _HEADER_LINE),
-    # The layout of json.dump(records, indent=1).
-    "json": _Style(_json_numbers, json.dumps, _json_flags,
-                   (*(f'{"," if i else " {"}\n  "{key}": ' for i, key in enumerate(CSV_HEADER)),
-                    "\n }"),
-                   "[\n", ",\n", "\n]\n", "[]\n"),
-}
-
-
-def _block_rows(block: _Block, style: _Style, grids: dict, flag_text) -> list[str]:
-    """One string per row of the block, in row order.
-
-    `grids` holds each grid written so far with its texts, by id: a grid is
-    known by identity, since 0.0 == -0.0 and 1 == 1.0, and is held so that
-    no other object takes its id.  `flag_text` gives a flags tuple's text.
-    """
-    for grid in block.grids:
-        if id(grid) not in grids:
-            grids[id(grid)] = grid, style.numbers(grid)
-    n_s, n_b, kappa = (grids[id(grid)][1] for grid in block.grids)
-    g = style.glue
-    head = f"{g[0]}{style.name(block.kind)}{g[1]}{style.name(block.model)}{g[2]}"
-    points = [f"{head}{n_s[i]}{g[3]}{n_b[j]}{g[4]}{kappa[k]}" for i, j, k in zip(*block.index)]
-    by_quantity = []
-    for quantity, (values, s_star, flags) in zip(block.quantities, block.columns):
-        mid = f"{g[5]}{style.name(quantity)}{g[6]}"
-        by_quantity.append([
-            f"{point}{mid}{value}{g[7]}{s}{g[8]}{flag}{g[9]}"
-            for point, value, s, flag in zip(points, style.numbers(values), style.numbers(s_star),
-                                              map(flag_text, flags))])
-    return [row for rows in zip(*by_quantity) for row in rows]
+    return [SweepRow(*row) for rows in _chunks(plan) for row in rows]
 
 
 def _write(chunks, path, out_format: str) -> None:
-    """Write the rows of `chunks` (lists of `_Block`s) as CSV or JSON, one write per chunk.
+    """Write the rows of `chunks` (lists of tuples in CSV_HEADER order) as CSV or JSON.
 
-    `path` may be a filesystem path or an open text stream.  Each grid
-    value and each distinct flags tuple is formatted once.  If a chunk
-    fails, the regular file this opened at `path` is removed, so no partial
-    table stays behind; a stream keeps the chunks written before.
+    CSV is csv.writer's, numbers to 17 significant digits and None as an
+    empty field; JSON is json.dump(records, indent=1) and a newline, with
+    each chunk's records dumped on their own.  `path` may be a filesystem
+    path or an open text stream.  If a chunk fails, the regular file this
+    opened at `path` is removed, so no partial table stays behind; a stream
+    keeps the chunks written before.
     """
     if out_format not in FORMATS:
         raise ValueError(f"unknown format {out_format!r}; expected one of {FORMATS}")
+    # Nothing is opened or written before the first chunk is evaluated: a
+    # plan that fails there leaves any file at `path` as it was, and a small
+    # sweep measured faster in this order.
+    chunks = iter(chunks)
+    chunks = itertools.chain(list(itertools.islice(chunks, 1)), chunks)
     if not hasattr(path, "write"):
-        # The file is opened only after the first chunk is evaluated: a plan
-        # that fails there leaves any file at `path` as it was, and a small
-        # sweep measured faster in this order.
-        chunks = iter(chunks)
-        first = list(itertools.islice(chunks, 1))
         with open(path, "w", newline="") as stream:
             try:
-                return _write(itertools.chain(first, chunks), stream, out_format)
+                return _write(chunks, stream, out_format)
             except BaseException:
                 stream.close()
                 if stat.S_ISREG(os.lstat(path).st_mode):
                     os.remove(path)
                 raise
-    style = _STYLES[out_format]
-    grids, flag_text = {}, cache(style.flags)
-    lead = None
-    for chunk in chunks:
-        rows = [row for block in chunk for row in _block_rows(block, style, grids, flag_text)]
+    if out_format == "csv":
+        writer = csv.writer(path, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for rows in chunks:
+            columns = list(zip(*rows))
+            if columns:
+                for at in _NUMBER_COLUMNS:
+                    columns[at] = ["" if x is None else "%.17g" % x for x in columns[at]]
+                columns[-1] = map(";".join, columns[-1])
+                writer.writerows(zip(*columns))
+        return
+    lead = "["
+    for rows in chunks:
         if rows:
-            # What goes before the chunk rides on its first row: one write.
-            rows[0] = (style.first if lead is None else lead) + rows[0]
-            path.write(style.between.join(rows))
-            lead = style.between
-    path.write(style.empty if lead is None else style.last)
+            # json.dumps writes "[\n {...},\n {...}\n]"; the chunks share one pair of brackets.
+            text = json.dumps([dict(zip(CSV_HEADER, row)) for row in rows], indent=1)
+            path.write(lead + text[1:-2])
+            lead = ","
+    path.write("[]\n" if lead == "[" else "\n]\n")
 
 
 def write_sweep(plan: SweepPlan, path, out_format: str = "csv") -> None:
@@ -392,20 +302,8 @@ def write_sweep(plan: SweepPlan, path, out_format: str = "csv") -> None:
 
 
 def emit(rows: list[SweepRow], path, out_format: str = "csv") -> None:
-    """Write rows as CSV (17 significant digits) or JSON.
-
-    `path` may be a filesystem path or an open text stream.  Consecutive
-    rows of one transmitter, model and quantity go to the writer as one block.
-    """
-    key = operator.attrgetter("transmitter", "model", "quantity")
-    blocks = []
-    for (kind, model, quantity), run in itertools.groupby(rows, key):
-        n_s, n_b, kappa, values, s_star, flags = zip(
-            *((r.n_s, r.n_b, r.kappa, r.value, r.s_star, r.flags) for r in run))
-        index = range(len(values))
-        blocks.append(_Block(kind, model, (n_s, n_b, kappa), [index] * 3, (quantity,),
-                             [(values, s_star, flags)]))
-    _write([blocks], path, out_format)
+    """Write rows as CSV (17 significant digits) or JSON, to a path or an open text stream."""
+    _write([list(map(operator.attrgetter(*CSV_HEADER), rows))], path, out_format)
 
 
 # --------------------------------------------------------------------------

@@ -297,6 +297,25 @@ def test_writer_writes_what_csv_writer_and_json_dump_wrote():
     assert written.getvalue() == json.dumps(records, indent=1) + "\n"
 
 
+@pytest.mark.parametrize("number", [int, np.float32, np.float64])
+def test_plan_grids_are_written_as_run_sweep_reads_them(number):
+    # The plan stores its grids as Python floats, so write_sweep writes
+    # the grid values run_sweep's rows hold: an int grid as 1.0, not 1, and
+    # a float32 grid where JSON could not write it.  kappa lies in (0, 1), so
+    # it has no int grid.
+    plan = small_plan(transmitters=("vacuum", "coherent", "tmss"),
+                      quantities=gaussqi.sweeps.QUANTITIES,
+                      n_s_grid=tuple(map(number, (1, 4))), n_b_grid=tuple(map(number, (0, 2))),
+                      kappa_grid=(0.1 if number is int else number(0.1), 0.5))
+    assert all(type(x) is float for x in plan.n_s_grid + plan.n_b_grid + plan.kappa_grid)
+    for out_format in FORMATS:
+        streamed, emitted = io.StringIO(), io.StringIO()
+        write_sweep(plan, streamed, out_format)
+        emit(run_sweep(plan), emitted, out_format)
+        assert streamed.getvalue() == emitted.getvalue()
+    assert '"n_s": 1.0,' in streamed.getvalue()
+
+
 @pytest.mark.parametrize("model", ["agnostic", "legacy"])
 def test_geometry_from_parameters_equals_the_dense_boundary(model, tmp_path):
     # The sweep's parameters (pair_parameters, stacked) and the ones the

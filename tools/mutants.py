@@ -203,8 +203,13 @@ CATALOGUE = (
     Mutant(SWEEPS, "end = min(start + CHUNK_POINTS, total)",
            "end = min(start + CHUNK_POINTS + 1, total)",
            "chunk end off by one: the first point of each next chunk is written twice"),
-    Mutant(SWEEPS, "{n_b[j]}", "{kappa[j]}",
-           "a grid string reused on the wrong axis: the n_b field written from the kappa grid"),
+    Mutant(SWEEPS, "plan.model), n_s, n_b, kappa,", "plan.model), n_s, kappa, kappa,",
+           "a grid on the wrong axis: a row's n_b field taken from the kappa grid"),
+    Mutant(SWEEPS, 'lead = ","', 'lead = ", "',
+           "JSON chunks joined by \", \" where json.dump writes \",\": still valid JSON, "
+           "but a multi-chunk sweep's bytes differ from one chunk's"),
+    Mutant(SWEEPS, '"%.17g" % x', '"%.16g" % x',
+           "CSV numbers to 16 significant digits: not every float reads back as itself"),
 )
 
 

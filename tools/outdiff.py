@@ -7,10 +7,12 @@ and demos/).  Both run one fixed list of commands under `python -W error`,
 each command in a fresh temporary directory with BLAS pinned to one thread:
 
 - `gaussqi figure NAME` for all five figures, as CSV and as JSON;
-- `gaussqi verify all` and `gaussqi limits agnostic|legacy`;
+- `gaussqi verify all`, and `gaussqi limits agnostic|legacy` as CSV and
+  as JSON;
 - `gaussqi chernoff` at the single points of CHERNOFF_POINTS in both
   models: one unflagged, one at the bracket edge, one flat and one
-  degenerate, so that the printed s_star, q_star, xi and flags are diffed;
+  degenerate, so that the printed s_star, q_star, xi and flags are diffed,
+  each writing its two rows with `--out` once as CSV and once as JSON;
 - the one-pair API table (API_TABLE): `q_s_general` at s = 0.1, 0.5 and
   0.9, `bhattacharyya_error_bound` at 1 and 10**6 copies and every field
   of `chernoff`'s result, n_evals included, printed with repr, for
@@ -27,7 +29,7 @@ each command in a fresh temporary directory with BLAS pinned to one thread:
   and the flags with repr, or the exit code and the error line;
 - demos 01-05;
 - `gaussqi sweep` on the wide plan (WIDE_PLAN: every kind and quantity on
-  grids from 0 and 1e-12 to 1e6) in both models.
+  grids from 0 and 1e-12 to 1e6) in both models, as CSV and as JSON.
 
 For each command it prints the exit codes, whether stdout, stderr and every
 output file are byte-identical, the lines of stdout that differ, and for
@@ -152,11 +154,15 @@ def commands():
         out.append((f"figure {name} json",
                     cli + ["figure", name, "--out", "out.json", "--format", "json"], None, ["out.json"]))
     out.append(("verify all", cli + ["verify", "all"], None, []))
+    formats = (("csv", ["--out", "out.csv"], ["out.csv"]),
+               ("json", ["--out", "out.json", "--format", "json"], ["out.json"]))
     for model in ("agnostic", "legacy"):
-        out.append((f"limits {model}", cli + ["limits", model, "--out", "out.csv"], None, ["out.csv"]))
+        for fmt, to_file, files in formats:
+            out.append((f"limits {model} {fmt}", cli + ["limits", model] + to_file, None, files))
         for label, args in CHERNOFF_POINTS:
-            out.append((f"chernoff {model} {label}", cli + ["chernoff", "--model", model] + args,
-                        None, []))
+            for fmt, to_file, files in formats:
+                out.append((f"chernoff {model} {label} {fmt}",
+                            cli + ["chernoff", "--model", model] + args + to_file, None, files))
     points = []
     for _, args in CHERNOFF_POINTS:
         given = dict(zip(args[::2], args[1::2]))
@@ -167,9 +173,9 @@ def commands():
     for demo in DEMOS:
         out.append((f"demo {demo}", [os.path.join("{tree}", "demos", demo)], None, []))
     for model in ("agnostic", "legacy"):
-        plan = WIDE_PLAN + f"model = {model}\n"
-        out.append((f"sweep wide {model}", cli + ["sweep", "plan.txt", "--out", "out.csv"], plan,
-                    ["out.csv"]))
+        for fmt, to_file, files in formats:
+            out.append((f"sweep wide {model} {fmt}", cli + ["sweep", "plan.txt"] + to_file,
+                        WIDE_PLAN + f"model = {model}\n", files))
     return out
 
 
